@@ -15,7 +15,7 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 from .errors import TTP2Error, ValidationError
-from .instance import Instance
+from .instance import Instance, check_metric
 from .matching import PairMatching, min_weight_perfect_matching
 
 BOUND_SLACK = 1e-9   # floating slack when checking the ratio bound
@@ -91,11 +91,16 @@ def team_itinerary(sched, inst: Instance, team: int) -> Itinerary:
     return Itinerary(team=team, venues=tuple(venues), travel=math.fsum(legs))
 
 
-def total_travel(sched, inst: Instance) -> float:
-    """Sum of all team travels; summed in team order for determinism."""
-    sched_n = getattr(sched, "n", None)
+def _check_same_n(sched, inst: Instance) -> None:
+    """Refuse a schedule that declares a team count other than the instance's."""
+    sched_n = sched.get("n") if isinstance(sched, dict) else getattr(sched, "n", None)
     if sched_n is not None and sched_n != inst.n:
         raise ValidationError(f"schedule n={sched_n} does not match instance n={inst.n}")
+
+
+def total_travel(sched, inst: Instance) -> float:
+    """Sum of all team travels; summed in team order for determinism."""
+    _check_same_n(sched, inst)
     return math.fsum(team_itinerary(sched, inst, t).travel for t in range(inst.n))
 
 
@@ -149,10 +154,19 @@ def evaluation_report(sched, inst: Instance) -> EvaluationReport:
 
     The schedule may be invalid; the report then carries valid=False and the
     ratio loses its guarantee (it is still computed when the bound is > 0).
+    The lower bound needs the triangle inequality, so on a non-metric
+    instance ``bound_satisfied`` is None.  A schedule for another team count,
+    or one naming teams outside the instance, raises ValidationError.
+
+    The team matching is solved from ``inst`` rather than read from the
+    schedule, which may come from anywhere; right after ``build_schedule``
+    on the same instance the solve is a memo hit.
     """
     from .validator import validate_schedule   # local import keeps validator scheduler-free
 
     n = inst.n
+    _check_same_n(sched, inst)
+    valid = not validate_schedule(sched, n=n).violations
     teams = min_weight_perfect_matching(inst.dist)
     per_team = tuple(team_itinerary(sched, inst, t) for t in range(n))
     total = math.fsum(it.travel for it in per_team)
@@ -170,9 +184,8 @@ def evaluation_report(sched, inst: Instance) -> EvaluationReport:
         xk_f: Optional[float] = float(xk)
     else:
         ours_f = xk_f = None
-    valid = not validate_schedule(sched, n=n).violations
     bound_ok = None
-    if ratio is not None and ours_f is not None:
+    if ratio is not None and ours_f is not None and check_metric(inst).triangle_ok:
         bound_ok = ratio <= ours_f + BOUND_SLACK
     return EvaluationReport(
         n=n, total_travel=total, lower_bound=lb, ratio=ratio, flips=flips,

@@ -22,10 +22,9 @@ from .analysis import (BOUND_SLACK, evaluation_report, factors_exact,
 from .errors import (InstanceError, MatchingError, OracleBudgetError,
                      SchedulingError, TTP2Error, ValidationError)
 from .instance import emit_instance, generate_instance, load_instance, save_instance
-from .matching import min_weight_perfect_matching
 from .oracle import best_effort_optimal, brute_force_optimal, sample_valid_schedules
-from .scheduler import (Schedule, build_schedule, format_level_table,
-                        schedule_from_json, schedule_to_json)
+from .scheduler import (Schedule, build_schedule, check_team_count,
+                        format_level_table, schedule_from_json, schedule_to_json)
 from .validator import parse_day_list, validate_schedule
 
 DEFAULT_SEED = 0
@@ -65,10 +64,10 @@ def _obtain_instance(args):
 
 
 def _check_constructor_n(n: int) -> None:
-    if n % 4 != 0:
-        raise InstanceError("n must be divisible by 4")
-    if n < 8:
-        raise InstanceError("n must be at least 8")
+    try:
+        check_team_count(n)
+    except SchedulingError as exc:   # a usage error here, not a failed build
+        raise InstanceError(str(exc)) from None
 
 
 def _load_schedule_file(path: str):
@@ -110,8 +109,7 @@ def cmd_schedule(args) -> int:
         return 0
     if args.table:
         print(format_level_table(sched))
-    matching = min_weight_perfect_matching(inst.dist)
-    lb = lower_bound(inst, matching)
+    lb = lower_bound(inst, sched.team_pairs)
     total = total_travel(sched, inst)
     print(f"flips: {sched.flips}")
     print(f"lower bound: {lb:.6f}")

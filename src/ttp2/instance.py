@@ -107,14 +107,18 @@ def _coerce_number(token: str, where: str) -> float:
         raise InstanceError(f"malformed number {token!r} at {where}") from None
 
 
-def _read_source(source, binary_ok: bool = True) -> str:
-    """Accept a path, text, or file-like object and return its full text."""
+def _read_source(source) -> str:
+    """Accept a path, text, or file-like object and return its full text.
+    Multi-line or ``{``-prefixed strings are text; any other string is a path."""
+    if isinstance(source, str) and ("\n" in source or source.lstrip().startswith("{")):
+        return source
     if isinstance(source, (str, os.PathLike)):
-        text = str(source)
-        if isinstance(source, os.PathLike) or os.path.exists(text):
-            with open(text, "r", encoding="utf-8") as fh:
+        path = os.fspath(source)
+        try:
+            with open(path, "r", encoding="utf-8") as fh:
                 return fh.read()
-        return text  # treat as literal content
+        except FileNotFoundError:
+            raise InstanceError(f"instance file not found: {path}") from None
     if isinstance(source, bytes):
         return source.decode("utf-8")
     if hasattr(source, "read"):
@@ -219,6 +223,9 @@ def _check_coords_consistent(inst: Instance, rounding: str) -> None:
 
 def load_instance(source, fmt: Optional[str] = None) -> Instance:
     """Parse an instance from a path, string, bytes, or file-like object.
+
+    A string that spans several lines or starts with ``{`` is instance text;
+    any other string is a path, and a missing file raises InstanceError.
 
     ``fmt`` is one of ``matrix``, ``csv``, ``json``; when omitted it is
     inferred from a path's extension, falling back to content sniffing.

@@ -1,33 +1,37 @@
 """Exact minimum-weight perfect matching on small complete graphs.
 
-Two exact strategies cover the supported range:
+One exact solver covers the supported range: depth-first branch-and-bound
+with a 2-opt-polished greedy upper bound and a Lagrangian lower bound
+built from dual-feasible vertex potentials (w[u][v] >= pi[u] + pi[v] for
+every edge).  ``oracle.dp_matching``, a subset dynamic program, is the
+independent reference the tests compare it with.
 
-* subset dynamic programming over "still unmatched" vertex sets, and
-* depth-first branch-and-bound with a 2-opt-polished greedy upper bound
-  and a Lagrangian lower bound built from dual-feasible vertex potentials
-  (w[u][v] >= pi[u] + pi[v] for every edge).
+The answer is canonical: a perfect matching of globally minimum total
+weight, ties broken by the lexicographically smallest sorted pair list,
+with the reported weight recomputed as math.fsum over the chosen pairs.
+On a complete graph with an even vertex count a minimum maximal matching
+is necessarily perfect, so this solves that problem too.
 
-Both produce the same canonical answer: a perfect matching of globally
-minimum total weight, ties broken by the lexicographically smallest sorted
-pair list, with the reported weight recomputed as math.fsum over the
-chosen pairs.  On a complete graph with an even vertex count a minimum
-maximal matching is necessarily perfect, so this solves that problem too.
+Solves are memoized by matrix content (shape and bytes of the validated,
+symmetrized weights), so scoring a schedule right after building it does
+not pay for the team matching again.  Equal content means an equal
+answer, so a cached result can never belong to a different instance.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
 from .errors import MatchingError
 from .instance import SYMMETRY_TOL, Instance
 
-DP_MAX = 16   # auto strategy switch; subset DP time/memory grow as 2^m
-DP_HARD_MAX = 22
 SIZE_MAX = 32
 DUAL_ASCENT_SWEEPS = 6
+MEMO_SIZE = 64   # distinct weight matrices whose matchings are kept
 
 
 @dataclass(frozen=True)
@@ -81,24 +85,20 @@ def _validated_weights(weights) -> np.ndarray:
     return (w + w.T) / 2.0
 
 
-def min_weight_perfect_matching(weights, algorithm: str = "auto") -> PairMatching:
+def min_weight_perfect_matching(weights) -> PairMatching:
     """Globally minimum-weight perfect matching with deterministic tie-break.
 
-    ``algorithm`` is ``auto`` (size-based choice), ``dp``, or ``bnb``;
-    the explicit names exist so tests can force either path.
+    Validation runs on every call; the solve itself is looked up by matrix
+    content first.
     """
     w = _validated_weights(weights)
-    m = w.shape[0]
-    if algorithm == "auto":
-        algorithm = "dp" if m <= DP_MAX else "bnb"
-    if algorithm == "dp":
-        if m > DP_HARD_MAX:
-            raise MatchingError(f"subset DP limited to m <= {DP_HARD_MAX}, got {m}")
-        pairs = _solve_dp(w, m)
-    elif algorithm == "bnb":
-        pairs = _solve_bnb(w, m)
-    else:
-        raise MatchingError(f"unknown algorithm {algorithm!r}, expected auto/dp/bnb")
+    return _solve_by_content(w.shape[0], w.tobytes())
+
+
+@lru_cache(maxsize=MEMO_SIZE)
+def _solve_by_content(m: int, data: bytes) -> PairMatching:
+    w = np.frombuffer(data, dtype=float).reshape(m, m)
+    pairs = _solve_bnb(w, m)
     weight = math.fsum(float(w[i, j]) for i, j in pairs)
     return PairMatching(pairs=tuple(pairs), weight=weight)
 
@@ -120,56 +120,10 @@ def build_super_graph(inst: Instance, teams: PairMatching) -> SuperGraph:
 
 
 def super_pair_matching(sg: SuperGraph) -> PairMatching:
-    """Minimum-weight perfect matching on the super graph (m = n/2 <= 16,
-    always on the DP path)."""
+    """Minimum-weight perfect matching on the super graph (m = n/2 <= 16)."""
     if sg.m % 2 != 0:
         raise MatchingError(f"super graph has odd vertex count {sg.m}")
     return min_weight_perfect_matching(sg.weight)
-
-
-# --- subset dynamic programming -------------------------------------------
-#
-# g[S] = minimum weight to perfectly match the vertex set S, where the
-# transition always matches S's lowest vertex v against each other u in S.
-# States with lowest set bit v depend only on states whose lowest set bit
-# is larger, so batches run with v descending and stay fully vectorized.
-
-def _solve_dp(w: np.ndarray, m: int) -> list[tuple[int, int]]:
-    full = (1 << m) - 1
-    g = np.full(1 << m, np.inf)
-    g[0] = 0.0
-    for v in range(m - 2, -1, -1):
-        free = range(v + 1, m)
-        k = np.arange(1 << (m - 1 - v), dtype=np.int64)
-        masks = np.full(k.shape, 1 << v, dtype=np.int64)
-        for t, b in enumerate(free):
-            masks |= ((k >> t) & 1) << b
-        for u in range(v + 1, m):
-            with_u = masks[(masks >> u) & 1 == 1]
-            rest = with_u ^ ((1 << v) | (1 << u))
-            g[with_u] = np.minimum(g[with_u], w[v, u] + g[rest])
-    if not np.isfinite(g[full]):
-        raise MatchingError("internal: dp found no perfect matching")
-
-    # Walk: v is forced (lowest unmatched); the smallest u whose candidate
-    # value equals g[S] bit-for-bit extends a lex-smallest optimal matching.
-    pairs: list[tuple[int, int]] = []
-    S = full
-    while S:
-        v = (S & -S).bit_length() - 1
-        rest = S & ~(1 << v)
-        probe = rest
-        while probe:
-            u = (probe & -probe).bit_length() - 1
-            probe &= probe - 1
-            S2 = S ^ ((1 << v) | (1 << u))
-            if g[S] == w[v, u] + g[S2]:
-                pairs.append((v, u))
-                S = S2
-                break
-        else:
-            raise MatchingError("internal: dp reconstruction failed")
-    return pairs
 
 
 # --- branch and bound ------------------------------------------------------

@@ -2,7 +2,9 @@
 
 Nothing here shares logic with the constructor: day slates are enumerated
 directly and feasibility is enforced game by game, so agreement between
-this module and the scheduler is meaningful evidence.
+this module and the scheduler is meaningful evidence.  The two matching
+references, full enumeration and subset dynamic programming, share only
+input validation with the branch-and-bound solver in ``matching``.
 """
 
 from __future__ import annotations
@@ -13,6 +15,8 @@ import random
 from dataclasses import dataclass
 from typing import Optional
 
+import numpy as np
+
 from .analysis import total_travel
 from .blocks import Fixture
 from .errors import MatchingError, OracleBudgetError, TTP2Error
@@ -21,6 +25,7 @@ from .matching import PairMatching, _validated_weights
 from .scheduler import Schedule
 
 BRUTE_FORCE_MATCHING_MAX = 12
+DP_MATCHING_MAX = 22   # subset DP time and memory grow as 2^m
 DEFAULT_NODE_BUDGET = 2_000_000
 
 
@@ -249,3 +254,53 @@ def brute_force_matching(weights) -> PairMatching:
     rec((1 << m) - 1, [])
     assert best_pairs is not None
     return PairMatching(pairs=best_pairs, weight=best_weight)
+
+
+def dp_matching(weights) -> PairMatching:
+    """Minimum-weight perfect matching by subset dynamic programming, with
+    the same canonical tie-break and fsum weight as the production solver.
+
+    g[S] = minimum weight to perfectly match the vertex set S, where the
+    transition always matches S's lowest vertex v against each other u in S.
+    States with lowest set bit v depend only on states whose lowest set bit
+    is larger, so batches run with v descending and stay fully vectorized.
+    """
+    w = _validated_weights(weights)
+    m = w.shape[0]
+    if m > DP_MATCHING_MAX:
+        raise MatchingError(f"subset DP limited to m <= {DP_MATCHING_MAX}, got {m}")
+    full = (1 << m) - 1
+    g = np.full(1 << m, np.inf)
+    g[0] = 0.0
+    for v in range(m - 2, -1, -1):
+        free = range(v + 1, m)
+        k = np.arange(1 << (m - 1 - v), dtype=np.int64)
+        masks = np.full(k.shape, 1 << v, dtype=np.int64)
+        for t, b in enumerate(free):
+            masks |= ((k >> t) & 1) << b
+        for u in range(v + 1, m):
+            with_u = masks[(masks >> u) & 1 == 1]
+            rest = with_u ^ ((1 << v) | (1 << u))
+            g[with_u] = np.minimum(g[with_u], w[v, u] + g[rest])
+    if not np.isfinite(g[full]):
+        raise MatchingError("internal: dp found no perfect matching")
+
+    # Walk: v is forced (lowest unmatched); the smallest u whose candidate
+    # value equals g[S] bit-for-bit extends a lex-smallest optimal matching.
+    pairs: list[tuple[int, int]] = []
+    S = full
+    while S:
+        v = (S & -S).bit_length() - 1
+        probe = S & ~(1 << v)
+        while probe:
+            u = (probe & -probe).bit_length() - 1
+            probe &= probe - 1
+            S2 = S ^ ((1 << v) | (1 << u))
+            if g[S] == w[v, u] + g[S2]:
+                pairs.append((v, u))
+                S = S2
+                break
+        else:
+            raise MatchingError("internal: dp reconstruction failed")
+    weight = math.fsum(float(w[i, j]) for i, j in pairs)
+    return PairMatching(pairs=tuple(pairs), weight=weight)

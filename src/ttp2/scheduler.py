@@ -29,7 +29,7 @@ from .analysis import flip_budget
 from .blocks import Fixture, SuperMatch, block_days, expand_block
 from .errors import SchedulingError
 from .instance import Instance
-from .matching import (PairMatching, build_super_graph,
+from .matching import (SIZE_MAX, PairMatching, build_super_graph,
                        min_weight_perfect_matching, super_pair_matching)
 
 
@@ -246,6 +246,16 @@ def _check_n(n: int) -> None:
         raise SchedulingError(f"n must be at least 8, got {n}")
 
 
+def check_team_count(n: int) -> None:
+    """Refuse team counts ``build_schedule`` does not support: multiples of
+    4 from 8 up to the team matching's vertex limit."""
+    _check_n(n)
+    if n > SIZE_MAX:
+        raise SchedulingError(
+            f"n must be at most {SIZE_MAX} "
+            f"(supported: multiples of 4 from 8 to {SIZE_MAX}), got {n}")
+
+
 def _round_labels(rounds: Sequence[int]):
     labels = []
     for r, size in enumerate(rounds, start=1):
@@ -342,7 +352,7 @@ def count_flips(sched: Schedule) -> int:
 
 def build_schedule(inst: Instance) -> Schedule:
     """Full construction; deterministic for a given instance."""
-    _check_n(inst.n)
+    check_team_count(inst.n)
     n = inst.n
     m = n // 2
     teams = min_weight_perfect_matching(inst.dist)

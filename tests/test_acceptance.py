@@ -27,7 +27,7 @@ from ttp2 import (
 )
 from ttp2.analysis import factor_ours
 from ttp2.blocks import SuperMatch
-from ttp2.oracle import brute_force_matching, brute_force_optimal
+from ttp2.oracle import brute_force_matching, brute_force_optimal, dp_matching
 
 from helpers import block_as_days, euclid_weights, pair_cluster_instance
 from test_scheduler import GOLDEN_12, GOLDEN_16, _level_sets
@@ -154,13 +154,13 @@ def test_criterion_6_matching_solvers_agree():
     count_cross = 0
     for m, seed in itertools.product((12, 14, 16, 18, 20), range(20)):
         w = euclid_weights(m, seed=seed)
-        dp = min_weight_perfect_matching(w, algorithm="dp")
-        bnb = min_weight_perfect_matching(w, algorithm="bnb")
+        dp = dp_matching(w)
+        bnb = min_weight_perfect_matching(w)
         assert dp.pairs == bnb.pairs
         assert dp.weight == bnb.weight
         count_cross += 1
     print(f"\nPASS criterion 6: matching agrees with enumeration on "
-          f"{count_enum} small graphs and dp == branch-and-bound exactly on "
+          f"{count_enum} small graphs and with the subset-DP oracle exactly on "
           f"{count_cross} larger ones")
 
 

@@ -218,6 +218,32 @@ def test_evaluation_report_flags_invalid():
     assert rep.flips is None             # raw dict carries no flip count
 
 
+def test_evaluation_report_rejects_mismatched_n():
+    inst = generate_instance(8, kind="euclidean", seed=0)
+    s12 = build_schedule(generate_instance(12, kind="euclidean", seed=0))
+    for sched in (s12, {"n": 12, "days": []}):
+        with pytest.raises(ValidationError, match="n=12") as ei:
+            evaluation_report(sched, inst)
+        assert "n=8" in str(ei.value)
+    # a bare day list declares no n; its out-of-range teams are refused
+    days = [[(f.away, f.home) for f in day] for day in s12.days]
+    with pytest.raises(ValidationError, match="out of range"):
+        evaluation_report(days, inst)
+
+
+def test_evaluation_report_no_bound_claim_on_non_metric_instance():
+    inst = generate_instance(8, kind="euclidean", seed=3)
+    d = np.array(inst.dist)
+    d[0, 1] = d[1, 0] = d[0, 2] + d[2, 1] + 500.0   # a detour beats the direct leg
+    bent = Instance(n=8, dist=d)
+    s = build_schedule(bent)
+    rep = evaluation_report(s, bent)
+    assert rep.valid is True
+    assert rep.ratio is not None
+    assert rep.bound_satisfied is None
+    assert evaluation_report(build_schedule(inst), inst).bound_satisfied is True
+
+
 def test_report_json_round_trip():
     inst = generate_instance(8, kind="euclidean", seed=3)
     s = build_schedule(inst)

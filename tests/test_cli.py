@@ -84,6 +84,21 @@ def test_schedule_rejects_bad_n(capsys):
     assert "n must be at least 8" in err
 
 
+def test_schedule_names_the_supported_range(capsys):
+    code, _, err = run(capsys, "schedule", "--n", "36")
+    assert code == 1
+    assert "multiples of 4 from 8 to 32" in err
+    assert "Traceback" not in err
+
+
+def test_schedule_missing_input_file(tmp_path, capsys):
+    missing = tmp_path / "nope.json"
+    code, _, err = run(capsys, "schedule", "-i", str(missing))
+    assert code == 1
+    assert "not found" in err and "nope.json" in err
+    assert "invalid json" not in err
+
+
 def test_schedule_requires_some_source(capsys):
     code, _, err = run(capsys, "schedule")
     assert code == 1
@@ -245,6 +260,18 @@ def test_evaluate_invalid_schedule_exit_code(tmp_path, capsys):
     code, out, _ = run(capsys, "evaluate", "-i", str(bad), "-d", str(inst_path))
     assert code == 3
     assert "no" in out.split()
+
+
+def test_evaluate_rejects_schedule_of_another_size(tmp_path, capsys):
+    inst_path = tmp_path / "inst8.json"
+    sched_path = tmp_path / "sched12.json"
+    run(capsys, "gen", "--n", "8", "--seed", "4", "-o", str(inst_path))
+    run(capsys, "schedule", "--n", "12", "--seed", "4", "-o", str(sched_path))
+    code, out, err = run(capsys, "evaluate", "-i", str(sched_path),
+                         "-d", str(inst_path))
+    assert code == 1
+    assert out == ""
+    assert "n=12" in err and "n=8" in err
 
 
 # --- bench ---------------------------------------------------------------------------

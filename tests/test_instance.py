@@ -176,3 +176,11 @@ def test_check_metric_reports_violation_triple():
 def test_generate_rejects_unknown_kind():
     with pytest.raises(InstanceError):
         generate_instance(8, "hyperbolic", 0)
+
+
+def test_missing_path_names_the_file(tmp_path):
+    missing = tmp_path / "nope.json"
+    for source in (str(missing), missing):
+        with pytest.raises(InstanceError, match="not found") as ei:
+            load_instance(source)
+        assert "nope.json" in str(ei.value)

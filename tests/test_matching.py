@@ -12,8 +12,8 @@ from ttp2 import (
     min_weight_perfect_matching,
     super_pair_matching,
 )
-from ttp2.matching import DP_HARD_MAX
-from ttp2.oracle import brute_force_matching
+from ttp2.matching import _solve_by_content
+from ttp2.oracle import DP_MATCHING_MAX, brute_force_matching, dp_matching
 
 from helpers import euclid_weights, unit_weights
 
@@ -33,19 +33,20 @@ def test_auto_matches_enumeration(m):
 
 @pytest.mark.parametrize("m", [12, 14, 16, 18, 20, 22])
 def test_dp_and_bnb_agree(m):
+    # the subset-DP oracle against the branch-and-bound solver
     for seed in range(4):
         w = euclid_weights(m, seed=seed)
-        dp = min_weight_perfect_matching(w, algorithm="dp")
-        bnb = min_weight_perfect_matching(w, algorithm="bnb")
+        dp = dp_matching(w)
+        bnb = min_weight_perfect_matching(w)
         assert dp.pairs == bnb.pairs
         assert dp.weight == bnb.weight
 
 
 def test_bnb_large_instances_stay_optimalish():
-    # no enumeration oracle this big; check against dp at the hard cap and
-    # basic sanity (perfect cover, weight equals the sum of chosen edges)
+    # no oracle this big (the DP stops at m=22); check basic sanity:
+    # perfect cover, weight equals the sum of chosen edges
     w = euclid_weights(32, seed=3)
-    got = min_weight_perfect_matching(w, algorithm="bnb")
+    got = min_weight_perfect_matching(w)
     assert got.covers(32)
     assert got.weight == pytest.approx(sum(w[i][j] for i, j in got.pairs))
 
@@ -61,12 +62,15 @@ def test_pairs_are_canonically_sorted():
     assert firsts == sorted(firsts)
 
 
-@pytest.mark.parametrize("algorithm", ["dp", "bnb", "auto"])
-def test_unit_weights_tie_break(algorithm):
+SOLVERS = {"dp": dp_matching, "bnb": min_weight_perfect_matching}
+
+
+@pytest.mark.parametrize("solver", sorted(SOLVERS))
+def test_unit_weights_tie_break(solver):
     # every perfect matching has the same weight; the canonical answer is
     # the lexicographically smallest pair list
     for m in (4, 6, 8, 10, 12):
-        got = min_weight_perfect_matching(unit_weights(m), algorithm=algorithm)
+        got = SOLVERS[solver](unit_weights(m))
         assert got.pairs == tuple((i, i + 1) for i in range(0, m, 2))
         assert got.weight == pytest.approx(m / 2)
 
@@ -144,21 +148,55 @@ def test_rejects_oversized():
 
 
 def test_dp_hard_cap():
-    m = DP_HARD_MAX + 2
+    m = DP_MATCHING_MAX + 2
     w = np.ones((m, m)) - np.eye(m)
     with pytest.raises(MatchingError, match="subset DP"):
-        min_weight_perfect_matching(w, algorithm="dp")
-
-
-def test_unknown_algorithm():
-    with pytest.raises(MatchingError, match="unknown algorithm"):
-        min_weight_perfect_matching(unit_weights(4), algorithm="hungarian")
+        dp_matching(w)
 
 
 def test_enumeration_oracle_size_guard():
     w = unit_weights(14)
     with pytest.raises(MatchingError, match="enumeration"):
         brute_force_matching(w)
+
+
+# --- memo by matrix content --------------------------------------------------
+
+
+def test_memo_same_matrix_same_result():
+    w = euclid_weights(14, seed=21)
+    first = min_weight_perfect_matching(w)
+    hits = _solve_by_content.cache_info().hits
+    again = min_weight_perfect_matching(w.tolist())   # same content, other type
+    assert again == first
+    assert _solve_by_content.cache_info().hits == hits + 1
+
+
+def test_memo_misses_when_one_entry_changes():
+    w = euclid_weights(12, seed=22)
+    base = min_weight_perfect_matching(w)
+    i, j = base.pairs[0]
+    bumped = w.copy()
+    bumped[i, j] = bumped[j, i] = 1e6   # the chosen edge becomes too dear
+    misses = _solve_by_content.cache_info().misses
+    moved = min_weight_perfect_matching(bumped)
+    assert _solve_by_content.cache_info().misses == misses + 1
+    assert (i, j) not in moved.pairs
+    assert moved == dp_matching(bumped)
+
+
+def test_memo_still_validates_every_call():
+    w = unit_weights(6)
+    w[0, 1] = 2.0   # asymmetric
+    for _ in range(2):
+        with pytest.raises(MatchingError, match="symmetric"):
+            min_weight_perfect_matching(w)
+    bad = unit_weights(6)
+    min_weight_perfect_matching(bad)      # the valid matrix is now cached
+    bad[2, 3] = bad[3, 2] = -1.0
+    for _ in range(2):
+        with pytest.raises(MatchingError, match="negative"):
+            min_weight_perfect_matching(bad)
 
 
 # --- super graph construction ----------------------------------------------

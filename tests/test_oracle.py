@@ -21,6 +21,7 @@ from ttp2.oracle import (
     best_effort_optimal,
     brute_force_matching,
     brute_force_optimal,
+    dp_matching,
     sample_valid_schedules,
 )
 
@@ -164,3 +165,15 @@ def test_matching_enumeration_size_cap():
     w = np.ones((14, 14)) - np.eye(14)
     with pytest.raises(MatchingError, match="m <= 12"):
         brute_force_matching(w)
+
+
+# --- subset-DP matching (the reference for larger m) -----------------------------------
+
+
+def test_dp_matching_agrees_with_enumeration():
+    rng = np.random.default_rng(1)
+    for m in (2, 4, 6, 8, 10):
+        for _ in range(5):
+            pts = rng.uniform(0, 100, (m, 2))
+            w = np.sqrt(((pts[:, None, :] - pts[None, :, :]) ** 2).sum(-1))
+            assert dp_matching(w) == brute_force_matching(w)

@@ -244,3 +244,9 @@ def test_format_level_table():
     assert "M_2 --Type-3--> M_3" in table
     assert table.count("--Type-2-->") == 3
     assert table.count("--Type-") == 15  # 5 levels x 3 matches
+
+
+def test_rejects_sizes_above_the_supported_range():
+    with pytest.raises(SchedulingError, match="multiples of 4 from 8 to 32") as ei:
+        build_schedule(generate_instance(36, kind="euclidean", seed=0))
+    assert "36" in str(ei.value)
