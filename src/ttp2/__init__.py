@@ -7,20 +7,17 @@ from .analysis import (EvaluationReport, Itinerary, evaluation_report,
                        flip_budget, format_report, lower_bound, pairwise_sum,
                        report_to_dict, report_to_json, team_itinerary,
                        total_travel)
-from .blocks import (Fixture, RoleProfile, SuperMatch, block_days,
-                     block_profiles, block_role_transition, block_travel,
-                     expand_block)
+from .blocks import Fixture, SuperMatch, block_days, block_travel, expand_block
 from .errors import (InstanceError, MatchingError, OracleBudgetError,
                      SchedulingError, TTP2Error, ValidationError)
-from .instance import (Instance, MetricReport, check_metric, emit_instance,
-                       generate_instance, load_instance, save_instance)
+from .instance import (Instance, check_metric, emit_instance, generate_instance,
+                       load_instance, save_instance)
 from .matching import (PairMatching, SuperGraph, build_super_graph,
                        min_weight_perfect_matching, super_pair_matching)
 from .oracle import (OracleResult, best_effort_optimal, brute_force_matching,
                      brute_force_optimal, sample_valid_schedules)
-from .scheduler import (LevelPlan, RoleState, Schedule, assign_flips,
-                        build_schedule, count_flips, default_initial_roles,
-                        format_level_table, plan_levels, schedule_from_dict,
+from .scheduler import (LevelPlan, Schedule, build_schedule, count_flips,
+                        format_level_table, schedule_from_dict,
                         schedule_from_json, schedule_to_dict, schedule_to_json)
 from .validator import (Violation, ViolationReport, parse_day_list,
                         validate_schedule)
@@ -29,21 +26,18 @@ __version__ = "0.1.0"
 
 __all__ = [
     "EvaluationReport", "Fixture", "Instance", "InstanceError", "Itinerary",
-    "LevelPlan", "MatchingError", "MetricReport", "OracleBudgetError",
-    "OracleResult", "PairMatching", "RoleProfile", "RoleState", "Schedule",
-    "SchedulingError", "SuperGraph", "SuperMatch", "TTP2Error",
-    "ValidationError", "Violation", "ViolationReport", "assign_flips",
-    "best_effort_optimal", "block_days", "block_profiles",
-    "block_role_transition", "block_travel", "brute_force_matching",
-    "brute_force_optimal", "build_schedule", "build_super_graph",
-    "check_metric", "count_flips", "default_initial_roles", "emit_instance",
+    "LevelPlan", "MatchingError", "OracleBudgetError", "OracleResult",
+    "PairMatching", "Schedule", "SchedulingError", "SuperGraph", "SuperMatch",
+    "TTP2Error", "ValidationError", "Violation", "ViolationReport",
+    "best_effort_optimal", "block_days", "block_travel",
+    "brute_force_matching", "brute_force_optimal", "build_schedule",
+    "build_super_graph", "check_metric", "count_flips", "emit_instance",
     "evaluation_report", "expand_block", "factor_ours", "factor_xiao_kou",
     "factors_exact", "flip_budget", "format_level_table", "format_report",
     "generate_instance", "load_instance", "lower_bound",
     "min_weight_perfect_matching", "pairwise_sum", "parse_day_list",
-    "plan_levels", "report_to_dict", "report_to_json",
-    "sample_valid_schedules", "save_instance", "schedule_from_dict",
-    "schedule_from_json", "schedule_to_dict", "schedule_to_json",
-    "super_pair_matching", "team_itinerary", "total_travel",
-    "validate_schedule", "__version__",
+    "report_to_dict", "report_to_json", "sample_valid_schedules",
+    "save_instance", "schedule_from_dict", "schedule_from_json",
+    "schedule_to_dict", "schedule_to_json", "super_pair_matching",
+    "team_itinerary", "total_travel", "validate_schedule", "__version__",
 ]

@@ -12,11 +12,14 @@ import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Optional
+
+import numpy as np
 
 from .errors import TTP2Error, ValidationError
 from .instance import Instance, check_metric
 from .matching import PairMatching, min_weight_perfect_matching
+from .validator import schedule_array, validate_schedule
 
 BOUND_SLACK = 1e-9   # floating slack when checking the ratio bound
 
@@ -48,60 +51,37 @@ class EvaluationReport:
     per_team: tuple[Itinerary, ...]
 
 
-def _fixture_ends(fx) -> tuple[int, int]:
-    if hasattr(fx, "away"):
-        return fx.away, fx.home
-    away, home = fx
-    return int(away), int(home)
+def _itineraries(sched, inst: Instance) -> list[Itinerary]:
+    """Every team's itinerary, from the schedule's normal form.
 
-
-def _days_of(sched) -> Sequence:
-    if isinstance(sched, dict):
-        return sched.get("days", [])
-    return sched.days if hasattr(sched, "days") else sched
+    The first fixture of a day naming a team sets its venue; a day where
+    the team does not appear keeps it where it is (only relevant for
+    partial schedules; complete schedules have no byes).
+    """
+    g = schedule_array(sched, inst.n)
+    num_days, n = g.games.shape
+    teams = np.arange(n)
+    # row 0 is home; row d + 1 is where the team plays on day d
+    spots = np.vstack([teams, np.where(g.at_home, teams, g.opponent)])
+    played = np.where(g.opponent >= 0, np.arange(1, num_days + 1)[:, None], 0)
+    last = np.maximum.accumulate(np.vstack([np.zeros(n, dtype=int), played]), axis=0)
+    venues = spots[last, teams]
+    legs = inst.dist[venues, np.vstack([venues[1:], teams])]   # ... then home
+    return [Itinerary(team=t, venues=tuple(v), travel=math.fsum(leg))
+            for t, (v, leg) in enumerate(zip(venues.T.tolist(), legs.T.tolist()))]
 
 
 def team_itinerary(sched, inst: Instance, team: int) -> Itinerary:
-    """Venue sequence and travel for one team.
-
-    A day where the team does not appear keeps it where it is (only
-    relevant for partial schedules; complete schedules have no byes).
-    """
+    """Venue sequence and travel for one team; ``sched`` is any form
+    ``validator.schedule_array`` reads."""
     if not 0 <= team < inst.n:
         raise ValidationError(f"team {team} out of range for n={inst.n}")
-    venues = [team]
-    at = team
-    for day in _days_of(sched):
-        spot = None
-        for fx in day:
-            away, home = _fixture_ends(fx)
-            if team == away:
-                spot = home
-            elif team == home:
-                spot = team
-            else:
-                continue
-            break
-        if spot is not None:
-            at = spot
-        venues.append(at)
-    dist = inst.dist
-    legs = [dist[venues[i], venues[i + 1]] for i in range(len(venues) - 1)]
-    legs.append(dist[venues[-1], team])   # final return home
-    return Itinerary(team=team, venues=tuple(venues), travel=math.fsum(legs))
-
-
-def _check_same_n(sched, inst: Instance) -> None:
-    """Refuse a schedule that declares a team count other than the instance's."""
-    sched_n = sched.get("n") if isinstance(sched, dict) else getattr(sched, "n", None)
-    if sched_n is not None and sched_n != inst.n:
-        raise ValidationError(f"schedule n={sched_n} does not match instance n={inst.n}")
+    return _itineraries(sched, inst)[team]
 
 
 def total_travel(sched, inst: Instance) -> float:
     """Sum of all team travels; summed in team order for determinism."""
-    _check_same_n(sched, inst)
-    return math.fsum(team_itinerary(sched, inst, t).travel for t in range(inst.n))
+    return math.fsum(it.travel for it in _itineraries(sched, inst))
 
 
 def pairwise_sum(inst: Instance) -> float:
@@ -152,23 +132,24 @@ def factor_xiao_kou(n: int) -> float:
 def evaluation_report(sched, inst: Instance) -> EvaluationReport:
     """All headline quantities for one schedule on one instance.
 
+    ``sched`` is any form ``validator.schedule_array`` reads; it is read
+    once, and both the validity check and the itineraries use that read.
     The schedule may be invalid; the report then carries valid=False and the
     ratio loses its guarantee (it is still computed when the bound is > 0).
     The lower bound needs the triangle inequality, so on a non-metric
-    instance ``bound_satisfied`` is None.  A schedule for another team count,
-    or one naming teams outside the instance, raises ValidationError.
+    instance ``bound_satisfied`` is None.  A schedule that declares another
+    team count, or one naming teams outside the instance, raises
+    ValidationError.
 
     The team matching is solved from ``inst`` rather than read from the
     schedule, which may come from anywhere; right after ``build_schedule``
     on the same instance the solve is a memo hit.
     """
-    from .validator import validate_schedule   # local import keeps validator scheduler-free
-
     n = inst.n
-    _check_same_n(sched, inst)
-    valid = not validate_schedule(sched, n=n).violations
+    g = schedule_array(sched, n)
+    valid = not validate_schedule(g).violations
     teams = min_weight_perfect_matching(inst.dist)
-    per_team = tuple(team_itinerary(sched, inst, t) for t in range(n))
+    per_team = tuple(_itineraries(g, inst))
     total = math.fsum(it.travel for it in per_team)
     w_t = pairwise_sum(inst)
     lb = 2.0 * w_t + n * teams.weight

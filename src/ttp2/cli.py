@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import math
 import os
@@ -23,9 +24,9 @@ from .errors import (InstanceError, MatchingError, OracleBudgetError,
                      SchedulingError, TTP2Error, ValidationError)
 from .instance import emit_instance, generate_instance, load_instance, save_instance
 from .oracle import best_effort_optimal, brute_force_optimal, sample_valid_schedules
-from .scheduler import (Schedule, build_schedule, check_team_count,
-                        format_level_table, schedule_from_json, schedule_to_json)
-from .validator import parse_day_list, validate_schedule
+from .scheduler import (build_schedule, check_team_count, format_level_table,
+                        schedule_from_json, schedule_to_json)
+from .validator import validate_schedule
 
 DEFAULT_SEED = 0
 GEN_KINDS = ("euclidean", "unit", "random_metric")
@@ -143,10 +144,7 @@ def cmd_validate(args) -> int:
 
 def cmd_evaluate(args) -> int:
     sched, _ = _load_schedule_file(args.input)
-    inst = load_instance(args.instance)
-    if not isinstance(sched, Schedule):
-        sched = parse_day_list(sched)  # day-list text: evaluate the raw days
-    rep = evaluation_report(sched, inst)
+    rep = evaluation_report(sched, load_instance(args.instance))
     if args.json:
         print(report_to_json(rep))
     else:
@@ -258,7 +256,10 @@ def _add_gen_source(sub, with_input=True):
                      help="RNG seed (default: $TTP2_SEED or 0)")
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The parser, built on first use: parsing leaves it unchanged, so every
+    ``main`` call shares it."""
     parser = _Parser(prog="ttp2", description=__doc__,
                      formatter_class=argparse.RawDescriptionHelpFormatter)
     subs = parser.add_subparsers(dest="command", required=True)

@@ -21,7 +21,7 @@ from __future__ import annotations
 import itertools
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import lru_cache
 from typing import Optional, Sequence
 
@@ -40,13 +40,6 @@ class LevelPlan:
     round: int
     level: int
     super_matches: tuple[SuperMatch, ...]
-
-
-@dataclass(frozen=True)
-class RoleState:
-    """Roles the pairs hold entering one level (index = pair index)."""
-
-    roles: tuple[str, ...]
 
 
 @dataclass(frozen=True)
@@ -99,23 +92,21 @@ def _group_levels(X: list[int], Y: list[int]) -> list[list[tuple[int, int]]]:
     return levels
 
 
-def _round_sizes(n: int) -> tuple[int, ...]:
-    """Levels per round: round i has ceil((n/2^i - 1)/2) of the m-1 levels."""
+def _round_labels(n: int) -> tuple[tuple[int, int], ...]:
+    """(round, level) per level, 1-based: round i has ceil((n/2^i - 1)/2)
+    of the m-1 levels."""
     m = n // 2
-    sizes: list[int] = []
-    total = 0
+    labels: list[tuple[int, int]] = []
     i = 1
-    while total < m - 1:
+    while len(labels) < m - 1:
         numer = n - (1 << i)
         if numer <= 0:
             break
-        c = -(-numer // (1 << (i + 1)))
-        sizes.append(c)
-        total += c
+        labels.extend((i, l) for l in range(1, -(-numer // (1 << (i + 1))) + 1))
         i += 1
-    if total != m - 1:
-        raise SchedulingError(f"internal: round sizes {sizes} do not cover {m - 1} levels")
-    return tuple(sizes)
+    if len(labels) != m - 1:
+        raise SchedulingError(f"internal: round labels {labels} do not cover {m - 1} levels")
+    return tuple(labels)
 
 
 def _canon_level(level) -> tuple[tuple[int, int], ...]:
@@ -215,7 +206,8 @@ def _min_flip_plan(levels: Sequence[tuple[tuple[int, int], ...]], c0: int,
 @lru_cache(maxsize=None)
 def _template(m: int):
     """Instance-independent per-size plan: slot levels, the template's final
-    pairing, round sizes, flip sets, and per-level colorings (bit set = A)."""
+    pairing, (round, level) labels, flip sets, and per-level colorings
+    (bit set = A)."""
     levels = tuple(_canon_level(lv) for lv in
                    _group_levels(list(range(0, m, 2)), list(range(1, m, 2))))
     if len(levels) != m - 1:
@@ -224,7 +216,7 @@ def _template(m: int):
     c0 = sum(1 << s for s in range(0, m, 2))
     budget = math.ceil(flip_budget(n))
     flips, colorings = _min_flip_plan(levels, c0, budget)
-    return levels, levels[-1], _round_sizes(n), flips, colorings
+    return levels, levels[-1], _round_labels(n), flips, colorings
 
 
 def _relabel_map(star_pairs, actual_pairs) -> dict[int, int]:
@@ -239,109 +231,17 @@ def _relabel_map(star_pairs, actual_pairs) -> dict[int, int]:
     return sigma
 
 
-def _check_n(n: int) -> None:
+def check_team_count(n: int) -> None:
+    """Refuse team counts ``build_schedule`` does not support: multiples of
+    4 from 8 up to the team matching's vertex limit."""
     if n % 4 != 0:
         raise SchedulingError(f"n must be divisible by 4, got {n}")
     if n < 8:
         raise SchedulingError(f"n must be at least 8, got {n}")
-
-
-def check_team_count(n: int) -> None:
-    """Refuse team counts ``build_schedule`` does not support: multiples of
-    4 from 8 up to the team matching's vertex limit."""
-    _check_n(n)
     if n > SIZE_MAX:
         raise SchedulingError(
             f"n must be at most {SIZE_MAX} "
             f"(supported: multiples of 4 from 8 to {SIZE_MAX}), got {n}")
-
-
-def _round_labels(rounds: Sequence[int]):
-    labels = []
-    for r, size in enumerate(rounds, start=1):
-        labels.extend((r, l) for l in range(1, size + 1))
-    return labels
-
-
-def plan_levels(n: int, super_pairs: PairMatching) -> list[LevelPlan]:
-    """Level pairings only (no types, no orientation): a single round robin
-    on the n/2 pairs whose final level is exactly ``super_pairs``."""
-    _check_n(n)
-    m = n // 2
-    if not super_pairs.covers(m):
-        raise SchedulingError(f"super pairs do not form a perfect matching on {m} items")
-    levels, star, rounds, _, _ = _template(m)
-    sigma = _relabel_map(star, super_pairs.pairs)
-    labels = _round_labels(rounds)
-    out = []
-    for (r, l), level in zip(labels, levels):
-        matches = tuple(SuperMatch(a_pair=min(sigma[i], sigma[j]),
-                                   b_pair=max(sigma[i], sigma[j]))
-                        for i, j in level)
-        out.append(LevelPlan(round=r, level=l,
-                             super_matches=tuple(sorted(matches, key=lambda s: s.key))))
-    return out
-
-
-def default_initial_roles(level1: LevelPlan, m: int) -> tuple[str, ...]:
-    """The convention visible in the worked examples: within each first-level
-    super-match the lower-numbered pair takes the A role."""
-    roles = [""] * m
-    for sm in level1.super_matches:
-        lo, hi = sm.key
-        roles[lo] = "A"
-        roles[hi] = "B"
-    if "" in roles:
-        raise SchedulingError("level 1 does not cover every pair")
-    return tuple(roles)
-
-
-def assign_flips(levels: Sequence[LevelPlan], n: int,
-                 initial_roles: Optional[Sequence[str]] = None
-                 ) -> tuple[list[LevelPlan], list[RoleState]]:
-    """Type every super-match (final level Type-3, flipped ones Type-2, rest
-    Type-1) and orient it A-vs-B, keeping the total flip count minimal.
-
-    Raises if no assignment fits the ceil(F_n) budget, which cannot happen
-    for construction-produced plans with their natural initial roles but can
-    for hand-built plans or adversarial role choices.
-    """
-    _check_n(n)
-    m = n // 2
-    plain = [tuple(sorted(sm.key for sm in lp.super_matches)) for lp in levels]
-    if initial_roles is None:
-        initial_roles = default_initial_roles(levels[0], m)
-    if len(initial_roles) != m or set(initial_roles) - {"A", "B"}:
-        raise SchedulingError(f"initial roles must be {m} 'A'/'B' entries")
-    c0 = sum(1 << i for i, role in enumerate(initial_roles) if role == "A")
-    budget = math.ceil(flip_budget(n))
-    flips, colorings = _min_flip_plan(plain, c0, budget)
-    return _typed_levels(levels, plain, flips, colorings)
-
-
-def _typed_levels(levels, plain, flips, colorings):
-    """Apply a flip plan: orientation from the level's entering coloring,
-    Type-2 where flipped, Type-3 throughout the final level."""
-    out = []
-    trace = []
-    last = len(levels) - 1
-    m = max(max(p) for p in plain[0]) + 1
-    for k, lp in enumerate(levels):
-        coloring = colorings[k]
-        flipped = set(flips[k]) if k < last else set()
-        matches = []
-        for i, j in plain[k]:
-            bit_i = (coloring >> i) & 1
-            if bit_i == ((coloring >> j) & 1):
-                raise SchedulingError(f"internal: level {k + 1} pair ({i},{j}) monochrome")
-            a, b = (i, j) if bit_i else (j, i)
-            btype = 3 if k == last else (2 if (i, j) in flipped else 1)
-            matches.append(SuperMatch(a_pair=a, b_pair=b, block_type=btype))
-        out.append(LevelPlan(round=lp.round, level=lp.level,
-                             super_matches=tuple(matches)))
-        trace.append(RoleState(roles=tuple(
-            "A" if (coloring >> s) & 1 else "B" for s in range(m))))
-    return out, trace
 
 
 def count_flips(sched: Schedule) -> int:
@@ -351,48 +251,43 @@ def count_flips(sched: Schedule) -> int:
 
 
 def build_schedule(inst: Instance) -> Schedule:
-    """Full construction; deterministic for a given instance."""
+    """Full construction; deterministic for a given instance.
+
+    Stages: match teams and pairs, take the per-size template, relabel its
+    slots to pair indices, type every super-match, expand blocks to days.
+    """
     check_team_count(inst.n)
     n = inst.n
-    m = n // 2
     teams = min_weight_perfect_matching(inst.dist)
     super_pairs = super_pair_matching(build_super_graph(inst, teams))
-    slot_levels, star, rounds, slot_flips, slot_colorings = _template(m)
+    slot_levels, star, labels, flips, colorings = _template(n // 2)
     sigma = _relabel_map(star, super_pairs.pairs)
 
-    # transport levels, flips, and colorings from slots to pair indices;
-    # the slot-space coloring must ride along: re-deriving roles from pair
-    # numbering after relabeling can cost extra flips
-    labels = _round_labels(rounds)
-    plain = []
-    raw_levels = []
-    for (r, l), level in zip(labels, slot_levels):
-        pairs = tuple(sorted((min(sigma[i], sigma[j]), max(sigma[i], sigma[j]))
-                             for i, j in level))
-        plain.append(pairs)
-        raw_levels.append(LevelPlan(round=r, level=l, super_matches=()))
-    flips = tuple(tuple(sorted((min(sigma[i], sigma[j]), max(sigma[i], sigma[j]))
-                               for i, j in fs)) for fs in slot_flips)
-    colorings = []
-    for c in slot_colorings:
-        colorings.append(sum(1 << sigma[s] for s in range(m) if (c >> s) & 1))
-    typed, _ = _typed_levels(raw_levels, plain, flips, colorings)
+    # type in slot space, where the flip plan and colorings live: re-deriving
+    # roles from pair numbering after relabeling can cost extra flips.  The
+    # entering coloring orients each match (bit set = A), a flipped match is
+    # Type-2, and the final level is Type-3.
+    last = len(slot_levels) - 1
+    levels = []
+    for k, ((r, l), level) in enumerate(zip(labels, slot_levels)):
+        matches = []
+        for i, j in level:
+            a, b = (i, j) if (colorings[k] >> i) & 1 else (j, i)
+            btype = 3 if k == last else (2 if (i, j) in flips[k] else 1)
+            matches.append(SuperMatch(a_pair=sigma[a], b_pair=sigma[b], block_type=btype))
+        levels.append(LevelPlan(round=r, level=l,
+                                super_matches=tuple(sorted(matches, key=lambda s: s.key))))
 
-    pair_teams = {i: teams.pairs[i] for i in range(m)}
-    day_count = 2 * n - 2
-    days: list[list[Fixture]] = [[] for _ in range(day_count)]
+    days: list[list[Fixture]] = [[] for _ in range(2 * n - 2)]
     offset = 0
-    for lp in typed:
+    for lp in levels:
         for sm in lp.super_matches:
-            for fx in expand_block(sm, pair_teams, offset):
+            for fx in expand_block(sm, teams.pairs, offset):
                 days[fx.day].append(fx)
         offset += block_days(lp.super_matches[0].block_type)
-    if offset != day_count:
-        raise SchedulingError(f"internal: laid out {offset} days, expected {day_count}")
-    total_flips = sum(1 for lp in typed for sm in lp.super_matches if sm.block_type == 2)
-    return Schedule(n=n, days=tuple(tuple(day) for day in days),
-                    levels=tuple(typed), team_pairs=teams,
-                    super_pairs=super_pairs, flips=total_flips)
+    sched = Schedule(n=n, days=tuple(tuple(day) for day in days), levels=tuple(levels),
+                     team_pairs=teams, super_pairs=super_pairs)
+    return replace(sched, flips=count_flips(sched))
 
 
 # --- serialization ----------------------------------------------------------

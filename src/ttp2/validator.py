@@ -2,15 +2,19 @@
 home-stand/away-trip cap 2.
 
 The checker is deliberately independent of the construction code: it accepts
-raw day lists, parsed JSON objects, or Schedule values, and re-derives every
-verdict from the fixtures alone.  All violations are reported, not just the
-first.
+raw day lists, parsed JSON objects, day-list text or Schedule values, reads
+each into one normal form (``schedule_array``), and re-derives every verdict
+from the fixtures alone.  All violations are reported, not just the first.
+Travel evaluation in ``analysis`` reads schedules through the same normal
+form.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Optional
+
+import numpy as np
 
 from .errors import ValidationError
 
@@ -41,40 +45,101 @@ class ViolationReport:
         return [v for v in self.violations if v.constraint == constraint]
 
 
+@dataclass(frozen=True, eq=False)
+class ScheduleArray:
+    """A schedule in normal form, read by ``schedule_array``.
+
+    ``day``, ``away`` and ``home`` list every fixture in input order.  The
+    days x teams arrays describe each team's day as set by the first fixture
+    of that day naming it: ``opponent`` (-1 on a day without a game) and
+    ``at_home``; ``games`` counts every fixture naming the team.
+    """
+
+    n: int
+    day: np.ndarray
+    away: np.ndarray
+    home: np.ndarray
+    opponent: np.ndarray
+    at_home: np.ndarray
+    games: np.ndarray
+
+
 def _fixture_ends(fx) -> tuple[int, int]:
-    if hasattr(fx, "away"):
-        away, home = fx.away, fx.home
-    elif isinstance(fx, dict):
-        away, home = fx["away"], fx["home"]
-    else:
-        away, home = fx
     try:
+        if isinstance(fx, dict):
+            away, home = fx["away"], fx["home"]
+        elif hasattr(fx, "away"):
+            away, home = fx.away, fx.home
+        else:
+            away, home = fx
         return int(away), int(home)
-    except (TypeError, ValueError):
+    except (KeyError, TypeError, ValueError):
         raise ValidationError(f"malformed fixture {fx!r}") from None
 
 
-def _normalize(sched, n: Optional[int]) -> tuple[int, list[list[tuple[int, int]]]]:
-    if isinstance(sched, str):
-        days = parse_day_list(sched)
-        sched_n = None
+def schedule_array(sched, n: Optional[int] = None) -> ScheduleArray:
+    """Read any accepted schedule form into its normal form.
+
+    Accepted: a ``Schedule``, its ``schedule_to_dict`` dict, day-list text,
+    a ``ScheduleArray``, or a list of days whose fixtures are ``Fixture``
+    values, ``(away, home)`` pairs or ``{"away", "home"}`` dicts.  ``n``
+    defaults to the schedule's own team count, else the largest team index
+    plus one.  Unreadable input raises ValidationError: a malformed fixture,
+    a declared team count other than ``n``, n < 2, an empty schedule without
+    n, or a fixture whose team plays itself or lies outside 0..n-1.
+    """
+    if isinstance(sched, ScheduleArray):
+        declared, days = sched.n, None
+    elif isinstance(sched, str):
+        declared, days = None, parse_day_list(sched)
     elif isinstance(sched, dict):
-        days = [[_fixture_ends(fx) for fx in day] for day in sched.get("days", [])]
-        sched_n = sched.get("n")
-    elif hasattr(sched, "days"):
-        days = [[_fixture_ends(fx) for fx in day] for day in sched.days]
-        sched_n = getattr(sched, "n", None)
+        declared, days = sched.get("n"), sched.get("days", [])
     else:
-        days = [[_fixture_ends(fx) for fx in day] for day in sched]
-        sched_n = None
+        declared, days = getattr(sched, "n", None), getattr(sched, "days", sched)
+    try:
+        declared = None if declared is None else int(declared)
+    except (TypeError, ValueError):
+        raise ValidationError(f"malformed team count {declared!r}") from None
+    if declared is not None and n is not None and declared != n:
+        raise ValidationError(f"schedule n={declared} does not match the expected n={n}")
+    if days is None:
+        return sched
+    ends = [[_fixture_ends(fx) for fx in day] for day in days]
+    try:
+        flat = np.array([e for day in ends for e in day], dtype=np.int64).reshape(-1, 2)
+    except OverflowError:
+        raise ValidationError("team index out of range") from None
+    day = np.repeat(np.arange(len(ends)), [len(d) for d in ends])
     if n is None:
-        n = sched_n
+        n = declared
     if n is None:
-        indices = [t for day in days for fx in day for t in fx]
-        if not indices:
+        if not flat.size:
             raise ValidationError("cannot infer team count from an empty schedule")
-        n = max(indices) + 1
-    return int(n), days
+        n = int(flat.max()) + 1
+    n = int(n)
+    if n < 2:
+        raise ValidationError(f"team count must be at least 2, got {n}")
+    away, home = flat[:, 0], flat[:, 1]
+    bad = (away == home) | (flat < 0).any(axis=1) | (flat >= n).any(axis=1)
+    if bad.any():
+        g = int(bad.argmax())
+        a, h, d = int(away[g]), int(home[g]), int(day[g])
+        if a == h:
+            raise ValidationError(f"team {a} plays itself on day {d}")
+        raise ValidationError(f"team {a if not 0 <= a < n else h} out of range on day {d} (n={n})")
+
+    # both ends of every fixture in input order, away end first
+    key = np.repeat(day, 2) * n + flat.ravel()
+    size = len(ends) * n
+    _, first = np.unique(key, return_index=True)
+    opponent = np.full(size, -1, dtype=np.int64)
+    opponent[key[first]] = flat[:, ::-1].ravel()[first]
+    at_home = np.zeros(size, dtype=bool)
+    at_home[key[first]] = first % 2 == 1
+    shape = (len(ends), n)
+    return ScheduleArray(n=n, day=day, away=away, home=home,
+                         opponent=opponent.reshape(shape), at_home=at_home.reshape(shape),
+                         games=np.bincount(key, minlength=size).reshape(shape))
 
 
 def parse_day_list(text: str) -> list[list[tuple[int, int]]]:
@@ -105,85 +170,53 @@ def parse_day_list(text: str) -> list[list[tuple[int, int]]]:
 def validate_schedule(sched, n: Optional[int] = None) -> ViolationReport:
     """Check structure plus the three feasibility constraints.
 
-    Malformed input (team out of range, team playing itself) raises; rule
-    violations are collected into the report.
+    ``sched`` is any form ``schedule_array`` reads.  Malformed input (team
+    out of range, team playing itself) raises; rule violations are
+    collected into the report.
     """
-    n, days = _normalize(sched, n)
-    if n < 2:
-        raise ValidationError(f"team count must be at least 2, got {n}")
-    for d, day in enumerate(days):
-        for away, home in day:
-            if away == home:
-                raise ValidationError(f"team {away} plays itself on day {d}")
-            for t in (away, home):
-                if not 0 <= t < n:
-                    raise ValidationError(f"team {t} out of range on day {d} (n={n})")
-
+    g = schedule_array(sched, n)
+    n = g.n
+    num_days = g.games.shape[0]
     violations: list[Violation] = []
     expected_days = 2 * n - 2
-    if len(days) != expected_days:
+    if num_days != expected_days:
         violations.append(Violation(
             constraint=S_DAY_COUNT, day=None, teams=(),
-            detail=f"{len(days)} days, expected {expected_days}"))
+            detail=f"{num_days} days, expected {expected_days}"))
 
     # one game per team per day
-    for d, day in enumerate(days):
-        count = {t: 0 for t in range(n)}
-        for away, home in day:
-            count[away] += 1
-            count[home] += 1
-        for t, c in sorted(count.items()):
-            if c != 1:
-                violations.append(Violation(
-                    constraint=S_ONE_GAME, day=d, teams=(t,),
-                    detail=f"team {t} plays {c} games on day {d}"))
+    for d, t in np.argwhere(g.games != 1).tolist():
+        c = int(g.games[d, t])
+        violations.append(Violation(
+            constraint=S_ONE_GAME, day=d, teams=(t,),
+            detail=f"team {t} plays {c} games on day {d}"))
 
     # C1: each ordered (away, home) pair exactly once
-    seen: dict[tuple[int, int], int] = {}
-    for day in days:
-        for game in day:
-            seen[game] = seen.get(game, 0) + 1
-    for i in range(n):
-        for j in range(n):
-            if i == j:
-                continue
-            c = seen.get((i, j), 0)
-            if c != 1:
-                violations.append(Violation(
-                    constraint=C1, day=None, teams=(i, j),
-                    detail=f"{i}@{j} occurs {c} times (expected 1)"))
+    seen = np.bincount(g.away * n + g.home, minlength=n * n).reshape(n, n)
+    np.fill_diagonal(seen, 1)
+    for i, j in np.argwhere(seen != 1).tolist():
+        c = int(seen[i, j])
+        violations.append(Violation(
+            constraint=C1, day=None, teams=(i, j),
+            detail=f"{i}@{j} occurs {c} times (expected 1)"))
 
-    # C2: no pair meets on consecutive days (venue-blind)
-    prev_pairs: set[tuple[int, int]] = set()
-    for d, day in enumerate(days):
-        pairs = {(min(a, h), max(a, h)) for a, h in day}
-        for pair in sorted(pairs & prev_pairs):
-            violations.append(Violation(
-                constraint=C2, day=d, teams=pair,
-                detail=f"teams {pair[0]} and {pair[1]} meet on days {d - 1} and {d}"))
-        prev_pairs = pairs
+    # C2: no pair meets on consecutive days (venue-blind); a meeting is
+    # coded (day * n + lo) * n + hi, so the day before is n * n lower
+    met = np.unique((g.day * n + np.minimum(g.away, g.home)) * n + np.maximum(g.away, g.home))
+    for code in met[np.isin(met - n * n, met)].tolist():
+        d, pair = code // (n * n), divmod(code % (n * n), n)
+        violations.append(Violation(
+            constraint=C2, day=d, teams=pair,
+            detail=f"teams {pair[0]} and {pair[1]} meet on days {d - 1} and {d}"))
 
-    # C4: no 3 consecutive home or away days; one violation per run
-    for t in range(n):
-        run_symbol = ""
-        run_len = 0
-        for d, day in enumerate(days):
-            symbol = ""
-            for away, home in day:
-                if t == away:
-                    symbol = "a"
-                elif t == home:
-                    symbol = "h"
-                else:
-                    continue
-                break
-            if symbol and symbol == run_symbol:
-                run_len += 1
-            else:
-                run_symbol, run_len = symbol, 1 if symbol else 0
-            if run_len == 3:
-                kind = "away" if symbol == "a" else "home"
-                violations.append(Violation(
-                    constraint=C4, day=d, teams=(t,),
-                    detail=f"team {t} has 3 consecutive {kind} games ending day {d}"))
+    # C4: no 3 consecutive home or away days; one violation per run, on
+    # the run's third day.  Symbols: 0 no game, 1 away, 2 home.
+    sym = np.where(g.opponent < 0, 0, np.where(g.at_home, 2, 1))
+    third = (sym[2:] != 0) & (sym[2:] == sym[1:-1]) & (sym[2:] == sym[:-2])
+    third[1:] &= sym[3:] != sym[:-3]
+    for t, k in np.argwhere(third.T).tolist():
+        kind = "away" if sym[k + 2, t] == 1 else "home"
+        violations.append(Violation(
+            constraint=C4, day=k + 2, teams=(t,),
+            detail=f"team {t} has 3 consecutive {kind} games ending day {k + 2}"))
     return ViolationReport(violations=tuple(violations))

@@ -45,3 +45,11 @@ def block_as_days(fixtures):
     for f in fixtures:
         days.setdefault(f.day, []).append(f)
     return [days[k] for k in sorted(days)]
+
+
+def day_list_text(days):
+    """Day-list text of a schedule's days (fixtures or (away, home) pairs)."""
+    def ends(f):
+        return (f.away, f.home) if hasattr(f, "away") else f
+    return "".join(f"day {d + 1}: " + " ".join("%d@%d" % ends(f) for f in day) + "\n"
+                   for d, day in enumerate(days))

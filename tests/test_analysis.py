@@ -25,13 +25,15 @@ from ttp2 import (
     lower_bound,
     min_weight_perfect_matching,
     pairwise_sum,
+    report_to_dict,
     report_to_json,
+    schedule_to_dict,
     team_itinerary,
     total_travel,
 )
 from ttp2.oracle import sample_valid_schedules
 
-from helpers import block_as_days
+from helpers import block_as_days, day_list_text
 
 
 UNIT4 = Instance(n=4, dist=np.ones((4, 4)) - np.eye(4))
@@ -77,6 +79,29 @@ def test_total_travel_rejects_mismatched_n():
     inst12 = generate_instance(12, kind="euclidean", seed=0)
     with pytest.raises(ValidationError, match="does not match"):
         total_travel(s, inst12)
+
+
+def test_analysis_accepts_the_validator_forms():
+    inst = generate_instance(8, kind="euclidean", seed=0)
+    s = build_schedule(inst)
+    travel = total_travel(s, inst)
+    report = report_to_dict(evaluation_report(s, inst))
+    report["flips"] = None                 # only a Schedule carries its flips
+    for form in (schedule_to_dict(s), day_list_text(s.days)):
+        assert total_travel(form, inst) == travel
+        assert team_itinerary(form, inst, 5) == team_itinerary(s, inst, 5)
+        assert report_to_dict(evaluation_report(form, inst)) == report
+
+
+@pytest.mark.parametrize("days,message", [
+    ([[(0, -1)]], "team -1 out of range"),
+    ([[(3, 3)]], "team 3 plays itself"),
+    ([[("x", 1)]], "malformed fixture"),
+])
+def test_total_travel_refuses_unreadable_fixtures(days, message):
+    inst = generate_instance(8, kind="euclidean", seed=0)
+    with pytest.raises(ValidationError, match=message):
+        total_travel(days, inst)
 
 
 def test_total_travel_permutation_invariant():
@@ -221,7 +246,7 @@ def test_evaluation_report_flags_invalid():
 def test_evaluation_report_rejects_mismatched_n():
     inst = generate_instance(8, kind="euclidean", seed=0)
     s12 = build_schedule(generate_instance(12, kind="euclidean", seed=0))
-    for sched in (s12, {"n": 12, "days": []}):
+    for sched in (s12, schedule_to_dict(s12), {"n": 12, "days": []}):
         with pytest.raises(ValidationError, match="n=12") as ei:
             evaluation_report(sched, inst)
         assert "n=8" in str(ei.value)

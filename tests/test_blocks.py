@@ -9,12 +9,10 @@ from ttp2 import (
     SchedulingError,
     SuperMatch,
     block_days,
-    block_profiles,
-    block_role_transition,
     block_travel,
     expand_block,
 )
-from ttp2.blocks import BLOCK_TYPES
+from ttp2.blocks import BLOCK_TYPES, block_profiles, block_role_transition
 from ttp2.analysis import total_travel
 
 from helpers import block_as_days

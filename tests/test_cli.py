@@ -150,6 +150,22 @@ def test_seed_flag_beats_env(monkeypatch, capsys):
     assert f"total travel: {total:.6f}" in out
 
 
+def test_back_to_back_calls_share_no_state(monkeypatch, tmp_path, capsys):
+    # the parser is built once; flags and seeds of one call must not reach the next
+    path = tmp_path / "sched.json"
+    code, out, _ = run(capsys, "schedule", "--n", "8", "--seed", "3", "--table",
+                       "-o", str(path))
+    assert code == 0 and "Round 1 Level 1:" in out
+    assert run(capsys, "validate", "-i", str(path))[:2] == (0, "valid\n")
+    monkeypatch.setenv("TTP2_SEED", "5")
+    code, out, _ = run(capsys, "schedule", "--n", "8")
+    assert code == 0 and "Round" not in out
+    inst = generate_instance(8, kind="euclidean", seed=5)
+    assert f"total travel: {total_travel(build_schedule(inst), inst):.6f}" in out
+    assert run(capsys, "validate", "-i", str(path), "-n", "12")[0] == 1
+    assert run(capsys, "validate", "-i", str(path))[0] == 0
+
+
 def test_seed_env_must_be_integer(monkeypatch, capsys):
     monkeypatch.setenv("TTP2_SEED", "zebra")
     code, _, err = run(capsys, "schedule", "--n", "8")

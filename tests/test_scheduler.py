@@ -1,23 +1,20 @@
-"""Construction pipeline: level planning, flip assignment, full builds."""
+"""Construction pipeline: level plans, flip assignment, full builds."""
 
 import math
 
 import pytest
 
 from ttp2 import (
-    PairMatching,
     SchedulingError,
-    assign_flips,
     build_schedule,
     count_flips,
-    default_initial_roles,
     flip_budget,
     format_level_table,
     generate_instance,
-    plan_levels,
     schedule_from_json,
     schedule_to_json,
 )
+from ttp2.scheduler import _min_flip_plan
 
 from helpers import pair_cluster_instance
 
@@ -65,101 +62,81 @@ def test_worked_example(n, couples, golden, flips):
     assert s.flips == flips
 
 
-# --- level planning contracts ------------------------------------------------
+# --- level plans (Schedule.levels), checked on built schedules --------------
 
 
-def _simple_super_pairs(m):
-    return PairMatching(pairs=tuple((i, i + m // 2) for i in range(m // 2)),
-                        weight=0.0)
+PLAN_SIZES = [8, 12, 16, 20, 24]
 
 
-@pytest.mark.parametrize("n", [8, 12, 16, 20, 24])
+def _built(n):
+    return build_schedule(generate_instance(n, kind="euclidean", seed=n))
+
+
+@pytest.mark.parametrize("n", PLAN_SIZES)
 def test_plan_levels_is_single_round_robin(n):
     m = n // 2
-    sp = _simple_super_pairs(m)
-    levels = plan_levels(n, sp)
-    assert len(levels) == m - 1
+    s = _built(n)
+    assert len(s.levels) == m - 1
     seen = []
-    for lp in levels:
+    for lp in s.levels:
         keys = [sm.key for sm in lp.super_matches]
         flat = sorted(v for k in keys for v in k)
         assert flat == list(range(m))  # perfect matching per level
-        assert all(sm.block_type is None for sm in lp.super_matches)
         seen.extend(keys)
     assert len(seen) == m * (m - 1) // 2
     assert len(set(seen)) == len(seen)  # every pair of pairs exactly once
-    assert sorted(sm.key for sm in levels[-1].super_matches) == sorted(sp.pairs)
+    assert sorted(sm.key for sm in s.levels[-1].super_matches) == \
+        sorted(tuple(sorted(p)) for p in s.super_pairs.pairs)
 
 
 def test_plan_levels_round_labels():
-    levels = plan_levels(16, _simple_super_pairs(8))
-    labels = [(lp.round, lp.level) for lp in levels]
+    labels = [(lp.round, lp.level) for lp in _built(16).levels]
     assert labels == [(1, 1), (1, 2), (1, 3), (1, 4), (2, 1), (2, 2), (3, 1)]
-
-
-def test_plan_levels_rejects_partial_pairing():
-    with pytest.raises(SchedulingError, match="perfect matching"):
-        plan_levels(8, PairMatching(pairs=((0, 1),), weight=0.0))
-
-
-def test_default_initial_roles():
-    levels = plan_levels(8, _simple_super_pairs(4))
-    roles = default_initial_roles(levels[0], 4)
-    for sm in levels[0].super_matches:
-        lo, hi = sm.key
-        assert roles[lo] == "A" and roles[hi] == "B"
 
 
 # --- flip assignment ----------------------------------------------------------
 
 
-def test_assign_flips_role_trace_consistency():
-    n = 16
-    sp = PairMatching(pairs=((0, 4), (1, 5), (2, 6), (3, 7)), weight=0.0)
-    levels = plan_levels(n, sp)
-    typed, trace = assign_flips(levels, n)
-    assert len(typed) == len(trace) == len(levels)
-    budget = math.ceil(flip_budget(n))
-    flips = 0
-    m = n // 2
-    roles = list(trace[0].roles)
-    for k, lp in enumerate(typed):
-        assert tuple(roles) == trace[k].roles
-        last = k == len(typed) - 1
-        for sm in lp.super_matches:
-            # orientation always matches the entering roles
-            assert roles[sm.a_pair] == "A" and roles[sm.b_pair] == "B"
-            assert sm.block_type == (3 if last else sm.block_type)
-            if last:
-                assert sm.block_type == 3
-            else:
-                assert sm.block_type in (1, 2)
-                if sm.block_type == 2:
-                    flips += 1
-                    roles[sm.a_pair], roles[sm.b_pair] = "B", "A"
-    assert flips <= budget
-    assert all(r in ("A", "B") for r in roles) and len(roles) == m
+def test_roles_replay_through_type2_swaps():
+    # level 1 orients every match A-vs-B; replaying the Type-2 swaps from
+    # there must hand the A role to a_pair at every later level
+    for n in PLAN_SIZES:
+        s = _built(n)
+        roles = {}
+        for sm in s.levels[0].super_matches:
+            roles[sm.a_pair], roles[sm.b_pair] = "A", "B"
+        assert sorted(roles) == list(range(n // 2))
+        flips = 0
+        for k, lp in enumerate(s.levels):
+            last = k == len(s.levels) - 1
+            for sm in lp.super_matches:
+                assert roles[sm.a_pair] == "A" and roles[sm.b_pair] == "B", (n, k, sm)
+                if last:
+                    assert sm.block_type == 3
+                else:
+                    assert sm.block_type in (1, 2)
+                    if sm.block_type == 2:
+                        flips += 1
+                        roles[sm.a_pair], roles[sm.b_pair] = "B", "A"
+        assert flips == s.flips <= math.ceil(flip_budget(n))
 
 
-def test_assign_flips_budget_can_fail_on_adversarial_roles():
-    # the planner itself would pick a different coloring for this pairing;
-    # with the naive lower-takes-A start there is no within-budget plan
-    sp = PairMatching(pairs=((0, 3), (1, 2)), weight=0.0)
-    levels = plan_levels(8, sp)
-    with pytest.raises(SchedulingError, match="budget"):
-        assign_flips(levels, 8)
-    # ... while the full construction still handles the same super pairing
+PLAN_8 = [((0, 1), (2, 3)), ((0, 2), (1, 3)), ((0, 3), (1, 2))]
+
+
+def test_min_flip_plan_over_budget():
+    # with pairs 0 and 2 starting as A there is no plan within one flip ...
+    with pytest.raises(SchedulingError, match="no flip assignment within budget 1 at level 3"):
+        _min_flip_plan(PLAN_8, 0b0101, 1)
+    # ... while the full construction still handles the same final pairing
     s = build_schedule(pair_cluster_instance(8, [(0, 3), (1, 2)]))
     assert s.flips == 1
     assert set(s.super_pairs.pairs) == {(0, 3), (1, 2)}
 
 
-def test_assign_flips_rejects_bad_roles():
-    levels = plan_levels(8, _simple_super_pairs(4))
-    with pytest.raises(SchedulingError, match="roles"):
-        assign_flips(levels, 8, initial_roles=("A", "B", "X", "B"))
-    with pytest.raises(SchedulingError, match="roles"):
-        assign_flips(levels, 8, initial_roles=("A", "B"))
+def test_min_flip_plan_rejects_improper_initial_roles():
+    with pytest.raises(SchedulingError, match=r"initial roles do not 2-color level 1 pair \(0, 1\)"):
+        _min_flip_plan(PLAN_8, 0b0011, 1)
 
 
 # --- full construction ---------------------------------------------------------

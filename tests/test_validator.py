@@ -157,6 +157,15 @@ def test_n_inferred_from_teams(clean8):
     assert report.ok
 
 
+def test_declared_n_must_match_the_given_n(clean8):
+    s = build_schedule(generate_instance(8, kind="euclidean", seed=0))
+    obj = {"n": 8, "days": clean8}
+    for sched in (s, obj):
+        with pytest.raises(ValidationError, match="n=8 does not match the expected n=10"):
+            validate_schedule(sched, n=10)
+    assert validate_schedule(obj, n=8).ok
+
+
 def test_n_cross_check_mismatch(clean8):
     # declaring more teams makes every game involving them "missing"
     report = validate_schedule(clean8, n=10)
