@@ -12,7 +12,7 @@ from .errors import (InstanceError, MatchingError, OracleBudgetError,
                      SchedulingError, TTP2Error, ValidationError)
 from .instance import (Instance, check_metric, emit_instance, generate_instance,
                        load_instance, save_instance)
-from .matching import (PairMatching, SuperGraph, build_super_graph,
+from .matching import (PairMatching, build_super_graph,
                        min_weight_perfect_matching, super_pair_matching)
 from .oracle import (OracleResult, best_effort_optimal, brute_force_matching,
                      brute_force_optimal, sample_valid_schedules)
@@ -27,7 +27,7 @@ __version__ = "0.1.0"
 __all__ = [
     "EvaluationReport", "Fixture", "Instance", "InstanceError", "Itinerary",
     "LevelPlan", "MatchingError", "OracleBudgetError", "OracleResult",
-    "PairMatching", "Schedule", "SchedulingError", "SuperGraph", "SuperMatch",
+    "PairMatching", "Schedule", "SchedulingError", "SuperMatch",
     "TTP2Error", "ValidationError", "Violation", "ViolationReport",
     "best_effort_optimal", "block_days", "block_travel",
     "brute_force_matching", "brute_force_optimal", "build_schedule",

@@ -154,7 +154,9 @@ def evaluation_report(sched, inst: Instance) -> EvaluationReport:
     w_t = pairwise_sum(inst)
     lb = 2.0 * w_t + n * teams.weight
     ratio = (total / lb) if lb > 0 else None
-    flips = getattr(sched, "flips", None)
+    flips = sched.get("flips") if isinstance(sched, dict) else getattr(sched, "flips", None)
+    if flips is not None and not isinstance(flips, int):
+        raise ValidationError(f"flips must be an integer, got {flips!r}")
     try:
         budget = flip_budget(n)
     except TTP2Error:

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Mapping, Optional, Sequence
+from typing import Mapping, Sequence
 
 from .errors import SchedulingError
 
@@ -49,8 +49,6 @@ _LAYOUT = {
     ),
 }
 
-_SLOT_NAMES = ("A1", "A2", "B1", "B2")
-
 
 def block_days(block_type: int) -> int:
     if block_type not in BLOCK_TYPES:
@@ -61,16 +59,16 @@ def block_days(block_type: int) -> int:
 @dataclass(frozen=True)
 class SuperMatch:
     """One block: pair ``a_pair`` takes the away-first A role against
-    ``b_pair``.  ``block_type`` is None while a plan is still untyped."""
+    ``b_pair`` in a block of type ``block_type`` (1, 2 or 3)."""
 
     a_pair: int
     b_pair: int
-    block_type: Optional[int] = None
+    block_type: int
 
     def __post_init__(self) -> None:
         if self.a_pair == self.b_pair:
             raise SchedulingError(f"super-match pairs a pair with itself: {self.a_pair}")
-        if self.block_type is not None and self.block_type not in BLOCK_TYPES:
+        if self.block_type not in BLOCK_TYPES:
             raise SchedulingError(f"unknown block type {self.block_type!r}")
 
     @property
@@ -90,16 +88,6 @@ class Fixture:
             raise SchedulingError(f"team {self.away} cannot play itself (day {self.day})")
 
 
-@dataclass(frozen=True)
-class RoleProfile:
-    """Home/away pattern of one slot inside a block."""
-
-    slot: str                 # A1 / A2 / B1 / B2
-    sequence: str             # e.g. "aahh"
-    entry_requirement: str    # first symbol: the run the team must be free to start
-    exit_role: str            # role carried into the next level ("A" or "B")
-
-
 def expand_block(sm: SuperMatch, pairs: Mapping[int, Sequence[int]] | Sequence[Sequence[int]],
                  start_day: int) -> list[Fixture]:
     """Expand one super-match into fixtures on consecutive global days.
@@ -107,8 +95,6 @@ def expand_block(sm: SuperMatch, pairs: Mapping[int, Sequence[int]] | Sequence[S
     ``pairs`` maps pair index -> its two team indices; the lower team of the
     A pair is A1, the lower team of the B pair is B1.
     """
-    if sm.block_type is None:
-        raise SchedulingError("cannot expand an untyped super-match")
     a = sorted(pairs[sm.a_pair])
     b = sorted(pairs[sm.b_pair])
     if len(a) != 2 or len(b) != 2:
@@ -122,42 +108,6 @@ def expand_block(sm: SuperMatch, pairs: Mapping[int, Sequence[int]] | Sequence[S
             out.append(Fixture(away=teams[away_slot], home=teams[home_slot],
                                day=start_day + offset))
     return out
-
-
-def block_profiles(block_type: int) -> dict[str, RoleProfile]:
-    """Per-slot home/away strings, derived from the day layout."""
-    days = _LAYOUT[block_type] if block_type in BLOCK_TYPES else None
-    if days is None:
-        raise SchedulingError(f"unknown block type {block_type!r}")
-    out = {}
-    for slot in range(4):
-        seq = []
-        for day_games in days:
-            for away_slot, home_slot in day_games:
-                if slot == away_slot:
-                    seq.append("a")
-                elif slot == home_slot:
-                    seq.append("h")
-        role_in = "A" if slot < 2 else "B"
-        out[_SLOT_NAMES[slot]] = RoleProfile(
-            slot=_SLOT_NAMES[slot],
-            sequence="".join(seq),
-            entry_requirement=seq[0],
-            exit_role=block_role_transition(block_type, role_in),
-        )
-    return out
-
-
-def block_role_transition(block_type: int, role_in: str) -> str:
-    """Role carried to the next level: Type-1 keeps it, Type-2 swaps it,
-    Type-3 is terminal (returned unchanged, never consumed)."""
-    if role_in not in ("A", "B"):
-        raise SchedulingError(f"unknown role {role_in!r}")
-    if block_type == 1 or block_type == 3:
-        return role_in
-    if block_type == 2:
-        return "B" if role_in == "A" else "A"
-    raise SchedulingError(f"unknown block type {block_type!r}")
 
 
 def block_travel(block_type: int, dists) -> float:

@@ -22,14 +22,14 @@ from .analysis import (BOUND_SLACK, evaluation_report, factors_exact,
                        total_travel)
 from .errors import (InstanceError, MatchingError, OracleBudgetError,
                      SchedulingError, TTP2Error, ValidationError)
-from .instance import emit_instance, generate_instance, load_instance, save_instance
+from .instance import (FORMATS, GENERATOR_KINDS, emit_instance, generate_instance,
+                       load_instance, save_instance)
 from .oracle import best_effort_optimal, brute_force_optimal, sample_valid_schedules
 from .scheduler import (build_schedule, check_team_count, format_level_table,
                         schedule_from_json, schedule_to_json)
 from .validator import validate_schedule
 
 DEFAULT_SEED = 0
-GEN_KINDS = ("euclidean", "unit", "random_metric")
 BENCH_DEFAULT_NS = "8,12,16,20,24,28,32"
 
 
@@ -244,13 +244,12 @@ def cmd_oracle(args) -> int:
     return 0
 
 
-def _add_gen_source(sub, with_input=True):
-    if with_input:
-        sub.add_argument("-i", "--input", metavar="PATH",
-                         help="instance file (matrix, csv, or json)")
-    sub.add_argument("--gen", choices=GEN_KINDS, metavar="KIND",
+def _add_gen_source(sub):
+    sub.add_argument("-i", "--input", metavar="PATH",
+                     help="instance file (matrix, csv, or json)")
+    sub.add_argument("--gen", choices=GENERATOR_KINDS, metavar="KIND",
                      help="generate an instance instead of reading one "
-                          f"(one of: {', '.join(GEN_KINDS)})")
+                          f"(one of: {', '.join(GENERATOR_KINDS)})")
     sub.add_argument("--n", type=int, help="team count for --gen")
     sub.add_argument("--seed", type=int, default=None,
                      help="RNG seed (default: $TTP2_SEED or 0)")
@@ -265,11 +264,11 @@ def _build_parser() -> argparse.ArgumentParser:
     subs = parser.add_subparsers(dest="command", required=True)
 
     p = subs.add_parser("gen", help="generate a distance-matrix instance")
-    p.add_argument("--kind", choices=GEN_KINDS, default="euclidean")
+    p.add_argument("--kind", choices=GENERATOR_KINDS, default="euclidean")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("-o", "--output", metavar="PATH")
-    p.add_argument("--fmt", choices=("json", "csv", "matrix"), default=None)
+    p.add_argument("--fmt", choices=FORMATS, default=None)
     p.set_defaults(func=cmd_gen)
 
     p = subs.add_parser("schedule", help="build a schedule")

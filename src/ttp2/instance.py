@@ -25,8 +25,12 @@ SYMMETRY_TOL = 1e-9
 TRIANGLE_TOL = 1e-9
 COORD_TOL = 1e-6
 
-_FORMATS = ("matrix", "csv", "json")
-_GENERATOR_KINDS = ("euclidean", "unit", "random_metric")
+FORMATS = ("matrix", "csv", "json")
+# file extension -> format; saving with any other extension writes the
+# matrix format, loading one sniffs the content
+EXTENSION_FORMATS = {".txt": "matrix", ".mat": "matrix", ".dist": "matrix",
+                     ".csv": "csv", ".json": "json"}
+GENERATOR_KINDS = ("euclidean", "unit", "random_metric")
 
 
 @dataclass(frozen=True)
@@ -210,8 +214,6 @@ def _check_coords_consistent(inst: Instance, rounding: str) -> None:
     if rounding == "nearest_int":
         expected = np.round(expected)
         np.fill_diagonal(expected, 0.0)
-    elif rounding != "exact":
-        raise InstanceError(f"unknown rounding mode {rounding!r}")
     gap = np.abs(inst.dist - expected)
     if gap.max(initial=0.0) > COORD_TOL:
         i, j = np.unravel_index(np.argmax(gap), gap.shape)
@@ -233,8 +235,8 @@ def load_instance(source, fmt: Optional[str] = None) -> Instance:
     text = _read_source(source)
     if fmt is None:
         fmt = _guess_format(source, text)
-    if fmt not in _FORMATS:
-        raise InstanceError(f"unknown instance format {fmt!r}, expected one of {_FORMATS}")
+    if fmt not in FORMATS:
+        raise InstanceError(f"unknown instance format {fmt!r}, expected one of {FORMATS}")
     if fmt == "matrix":
         return _parse_matrix(text)
     if fmt == "csv":
@@ -244,13 +246,9 @@ def load_instance(source, fmt: Optional[str] = None) -> Instance:
 
 def _guess_format(source, text: str) -> str:
     if isinstance(source, (str, os.PathLike)):
-        ext = os.path.splitext(str(source))[1].lower()
-        if ext == ".json":
-            return "json"
-        if ext == ".csv":
-            return "csv"
-        if ext in (".txt", ".mat", ".dist"):
-            return "matrix"
+        fmt = EXTENSION_FORMATS.get(os.path.splitext(str(source))[1].lower())
+        if fmt is not None:
+            return fmt
     stripped = text.lstrip()
     if stripped.startswith("{"):
         return "json"
@@ -281,14 +279,12 @@ def emit_instance(inst: Instance, fmt: str = "json") -> str:
         if inst.coords is not None:
             obj["coords"] = [[float(x), float(y)] for x, y in inst.coords]
         return json.dumps(obj, indent=2) + "\n"
-    raise InstanceError(f"unknown instance format {fmt!r}, expected one of {_FORMATS}")
+    raise InstanceError(f"unknown instance format {fmt!r}, expected one of {FORMATS}")
 
 
 def save_instance(inst: Instance, path: str, fmt: Optional[str] = None) -> None:
     if fmt is None:
-        ext = os.path.splitext(path)[1].lower()
-        fmt = {"": "matrix", ".txt": "matrix", ".mat": "matrix", ".dist": "matrix",
-               ".csv": "csv", ".json": "json"}.get(ext, "matrix")
+        fmt = EXTENSION_FORMATS.get(os.path.splitext(path)[1].lower(), "matrix")
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(emit_instance(inst, fmt))
 
@@ -303,8 +299,8 @@ def generate_instance(n: int, kind: str = "euclidean", seed: int = 0) -> Instanc
     """
     if n < 2 or n % 2 != 0:
         raise InstanceError(f"generator needs an even n >= 2, got {n}")
-    if kind not in _GENERATOR_KINDS:
-        raise InstanceError(f"unknown generator kind {kind!r}, expected one of {_GENERATOR_KINDS}")
+    if kind not in GENERATOR_KINDS:
+        raise InstanceError(f"unknown generator kind {kind!r}, expected one of {GENERATOR_KINDS}")
     rng = np.random.default_rng(seed)
     if kind == "unit":
         dist = np.ones((n, n)) - np.eye(n)

@@ -50,22 +50,6 @@ class PairMatching:
         return seen == list(range(m))
 
 
-@dataclass(frozen=True)
-class SuperGraph:
-    """Complete graph on the matched pairs; entry (i, j) = sum of the four
-    cross distances between the members of pair i and pair j."""
-
-    m: int
-    weight: np.ndarray
-
-    def __post_init__(self) -> None:
-        w = np.asarray(self.weight, dtype=float)
-        if w.shape != (self.m, self.m):
-            raise MatchingError(f"super graph weight must be {self.m}x{self.m}, got {w.shape}")
-        w.flags.writeable = False
-        object.__setattr__(self, "weight", w)
-
-
 def _validated_weights(weights) -> np.ndarray:
     w = np.asarray(weights, dtype=float)
     if w.ndim != 2 or w.shape[0] != w.shape[1]:
@@ -103,9 +87,10 @@ def _solve_by_content(m: int, data: bytes) -> PairMatching:
     return PairMatching(pairs=tuple(pairs), weight=weight)
 
 
-def build_super_graph(inst: Instance, teams: PairMatching) -> SuperGraph:
-    """Collapse matched team pairs into super-teams; edge weight is the sum
-    of the four cross distances (the quantity the final-level bound sums)."""
+def build_super_graph(inst: Instance, teams: PairMatching) -> np.ndarray:
+    """Collapse matched team pairs into super-teams: a read-only m x m matrix,
+    zero on the diagonal, whose entry (i, j) sums the four cross distances
+    between pairs i and j (the quantity the final-level bound sums)."""
     if not teams.covers(inst.n):
         raise MatchingError(f"team matching does not cover all {inst.n} teams")
     m = inst.n // 2
@@ -116,14 +101,13 @@ def build_super_graph(inst: Instance, teams: PairMatching) -> SuperGraph:
         for j in range(i + 1, m):
             b1, b2 = teams.pairs[j]
             w[i, j] = w[j, i] = d[a1, b1] + d[a1, b2] + d[a2, b1] + d[a2, b2]
-    return SuperGraph(m=m, weight=w)
+    w.flags.writeable = False
+    return w
 
 
-def super_pair_matching(sg: SuperGraph) -> PairMatching:
+def super_pair_matching(weights) -> PairMatching:
     """Minimum-weight perfect matching on the super graph (m = n/2 <= 16)."""
-    if sg.m % 2 != 0:
-        raise MatchingError(f"super graph has odd vertex count {sg.m}")
-    return min_weight_perfect_matching(sg.weight)
+    return min_weight_perfect_matching(weights)
 
 
 # --- branch and bound ------------------------------------------------------

@@ -27,7 +27,7 @@ from typing import Optional, Sequence
 
 from .analysis import flip_budget
 from .blocks import Fixture, SuperMatch, block_days, expand_block
-from .errors import SchedulingError
+from .errors import SchedulingError, ValidationError
 from .instance import Instance
 from .matching import (SIZE_MAX, PairMatching, build_super_graph,
                        min_weight_perfect_matching, super_pair_matching)
@@ -204,10 +204,12 @@ def _min_flip_plan(levels: Sequence[tuple[tuple[int, int], ...]], c0: int,
 
 
 @lru_cache(maxsize=None)
-def _template(m: int):
-    """Instance-independent per-size plan: slot levels, the template's final
-    pairing, (round, level) labels, flip sets, and per-level colorings
-    (bit set = A)."""
+def _template(m: int) -> tuple[tuple[tuple[int, int], ...], tuple[LevelPlan, ...]]:
+    """Instance-independent per-size plan on slots 0..m-1: the template's
+    final pairing and its m-1 labeled levels of typed, oriented
+    SuperMatch(a_slot, b_slot, type).  The flip plan types them: a set bit
+    in the entering coloring marks the A side, a flipped match is Type-2,
+    the last level is Type-3, and every other match is Type-1."""
     levels = tuple(_canon_level(lv) for lv in
                    _group_levels(list(range(0, m, 2)), list(range(1, m, 2))))
     if len(levels) != m - 1:
@@ -216,7 +218,16 @@ def _template(m: int):
     c0 = sum(1 << s for s in range(0, m, 2))
     budget = math.ceil(flip_budget(n))
     flips, colorings = _min_flip_plan(levels, c0, budget)
-    return levels, levels[-1], _round_labels(n), flips, colorings
+    last = len(levels) - 1
+    plans = []
+    for k, ((r, l), level) in enumerate(zip(_round_labels(n), levels)):
+        matches = []
+        for i, j in level:
+            a, b = (i, j) if (colorings[k] >> i) & 1 else (j, i)
+            btype = 3 if k == last else (2 if (i, j) in flips[k] else 1)
+            matches.append(SuperMatch(a_pair=a, b_pair=b, block_type=btype))
+        plans.append(LevelPlan(round=r, level=l, super_matches=tuple(matches)))
+    return levels[-1], tuple(plans)
 
 
 def _relabel_map(star_pairs, actual_pairs) -> dict[int, int]:
@@ -253,30 +264,23 @@ def count_flips(sched: Schedule) -> int:
 def build_schedule(inst: Instance) -> Schedule:
     """Full construction; deterministic for a given instance.
 
-    Stages: match teams and pairs, take the per-size template, relabel its
-    slots to pair indices, type every super-match, expand blocks to days.
+    Stages: match teams and pairs, take the per-size typed template, relabel
+    its slots to pair indices, expand blocks to days.  Typing happens in
+    slot space, where the flip plan lives: re-deriving roles from pair
+    numbering after relabeling can cost extra flips.
     """
     check_team_count(inst.n)
     n = inst.n
     teams = min_weight_perfect_matching(inst.dist)
     super_pairs = super_pair_matching(build_super_graph(inst, teams))
-    slot_levels, star, labels, flips, colorings = _template(n // 2)
+    star, plans = _template(n // 2)
     sigma = _relabel_map(star, super_pairs.pairs)
-
-    # type in slot space, where the flip plan and colorings live: re-deriving
-    # roles from pair numbering after relabeling can cost extra flips.  The
-    # entering coloring orients each match (bit set = A), a flipped match is
-    # Type-2, and the final level is Type-3.
-    last = len(slot_levels) - 1
-    levels = []
-    for k, ((r, l), level) in enumerate(zip(labels, slot_levels)):
-        matches = []
-        for i, j in level:
-            a, b = (i, j) if (colorings[k] >> i) & 1 else (j, i)
-            btype = 3 if k == last else (2 if (i, j) in flips[k] else 1)
-            matches.append(SuperMatch(a_pair=sigma[a], b_pair=sigma[b], block_type=btype))
-        levels.append(LevelPlan(round=r, level=l,
-                                super_matches=tuple(sorted(matches, key=lambda s: s.key))))
+    levels = [
+        LevelPlan(round=lp.round, level=lp.level, super_matches=tuple(sorted(
+            (SuperMatch(a_pair=sigma[sm.a_pair], b_pair=sigma[sm.b_pair],
+                        block_type=sm.block_type) for sm in lp.super_matches),
+            key=lambda s: s.key)))
+        for lp in plans]
 
     days: list[list[Fixture]] = [[] for _ in range(2 * n - 2)]
     offset = 0
@@ -319,7 +323,17 @@ def _pairs_from_dict(obj) -> Optional[PairMatching]:
                         weight=float(obj["weight"]))
 
 
+def _block_from_dict(b) -> SuperMatch:
+    try:
+        return SuperMatch(a_pair=int(b["a_pair"]), b_pair=int(b["b_pair"]),
+                          block_type=int(b["type"]))
+    except (TypeError, ValueError, SchedulingError) as exc:
+        raise ValidationError(f"block {b!r}: {exc}") from None
+
+
 def schedule_from_dict(obj: dict) -> Schedule:
+    """Schedule from its ``schedule_to_dict`` form; raises ValidationError
+    when the input cannot be read as one."""
     try:
         n = int(obj["n"])
         days = tuple(
@@ -328,23 +342,23 @@ def schedule_from_dict(obj: dict) -> Schedule:
             for d, day in enumerate(obj["days"]))
         levels = tuple(
             LevelPlan(round=int(lv["round"]), level=int(lv["level"]),
-                      super_matches=tuple(
-                          SuperMatch(a_pair=int(b["a_pair"]), b_pair=int(b["b_pair"]),
-                                     block_type=b["type"]) for b in lv["blocks"]))
+                      super_matches=tuple(_block_from_dict(b) for b in lv["blocks"]))
             for lv in obj.get("levels", []))
         return Schedule(n=n, days=days, levels=levels,
                         team_pairs=_pairs_from_dict(obj.get("team_pairs")),
                         super_pairs=_pairs_from_dict(obj.get("super_pairs")),
                         flips=int(obj.get("flips", 0)))
-    except (KeyError, TypeError, ValueError) as exc:
-        raise SchedulingError(f"malformed schedule JSON: {exc}") from None
+    except KeyError as exc:
+        raise ValidationError(f"malformed schedule JSON: missing field {exc}") from None
+    except (TypeError, ValueError, SchedulingError) as exc:
+        raise ValidationError(f"malformed schedule JSON: {exc}") from None
 
 
 def schedule_from_json(text: str) -> Schedule:
     try:
         obj = json.loads(text)
     except json.JSONDecodeError as exc:
-        raise SchedulingError(f"invalid schedule JSON: {exc}") from None
+        raise ValidationError(f"invalid schedule JSON: {exc}") from None
     return schedule_from_dict(obj)
 
 

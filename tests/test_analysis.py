@@ -86,11 +86,12 @@ def test_analysis_accepts_the_validator_forms():
     s = build_schedule(inst)
     travel = total_travel(s, inst)
     report = report_to_dict(evaluation_report(s, inst))
-    report["flips"] = None                 # only a Schedule carries its flips
     for form in (schedule_to_dict(s), day_list_text(s.days)):
         assert total_travel(form, inst) == travel
         assert team_itinerary(form, inst, 5) == team_itinerary(s, inst, 5)
-        assert report_to_dict(evaluation_report(form, inst)) == report
+    assert report_to_dict(evaluation_report(schedule_to_dict(s), inst)) == report
+    text_report = report_to_dict(evaluation_report(day_list_text(s.days), inst))
+    assert text_report == {**report, "flips": None}   # a day list carries no flips
 
 
 @pytest.mark.parametrize("days,message", [
@@ -241,6 +242,8 @@ def test_evaluation_report_flags_invalid():
     rep = evaluation_report({"n": 8, "days": days}, inst)
     assert rep.valid is False
     assert rep.flips is None             # raw dict carries no flip count
+    with pytest.raises(ValidationError, match="flips must be an integer"):
+        evaluation_report({"n": 8, "days": days, "flips": "3"}, inst)
 
 
 def test_evaluation_report_rejects_mismatched_n():

@@ -1,4 +1,4 @@
-"""Block layouts: profiles, expansion, travel closed forms."""
+"""Block layouts: home/away strings, expansion, travel closed forms."""
 
 import numpy as np
 import pytest
@@ -12,7 +12,7 @@ from ttp2 import (
     block_travel,
     expand_block,
 )
-from ttp2.blocks import BLOCK_TYPES, block_profiles, block_role_transition
+from ttp2.blocks import BLOCK_TYPES
 from ttp2.analysis import total_travel
 
 from helpers import block_as_days
@@ -26,58 +26,48 @@ def _fixtures(block_type, start_day=0):
     return expand_block(sm, PAIRS, start_day=start_day)
 
 
-# --- profiles ---------------------------------------------------------------
+# --- home/away profiles ----------------------------------------------------
+
+
+SLOTS = ("A1", "A2", "B1", "B2")
+
+
+def _profiles(block_type, pairs=PAIRS, start_day=0):
+    """Each slot's home/away string, one "a" or "h" per day, read off the
+    expanded fixtures; A1/A2 and B1/B2 are the lower/higher team of each pair."""
+    slot_of = dict(zip((*sorted(pairs[0]), *sorted(pairs[1])), SLOTS))
+    seqs = dict.fromkeys(SLOTS, "")
+    sm = SuperMatch(a_pair=0, b_pair=1, block_type=block_type)
+    for day in block_as_days(expand_block(sm, pairs, start_day)):
+        for f in day:
+            seqs[slot_of[f.away]] += "a"
+            seqs[slot_of[f.home]] += "h"
+    return seqs
 
 
 def test_type1_profiles():
-    p = block_profiles(1)
-    assert p["A1"].sequence == "aahh"
-    assert p["A2"].sequence == "aahh"
-    assert p["B1"].sequence == "hhaa"
-    assert p["B2"].sequence == "hhaa"
-    assert all(p[s].exit_role == s[0] for s in p)  # roles preserved
+    assert _profiles(1) == {"A1": "aahh", "A2": "aahh", "B1": "hhaa", "B2": "hhaa"}
 
 
 def test_type2_profiles():
-    p = block_profiles(2)
-    assert p["A1"].sequence == "ahha"
-    assert p["A2"].sequence == "ahha"
-    assert p["B1"].sequence == "haah"
-    assert p["B2"].sequence == "haah"
-    assert p["A1"].exit_role == "B" and p["B1"].exit_role == "A"  # roles swap
+    assert _profiles(2) == {"A1": "ahha", "A2": "ahha", "B1": "haah", "B2": "haah"}
 
 
 def test_type3_profiles():
-    p = block_profiles(3)
-    assert p["A1"].sequence == "aahhah"
-    assert p["A2"].sequence == "ahhaah"
-    assert p["B1"].sequence == "hhaaha"
-    assert p["B2"].sequence == "haahha"
-
-
-def test_entry_requirement_is_first_symbol():
-    for t in BLOCK_TYPES:
-        for prof in block_profiles(t).values():
-            assert prof.entry_requirement == prof.sequence[0]
+    assert _profiles(3) == {"A1": "aahhah", "A2": "ahhaah", "B1": "hhaaha", "B2": "haahha"}
 
 
 def test_no_profile_has_three_in_a_row():
     for t in BLOCK_TYPES:
-        for prof in block_profiles(t).values():
-            s = prof.sequence
-            assert "aaa" not in s and "hhh" not in s
+        for seq in _profiles(t).values():
+            assert "aaa" not in seq and "hhh" not in seq
 
 
-def test_role_transition():
-    assert block_role_transition(1, "A") == "A"
-    assert block_role_transition(1, "B") == "B"
-    assert block_role_transition(2, "A") == "B"
-    assert block_role_transition(2, "B") == "A"
-    assert block_role_transition(3, "A") == "A"
-    with pytest.raises(SchedulingError, match="role"):
-        block_role_transition(1, "C")
-    with pytest.raises(SchedulingError, match="block type"):
-        block_role_transition(7, "A")
+def test_expansion_matches_profiles():
+    # slots follow team order within each pair, whatever the pair labels and
+    # the starting day
+    for t in BLOCK_TYPES:
+        assert _profiles(t, [(5, 4), (7, 6)], start_day=10) == _profiles(t)
 
 
 def test_block_days():
@@ -123,40 +113,13 @@ def test_day_numbering_from_start_day(block_type):
     assert days == list(range(10, 10 + block_days(block_type)))
 
 
-def test_expansion_matches_profiles():
-    # each slot's home/away string, read off the fixtures, must equal the
-    # published profile
-    slot_team = {"A1": 0, "A2": 1, "B1": 2, "B2": 3}
-    for t in BLOCK_TYPES:
-        days = block_as_days(_fixtures(t))
-        for slot, prof in block_profiles(t).items():
-            team = slot_team[slot]
-            seq = ""
-            for day in days:
-                for f in day:
-                    if f.away == team:
-                        seq += "a"
-                    elif f.home == team:
-                        seq += "h"
-            assert seq == prof.sequence, (t, slot)
-
-
 def test_expand_respects_slot_order_within_pair():
     # lower team of each pair takes the 1 slot, higher takes the 2 slot
     sm = SuperMatch(a_pair=0, b_pair=1, block_type=1)
     fx = expand_block(sm, [(5, 4), (7, 6)], start_day=0)
-    prof = block_profiles(1)
     days = block_as_days(fx)
-    first_day_away = {f.away for f in days[0]}
-    # Type-1 day 1: both A slots away
-    assert first_day_away == {4, 5}
-    assert prof["A1"].sequence[0] == "a"
-
-
-def test_expand_untyped_raises():
-    sm = SuperMatch(a_pair=0, b_pair=1)
-    with pytest.raises(SchedulingError, match="untyped"):
-        expand_block(sm, PAIRS, start_day=0)
+    # Type-1 day 1: A1@B1 and A2@B2
+    assert {(f.away, f.home) for f in days[0]} == {(4, 6), (5, 7)}
 
 
 def test_expand_overlapping_pairs_raises():
@@ -173,10 +136,14 @@ def test_expand_bad_pair_size_raises():
 
 def test_supermatch_validation():
     with pytest.raises(SchedulingError, match="itself"):
-        SuperMatch(a_pair=2, b_pair=2)
+        SuperMatch(a_pair=2, b_pair=2, block_type=1)
     with pytest.raises(SchedulingError, match="block type"):
         SuperMatch(a_pair=0, b_pair=1, block_type=9)
-    assert SuperMatch(a_pair=3, b_pair=1).key == (1, 3)
+    with pytest.raises(SchedulingError, match="block type None"):
+        SuperMatch(a_pair=0, b_pair=1, block_type=None)
+    with pytest.raises(TypeError):
+        SuperMatch(a_pair=0, b_pair=1)          # the type is required
+    assert SuperMatch(a_pair=3, b_pair=1, block_type=2).key == (1, 3)
 
 
 def test_fixture_validation():

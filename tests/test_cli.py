@@ -290,6 +290,30 @@ def test_evaluate_rejects_schedule_of_another_size(tmp_path, capsys):
     assert "n=12" in err and "n=8" in err
 
 
+def _with_block_type(text, block_type):
+    obj = json.loads(text)
+    obj["levels"][0]["blocks"][0]["type"] = block_type
+    return json.dumps(obj)
+
+
+@pytest.mark.parametrize("command", ["validate", "evaluate"])
+@pytest.mark.parametrize("damage,message", [
+    (lambda text: '{"n": 8}', "missing field 'days'"),
+    (lambda text: text[:len(text) // 2], "invalid schedule JSON"),
+    (lambda text: _with_block_type(text, None), "'type': None"),
+    (lambda text: _with_block_type(text, 7), "unknown block type 7"),
+], ids=["no-days", "truncated", "type-null", "type-7"])
+def test_unreadable_schedule_file_exits_1(sched_and_inst, tmp_path, capsys,
+                                          command, damage, message):
+    sched_path, inst_path = sched_and_inst
+    bad = tmp_path / "bad.json"
+    bad.write_text(damage(sched_path.read_text()))
+    code, out, err = run(capsys, command, "-i", str(bad), "-d", str(inst_path))
+    assert code == 1
+    assert out == ""
+    assert message in err
+
+
 # --- bench ---------------------------------------------------------------------------
 
 

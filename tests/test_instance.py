@@ -6,6 +6,7 @@ import pytest
 
 from ttp2 import (Instance, InstanceError, check_metric, emit_instance,
                   generate_instance, load_instance, save_instance)
+from ttp2.instance import EXTENSION_FORMATS
 
 
 def small_dist():
@@ -89,6 +90,23 @@ def test_save_and_load_by_extension(tmp_path):
         assert np.array_equal(back.dist, inst.dist), ext
 
 
+def test_save_and_reload_through_every_extension(tmp_path):
+    inst = generate_instance(4, "euclidean", 11)
+    for ext, fmt in EXTENSION_FORMATS.items():
+        path = tmp_path / f"inst{ext}"
+        save_instance(inst, str(path))
+        assert path.read_text() == emit_instance(inst, fmt), ext
+        assert np.array_equal(load_instance(str(path)).dist, inst.dist), ext
+    for name in ("inst", "inst.dat"):     # no or an unknown extension
+        path = tmp_path / name
+        save_instance(inst, str(path))
+        assert path.read_text() == emit_instance(inst, "matrix"), name
+        assert np.array_equal(load_instance(str(path)).dist, inst.dist), name
+    sniffed = tmp_path / "inst.dat"
+    sniffed.write_text(emit_instance(inst, "csv"))
+    assert np.array_equal(load_instance(str(sniffed)).dist, inst.dist)
+
+
 def test_load_from_file_object_and_bytes():
     inst = generate_instance(4, "unit", 0)
     text = emit_instance(inst, fmt="matrix")
@@ -125,6 +143,10 @@ def test_json_rounding_nearest_int():
     inst = load_instance(json.dumps(obj), fmt="json")
     assert inst.dist[0, 1] == 1.0  # sqrt(2) rounded
     assert float(inst.dist[0, 1]).is_integer()
+    obj["rounding"] = "floor"
+    for extra in ({}, {"dist": inst.dist.tolist()}):
+        with pytest.raises(InstanceError, match="unknown rounding mode 'floor'"):
+            load_instance(json.dumps({**obj, **extra}), fmt="json")
 
 
 def test_matrix_format_rejects_token_shortage():

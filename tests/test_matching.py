@@ -7,7 +7,6 @@ from ttp2 import (
     generate_instance,
     MatchingError,
     PairMatching,
-    SuperGraph,
     build_super_graph,
     min_weight_perfect_matching,
     super_pair_matching,
@@ -206,16 +205,16 @@ def test_super_graph_entries_are_cross_sums():
     inst = generate_instance(8, kind="euclidean", seed=5)
     teams = min_weight_perfect_matching(inst.dist)
     sg = build_super_graph(inst, teams)
-    assert sg.m == 4
+    assert sg.shape == (4, 4)
+    assert not sg.flags.writeable
     d = inst.dist
     for i in range(4):
         a1, a2 = teams.pairs[i]
-        assert sg.weight[i, i] == 0.0
+        assert sg[i, i] == 0.0
         for j in range(i + 1, 4):
             b1, b2 = teams.pairs[j]
-            want = d[a1, b1] + d[a1, b2] + d[a2, b1] + d[a2, b2]
-            assert sg.weight[i, j] == pytest.approx(want, rel=1e-15)
-            assert sg.weight[j, i] == sg.weight[i, j]
+            assert sg[i, j] == d[a1, b1] + d[a1, b2] + d[a2, b1] + d[a2, b2]
+            assert sg[j, i] == sg[i, j]
 
 
 def test_super_graph_requires_full_cover():
@@ -225,15 +224,9 @@ def test_super_graph_requires_full_cover():
         build_super_graph(inst, partial)
 
 
-def test_super_graph_shape_guard():
-    with pytest.raises(MatchingError, match="4x4"):
-        SuperGraph(m=4, weight=np.zeros((3, 3)))
-
-
 def test_super_pair_matching_odd_guard():
-    sg = SuperGraph(m=3, weight=np.zeros((3, 3)))
-    with pytest.raises(MatchingError, match="odd"):
-        super_pair_matching(sg)
+    with pytest.raises(MatchingError, match="must be even"):
+        super_pair_matching(np.zeros((3, 3)))
 
 
 def test_super_pair_matching_end_to_end():
@@ -241,8 +234,8 @@ def test_super_pair_matching_end_to_end():
     teams = min_weight_perfect_matching(inst.dist)
     sg = build_super_graph(inst, teams)
     sup = super_pair_matching(sg)
-    assert sup.covers(sg.m)
-    ref = brute_force_matching(sg.weight)
+    assert sup.covers(8)
+    ref = brute_force_matching(sg)
     assert sup.pairs == ref.pairs
 
 

@@ -1,11 +1,13 @@
 """Construction pipeline: level plans, flip assignment, full builds."""
 
+import json
 import math
 
 import pytest
 
 from ttp2 import (
     SchedulingError,
+    ValidationError,
     build_schedule,
     count_flips,
     flip_budget,
@@ -208,10 +210,16 @@ def test_schedule_json_round_trip():
 
 
 def test_schedule_json_malformed():
-    with pytest.raises(SchedulingError, match="malformed schedule JSON"):
+    with pytest.raises(ValidationError, match="malformed schedule JSON: missing field 'days'"):
         schedule_from_json('{"n": 8}')
-    with pytest.raises(SchedulingError, match="invalid schedule JSON"):
+    with pytest.raises(ValidationError, match="invalid schedule JSON"):
         schedule_from_json("not json at all {")
+    obj = json.loads(schedule_to_json(build_schedule(generate_instance(8, "unit"))))
+    for block_type, message in ((None, "'type': None"), (7, "unknown block type 7"),
+                                ("x", "'type': 'x'")):
+        obj["levels"][0]["blocks"][0]["type"] = block_type
+        with pytest.raises(ValidationError, match=message):
+            schedule_from_json(json.dumps(obj))
 
 
 def test_format_level_table():
