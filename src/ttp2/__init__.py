@@ -7,7 +7,7 @@ from .analysis import (EvaluationReport, Itinerary, evaluation_report,
                        flip_budget, format_report, lower_bound, pairwise_sum,
                        report_to_dict, report_to_json, team_itinerary,
                        total_travel)
-from .blocks import Fixture, SuperMatch, block_days, block_travel, expand_block
+from .blocks import Fixture, SuperMatch, block_travel, expand_block
 from .errors import (InstanceError, MatchingError, OracleBudgetError,
                      SchedulingError, TTP2Error, ValidationError)
 from .instance import (Instance, check_metric, emit_instance, generate_instance,
@@ -16,7 +16,7 @@ from .matching import (PairMatching, build_super_graph,
                        min_weight_perfect_matching, super_pair_matching)
 from .oracle import (OracleResult, best_effort_optimal, brute_force_matching,
                      brute_force_optimal, sample_valid_schedules)
-from .scheduler import (LevelPlan, Schedule, build_schedule, count_flips,
+from .scheduler import (LevelPlan, Schedule, build_schedule,
                         format_level_table, schedule_from_dict,
                         schedule_from_json, schedule_to_dict, schedule_to_json)
 from .validator import (Violation, ViolationReport, parse_day_list,
@@ -29,9 +29,9 @@ __all__ = [
     "LevelPlan", "MatchingError", "OracleBudgetError", "OracleResult",
     "PairMatching", "Schedule", "SchedulingError", "SuperMatch",
     "TTP2Error", "ValidationError", "Violation", "ViolationReport",
-    "best_effort_optimal", "block_days", "block_travel",
+    "best_effort_optimal", "block_travel",
     "brute_force_matching", "brute_force_optimal", "build_schedule",
-    "build_super_graph", "check_metric", "count_flips", "emit_instance",
+    "build_super_graph", "check_metric", "emit_instance",
     "evaluation_report", "expand_block", "factor_ours", "factor_xiao_kou",
     "factors_exact", "flip_budget", "format_level_table", "format_report",
     "generate_instance", "load_instance", "lower_bound",

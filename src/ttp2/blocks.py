@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
 from .errors import SchedulingError
 
@@ -50,12 +50,6 @@ _LAYOUT = {
 }
 
 
-def block_days(block_type: int) -> int:
-    if block_type not in BLOCK_TYPES:
-        raise SchedulingError(f"unknown block type {block_type!r}")
-    return 6 if block_type == 3 else 4
-
-
 @dataclass(frozen=True)
 class SuperMatch:
     """One block: pair ``a_pair`` takes the away-first A role against
@@ -77,20 +71,18 @@ class SuperMatch:
         return (self.a_pair, self.b_pair) if self.a_pair < self.b_pair else (self.b_pair, self.a_pair)
 
 
-@dataclass(frozen=True)
-class Fixture:
+class Fixture(NamedTuple):
+    """One game: ``away`` plays at ``home``'s venue.  A game's day is the
+    index of the day tuple holding it."""
+
     away: int
     home: int
-    day: int
-
-    def __post_init__(self) -> None:
-        if self.away == self.home:
-            raise SchedulingError(f"team {self.away} cannot play itself (day {self.day})")
 
 
-def expand_block(sm: SuperMatch, pairs: Mapping[int, Sequence[int]] | Sequence[Sequence[int]],
-                 start_day: int) -> list[Fixture]:
-    """Expand one super-match into fixtures on consecutive global days.
+def expand_block(sm: SuperMatch, pairs: Mapping[int, Sequence[int]] | Sequence[Sequence[int]]
+                 ) -> tuple[tuple[Fixture, ...], ...]:
+    """Expand one super-match into its days (4, or 6 for Type-3), each a
+    tuple of fixtures in layout order.
 
     ``pairs`` maps pair index -> its two team indices; the lower team of the
     A pair is A1, the lower team of the B pair is B1.
@@ -102,12 +94,8 @@ def expand_block(sm: SuperMatch, pairs: Mapping[int, Sequence[int]] | Sequence[S
     teams = (a[0], a[1], b[0], b[1])
     if len(set(teams)) != 4:
         raise SchedulingError(f"super-match pairs overlap: {a} vs {b}")
-    out = []
-    for offset, day_games in enumerate(_LAYOUT[sm.block_type]):
-        for away_slot, home_slot in day_games:
-            out.append(Fixture(away=teams[away_slot], home=teams[home_slot],
-                               day=start_day + offset))
-    return out
+    return tuple(tuple(Fixture(teams[away], teams[home]) for away, home in day)
+                 for day in _LAYOUT[sm.block_type])
 
 
 def block_travel(block_type: int, dists) -> float:

@@ -87,7 +87,6 @@ def cmd_gen(args) -> int:
         save_instance(inst, args.output, fmt=args.fmt)
     else:
         sys.stdout.write(emit_instance(inst, fmt=args.fmt or "json"))
-        sys.stdout.write("\n")
     return 0
 
 
@@ -104,9 +103,8 @@ def cmd_schedule(args) -> int:
     if args.output:
         with open(args.output, "w", encoding="utf-8") as fh:
             fh.write(schedule_to_json(sched))
-            fh.write("\n")
     if args.json:
-        print(schedule_to_json(sched))
+        sys.stdout.write(schedule_to_json(sched))
         return 0
     if args.table:
         print(format_level_table(sched))
@@ -146,7 +144,7 @@ def cmd_evaluate(args) -> int:
     sched, _ = _load_schedule_file(args.input)
     rep = evaluation_report(sched, load_instance(args.instance))
     if args.json:
-        print(report_to_json(rep))
+        sys.stdout.write(report_to_json(rep))
     else:
         print(format_report(rep))
     return 0 if rep.valid else 3

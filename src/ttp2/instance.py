@@ -97,9 +97,8 @@ class Instance:
 
 @dataclass(frozen=True)
 class MetricReport:
-    """Result of a symmetry/triangle-inequality scan."""
+    """Result of a triangle-inequality scan."""
 
-    symmetric: bool
     triangle_ok: bool
     worst_violation: Optional[tuple[int, int, int, float]] = None  # (i, j, k, magnitude)
 
@@ -326,18 +325,18 @@ def _shortest_path_closure(dist: np.ndarray) -> np.ndarray:
     return closed
 
 
-def check_metric(inst: Instance, tol: float = TRIANGLE_TOL) -> MetricReport:
-    """Scan all triples for triangle-inequality violations beyond ``tol``."""
+def check_metric(inst: Instance) -> MetricReport:
+    """Scan all triples for triangle-inequality violations beyond
+    ``TRIANGLE_TOL``.  Symmetry needs no scan: every ``Instance`` is
+    symmetric."""
     d = inst.dist
-    symmetric = bool(np.abs(d - d.T).max(initial=0.0) <= SYMMETRY_TOL)
     # violation[i, j, k] = d[i, k] - d[i, j] - d[j, k]
     excess = d[:, None, :] - d[:, :, None] - d.T[None, :, :]
     worst = float(excess.max())
-    if worst <= tol:
-        return MetricReport(symmetric=symmetric, triangle_ok=True)
+    if worst <= TRIANGLE_TOL:
+        return MetricReport(triangle_ok=True)
     i, j, k = np.unravel_index(int(np.argmax(excess)), excess.shape)
     return MetricReport(
-        symmetric=symmetric,
         triangle_ok=False,
         worst_violation=(int(i), int(j), int(k), worst),
     )

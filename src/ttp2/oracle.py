@@ -155,9 +155,7 @@ class _Stop(Exception):
 
 
 def _to_schedule(n: int, slate_days) -> Schedule:
-    days = tuple(
-        tuple(Fixture(away=a, home=h, day=d) for a, h in day)
-        for d, day in enumerate(slate_days))
+    days = tuple(tuple(Fixture(a, h) for a, h in day) for day in slate_days)
     return Schedule(n=n, days=days)
 
 
@@ -167,19 +165,14 @@ def brute_force_optimal(inst: Instance) -> OracleResult:
     global optimum."""
     if inst.n != 4:
         raise TTP2Error(f"exhaustive oracle supports n=4 only, got n={inst.n}")
-    search = _Search(inst)
-    search.run()
-    if search.best_days is None:
-        raise TTP2Error("internal: no feasible schedule found at n=4")
-    sched = _to_schedule(inst.n, search.best_days)
-    return OracleResult(optimum=total_travel(sched, inst), schedule=sched,
-                        explored=search.explored, optimal=True)
+    return best_effort_optimal(inst, node_budget=None)
 
 
 def best_effort_optimal(inst: Instance,
-                        node_budget: int = DEFAULT_NODE_BUDGET) -> OracleResult:
+                        node_budget: Optional[int] = DEFAULT_NODE_BUDGET) -> OracleResult:
     """Budgeted variant for n in {4, 6}: returns the incumbent plus an
-    ``optimal`` flag telling whether the search ran to completion."""
+    ``optimal`` flag telling whether the search ran to completion.  A
+    ``node_budget`` of None searches without a budget."""
     if inst.n not in (4, 6):
         raise TTP2Error(f"best-effort oracle supports n in {{4, 6}}, got n={inst.n}")
     search = _Search(inst, node_budget=node_budget)

@@ -21,12 +21,12 @@ from __future__ import annotations
 import itertools
 import json
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import lru_cache
 from typing import Optional, Sequence
 
 from .analysis import flip_budget
-from .blocks import Fixture, SuperMatch, block_days, expand_block
+from .blocks import Fixture, SuperMatch, expand_block
 from .errors import SchedulingError, ValidationError
 from .instance import Instance
 from .matching import (SIZE_MAX, PairMatching, build_super_graph,
@@ -44,12 +44,20 @@ class LevelPlan:
 
 @dataclass(frozen=True)
 class Schedule:
+    """``days[d]`` holds the fixtures played on day d.  ``levels`` is the
+    typed level plan the days were expanded from; it is empty for a
+    schedule found some other way."""
+
     n: int
     days: tuple[tuple[Fixture, ...], ...]
     levels: tuple[LevelPlan, ...] = ()
     team_pairs: Optional[PairMatching] = None
     super_pairs: Optional[PairMatching] = None
-    flips: int = 0
+
+    @property
+    def flips(self) -> int:
+        """The number of Type-2 blocks in ``levels``."""
+        return sum(sm.block_type == 2 for lp in self.levels for sm in lp.super_matches)
 
 
 # --- level template on "slots" ---------------------------------------------
@@ -204,12 +212,13 @@ def _min_flip_plan(levels: Sequence[tuple[tuple[int, int], ...]], c0: int,
 
 
 @lru_cache(maxsize=None)
-def _template(m: int) -> tuple[tuple[tuple[int, int], ...], tuple[LevelPlan, ...]]:
-    """Instance-independent per-size plan on slots 0..m-1: the template's
-    final pairing and its m-1 labeled levels of typed, oriented
-    SuperMatch(a_slot, b_slot, type).  The flip plan types them: a set bit
-    in the entering coloring marks the A side, a flipped match is Type-2,
-    the last level is Type-3, and every other match is Type-1."""
+def _template(m: int) -> tuple[LevelPlan, ...]:
+    """Instance-independent per-size plan on slots 0..m-1: m-1 labeled
+    levels of typed, oriented SuperMatch(a_slot, b_slot, type), the last of
+    which pairs the slots as the template's super-pairing.  The flip plan
+    types them: a set bit in the entering coloring marks the A side, a
+    flipped match is Type-2, the last level is Type-3, and every other
+    match is Type-1."""
     levels = tuple(_canon_level(lv) for lv in
                    _group_levels(list(range(0, m, 2)), list(range(1, m, 2))))
     if len(levels) != m - 1:
@@ -227,13 +236,14 @@ def _template(m: int) -> tuple[tuple[tuple[int, int], ...], tuple[LevelPlan, ...
             btype = 3 if k == last else (2 if (i, j) in flips[k] else 1)
             matches.append(SuperMatch(a_pair=a, b_pair=b, block_type=btype))
         plans.append(LevelPlan(round=r, level=l, super_matches=tuple(matches)))
-    return levels[-1], tuple(plans)
+    return tuple(plans)
 
 
-def _relabel_map(star_pairs, actual_pairs) -> dict[int, int]:
-    """Slot -> pair-index bijection mapping the template's final pairing onto
-    the actual super-pairs: k-th sorted pair to k-th sorted pair, min to min."""
-    sp = sorted(tuple(sorted(p)) for p in star_pairs)
+def _relabel_map(final: LevelPlan, actual_pairs) -> dict[int, int]:
+    """Slot -> pair-index bijection mapping the pairing of the template's
+    final level onto the actual super-pairs: k-th sorted pair to k-th sorted
+    pair, min to min."""
+    sp = sorted(sm.key for sm in final.super_matches)
     ap = sorted(tuple(sorted(p)) for p in actual_pairs)
     sigma: dict[int, int] = {}
     for (s1, s2), (a1, a2) in zip(sp, ap):
@@ -255,12 +265,6 @@ def check_team_count(n: int) -> None:
             f"(supported: multiples of 4 from 8 to {SIZE_MAX}), got {n}")
 
 
-def count_flips(sched: Schedule) -> int:
-    """Recount Type-2 blocks from the level metadata."""
-    return sum(1 for lp in sched.levels for sm in lp.super_matches
-               if sm.block_type == 2)
-
-
 def build_schedule(inst: Instance) -> Schedule:
     """Full construction; deterministic for a given instance.
 
@@ -273,25 +277,18 @@ def build_schedule(inst: Instance) -> Schedule:
     n = inst.n
     teams = min_weight_perfect_matching(inst.dist)
     super_pairs = super_pair_matching(build_super_graph(inst, teams))
-    star, plans = _template(n // 2)
-    sigma = _relabel_map(star, super_pairs.pairs)
-    levels = [
+    plans = _template(n // 2)
+    sigma = _relabel_map(plans[-1], super_pairs.pairs)
+    levels = tuple(
         LevelPlan(round=lp.round, level=lp.level, super_matches=tuple(sorted(
             (SuperMatch(a_pair=sigma[sm.a_pair], b_pair=sigma[sm.b_pair],
                         block_type=sm.block_type) for sm in lp.super_matches),
             key=lambda s: s.key)))
-        for lp in plans]
-
-    days: list[list[Fixture]] = [[] for _ in range(2 * n - 2)]
-    offset = 0
-    for lp in levels:
-        for sm in lp.super_matches:
-            for fx in expand_block(sm, teams.pairs, offset):
-                days[fx.day].append(fx)
-        offset += block_days(lp.super_matches[0].block_type)
-    sched = Schedule(n=n, days=tuple(tuple(day) for day in days), levels=tuple(levels),
-                     team_pairs=teams, super_pairs=super_pairs)
-    return replace(sched, flips=count_flips(sched))
+        for lp in plans)
+    days = tuple(tuple(itertools.chain.from_iterable(games))
+                 for lp in levels
+                 for games in zip(*(expand_block(sm, teams.pairs) for sm in lp.super_matches)))
+    return Schedule(n=n, days=days, levels=levels, team_pairs=teams, super_pairs=super_pairs)
 
 
 # --- serialization ----------------------------------------------------------
@@ -333,25 +330,32 @@ def _block_from_dict(b) -> SuperMatch:
 
 def schedule_from_dict(obj: dict) -> Schedule:
     """Schedule from its ``schedule_to_dict`` form; raises ValidationError
-    when the input cannot be read as one."""
+    when the input cannot be read as one, when a team plays itself, or when
+    a stored ``"flips"`` differs from the levels' Type-2 count."""
     try:
         n = int(obj["n"])
-        days = tuple(
-            tuple(Fixture(away=int(f["away"]), home=int(f["home"]), day=d)
-                  for f in day)
-            for d, day in enumerate(obj["days"]))
+        days = tuple(tuple(Fixture(int(f["away"]), int(f["home"])) for f in day)
+                     for day in obj["days"])
         levels = tuple(
             LevelPlan(round=int(lv["round"]), level=int(lv["level"]),
                       super_matches=tuple(_block_from_dict(b) for b in lv["blocks"]))
             for lv in obj.get("levels", []))
-        return Schedule(n=n, days=days, levels=levels,
-                        team_pairs=_pairs_from_dict(obj.get("team_pairs")),
-                        super_pairs=_pairs_from_dict(obj.get("super_pairs")),
-                        flips=int(obj.get("flips", 0)))
+        stored_flips = int(obj["flips"]) if "flips" in obj else None
+        sched = Schedule(n=n, days=days, levels=levels,
+                         team_pairs=_pairs_from_dict(obj.get("team_pairs")),
+                         super_pairs=_pairs_from_dict(obj.get("super_pairs")))
     except KeyError as exc:
         raise ValidationError(f"malformed schedule JSON: missing field {exc}") from None
     except (TypeError, ValueError, SchedulingError) as exc:
         raise ValidationError(f"malformed schedule JSON: {exc}") from None
+    for d, day in enumerate(days):
+        for away, home in day:
+            if away == home:
+                raise ValidationError(f"team {away} plays itself on day {d}")
+    if stored_flips is not None and stored_flips != sched.flips:
+        raise ValidationError(f"stored flips {stored_flips} differ from the "
+                              f"{sched.flips} Type-2 blocks in the levels")
+    return sched
 
 
 def schedule_from_json(text: str) -> Schedule:

@@ -68,8 +68,6 @@ def _fixture_ends(fx) -> tuple[int, int]:
     try:
         if isinstance(fx, dict):
             away, home = fx["away"], fx["home"]
-        elif hasattr(fx, "away"):
-            away, home = fx.away, fx.home
         else:
             away, home = fx
         return int(away), int(home)

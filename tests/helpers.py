@@ -39,17 +39,7 @@ def pair_cluster_instance(n, couples):
     return Instance(n=n, dist=d)
 
 
-def block_as_days(fixtures):
-    """Group a block's fixtures into consecutive day lists."""
-    days = {}
-    for f in fixtures:
-        days.setdefault(f.day, []).append(f)
-    return [days[k] for k in sorted(days)]
-
-
 def day_list_text(days):
     """Day-list text of a schedule's days (fixtures or (away, home) pairs)."""
-    def ends(f):
-        return (f.away, f.home) if hasattr(f, "away") else f
-    return "".join(f"day {d + 1}: " + " ".join("%d@%d" % ends(f) for f in day) + "\n"
+    return "".join(f"day {d + 1}: " + " ".join("%d@%d" % tuple(f) for f in day) + "\n"
                    for d, day in enumerate(days))

@@ -29,7 +29,7 @@ from ttp2.analysis import factor_ours
 from ttp2.blocks import SuperMatch
 from ttp2.oracle import brute_force_matching, brute_force_optimal, dp_matching
 
-from helpers import block_as_days, euclid_weights, pair_cluster_instance
+from helpers import euclid_weights, pair_cluster_instance
 from test_scheduler import GOLDEN_12, GOLDEN_16, _level_sets
 
 SWEEP_SIZES = (8, 12, 16, 20, 24, 28, 32)
@@ -106,7 +106,7 @@ def test_criterion_4_block_travel_closed_forms():
     checked = 0
     for block_type in (1, 2, 3):
         sm = SuperMatch(a_pair=0, b_pair=1, block_type=block_type)
-        days = block_as_days(expand_block(sm, [(0, 1), (2, 3)], start_day=0))
+        days = expand_block(sm, [(0, 1), (2, 3)])
         for _ in range(50):
             pts = rng.uniform(0, 1000, (4, 2))
             d = np.sqrt(((pts[:, None, :] - pts[None, :, :]) ** 2).sum(-1))

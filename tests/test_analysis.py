@@ -33,7 +33,7 @@ from ttp2 import (
 )
 from ttp2.oracle import sample_valid_schedules
 
-from helpers import block_as_days, day_list_text
+from helpers import day_list_text
 
 
 UNIT4 = Instance(n=4, dist=np.ones((4, 4)) - np.eye(4))
@@ -41,7 +41,7 @@ UNIT4 = Instance(n=4, dist=np.ones((4, 4)) - np.eye(4))
 
 def _t3_days():
     sm = SuperMatch(a_pair=0, b_pair=1, block_type=3)
-    return block_as_days(expand_block(sm, [(0, 1), (2, 3)], start_day=0))
+    return expand_block(sm, [(0, 1), (2, 3)])
 
 
 # --- itineraries -------------------------------------------------------------

@@ -4,26 +4,26 @@ import numpy as np
 import pytest
 
 from ttp2 import (
-    Fixture,
     Instance,
     SchedulingError,
     SuperMatch,
-    block_days,
     block_travel,
     expand_block,
 )
 from ttp2.blocks import BLOCK_TYPES
 from ttp2.analysis import total_travel
 
-from helpers import block_as_days
-
 
 PAIRS = [(0, 1), (2, 3)]  # slot teams: A1=0, A2=1, B1=2, B2=3
 
 
-def _fixtures(block_type, start_day=0):
+def _days(block_type):
     sm = SuperMatch(a_pair=0, b_pair=1, block_type=block_type)
-    return expand_block(sm, PAIRS, start_day=start_day)
+    return expand_block(sm, PAIRS)
+
+
+def _fixtures(block_type):
+    return [f for day in _days(block_type) for f in day]
 
 
 # --- home/away profiles ----------------------------------------------------
@@ -32,13 +32,13 @@ def _fixtures(block_type, start_day=0):
 SLOTS = ("A1", "A2", "B1", "B2")
 
 
-def _profiles(block_type, pairs=PAIRS, start_day=0):
+def _profiles(block_type, pairs=PAIRS):
     """Each slot's home/away string, one "a" or "h" per day, read off the
     expanded fixtures; A1/A2 and B1/B2 are the lower/higher team of each pair."""
     slot_of = dict(zip((*sorted(pairs[0]), *sorted(pairs[1])), SLOTS))
     seqs = dict.fromkeys(SLOTS, "")
     sm = SuperMatch(a_pair=0, b_pair=1, block_type=block_type)
-    for day in block_as_days(expand_block(sm, pairs, start_day)):
+    for day in expand_block(sm, pairs):
         for f in day:
             seqs[slot_of[f.away]] += "a"
             seqs[slot_of[f.home]] += "h"
@@ -64,18 +64,13 @@ def test_no_profile_has_three_in_a_row():
 
 
 def test_expansion_matches_profiles():
-    # slots follow team order within each pair, whatever the pair labels and
-    # the starting day
+    # slots follow team order within each pair, whatever the pair labels
     for t in BLOCK_TYPES:
-        assert _profiles(t, [(5, 4), (7, 6)], start_day=10) == _profiles(t)
+        assert _profiles(t, [(5, 4), (7, 6)]) == _profiles(t)
 
 
 def test_block_days():
-    assert block_days(1) == 4
-    assert block_days(2) == 4
-    assert block_days(3) == 6
-    with pytest.raises(SchedulingError, match="block type"):
-        block_days(0)
+    assert [len(_days(t)) for t in BLOCK_TYPES] == [4, 4, 6]
 
 
 # --- expansion --------------------------------------------------------------
@@ -101,23 +96,15 @@ def test_type3_adds_intra_pair_games():
 
 @pytest.mark.parametrize("block_type", BLOCK_TYPES)
 def test_each_team_plays_once_per_day(block_type):
-    for day in block_as_days(_fixtures(block_type)):
+    for day in _days(block_type):
         seen = [t for f in day for t in (f.away, f.home)]
         assert sorted(seen) == [0, 1, 2, 3]
-
-
-@pytest.mark.parametrize("block_type", BLOCK_TYPES)
-def test_day_numbering_from_start_day(block_type):
-    fx = _fixtures(block_type, start_day=10)
-    days = sorted({f.day for f in fx})
-    assert days == list(range(10, 10 + block_days(block_type)))
 
 
 def test_expand_respects_slot_order_within_pair():
     # lower team of each pair takes the 1 slot, higher takes the 2 slot
     sm = SuperMatch(a_pair=0, b_pair=1, block_type=1)
-    fx = expand_block(sm, [(5, 4), (7, 6)], start_day=0)
-    days = block_as_days(fx)
+    days = expand_block(sm, [(5, 4), (7, 6)])
     # Type-1 day 1: A1@B1 and A2@B2
     assert {(f.away, f.home) for f in days[0]} == {(4, 6), (5, 7)}
 
@@ -125,13 +112,13 @@ def test_expand_respects_slot_order_within_pair():
 def test_expand_overlapping_pairs_raises():
     sm = SuperMatch(a_pair=0, b_pair=1, block_type=1)
     with pytest.raises(SchedulingError, match="overlap"):
-        expand_block(sm, [(0, 1), (1, 2)], start_day=0)
+        expand_block(sm, [(0, 1), (1, 2)])
 
 
 def test_expand_bad_pair_size_raises():
     sm = SuperMatch(a_pair=0, b_pair=1, block_type=1)
     with pytest.raises(SchedulingError, match="exactly two"):
-        expand_block(sm, [(0, 1, 2), (3, 4)], start_day=0)
+        expand_block(sm, [(0, 1, 2), (3, 4)])
 
 
 def test_supermatch_validation():
@@ -144,11 +131,6 @@ def test_supermatch_validation():
     with pytest.raises(TypeError):
         SuperMatch(a_pair=0, b_pair=1)          # the type is required
     assert SuperMatch(a_pair=3, b_pair=1, block_type=2).key == (1, 3)
-
-
-def test_fixture_validation():
-    with pytest.raises(SchedulingError, match="itself"):
-        Fixture(away=2, home=2, day=0)
 
 
 # --- travel closed forms ----------------------------------------------------
@@ -166,7 +148,7 @@ def test_travel_formula_matches_itinerary_evaluation(block_type):
     for _ in range(50):
         d = _random_metric4(rng)
         inst = Instance(n=4, dist=d)
-        days = block_as_days(_fixtures(block_type))
+        days = _days(block_type)
         assert block_travel(block_type, d) == pytest.approx(
             total_travel(days, inst), abs=1e-9)
 

@@ -8,9 +8,13 @@ import pytest
 
 from ttp2 import (
     build_schedule,
+    emit_instance,
+    evaluation_report,
     generate_instance,
     load_instance,
+    report_to_json,
     schedule_from_json,
+    schedule_to_json,
     total_travel,
     validate_schedule,
 )
@@ -35,6 +39,7 @@ def run(capsys, *argv):
 def test_gen_stdout_json(capsys):
     code, out, _ = run(capsys, "gen", "--n", "8", "--seed", "1")
     assert code == 0
+    assert out == emit_instance(generate_instance(8, kind="euclidean", seed=1))
     obj = json.loads(out)
     assert obj["n"] == 8
     assert len(obj["dist"]) == 8
@@ -110,6 +115,8 @@ def test_schedule_output_file(tmp_path, capsys):
     code, _, _ = run(capsys, "schedule", "--gen", "euclidean", "--n", "12",
                      "--seed", "2", "-o", str(path))
     assert code == 0
+    inst = generate_instance(12, kind="euclidean", seed=2)
+    assert path.read_text() == schedule_to_json(build_schedule(inst))
     sched = schedule_from_json(path.read_text())
     assert sched.n == 12
     assert validate_schedule(sched).ok
@@ -119,6 +126,7 @@ def test_schedule_json_flag(capsys):
     code, out, _ = run(capsys, "schedule", "--gen", "euclidean", "--n", "8",
                        "--seed", "0", "--json")
     assert code == 0
+    assert out == schedule_to_json(build_schedule(generate_instance(8, kind="euclidean", seed=0)))
     obj = json.loads(out)
     assert obj["n"] == 8
     assert len(obj["days"]) == 14
@@ -249,6 +257,8 @@ def test_evaluate_json(sched_and_inst, capsys):
     code, out, _ = run(capsys, "evaluate", "-i", str(sched_path),
                        "-d", str(inst_path), "--json")
     assert code == 0
+    sched = schedule_from_json(sched_path.read_text())
+    assert out == report_to_json(evaluation_report(sched, load_instance(str(inst_path))))
     obj = json.loads(out)
     assert obj["valid"] is True
     assert obj["ratio"] <= obj["factor_ours"] + 1e-9
@@ -312,6 +322,38 @@ def test_unreadable_schedule_file_exits_1(sched_and_inst, tmp_path, capsys,
     assert code == 1
     assert out == ""
     assert message in err
+
+
+@pytest.fixture()
+def sched_12_and_inst(tmp_path, capsys):
+    inst_path = tmp_path / "inst12.json"
+    sched_path = tmp_path / "sched12.json"
+    run(capsys, "gen", "--n", "12", "--seed", "0", "-o", str(inst_path))
+    run(capsys, "schedule", "-i", str(inst_path), "-o", str(sched_path))
+    obj = json.loads(sched_path.read_text())
+    assert obj["flips"] == 3
+    return obj, sched_path, inst_path
+
+
+@pytest.mark.parametrize("command", ["validate", "evaluate"])
+def test_stored_flips_must_match_the_levels(sched_12_and_inst, capsys, command):
+    obj, sched_path, inst_path = sched_12_and_inst
+    obj["flips"] = 0
+    sched_path.write_text(json.dumps(obj))
+    code, out, err = run(capsys, command, "-i", str(sched_path), "-d", str(inst_path))
+    assert code == 1
+    assert out == ""
+    assert "stored flips 0" in err and "3 Type-2 blocks" in err
+
+
+def test_flips_are_counted_from_the_levels(sched_12_and_inst, capsys):
+    obj, sched_path, inst_path = sched_12_and_inst
+    del obj["flips"]
+    sched_path.write_text(json.dumps(obj))
+    code, out, _ = run(capsys, "evaluate", "-i", str(sched_path), "-d", str(inst_path),
+                       "--json")
+    assert code == 0
+    assert json.loads(out)["flips"] == 3
 
 
 # --- bench ---------------------------------------------------------------------------

@@ -120,7 +120,7 @@ def schedules(draw):
 
 
 def _forms(n, days):
-    fixtures = [[Fixture(away=a, home=h, day=d) for a, h in day] for d, day in enumerate(days)]
+    fixtures = [[Fixture(a, h) for a, h in day] for day in days]
     sched = Schedule(n=n, days=tuple(tuple(day) for day in fixtures))
     return {
         "schedule": sched,

@@ -9,7 +9,6 @@ from ttp2 import (
     SchedulingError,
     ValidationError,
     build_schedule,
-    count_flips,
     flip_budget,
     format_level_table,
     generate_instance,
@@ -152,7 +151,7 @@ def test_flip_totals_by_size(n):
     s = build_schedule(generate_instance(n, kind="euclidean", seed=0))
     assert s.flips == EXPECTED_FLIPS[n]
     assert s.flips <= math.ceil(flip_budget(n))
-    assert count_flips(s) == s.flips
+    assert s.flips == sum(sm.block_type == 2 for lp in s.levels for sm in lp.super_matches)
 
 
 def test_build_is_deterministic():
@@ -220,6 +219,14 @@ def test_schedule_json_malformed():
         obj["levels"][0]["blocks"][0]["type"] = block_type
         with pytest.raises(ValidationError, match=message):
             schedule_from_json(json.dumps(obj))
+
+
+def test_fixture_validation():
+    obj = json.loads(schedule_to_json(build_schedule(generate_instance(8, "unit"))))
+    fixture = obj["days"][5][2]
+    fixture["home"] = fixture["away"]
+    with pytest.raises(ValidationError, match=f"team {fixture['away']} plays itself on day 5"):
+        schedule_from_json(json.dumps(obj))
 
 
 def test_format_level_table():
