@@ -8,10 +8,13 @@ from ttp2 import (
     SchedulingError,
     SuperMatch,
     block_travel,
+    build_schedule,
     expand_block,
 )
 from ttp2.blocks import BLOCK_TYPES
 from ttp2.analysis import total_travel
+
+from helpers import euclid_weights
 
 
 PAIRS = [(0, 1), (2, 3)]  # slot teams: A1=0, A2=1, B1=2, B2=3
@@ -99,6 +102,22 @@ def test_each_team_plays_once_per_day(block_type):
     for day in _days(block_type):
         seen = [t for f in day for t in (f.away, f.home)]
         assert sorted(seen) == [0, 1, 2, 3]
+
+
+@pytest.mark.parametrize("block_type", BLOCK_TYPES)
+def test_day_numbering_from_start_day(block_type):
+    # a block's k-th day is the schedule's day (start of its level) + k
+    sched = build_schedule(Instance(n=12, dist=euclid_weights(12, 0)))
+    start, placed = 0, 0
+    for lp in sched.levels:
+        for sm in lp.super_matches:
+            block = expand_block(sm, sched.team_pairs.pairs)
+            if sm.block_type == block_type:
+                placed += 1
+                for k, day in enumerate(block):
+                    assert set(day) <= set(sched.days[start + k])
+        start += len(block)
+    assert placed > 0 and start == len(sched.days)
 
 
 def test_expand_respects_slot_order_within_pair():
