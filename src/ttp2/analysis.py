@@ -136,10 +136,12 @@ def evaluation_report(sched, inst: Instance) -> EvaluationReport:
     once, and both the validity check and the itineraries use that read.
     The schedule may be invalid; the report then carries valid=False and the
     ratio loses its guarantee (it is still computed when the bound is > 0).
-    The lower bound needs the triangle inequality, so on a non-metric
-    instance ``bound_satisfied`` is None.  A schedule that declares another
-    team count, or one naming teams outside the instance, raises
-    ValidationError.
+    ``bound_satisfied`` is None in three cases: a non-metric instance (the
+    lower bound needs the triangle inequality), a zero lower bound (no
+    ratio), and an n with no factor (n not a multiple of 4, or below 8).
+    A schedule that declares another team count, or one naming teams
+    outside the instance, raises ValidationError, and so does a dict whose
+    ``"flips"`` differs from the Type-2 count of its ``"levels"``.
 
     The team matching is solved from ``inst`` rather than read from the
     schedule, which may come from anywhere; right after ``build_schedule``
@@ -157,6 +159,11 @@ def evaluation_report(sched, inst: Instance) -> EvaluationReport:
     flips = sched.get("flips") if isinstance(sched, dict) else getattr(sched, "flips", None)
     if flips is not None and not isinstance(flips, int):
         raise ValidationError(f"flips must be an integer, got {flips!r}")
+    if flips is not None and isinstance(sched, dict):
+        # imported here because scheduler imports this module; it refuses
+        # a stored "flips" that the levels contradict
+        from .scheduler import schedule_from_dict
+        schedule_from_dict(sched)
     try:
         budget = flip_budget(n)
     except TTP2Error:

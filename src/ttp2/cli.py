@@ -20,11 +20,10 @@ from fractions import Fraction
 from .analysis import (BOUND_SLACK, evaluation_report, factors_exact,
                        flip_budget, format_report, lower_bound, report_to_json,
                        total_travel)
-from .errors import (InstanceError, MatchingError, OracleBudgetError,
-                     SchedulingError, TTP2Error, ValidationError)
+from .errors import (InstanceError, MatchingError, SchedulingError, TTP2Error,
+                     ValidationError)
 from .instance import (FORMATS, GENERATOR_KINDS, emit_instance, generate_instance,
                        load_instance, save_instance)
-from .oracle import best_effort_optimal, brute_force_optimal, sample_valid_schedules
 from .scheduler import (build_schedule, check_team_count, format_level_table,
                         schedule_from_json, schedule_to_json)
 from .validator import validate_schedule
@@ -107,7 +106,7 @@ def cmd_schedule(args) -> int:
         sys.stdout.write(schedule_to_json(sched))
         return 0
     if args.table:
-        print(format_level_table(sched))
+        sys.stdout.write(format_level_table(sched))
     lb = lower_bound(inst, sched.team_pairs)
     total = total_travel(sched, inst)
     print(f"flips: {sched.flips}")
@@ -146,7 +145,7 @@ def cmd_evaluate(args) -> int:
     if args.json:
         sys.stdout.write(report_to_json(rep))
     else:
-        print(format_report(rep))
+        sys.stdout.write(format_report(rep))
     return 0 if rep.valid else 3
 
 
@@ -220,28 +219,6 @@ def cmd_factors(args) -> int:
     return 0
 
 
-def cmd_oracle(args) -> int:
-    inst = _obtain_instance(args)
-    if args.samples:
-        samples = sample_valid_schedules(inst, args.samples,
-                                         seed=_resolve_seed(args.seed))
-        for k, (_, travel) in enumerate(samples):
-            print(f"sample {k}: travel {travel:.6f}")
-        return 0
-    if inst.n == 4:
-        result = brute_force_optimal(inst)
-    elif inst.n == 6:
-        result = best_effort_optimal(inst, node_budget=args.budget)
-    else:
-        raise InstanceError(f"oracle supports n in {{4, 6}}, got n={inst.n}")
-    print(f"optimum: {result.optimum:.6f}")
-    print(f"explored: {result.explored}")
-    if not result.optimal:
-        print("warning: node budget reached; optimum is an incumbent only",
-              file=sys.stderr)
-    return 0
-
-
 def _add_gen_source(sub):
     sub.add_argument("-i", "--input", metavar="PATH",
                      help="instance file (matrix, csv, or json)")
@@ -306,13 +283,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--csv", action="store_true")
     p.set_defaults(func=cmd_factors)
 
-    p = subs.add_parser("oracle", help="exact search at n=4 (best effort at n=6)")
-    _add_gen_source(p)
-    p.add_argument("--budget", type=int, default=2_000_000,
-                   help="node budget for the n=6 search")
-    p.add_argument("--samples", type=int, default=0,
-                   help="emit this many randomized valid schedules instead")
-    p.set_defaults(func=cmd_oracle)
     return parser
 
 
@@ -323,7 +293,7 @@ def main(argv=None) -> int:
         return int(exc.code) if exc.code else 0
     try:
         return args.func(args)
-    except (SchedulingError, OracleBudgetError) as exc:
+    except SchedulingError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (InstanceError, MatchingError, ValidationError, TTP2Error) as exc:

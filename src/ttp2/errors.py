@@ -19,7 +19,3 @@ class SchedulingError(TTP2Error, RuntimeError):
 
 class ValidationError(TTP2Error, ValueError):
     """Schedule input is structurally unreadable (not merely invalid)."""
-
-
-class OracleBudgetError(TTP2Error, RuntimeError):
-    """Exhaustive or randomized search exceeded its node budget."""

@@ -3,8 +3,8 @@
 One exact solver covers the supported range: depth-first branch-and-bound
 with a 2-opt-polished greedy upper bound and a Lagrangian lower bound
 built from dual-feasible vertex potentials (w[u][v] >= pi[u] + pi[v] for
-every edge).  ``oracle.dp_matching``, a subset dynamic program, is the
-independent reference the tests compare it with.
+every edge).  The tests compare it with two independent references kept
+in ``tests/reference.py``: full enumeration and a subset dynamic program.
 
 The answer is canonical: a perfect matching of globally minimum total
 weight, ties broken by the lexicographically smallest sorted pair list,

@@ -1,10 +1,10 @@
-"""Independent brute-force ground truth for tests and benchmarks.
+"""Independent references the tests compare the package against.
 
 Nothing here shares logic with the constructor: day slates are enumerated
 directly and feasibility is enforced game by game, so agreement between
-this module and the scheduler is meaningful evidence.  The two matching
+these searches and the scheduler is meaningful evidence.  The two matching
 references, full enumeration and subset dynamic programming, share only
-input validation with the branch-and-bound solver in ``matching``.
+input validation with the branch-and-bound solver in ``ttp2.matching``.
 """
 
 from __future__ import annotations
@@ -17,16 +17,12 @@ from typing import Optional
 
 import numpy as np
 
-from .analysis import total_travel
-from .blocks import Fixture
-from .errors import MatchingError, OracleBudgetError, TTP2Error
-from .instance import Instance
-from .matching import PairMatching, _validated_weights
-from .scheduler import Schedule
+from ttp2 import (Fixture, Instance, MatchingError, PairMatching, Schedule,
+                  TTP2Error, total_travel)
+from ttp2.matching import _validated_weights
 
 BRUTE_FORCE_MATCHING_MAX = 12
 DP_MATCHING_MAX = 22   # subset DP time and memory grow as 2^m
-DEFAULT_NODE_BUDGET = 2_000_000
 
 
 @dataclass(frozen=True)
@@ -34,7 +30,6 @@ class OracleResult:
     optimum: float
     schedule: Schedule
     explored: int          # complete schedules examined
-    optimal: bool = True   # False when a node budget cut the search short
 
 
 def _all_pairings(teams: tuple[int, ...]) -> list[tuple[tuple[int, int], ...]]:
@@ -66,18 +61,15 @@ def _day_slates(n: int) -> list[tuple[tuple[int, int], ...]]:
 class _Search:
     """Day-by-day DFS over slates with feasibility and cost pruning."""
 
-    def __init__(self, inst: Instance, slate_order=None, node_budget: Optional[int] = None):
+    def __init__(self, inst: Instance, slate_order=None):
         self.inst = inst
         self.n = inst.n
         self.n_days = 2 * self.n - 2
         self.slates = _day_slates(self.n)
         self.order = slate_order or (lambda day, slates: slates)
-        self.node_budget = node_budget
-        self.nodes = 0
         self.explored = 0
         self.best_cost = math.inf
         self.best_days: Optional[list] = None
-        self.exhausted = True
 
     def run(self, stop_after: Optional[int] = None) -> None:
         """DFS; ``stop_after`` ends the search after that many leaves."""
@@ -88,7 +80,7 @@ class _Search:
         try:
             self._dfs(0, used, (), venue, runs, 0.0, [])
         except _Stop:
-            self.exhausted = False
+            pass
 
     def _dfs(self, day, used, prev_pairs, venue, runs, cost, days_acc):
         if day == self.n_days:
@@ -103,9 +95,6 @@ class _Search:
                 raise _Stop
             return
         for slate in self.order(day, self.slates):
-            self.nodes += 1
-            if self.node_budget is not None and self.nodes > self.node_budget:
-                raise _Stop
             ok = True
             pairs = []
             for away, home in slate:
@@ -165,28 +154,15 @@ def brute_force_optimal(inst: Instance) -> OracleResult:
     global optimum."""
     if inst.n != 4:
         raise TTP2Error(f"exhaustive oracle supports n=4 only, got n={inst.n}")
-    return best_effort_optimal(inst, node_budget=None)
-
-
-def best_effort_optimal(inst: Instance,
-                        node_budget: Optional[int] = DEFAULT_NODE_BUDGET) -> OracleResult:
-    """Budgeted variant for n in {4, 6}: returns the incumbent plus an
-    ``optimal`` flag telling whether the search ran to completion.  A
-    ``node_budget`` of None searches without a budget."""
-    if inst.n not in (4, 6):
-        raise TTP2Error(f"best-effort oracle supports n in {{4, 6}}, got n={inst.n}")
-    search = _Search(inst, node_budget=node_budget)
+    search = _Search(inst)
     search.run()
-    if search.best_days is None:
-        raise OracleBudgetError(
-            f"no feasible schedule found within {node_budget} nodes")
+    assert search.best_days is not None
     sched = _to_schedule(inst.n, search.best_days)
     return OracleResult(optimum=total_travel(sched, inst), schedule=sched,
-                        explored=search.explored, optimal=search.exhausted)
+                        explored=search.explored)
 
 
-def sample_valid_schedules(inst: Instance, count: int, seed: int = 0,
-                           node_budget: int = DEFAULT_NODE_BUDGET
+def sample_valid_schedules(inst: Instance, count: int, seed: int = 0
                            ) -> list[tuple[Schedule, float]]:
     """Feasible schedules from randomized backtracking (n <= 8).
 
@@ -204,11 +180,9 @@ def sample_valid_schedules(inst: Instance, count: int, seed: int = 0,
             _rng.shuffle(order)
             return order
 
-        search = _Search(inst, slate_order=shuffled, node_budget=node_budget)
+        search = _Search(inst, slate_order=shuffled)
         search.run(stop_after=1)
-        if search.best_days is None:
-            raise OracleBudgetError(
-                f"sample {k}: no feasible schedule within {node_budget} nodes")
+        assert search.best_days is not None
         sched = _to_schedule(inst.n, search.best_days)
         out.append((sched, total_travel(sched, inst)))
     return out

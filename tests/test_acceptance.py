@@ -27,9 +27,9 @@ from ttp2 import (
 )
 from ttp2.analysis import factor_ours
 from ttp2.blocks import SuperMatch
-from ttp2.oracle import brute_force_matching, brute_force_optimal, dp_matching
 
 from helpers import euclid_weights, pair_cluster_instance
+from reference import brute_force_matching, brute_force_optimal, dp_matching
 from test_scheduler import GOLDEN_12, GOLDEN_16, _level_sets
 
 SWEEP_SIZES = (8, 12, 16, 20, 24, 28, 32)

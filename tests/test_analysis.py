@@ -31,9 +31,8 @@ from ttp2 import (
     team_itinerary,
     total_travel,
 )
-from ttp2.oracle import sample_valid_schedules
-
 from helpers import day_list_text
+from reference import sample_valid_schedules
 
 
 UNIT4 = Instance(n=4, dist=np.ones((4, 4)) - np.eye(4))
@@ -244,6 +243,16 @@ def test_evaluation_report_flags_invalid():
     assert rep.flips is None             # raw dict carries no flip count
     with pytest.raises(ValidationError, match="flips must be an integer"):
         evaluation_report({"n": 8, "days": days, "flips": "3"}, inst)
+
+
+def test_evaluation_report_refuses_flips_the_levels_contradict():
+    inst = generate_instance(12, kind="euclidean", seed=0)
+    obj = schedule_to_dict(build_schedule(inst))
+    assert evaluation_report(obj, inst).flips == 3
+    obj["flips"] = 0
+    with pytest.raises(ValidationError, match="stored flips 0") as ei:
+        evaluation_report(obj, inst)
+    assert "3 Type-2 blocks" in str(ei.value)
 
 
 def test_evaluation_report_rejects_mismatched_n():

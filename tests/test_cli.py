@@ -3,6 +3,7 @@
 import csv
 import json
 import re
+from pathlib import Path
 
 import pytest
 
@@ -10,6 +11,8 @@ from ttp2 import (
     build_schedule,
     emit_instance,
     evaluation_report,
+    format_level_table,
+    format_report,
     generate_instance,
     load_instance,
     report_to_json,
@@ -18,8 +21,7 @@ from ttp2 import (
     total_travel,
     validate_schedule,
 )
-from ttp2.cli import main
-from ttp2.oracle import brute_force_optimal
+from ttp2.cli import _build_parser, main
 
 
 @pytest.fixture(autouse=True)
@@ -138,6 +140,9 @@ def test_schedule_table(capsys):
     assert code == 0
     assert "Round 1 Level 1:" in out
     assert re.search(r"M_\d+ --Type-[123]--> M_\d+", out)
+    inst = generate_instance(8, kind="euclidean", seed=0)
+    assert out.startswith(format_level_table(build_schedule(inst)) + "flips: ")
+    assert "" not in out.splitlines()
 
 
 def test_seed_env_override(monkeypatch, capsys):
@@ -194,11 +199,9 @@ def test_validate_clean_schedule(tmp_path, capsys):
 
 
 def test_validate_text_day_list(tmp_path, capsys):
-    sched = brute_force_optimal(generate_instance(4, kind="euclidean", seed=2)).schedule
-    lines = [f"day {d + 1}: " + " ".join(f"{f.away}@{f.home}" for f in day)
-             for d, day in enumerate(sched.days)]
     path = tmp_path / "sched.txt"
-    path.write_text("\n".join(lines) + "\n")
+    path.write_text("day 1: 0@3 1@2\nday 2: 0@1 2@3\nday 3: 2@0 3@1\n"
+                    "day 4: 1@0 3@2\nday 5: 0@2 1@3\nday 6: 2@1 3@0\n")
     code, out, _ = run(capsys, "validate", "-i", str(path), "-n", "4")
     assert code == 0
     assert out.strip() == "valid"
@@ -250,6 +253,8 @@ def test_evaluate_table(sched_and_inst, capsys):
                        "-d", str(inst_path))
     assert code == 0
     assert "ratio" in out and "yes" in out
+    sched = schedule_from_json(sched_path.read_text())
+    assert out == format_report(evaluation_report(sched, load_instance(str(inst_path))))
 
 
 def test_evaluate_json(sched_and_inst, capsys):
@@ -416,43 +421,22 @@ def test_factors_csv(capsys):
     assert all(r[3] == "true" for r in rows[1:])
 
 
-# --- oracle -------------------------------------------------------------------------------
-
-
-def test_oracle_unit_n4(capsys):
-    code, out, _ = run(capsys, "oracle", "--gen", "unit", "--n", "4")
-    assert code == 0
-    assert "optimum: 20.000000" in out
-    assert "explored: 288" in out
-
-
-def test_oracle_samples(capsys):
-    code, out, _ = run(capsys, "oracle", "--gen", "euclidean", "--n", "6",
-                       "--seed", "1", "--samples", "2")
-    assert code == 0
-    assert len(re.findall(r"sample \d+: travel \d+\.\d{6}", out)) == 2
-
-
-def test_oracle_budget_exhausted(capsys):
-    code, _, err = run(capsys, "oracle", "--gen", "euclidean", "--n", "6",
-                       "--budget", "100")
-    assert code == 2
-    assert "100 nodes" in err
-
-
-def test_oracle_rejects_large_n(capsys):
-    code, _, err = run(capsys, "oracle", "--gen", "euclidean", "--n", "8")
-    assert code == 1
-    assert "n in {4, 6}" in err
-
-
 # --- top-level parsing ----------------------------------------------------------------------
 
 
 def test_unknown_command(capsys):
-    code, _, err = run(capsys, "frobnicate")
-    assert code == 1
-    assert "invalid choice" in err
+    for command in ("frobnicate", "oracle"):
+        code, _, err = run(capsys, command)
+        assert code == 1
+        assert "invalid choice" in err
+
+
+def test_readme_lists_exactly_the_subcommands():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("## Command line", 1)[1].split("```text\n", 1)[1].split("```", 1)[0]
+    listed = [line.split()[1] for line in block.splitlines() if line.startswith("ttp2 ")]
+    subs = next(a for a in _build_parser()._actions if a.dest == "command")
+    assert sorted(listed) == sorted(subs.choices)
 
 
 def test_no_command(capsys):

@@ -12,9 +12,9 @@ from ttp2 import (
     super_pair_matching,
 )
 from ttp2.matching import _solve_by_content
-from ttp2.oracle import DP_MATCHING_MAX, brute_force_matching, dp_matching
 
 from helpers import euclid_weights, unit_weights
+from reference import DP_MATCHING_MAX, brute_force_matching, dp_matching
 
 
 # --- optimality against enumeration ----------------------------------------

@@ -1,4 +1,5 @@
-"""Independent reference results: exhaustive search, sampling, enumeration."""
+"""The test-side references themselves: exhaustive search, sampling,
+enumeration and the subset DP."""
 
 import itertools
 
@@ -15,10 +16,9 @@ from ttp2 import (
     min_weight_perfect_matching,
     validate_schedule,
 )
-from ttp2.errors import OracleBudgetError
-from ttp2.oracle import (
+
+from reference import (
     OracleResult,
-    best_effort_optimal,
     brute_force_matching,
     brute_force_optimal,
     dp_matching,
@@ -34,7 +34,6 @@ UNIT4 = Instance(n=4, dist=np.ones((4, 4)) - np.eye(4))
 def test_unit_optimum_is_20():
     res = brute_force_optimal(UNIT4)
     assert res.optimum == pytest.approx(20.0)
-    assert res.optimal is True
     assert res.explored == 288
     assert validate_schedule(res.schedule).ok
     teams = min_weight_perfect_matching(UNIT4.dist)
@@ -78,36 +77,6 @@ def test_result_shape():
     assert isinstance(res, OracleResult)
     assert len(res.schedule.days) == 6
     assert all(len(day) == 2 for day in res.schedule.days)
-
-
-# --- budgeted n=6 ----------------------------------------------------------------
-
-
-def test_best_effort_tiny_budget_raises():
-    inst = generate_instance(6, kind="euclidean", seed=4)
-    with pytest.raises(OracleBudgetError, match="within 100 nodes"):
-        best_effort_optimal(inst, node_budget=100)
-
-
-def test_best_effort_reports_incomplete_search():
-    inst = generate_instance(6, kind="euclidean", seed=4)
-    res = best_effort_optimal(inst, node_budget=100_000)
-    assert res.optimal is False
-    assert validate_schedule(res.schedule).ok
-    teams = min_weight_perfect_matching(inst.dist)
-    assert res.optimum >= lower_bound(inst, teams) - 1e-9
-
-
-def test_best_effort_n4_completes():
-    res = best_effort_optimal(UNIT4)
-    assert res.optimal is True
-    assert res.optimum == pytest.approx(20.0)
-
-
-def test_best_effort_rejects_large_n():
-    inst = generate_instance(8, kind="euclidean", seed=0)
-    with pytest.raises(TTP2Error, match="4, 6"):
-        best_effort_optimal(inst)
 
 
 # --- randomized feasible samples ----------------------------------------------------

@@ -9,8 +9,9 @@ from ttp2 import (
     parse_day_list,
     validate_schedule,
 )
-from ttp2.oracle import brute_force_optimal, sample_valid_schedules
 from ttp2.validator import C1, C2, C4, S_DAY_COUNT, S_ONE_GAME
+
+from reference import brute_force_optimal, sample_valid_schedules
 
 
 def _raw_days(sched):
