@@ -86,8 +86,8 @@ def total_travel(sched, inst: Instance) -> float:
 
 def pairwise_sum(inst: Instance) -> float:
     """W_t: the sum of all inter-venue distances (each unordered pair once)."""
-    n = inst.n
-    return math.fsum(float(inst.dist[i, j]) for i in range(n) for j in range(i + 1, n))
+    # fsum is exact, so the zeros np.triu leaves below the diagonal add nothing
+    return math.fsum(np.triu(inst.dist, 1).ravel().tolist())
 
 
 def lower_bound(inst: Instance, team_matching: PairMatching) -> float:

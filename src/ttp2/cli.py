@@ -15,7 +15,6 @@ import math
 import os
 import sys
 import time
-from fractions import Fraction
 
 from .analysis import (BOUND_SLACK, evaluation_report, factors_exact,
                        flip_budget, format_report, lower_bound, report_to_json,
@@ -72,8 +71,12 @@ def _check_constructor_n(n: int) -> None:
 
 def _load_schedule_file(path: str):
     """Schedule from JSON (constructor output) or day-list text."""
-    with open(path, "r", encoding="utf-8") as fh:
-        text = fh.read()
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            text = fh.read()
+    except UnicodeDecodeError as exc:
+        raise ValidationError(f"schedule file {path} is not UTF-8 text "
+                              f"(byte {exc.start})") from None
     if text.lstrip().startswith("{"):
         sched = schedule_from_json(text)
         return sched, sched.n
@@ -150,8 +153,7 @@ def cmd_evaluate(args) -> int:
 
 
 def cmd_bench(args) -> int:
-    ns = [int(tok) for tok in args.n_set.split(",") if tok.strip()]
-    for n in ns:
+    for n in args.n_set:
         _check_constructor_n(n)
     base_seed = _resolve_seed(args.seed)
     buf = io.StringIO()
@@ -160,7 +162,7 @@ def cmd_bench(args) -> int:
                      "factor_ours", "factor_XK", "valid", "millis"])
     any_invalid = False
     any_over = False
-    for n in ns:
+    for n in args.n_set:
         budget = math.ceil(flip_budget(n))
         max_ratio = None
         all_valid = True
@@ -219,6 +221,24 @@ def cmd_factors(args) -> int:
     return 0
 
 
+def _team_counts(text: str) -> list[int]:
+    try:
+        return [int(tok) for tok in text.split(",") if tok.strip()]
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"expected comma-separated integers, got {text!r}") from None
+
+
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
+    return value
+
+
 def _add_gen_source(sub):
     sub.add_argument("-i", "--input", metavar="PATH",
                      help="instance file (matrix, csv, or json)")
@@ -271,9 +291,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_evaluate)
 
     p = subs.add_parser("bench", help="seeded benchmark sweep, CSV output")
-    p.add_argument("--n-set", default=BENCH_DEFAULT_NS,
+    p.add_argument("--n-set", type=_team_counts, default=BENCH_DEFAULT_NS,
                    help=f"comma-separated team counts (default {BENCH_DEFAULT_NS})")
-    p.add_argument("--trials", type=int, default=5)
+    p.add_argument("--trials", type=_positive_int, default=5)
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("-o", "--output", metavar="PATH")
     p.set_defaults(func=cmd_bench)

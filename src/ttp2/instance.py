@@ -122,14 +122,29 @@ def _read_source(source) -> str:
                 return fh.read()
         except FileNotFoundError:
             raise InstanceError(f"instance file not found: {path}") from None
+        except UnicodeDecodeError as exc:
+            raise InstanceError(f"instance file {path} is not UTF-8 text "
+                                f"(byte {exc.start})") from None
     if isinstance(source, bytes):
-        return source.decode("utf-8")
+        return _decode(source)
     if hasattr(source, "read"):
         data = source.read()
-        if isinstance(data, bytes):
-            data = data.decode("utf-8")
-        return data
+        return _decode(data) if isinstance(data, bytes) else data
     raise InstanceError(f"unreadable instance source of type {type(source).__name__}")
+
+
+def _decode(data: bytes) -> str:
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise InstanceError(f"instance bytes are not UTF-8 text (byte {exc.start})") from None
+
+
+def _number_array(value, field: str) -> np.ndarray:
+    try:
+        return np.asarray(value, dtype=float)
+    except (TypeError, ValueError):
+        raise InstanceError(f"'{field}' must be a rectangular array of numbers") from None
 
 
 def _parse_matrix(text: str) -> Instance:
@@ -183,12 +198,14 @@ def _parse_json(text: str) -> Instance:
         raise InstanceError(f"'n' must be an integer, got {n!r}")
     coords = obj.get("coords")
     if coords is not None:
-        coords = np.asarray(coords, dtype=float)
+        coords = _number_array(coords, "coords")
+        if coords.shape != (n, 2):   # checked before distances are computed
+            raise InstanceError(f"coords must have shape ({n}, 2), got {coords.shape}")
     rounding = obj.get("rounding", "exact")
     if rounding not in ("exact", "nearest_int"):
         raise InstanceError(f"unknown rounding mode {rounding!r}")
     if "dist" in obj:
-        dist = np.asarray(obj["dist"], dtype=float)
+        dist = _number_array(obj["dist"], "dist")
     elif coords is not None:
         dist = _euclidean_matrix(coords)
         if rounding == "nearest_int":
@@ -197,6 +214,8 @@ def _parse_json(text: str) -> Instance:
     else:
         raise InstanceError("json instance needs 'dist' or 'coords'")
     names = obj.get("names")
+    if names is not None and not isinstance(names, list):
+        raise InstanceError(f"'names' must be a list of {n} names, got {names!r}")
     inst = Instance(n=n, dist=dist, names=tuple(names) if names else None, coords=coords)
     if coords is not None and "dist" in obj:
         _check_coords_consistent(inst, rounding)
@@ -300,6 +319,8 @@ def generate_instance(n: int, kind: str = "euclidean", seed: int = 0) -> Instanc
         raise InstanceError(f"generator needs an even n >= 2, got {n}")
     if kind not in GENERATOR_KINDS:
         raise InstanceError(f"unknown generator kind {kind!r}, expected one of {GENERATOR_KINDS}")
+    if seed < 0:
+        raise InstanceError(f"seed must be a non-negative integer, got {seed}")
     rng = np.random.default_rng(seed)
     if kind == "unit":
         dist = np.ones((n, n)) - np.eye(n)

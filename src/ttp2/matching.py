@@ -93,14 +93,13 @@ def build_super_graph(inst: Instance, teams: PairMatching) -> np.ndarray:
     between pairs i and j (the quantity the final-level bound sums)."""
     if not teams.covers(inst.n):
         raise MatchingError(f"team matching does not cover all {inst.n} teams")
-    m = inst.n // 2
-    d = inst.dist
-    w = np.zeros((m, m))
-    for i in range(m):
-        a1, a2 = teams.pairs[i]
-        for j in range(i + 1, m):
-            b1, b2 = teams.pairs[j]
-            w[i, j] = w[j, i] = d[a1, b1] + d[a1, b2] + d[a2, b1] + d[a2, b2]
+    p = np.array(teams.pairs)
+    cross = inst.dist[p[:, :, None, None], p]   # [i, x, j, y] = d[p[i][x], p[j][y]]
+    # each entry is d[a1, b1] + d[a1, b2] + d[a2, b1] + d[a2, b2], in that order
+    w = cross[:, 0, :, 0] + cross[:, 0, :, 1] + cross[:, 1, :, 0] + cross[:, 1, :, 1]
+    # copy the upper triangle down so that (j, i) is bit-equal to (i, j)
+    w = np.triu(w, 1)
+    w = w + w.T
     w.flags.writeable = False
     return w
 

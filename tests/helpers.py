@@ -11,6 +11,15 @@ def euclid_weights(m, seed, scale=1000.0):
     return np.sqrt(((pts[:, None, :] - pts[None, :, :]) ** 2).sum(-1))
 
 
+def lattice_weights(m, seed, side=8):
+    """Manhattan distances between m distinct cells of a side x side grid:
+    integer weights, so many matchings tie at the optimum."""
+    rng = np.random.default_rng(seed)
+    cells = rng.choice(side * side, size=m, replace=False)
+    pts = np.stack([cells // side, cells % side], axis=1)
+    return np.abs(pts[:, None, :] - pts[None, :, :]).sum(-1).astype(float)
+
+
 def unit_weights(m):
     return np.ones((m, m)) - np.eye(m)
 

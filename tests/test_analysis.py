@@ -125,6 +125,11 @@ def test_pairwise_sum_by_hand():
                   [2.0, 4.0, 0.0, 6.0],
                   [3.0, 5.0, 6.0, 0.0]])
     assert pairwise_sum(Instance(n=4, dist=d)) == 21.0
+    # bit-equal to a plain loop over the upper triangle
+    for n, kind in ((8, "euclidean"), (20, "random_metric"), (32, "euclidean")):
+        inst = generate_instance(n, kind, seed=n)
+        loop = math.fsum(float(inst.dist[i, j]) for i in range(n) for j in range(i + 1, n))
+        assert pairwise_sum(inst) == loop
 
 
 def test_lower_bound_unit_n4():

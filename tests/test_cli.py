@@ -317,12 +317,15 @@ def _with_block_type(text, block_type):
     (lambda text: text[:len(text) // 2], "invalid schedule JSON"),
     (lambda text: _with_block_type(text, None), "'type': None"),
     (lambda text: _with_block_type(text, 7), "unknown block type 7"),
-], ids=["no-days", "truncated", "type-null", "type-7"])
+    (lambda text: text.replace('"n"', '"\u00e9n"', 1).encode("latin-1"),
+     "bad.json is not UTF-8"),
+], ids=["no-days", "truncated", "type-null", "type-7", "not-utf8"])
 def test_unreadable_schedule_file_exits_1(sched_and_inst, tmp_path, capsys,
                                           command, damage, message):
     sched_path, inst_path = sched_and_inst
     bad = tmp_path / "bad.json"
-    bad.write_text(damage(sched_path.read_text()))
+    data = damage(sched_path.read_text())
+    bad.write_bytes(data if isinstance(data, bytes) else data.encode())
     code, out, err = run(capsys, command, "-i", str(bad), "-d", str(inst_path))
     assert code == 1
     assert out == ""
@@ -397,6 +400,35 @@ def test_bench_rejects_bad_n(capsys):
     code, _, err = run(capsys, "bench", "--n-set", "8,10")
     assert code == 1
     assert "divisible by 4" in err
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["--trials", "0"], "argument --trials: expected a positive integer, got '0'"),
+    (["--trials", "-2"], "argument --trials: expected a positive integer, got '-2'"),
+    (["--n-set", "8,x"], "argument --n-set: expected comma-separated integers, got '8,x'"),
+], ids=["trials-0", "trials-negative", "n-set-not-integer"])
+def test_bench_rejects_bad_arguments(capsys, argv, message):
+    code, out, err = run(capsys, "bench", *argv)
+    assert code == 1
+    assert out == ""
+    assert message in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["gen", "--n", "8", "--seed", "-1"],
+    ["schedule", "--n", "8", "--seed", "-1"],
+    ["bench", "--n-set", "8", "--trials", "1", "--seed", "-1"],
+    ["gen", "--n", "8"],
+], ids=["gen", "schedule", "bench", "env"])
+def test_negative_seed_exits_1(monkeypatch, capsys, argv):
+    monkeypatch.setenv("TTP2_SEED", "-3")   # the flag, where given, wins
+    code, out, err = run(capsys, *argv)
+    assert code == 1
+    assert out == ""
+    seed = "-1" if "--seed" in argv else "-3"
+    assert f"seed must be a non-negative integer, got {seed}" in err
+    assert "Traceback" not in err
 
 
 # --- factors ----------------------------------------------------------------------------

@@ -135,6 +135,14 @@ def test_json_coords_dist_consistency_check():
            "dist": [[0, 9, 4, 5], [9, 0, 5, 4], [4, 5, 0, 3], [5, 4, 3, 0]]}
     with pytest.raises(InstanceError):
         load_instance(json.dumps(obj), fmt="json")
+    # unreadable fields are refused naming the field
+    good = {"n": 2, "dist": [[0, 1], [1, 0]]}
+    for field, value in (("dist", [[0, 1], [1]]), ("dist", "ab"),
+                         ("dist", [["a", 0], [0, 0]]), ("coords", "ab"),
+                         ("coords", [["a", 0], [0, 0]]), ("coords", [1, 2]),
+                         ("names", 5)):
+        with pytest.raises(InstanceError, match=f"'?{field}'? must"):
+            load_instance(json.dumps({**good, field: value}), fmt="json")
 
 
 def test_json_rounding_nearest_int():
@@ -196,6 +204,9 @@ def test_check_metric_reports_violation_triple():
 def test_generate_rejects_unknown_kind():
     with pytest.raises(InstanceError):
         generate_instance(8, "hyperbolic", 0)
+    for kind in ("euclidean", "unit"):
+        with pytest.raises(InstanceError, match="seed must be a non-negative integer"):
+            generate_instance(8, kind, -1)
 
 
 def test_missing_path_names_the_file(tmp_path):
@@ -204,3 +215,9 @@ def test_missing_path_names_the_file(tmp_path):
         with pytest.raises(InstanceError, match="not found") as ei:
             load_instance(source)
         assert "nope.json" in str(ei.value)
+    latin1 = tmp_path / "latin1.txt"
+    latin1.write_bytes("2\n0 1\n1 0 # caf\xe9\n".encode("latin-1"))
+    with pytest.raises(InstanceError, match="latin1.txt is not UTF-8"):
+        load_instance(str(latin1))
+    with pytest.raises(InstanceError, match="not UTF-8"):
+        load_instance(latin1.read_bytes())

@@ -13,7 +13,7 @@ from ttp2 import (
 )
 from ttp2.matching import _solve_by_content
 
-from helpers import euclid_weights, unit_weights
+from helpers import euclid_weights, lattice_weights, unit_weights
 from reference import DP_MATCHING_MAX, brute_force_matching, dp_matching
 
 
@@ -32,9 +32,12 @@ def test_auto_matches_enumeration(m):
 
 @pytest.mark.parametrize("m", [12, 14, 16, 18, 20, 22])
 def test_dp_and_bnb_agree(m):
-    # the subset-DP oracle against the branch-and-bound solver
-    for seed in range(4):
-        w = euclid_weights(m, seed=seed)
+    # the subset-DP oracle against the branch-and-bound solver, on weights
+    # without ties and on lattice weights with many tied optima (fewer
+    # seeds at m=22, where one DP solve takes seconds)
+    inputs = [euclid_weights(m, seed=seed) for seed in range(4)]
+    inputs += [lattice_weights(m, seed=seed) for seed in range(4 if m < 22 else 2)]
+    for w in inputs:
         dp = dp_matching(w)
         bnb = min_weight_perfect_matching(w)
         assert dp.pairs == bnb.pairs
@@ -202,19 +205,21 @@ def test_memo_still_validates_every_call():
 
 
 def test_super_graph_entries_are_cross_sums():
-    inst = generate_instance(8, kind="euclidean", seed=5)
-    teams = min_weight_perfect_matching(inst.dist)
-    sg = build_super_graph(inst, teams)
-    assert sg.shape == (4, 4)
-    assert not sg.flags.writeable
-    d = inst.dist
-    for i in range(4):
-        a1, a2 = teams.pairs[i]
-        assert sg[i, i] == 0.0
-        for j in range(i + 1, 4):
-            b1, b2 = teams.pairs[j]
-            assert sg[i, j] == d[a1, b1] + d[a1, b2] + d[a2, b1] + d[a2, b2]
-            assert sg[j, i] == sg[i, j]
+    for n in (8, 32):
+        inst = generate_instance(n, kind="euclidean", seed=5)
+        teams = min_weight_perfect_matching(inst.dist)
+        sg = build_super_graph(inst, teams)
+        m = n // 2
+        assert sg.shape == (m, m)
+        assert not sg.flags.writeable
+        d = inst.dist
+        for i in range(m):
+            a1, a2 = teams.pairs[i]
+            assert sg[i, i] == 0.0
+            for j in range(i + 1, m):
+                b1, b2 = teams.pairs[j]
+                assert sg[i, j] == d[a1, b1] + d[a1, b2] + d[a2, b1] + d[a2, b2]
+                assert sg[j, i] == sg[i, j]
 
 
 def test_super_graph_requires_full_cover():
