@@ -44,9 +44,12 @@ def _resolve_seed(value):
     env = os.environ.get("TTP2_SEED")
     if env is not None:
         try:
-            return int(env)
+            seed = int(env)
         except ValueError:
             raise InstanceError(f"TTP2_SEED must be an integer, got {env!r}")
+        if seed < 0:
+            raise InstanceError(f"TTP2_SEED must be a non-negative integer, got {env!r}")
+        return seed
     return DEFAULT_SEED
 
 

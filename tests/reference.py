@@ -4,7 +4,7 @@ Nothing here shares logic with the constructor: day slates are enumerated
 directly and feasibility is enforced game by game, so agreement between
 these searches and the scheduler is meaningful evidence.  The two matching
 references, full enumeration and subset dynamic programming, share only
-input validation with the branch-and-bound solver in ``ttp2.matching``.
+input validation with the blossom solver in ``ttp2.matching``.
 """
 
 from __future__ import annotations
@@ -190,7 +190,7 @@ def sample_valid_schedules(inst: Instance, count: int, seed: int = 0
 
 def brute_force_matching(weights) -> PairMatching:
     """Minimum-weight perfect matching by full (m-1)!! enumeration, with the
-    same canonical tie-break as the fast solvers: enumeration visits pair
+    same canonical tie-break as the production solver: enumeration visits pair
     lists in lexicographic order and keeps the first strict improvement."""
     w = _validated_weights(weights)
     m = w.shape[0]
@@ -225,7 +225,9 @@ def brute_force_matching(weights) -> PairMatching:
 
 def dp_matching(weights) -> PairMatching:
     """Minimum-weight perfect matching by subset dynamic programming, with
-    the same canonical tie-break and fsum weight as the production solver.
+    the production solver's tie-break and fsum weight, except where optimal
+    matchings tie only up to the last bits of their float sums: the DP and
+    its walk compare right-fold float sums, not fsum weights.
 
     g[S] = minimum weight to perfectly match the vertex set S, where the
     transition always matches S's lowest vertex v against each other u in S.

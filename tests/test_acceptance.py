@@ -155,9 +155,9 @@ def test_criterion_6_matching_solvers_agree():
     for m, seed in itertools.product((12, 14, 16, 18, 20), range(20)):
         w = euclid_weights(m, seed=seed)
         dp = dp_matching(w)
-        bnb = min_weight_perfect_matching(w)
-        assert dp.pairs == bnb.pairs
-        assert dp.weight == bnb.weight
+        got = min_weight_perfect_matching(w)
+        assert dp.pairs == got.pairs
+        assert dp.weight == got.weight
         count_cross += 1
     print(f"\nPASS criterion 6: matching agrees with enumeration on "
           f"{count_enum} small graphs and with the subset-DP oracle exactly on "

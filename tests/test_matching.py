@@ -1,7 +1,12 @@
 """Minimum-weight perfect matching: optimality, tie-breaks, input checks."""
 
+import math
+import time
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ttp2 import (
     generate_instance,
@@ -31,26 +36,107 @@ def test_auto_matches_enumeration(m):
 
 
 @pytest.mark.parametrize("m", [12, 14, 16, 18, 20, 22])
-def test_dp_and_bnb_agree(m):
-    # the subset-DP oracle against the branch-and-bound solver, on weights
-    # without ties and on lattice weights with many tied optima (fewer
-    # seeds at m=22, where one DP solve takes seconds)
+def test_dp_and_blossom_agree(m):
+    # the subset-DP oracle against the blossom solver, on weights without
+    # ties and on lattice weights with many tied optima (fewer seeds at
+    # m=22, where one DP solve takes seconds)
     inputs = [euclid_weights(m, seed=seed) for seed in range(4)]
     inputs += [lattice_weights(m, seed=seed) for seed in range(4 if m < 22 else 2)]
     for w in inputs:
         dp = dp_matching(w)
-        bnb = min_weight_perfect_matching(w)
-        assert dp.pairs == bnb.pairs
-        assert dp.weight == bnb.weight
+        got = min_weight_perfect_matching(w)
+        assert dp.pairs == got.pairs
+        assert dp.weight == got.weight
 
 
-def test_bnb_large_instances_stay_optimalish():
+def test_blossom_large_instances_stay_optimalish():
     # no oracle this big (the DP stops at m=22); check basic sanity:
     # perfect cover, weight equals the sum of chosen edges
     w = euclid_weights(32, seed=3)
     got = min_weight_perfect_matching(w)
     assert got.covers(32)
     assert got.weight == pytest.approx(sum(w[i][j] for i, j in got.pairs))
+
+
+def _metric_closure(w):
+    # shortest-path distances: many matchings tie in exact arithmetic, and
+    # their float sums can differ in the last bit
+    w = np.array(w, dtype=float)
+    for k in range(w.shape[0]):
+        w = np.minimum(w, w[:, [k]] + w[[k], :])
+    return w
+
+
+@st.composite
+def _weights(draw):
+    m = draw(st.sampled_from(range(2, 11, 2)))
+    closure = draw(st.booleans())
+    entries = st.integers(1, 99).map(lambda k: k / 10) if closure else st.integers(1, 3)
+    upper = m * (m - 1) // 2
+    w = np.zeros((m, m))
+    w[np.triu_indices(m, 1)] = draw(st.lists(entries, min_size=upper, max_size=upper))
+    w = w + w.T
+    return _metric_closure(w) if closure else w
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=300)
+@given(_weights())
+def test_matches_enumeration_pair_for_pair(w):
+    # small integers (heavy ties) and metric-closure floats (ties up to an
+    # ulp): minimum fsum weight, then the lexicographically smallest list
+    got = min_weight_perfect_matching(w)
+    ref = brute_force_matching(w)
+    assert got.pairs == ref.pairs
+    assert got.weight == ref.weight
+
+
+@pytest.mark.parametrize("n, seed", [(16, 1441248948), (20, 637037212), (16, 2216409161)])
+def test_equal_fsum_ties_take_the_smaller_list(n, seed):
+    # two matchings of equal fsum weight whose left-to-right float sums
+    # differ: the lexicographically smaller pair list wins
+    w = generate_instance(n, "random_metric", seed).dist
+    assert min_weight_perfect_matching(w) == dp_matching(w)
+
+
+def _crowded_grid_weights(m, seed):
+    # Manhattan distances between m points on a 3 x 3 grid, many sharing a
+    # cell: the zero distances make huge numbers of matchings tie
+    pts = np.random.default_rng(seed).integers(0, 3, (m, 2))
+    return np.abs(pts[:, None, :] - pts[None, :, :]).sum(-1).astype(float)
+
+
+@pytest.mark.parametrize("m, seed", [(18, 1016), (20, 1302)])
+def test_crowded_ties_match_the_dp(m, seed):
+    # inputs on which the tie-break search outgrows its budget and checks
+    # children with an exact blossom solve before descending into them
+    w = _crowded_grid_weights(m, seed)
+    assert min_weight_perfect_matching(w) == dp_matching(w)
+
+
+TAIL_INPUTS = {
+    "random_metric-145": lambda: generate_instance(32, "random_metric", 145).dist,
+    "euclidean-1196": lambda: generate_instance(32, "euclidean", 1196).dist,
+    "lattice-3204336560": lambda: lattice_weights(32, 3204336560),
+    "crowded-grid-184": lambda: _crowded_grid_weights(32, 184),
+}
+
+
+@pytest.mark.parametrize("name", sorted(TAIL_INPUTS))
+def test_tail_inputs_solve_fast_and_optimally(name):
+    # inputs that once took seconds; networkx's blossom checks the weight
+    nx = pytest.importorskip("networkx")
+    w = TAIL_INPUTS[name]()
+    _solve_by_content.cache_clear()
+    t0 = time.perf_counter()
+    got = min_weight_perfect_matching(w)
+    assert time.perf_counter() - t0 < 1.0
+    graph = nx.Graph()
+    graph.add_weighted_edges_from((i, j, float(w[i, j]))
+                                  for i in range(32) for j in range(i + 1, 32))
+    pairs = nx.min_weight_matching(graph)
+    assert len(pairs) == 16
+    ref = math.fsum(float(w[i, j]) for i, j in pairs)
+    assert math.isclose(got.weight, ref, rel_tol=1e-9, abs_tol=1e-9)
 
 
 # --- canonical output form and tie-breaks ----------------------------------
