@@ -23,6 +23,11 @@ from .validator import schedule_array, validate_schedule
 
 BOUND_SLACK = 1e-9   # floating slack when checking the ratio bound
 
+# EvaluationReport.bound_reason: why bound_satisfied is None
+NO_FACTOR = "no factor for this n (n is not a multiple of 4, or is below 8)"
+ZERO_BOUND = "zero lower bound, so no ratio"
+NOT_METRIC = "the instance breaks the triangle inequality, so the lower bound need not hold"
+
 
 @dataclass(frozen=True)
 class Itinerary:
@@ -48,6 +53,7 @@ class EvaluationReport:
     W_m: float
     valid: bool
     bound_satisfied: Optional[bool]
+    bound_reason: Optional[str]     # why bound_satisfied is None; else None
     per_team: tuple[Itinerary, ...]
 
 
@@ -136,9 +142,12 @@ def evaluation_report(sched, inst: Instance) -> EvaluationReport:
     once, and both the validity check and the itineraries use that read.
     The schedule may be invalid; the report then carries valid=False and the
     ratio loses its guarantee (it is still computed when the bound is > 0).
-    ``bound_satisfied`` is None in three cases: a non-metric instance (the
-    lower bound needs the triangle inequality), a zero lower bound (no
-    ratio), and an n with no factor (n not a multiple of 4, or below 8).
+    ``bound_satisfied`` is None in three cases, and ``bound_reason`` then
+    names the first that applies: ``NO_FACTOR``, an n with no factor (n not
+    a multiple of 4, or below 8); ``ZERO_BOUND``, a zero lower bound (no
+    ratio); ``NOT_METRIC``, an instance that breaks the triangle inequality
+    (the lower bound needs it).  ``bound_reason`` is None when
+    ``bound_satisfied`` is a bool.
     A schedule that declares another team count, or one naming teams
     outside the instance, raises ValidationError, and so does a dict whose
     ``"flips"`` differs from the Type-2 count of its ``"levels"``.
@@ -174,14 +183,20 @@ def evaluation_report(sched, inst: Instance) -> EvaluationReport:
         xk_f: Optional[float] = float(xk)
     else:
         ours_f = xk_f = None
-    bound_ok = None
-    if ratio is not None and ours_f is not None and check_metric(inst).triangle_ok:
+    bound_ok = reason = None
+    if ours_f is None:
+        reason = NO_FACTOR
+    elif ratio is None:
+        reason = ZERO_BOUND
+    elif not check_metric(inst).triangle_ok:
+        reason = NOT_METRIC
+    else:
         bound_ok = ratio <= ours_f + BOUND_SLACK
     return EvaluationReport(
         n=n, total_travel=total, lower_bound=lb, ratio=ratio, flips=flips,
         flip_budget=budget, factor_ours=ours_f, factor_xiao_kou=xk_f,
         W_t=w_t, W_m=teams.weight, valid=valid, bound_satisfied=bound_ok,
-        per_team=per_team)
+        bound_reason=reason, per_team=per_team)
 
 
 def report_to_dict(report: EvaluationReport) -> dict:
@@ -198,6 +213,7 @@ def report_to_dict(report: EvaluationReport) -> dict:
         "W_m": report.W_m,
         "valid": report.valid,
         "bound_satisfied": report.bound_satisfied,
+        "bound_reason": report.bound_reason,
         "per_team": [{"team": it.team, "travel": it.travel} for it in report.per_team],
     }
 

@@ -18,7 +18,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Mapping, NamedTuple, Sequence
+from itertools import repeat
+from operator import itemgetter
+from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from .errors import SchedulingError
 
@@ -79,6 +81,22 @@ class Fixture(NamedTuple):
     home: int
 
 
+def _fixtures(pairs: Iterable[tuple[int, int]]) -> Iterator[Fixture]:
+    """``Fixture(away, home)`` for each pair.  A Fixture is a plain tuple
+    underneath, and ``Fixture.__new__`` builds it with ``tuple.__new__``;
+    calling that directly saves a Python call per fixture."""
+    return map(tuple.__new__, repeat(Fixture), pairs)
+
+
+# per type: getters of the away slots and of the home slots of the block's
+# fixtures, in day order, two fixtures a day
+_ROLES = {
+    btype: (itemgetter(*(away for day in days for away, _ in day)),
+            itemgetter(*(home for day in days for _, home in day)))
+    for btype, days in _LAYOUT.items()
+}
+
+
 def expand_block(sm: SuperMatch, pairs: Mapping[int, Sequence[int]] | Sequence[Sequence[int]]
                  ) -> tuple[tuple[Fixture, ...], ...]:
     """Expand one super-match into its days (4, or 6 for Type-3), each a
@@ -94,8 +112,9 @@ def expand_block(sm: SuperMatch, pairs: Mapping[int, Sequence[int]] | Sequence[S
     teams = (a[0], a[1], b[0], b[1])
     if len(set(teams)) != 4:
         raise SchedulingError(f"super-match pairs overlap: {a} vs {b}")
-    return tuple(tuple(Fixture(teams[away], teams[home]) for away, home in day)
-                 for day in _LAYOUT[sm.block_type])
+    aways, homes = _ROLES[sm.block_type]
+    fixtures = _fixtures(zip(aways(teams), homes(teams)))
+    return tuple(zip(fixtures, fixtures))   # consecutive fixtures pair up into days
 
 
 def block_travel(block_type: int, dists) -> float:

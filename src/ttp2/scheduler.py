@@ -252,6 +252,19 @@ def _relabel_map(final: LevelPlan, actual_pairs) -> dict[int, int]:
     return sigma
 
 
+def _relabel_level(lp: LevelPlan, sigma: dict[int, int]) -> LevelPlan:
+    """``lp`` with its slots relabeled to pair indices and its matches in
+    ``key`` order.  Each pair plays once per level, so sorting by the lower
+    pair alone gives that order."""
+    rows = []
+    for sm in lp.super_matches:
+        a, b = sigma[sm.a_pair], sigma[sm.b_pair]
+        rows.append((min(a, b), a, b, sm.block_type))
+    rows.sort()
+    return LevelPlan(round=lp.round, level=lp.level, super_matches=tuple(
+        SuperMatch(a_pair=a, b_pair=b, block_type=btype) for _, a, b, btype in rows))
+
+
 def check_team_count(n: int) -> None:
     """Refuse team counts ``build_schedule`` does not support: multiples of
     4 from 8 up to the team matching's vertex limit."""
@@ -279,12 +292,7 @@ def build_schedule(inst: Instance) -> Schedule:
     super_pairs = super_pair_matching(build_super_graph(inst, teams))
     plans = _template(n // 2)
     sigma = _relabel_map(plans[-1], super_pairs.pairs)
-    levels = tuple(
-        LevelPlan(round=lp.round, level=lp.level, super_matches=tuple(sorted(
-            (SuperMatch(a_pair=sigma[sm.a_pair], b_pair=sigma[sm.b_pair],
-                        block_type=sm.block_type) for sm in lp.super_matches),
-            key=lambda s: s.key)))
-        for lp in plans)
+    levels = tuple(_relabel_level(lp, sigma) for lp in plans)
     days = tuple(tuple(itertools.chain.from_iterable(games))
                  for lp in levels
                  for games in zip(*(expand_block(sm, teams.pairs) for sm in lp.super_matches)))

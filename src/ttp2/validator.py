@@ -7,15 +7,23 @@ each into one normal form (``schedule_array``), and re-derives every verdict
 from the fixtures alone.  All violations are reported, not just the first.
 Travel evaluation in ``analysis`` reads schedules through the same normal
 form.
+
+``Fixture`` days holding plain ints, which is what ``build_schedule``,
+``schedule_from_dict`` and ``parse_day_list`` produce, are read into the
+normal form without a per-fixture Python call.  Every other form (plain
+``(away, home)`` pairs, dict fixtures, generators, other team types) is
+read fixture by fixture, with the same result and the same errors.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 from typing import Optional
 
 import numpy as np
 
+from .blocks import Fixture, _fixtures
 from .errors import ValidationError
 
 C1 = "C1_double_round_robin"
@@ -75,6 +83,25 @@ def _fixture_ends(fx) -> tuple[int, int]:
         raise ValidationError(f"malformed fixture {fx!r}") from None
 
 
+def _fixture_teams(days) -> tuple[list[int], list[int]]:
+    """Both teams of every fixture, away first, flattened in input order,
+    and the number of fixtures on each day.
+
+    A list or tuple of list or tuple days whose fixtures are all ``Fixture``
+    values of plain ints is flattened by C-level iteration.  Anything else,
+    a generator of days included, is read once, fixture by fixture, through
+    ``_fixture_ends``.
+    """
+    if type(days) in (list, tuple) and set(map(type, days)) <= {list, tuple}:
+        fixtures = list(chain.from_iterable(days))
+        if set(map(type, fixtures)) <= {Fixture}:
+            teams = list(chain.from_iterable(fixtures))
+            if set(map(type, teams)) <= {int}:
+                return teams, list(map(len, days))
+    ends = [[_fixture_ends(fx) for fx in day] for day in days]
+    return [t for day in ends for fx in day for t in fx], [len(day) for day in ends]
+
+
 def schedule_array(sched, n: Optional[int] = None) -> ScheduleArray:
     """Read any accepted schedule form into its normal form.
 
@@ -102,12 +129,13 @@ def schedule_array(sched, n: Optional[int] = None) -> ScheduleArray:
         raise ValidationError(f"schedule n={declared} does not match the expected n={n}")
     if days is None:
         return sched
-    ends = [[_fixture_ends(fx) for fx in day] for day in days]
+    teams, counts = _fixture_teams(days)
     try:
-        flat = np.array([e for day in ends for e in day], dtype=np.int64).reshape(-1, 2)
+        flat = np.fromiter(teams, np.int64, len(teams)).reshape(-1, 2)
     except OverflowError:
         raise ValidationError("team index out of range") from None
-    day = np.repeat(np.arange(len(ends)), [len(d) for d in ends])
+    num_days = len(counts)
+    day = np.repeat(np.arange(num_days), counts)
     if n is None:
         n = declared
     if n is None:
@@ -128,21 +156,22 @@ def schedule_array(sched, n: Optional[int] = None) -> ScheduleArray:
 
     # both ends of every fixture in input order, away end first
     key = np.repeat(day, 2) * n + flat.ravel()
-    size = len(ends) * n
+    size = num_days * n
     _, first = np.unique(key, return_index=True)
     opponent = np.full(size, -1, dtype=np.int64)
     opponent[key[first]] = flat[:, ::-1].ravel()[first]
     at_home = np.zeros(size, dtype=bool)
     at_home[key[first]] = first % 2 == 1
-    shape = (len(ends), n)
+    shape = (num_days, n)
     return ScheduleArray(n=n, day=day, away=away, home=home,
                          opponent=opponent.reshape(shape), at_home=at_home.reshape(shape),
                          games=np.bincount(key, minlength=size).reshape(shape))
 
 
-def parse_day_list(text: str) -> list[list[tuple[int, int]]]:
+def parse_day_list(text: str) -> list[list[Fixture]]:
     """Parse the plain-text day format: lines of 'day k: a@h a@h ...'
-    (the 'day k:' prefix is optional; teams are 0-based integers)."""
+    (the 'day k:' prefix is optional; teams are 0-based integers) into
+    days of ``Fixture`` values."""
     days = []
     for raw in text.splitlines():
         line = raw.strip()
@@ -161,7 +190,7 @@ def parse_day_list(text: str) -> list[list[tuple[int, int]]]:
                 games.append((int(away), int(home)))
             except ValueError:
                 raise ValidationError(f"non-integer team in token {token!r}") from None
-        days.append(games)
+        days.append(list(_fixtures(games)))
     return days
 
 

@@ -31,6 +31,8 @@ from ttp2 import (
     team_itinerary,
     total_travel,
 )
+from ttp2 import analysis
+from ttp2.analysis import NO_FACTOR, NOT_METRIC, ZERO_BOUND
 from helpers import day_list_text
 from reference import sample_valid_schedules
 
@@ -211,6 +213,7 @@ def test_evaluation_report_constructed_schedule():
     assert rep.ratio == pytest.approx(rep.total_travel / rep.lower_bound)
     assert rep.ratio <= rep.factor_ours + 1e-9
     assert rep.bound_satisfied is True
+    assert rep.bound_reason is None
     assert rep.flip_budget == 4.0
     assert len(rep.per_team) == 16
 
@@ -223,6 +226,7 @@ def test_evaluation_report_zero_matrix():
     assert rep.lower_bound == 0.0
     assert rep.ratio is None
     assert rep.bound_satisfied is None
+    assert rep.bound_reason == ZERO_BOUND
     assert rep.valid is True
 
 
@@ -236,6 +240,7 @@ def test_evaluation_report_sampled_n6():
     assert rep.factor_ours is None
     assert rep.factor_xiao_kou is None
     assert rep.bound_satisfied is None
+    assert rep.bound_reason == NO_FACTOR
     assert rep.ratio is not None and rep.ratio >= 1.0 - 1e-12
 
 
@@ -283,7 +288,30 @@ def test_evaluation_report_no_bound_claim_on_non_metric_instance():
     assert rep.valid is True
     assert rep.ratio is not None
     assert rep.bound_satisfied is None
+    assert rep.bound_reason == NOT_METRIC
+    assert report_to_dict(rep)["bound_reason"] == NOT_METRIC
     assert evaluation_report(build_schedule(inst), inst).bound_satisfied is True
+
+
+def test_bound_reason_names_the_first_case_and_checks_metric_only_last(monkeypatch):
+    checked = []
+
+    def counting_check_metric(inst):
+        checked.append(inst.n)
+        return check_metric(inst)
+
+    check_metric = analysis.check_metric
+    monkeypatch.setattr(analysis, "check_metric", counting_check_metric)
+    # n=6 with all distances zero: no factor and a zero bound; no factor wins
+    zero6 = Instance(n=6, dist=np.zeros((6, 6)))
+    sched, _ = sample_valid_schedules(zero6, count=1, seed=0)[0]
+    assert evaluation_report(sched, zero6).bound_reason == NO_FACTOR
+    zero8 = Instance(n=8, dist=np.zeros((8, 8)))
+    assert evaluation_report(build_schedule(zero8), zero8).bound_reason == ZERO_BOUND
+    assert checked == []
+    inst = generate_instance(8, kind="euclidean", seed=3)
+    assert evaluation_report(build_schedule(inst), inst).bound_reason is None
+    assert checked == [8]
 
 
 def test_report_json_round_trip():
@@ -292,6 +320,7 @@ def test_report_json_round_trip():
     obj = json.loads(report_to_json(evaluation_report(s, inst)))
     assert obj["n"] == 8
     assert obj["valid"] is True
+    assert obj["bound_satisfied"] is True and obj["bound_reason"] is None
     assert len(obj["per_team"]) == 8
     assert obj["ratio"] == pytest.approx(obj["total_travel"] / obj["lower_bound"])
 

@@ -1,15 +1,22 @@
 """Feasibility checker: clean passes, surgical mutations, input formats."""
 
+import numpy as np
 import pytest
 
 from ttp2 import (
+    Fixture,
     ValidationError,
     build_schedule,
     generate_instance,
     parse_day_list,
+    schedule_from_dict,
+    schedule_to_dict,
     validate_schedule,
 )
-from ttp2.validator import C1, C2, C4, S_DAY_COUNT, S_ONE_GAME
+from ttp2 import validator
+from ttp2.validator import C1, C2, C4, S_DAY_COUNT, S_ONE_GAME, schedule_array
+
+from helpers import day_list_text
 
 from reference import brute_force_optimal, sample_valid_schedules
 
@@ -131,6 +138,7 @@ def test_parse_day_list_formats():
     """
     days = parse_day_list(text)
     assert days == [[(0, 1), (2, 3)], [(1, 0), (3, 2)]]
+    assert {type(f) for day in days for f in day} == {Fixture}
 
 
 def test_parse_day_list_without_prefix():
@@ -200,3 +208,108 @@ def test_empty_schedule_needs_n():
 def test_malformed_fixture_raises():
     with pytest.raises(ValidationError, match="malformed fixture"):
         validate_schedule([[("x", None)]], n=4)
+
+
+# --- one reading for every form -------------------------------------------------
+#
+# Lists and tuples of Fixture days holding plain ints are read without a
+# per-fixture call; every other form is read fixture by fixture.  Both
+# readings must give the same normal form and the same errors.
+
+
+def _read(sched, n=None):
+    """schedule_array's fields as lists, or its ValidationError message."""
+    try:
+        g = schedule_array(sched, n)
+    except ValidationError as exc:
+        return str(exc)
+    return (g.n, g.day.tolist(), g.away.tolist(), g.home.tolist(),
+            g.opponent.tolist(), g.at_home.tolist(), g.games.tolist())
+
+
+def _pair(away, home):
+    return (away, home)
+
+
+def _forms(days):
+    """``days`` (lists of (away, home)) as Fixture tuples, Fixture lists,
+    plain pairs, and generators of Fixture days and of pair days."""
+    fixtures = tuple(tuple(Fixture(a, h) for a, h in day) for day in days)
+    pairs = [[(a, h) for a, h in day] for day in days]
+    return {"fixture tuples": fixtures,
+            "fixture lists": [list(day) for day in fixtures],
+            "pairs": pairs,
+            "fixture generator": (day for day in fixtures),
+            "pair generator": (day for day in pairs)}
+
+
+def _mutated(clean8, mutation):
+    days = [list(day) for day in clean8]
+    a, h = days[0][0]
+    if mutation == "venue_swap":
+        days[0][0] = (h, a)
+    elif mutation == "ragged":
+        del days[3][1]
+    elif mutation == "empty_day":
+        days[5] = []
+    elif mutation == "self_play":
+        days[2][1] = (a, a)
+    elif mutation == "out_of_range":
+        days[4][0] = (a, 9)
+    elif mutation == "negative":
+        days[4][0] = (-1, h)
+    elif mutation == "huge":
+        days[1][0] = (2 ** 70, h)
+    return days
+
+
+@pytest.mark.parametrize("n", [None, 8, 10])
+@pytest.mark.parametrize("mutation", ["none", "venue_swap", "ragged", "empty_day", "self_play",
+                                      "out_of_range", "negative", "huge"])
+def test_every_form_reads_alike(clean8, mutation, n):
+    days = _mutated(clean8, mutation)
+    reads = {name: _read(form, n) for name, form in _forms(days).items()}
+    assert len(set(map(repr, reads.values()))) == 1, reads
+    if mutation == "huge":
+        assert reads["fixture tuples"] == "team index out of range"
+
+
+# team entries other than plain ints, and what int() makes of them
+ODD_TEAMS = [("3", 3), (" 3", 3), (1.7, 1), (True, 1), (np.int64(3), 3), (np.int32(1), 1),
+             ("1.5", "malformed"), (float("nan"), "malformed"),
+             (1e20, "team index out of range"), (2 ** 70, "team index out of range")]
+
+
+@pytest.mark.parametrize("make", [Fixture, _pair], ids=["Fixture", "pair"])
+@pytest.mark.parametrize("entry,read_as", ODD_TEAMS, ids=repr)
+def test_odd_team_entries_read_as_int_reads_them(clean8, entry, read_as, make):
+    days = [[make(a, h) for a, h in day] for day in clean8]
+    if isinstance(read_as, int):
+        d, f = next((d, f) for d, day in enumerate(clean8)
+                    for f, (a, _) in enumerate(day) if a == read_as)
+        expected = _read(days)
+    else:
+        d, f = 0, 0
+        expected = read_as
+    days[d][f] = make(entry, clean8[d][f][1])
+    if expected == "malformed":
+        expected = f"malformed fixture {days[d][f]!r}"
+    assert _read(days) == expected
+    assert _read(day for day in days) == expected
+
+
+def test_fixture_days_skip_the_per_fixture_reader(clean8, monkeypatch):
+    s = build_schedule(generate_instance(8, kind="euclidean", seed=0))
+    forms = [s, s.days, schedule_from_dict(schedule_to_dict(s)),
+             parse_day_list(day_list_text(s.days)), day_list_text(s.days)]
+    expected = _read(clean8)
+    bad = _mutated(clean8, "self_play")
+    bad_fixtures = [[Fixture(a, h) for a, h in day] for day in bad]
+    bad_expected = _read(bad)
+
+    def per_fixture(fx):
+        raise AssertionError(f"per-fixture reader called on {fx!r}")
+
+    monkeypatch.setattr(validator, "_fixture_ends", per_fixture)
+    assert all(_read(form) == expected for form in forms)
+    assert _read(bad_fixtures) == bad_expected
