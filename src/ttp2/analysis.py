@@ -19,7 +19,7 @@ import numpy as np
 from .errors import TTP2Error, ValidationError
 from .instance import Instance, check_metric
 from .matching import PairMatching, min_weight_perfect_matching
-from .validator import schedule_array, validate_schedule
+from .validator import _validate, schedule_array
 
 BOUND_SLACK = 1e-9   # floating slack when checking the ratio bound
 
@@ -158,7 +158,7 @@ def evaluation_report(sched, inst: Instance) -> EvaluationReport:
     """
     n = inst.n
     g = schedule_array(sched, n)
-    valid = not validate_schedule(g).violations
+    valid = not _validate(g, sched).violations
     teams = min_weight_perfect_matching(inst.dist)
     per_team = tuple(_itineraries(g, inst))
     total = math.fsum(it.travel for it in per_team)

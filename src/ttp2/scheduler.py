@@ -9,8 +9,9 @@ Construction outline for n teams (4 | n, n >= 8), m = n/2 pairs:
    round robin on pairs whose final level is exactly the N_i pairing.
 3. 2-color the pairs A/B per level.  Every super-match must pair an A with
    a B; a Type-2 block swaps both participants' colors for the next level.
-   A forward DP over colorings picks flip sets per level that keep every
-   level properly colored with the fewest total flips.
+   An explicit per-group rule, applied as the levels are planned, picks the
+   flip set of each level; it stays within ceil(F_n) flips for every
+   supported n.
 4. Expand levels to fixtures: level k starts on day 4k; non-final levels
    are 4-day blocks, the final level is the 6-day block with the intra-pair
    games.  Day count is 4(m-2) + 6 = 2n-2.
@@ -23,7 +24,7 @@ import json
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Optional, Sequence
+from typing import Optional
 
 from .analysis import flip_budget
 from .blocks import Fixture, SuperMatch, expand_block
@@ -77,26 +78,38 @@ class Schedule:
 # The last level produced this way is a perfect matching (the template's
 # natural super-pairing); every other pair of slots meets exactly once
 # earlier, so the sequence is a single round robin.
+#
+# Each level also carries its flipped (Type-2) matches, which keep every
+# level A-vs-B when X starts as A.  On the last bipartite level (shift q-1
+# or q-2), X's odd positions flip, so for q even both split halves again
+# start with X as A.  For q odd, circle level 0 flips every match inside Y,
+# levels 1..q-2 flip their cross pair, and the last flips nothing.
 
-def _group_levels(X: list[int], Y: list[int]) -> list[list[tuple[int, int]]]:
+def _group_levels(X: list[int], Y: list[int]
+                  ) -> list[tuple[list[tuple[int, int]], list[tuple[int, int]]]]:
+    """The group's levels, each as (matches, flipped matches)."""
     q = len(X)
+    levels = [([(X[k], Y[(k + shift) % q]) for k in range(q)], [])
+              for shift in range(q if q % 2 == 0 else q - 1)]
+    if levels:   # the last bipartite level flips X's odd positions
+        matches, _ = levels[-1]
+        levels[-1] = (matches, matches[1::2])
     if q % 2 == 0:
-        levels = [[(X[k], Y[(k + shift) % q]) for k in range(q)] for shift in range(q)]
         partner = {X[k]: Y[(k + q - 1) % q] for k in range(q)}
         sub1 = _group_levels(X[0::2], X[1::2])
         sub2 = _group_levels([partner[x] for x in X[1::2]],
                              [partner[x] for x in X[0::2]])
-        for l1, l2 in zip(sub1, sub2):
-            levels.append(l1 + l2)
+        for (l1, f1), (l2, f2) in zip(sub1, sub2):
+            levels.append((l1 + l2, f1 + f2))
         return levels
-    levels = [[(X[k], Y[(k + shift) % q]) for k in range(q)] for shift in range(q - 1)]
     for j in range(q):
         r = (j - 1) % q
         rp = (r + q - 1) % q
-        level = [(X[(r + i) % q], X[(r - i) % q]) for i in range(1, (q - 1) // 2 + 1)]
-        level += [(Y[(rp + i) % q], Y[(rp - i) % q]) for i in range(1, (q - 1) // 2 + 1)]
-        level.append((X[r], Y[rp]))
-        levels.append(level)
+        xs = [(X[(r + i) % q], X[(r - i) % q]) for i in range(1, (q - 1) // 2 + 1)]
+        ys = [(Y[(rp + i) % q], Y[(rp - i) % q]) for i in range(1, (q - 1) // 2 + 1)]
+        cross = (X[r], Y[rp])
+        flipped = ys if j == 0 else [cross] if j < q - 1 else []
+        levels.append((xs + ys + [cross], flipped))
     return levels
 
 
@@ -121,120 +134,39 @@ def _canon_level(level) -> tuple[tuple[int, int], ...]:
     return tuple(sorted((min(i, j), max(i, j)) for i, j in level))
 
 
-# --- flip assignment --------------------------------------------------------
-
-def _transition_choices(level_k, level_next, coloring: int):
-    """Per-cycle flip options turning a proper coloring of level_k into a
-    proper coloring of level_next.
-
-    The union of two perfect matchings splits into alternating cycles; in
-    each cycle the flip indicators of the level_k edges are chained by XOR
-    constraints, leaving exactly two complementary solutions per cycle.
-    """
-    pk: dict[int, int] = {}
-    for i, j in level_k:
-        pk[i] = j
-        pk[j] = i
-    pn: dict[int, int] = {}
-    for i, j in level_next:
-        pn[i] = j
-        pn[j] = i
-    seen: set[int] = set()
-    cycles = []
-    for start in sorted(pk):
-        if start in seen:
-            continue
-        ones: list[tuple[int, int]] = []   # edges flipped in the x(start)=0 solution
-        zeros: list[tuple[int, int]] = []  # its complement within the cycle
-        v, x = start, 0
-        while True:
-            u = pk[v]
-            seen.add(v)
-            seen.add(u)
-            (ones if x else zeros).append((v, u) if v < u else (u, v))
-            w = pn[u]
-            same = ((coloring >> u) & 1) == ((coloring >> w) & 1)
-            if w == start:
-                if x ^ (1 if same else 0):
-                    raise SchedulingError("internal: flip parity violated")
-                break
-            x ^= 1 if same else 0
-            v = w
-        cycles.append((tuple(sorted(ones)), tuple(sorted(zeros))))
-    return cycles
-
-
-def _apply_flips(coloring: int, flips) -> int:
-    for i, j in flips:
-        coloring ^= (1 << i) | (1 << j)
-    return coloring
-
-
-def _min_flip_plan(levels: Sequence[tuple[tuple[int, int], ...]], c0: int,
-                   budget: int) -> tuple[tuple[tuple[tuple[int, int], ...], ...], list[int]]:
-    """Forward DP over colorings; returns (flip set per non-final level,
-    coloring entering each level).  Ties between equal-flip plans resolve to
-    the lexicographically larger flip-edge path, which keeps the smallest
-    matches unflipped."""
-    for i, j in levels[0]:
-        if ((c0 >> i) & 1) == ((c0 >> j) & 1):
-            raise SchedulingError(f"initial roles do not 2-color level 1 pair ({i}, {j})")
-    states: dict[int, tuple[int, tuple]] = {c0: (0, ())}
-    for k in range(len(levels) - 1):
-        nxt: dict[int, tuple[int, tuple]] = {}
-        for coloring, (cost, path) in sorted(states.items()):
-            cycles = _transition_choices(levels[k], levels[k + 1], coloring)
-            for choice in itertools.product(*cycles):
-                flips = tuple(sorted(e for part in choice for e in part))
-                new_cost = cost + len(flips)
-                if new_cost > budget:
-                    continue
-                new_col = _apply_flips(coloring, flips)
-                new_path = path + (flips,)
-                held = nxt.get(new_col)
-                if held is None or new_cost < held[0] or \
-                        (new_cost == held[0] and new_path > held[1]):
-                    nxt[new_col] = (new_cost, new_path)
-        if not nxt:
-            raise SchedulingError(
-                f"no flip assignment within budget {budget} at level {k + 2}; "
-                f"levels={list(levels)}")
-        states = nxt
-    best: Optional[tuple[int, tuple]] = None
-    for _, (cost, path) in sorted(states.items()):
-        if best is None or cost < best[0] or (cost == best[0] and path > best[1]):
-            best = (cost, path)
-    best_path = best[1]
-    colorings = [c0]
-    for flips in best_path:
-        colorings.append(_apply_flips(colorings[-1], flips))
-    return best_path, colorings
-
-
 @lru_cache(maxsize=None)
 def _template(m: int) -> tuple[LevelPlan, ...]:
     """Instance-independent per-size plan on slots 0..m-1: m-1 labeled
     levels of typed, oriented SuperMatch(a_slot, b_slot, type), the last of
-    which pairs the slots as the template's super-pairing.  The flip plan
-    types them: a set bit in the entering coloring marks the A side, a
-    flipped match is Type-2, the last level is Type-3, and every other
-    match is Type-1."""
-    levels = tuple(_canon_level(lv) for lv in
-                   _group_levels(list(range(0, m, 2)), list(range(1, m, 2))))
+    which pairs the slots as the template's super-pairing.  Even slots start
+    as A, and each level's flips swap the roles of their two slots for the
+    next level: a match is oriented A first, a flipped match is Type-2, the
+    last level is Type-3, and every other match is Type-1.  Raises
+    SchedulingError when the flips exceed ceil(F_n)."""
+    levels = _group_levels(list(range(0, m, 2)), list(range(1, m, 2)))
     if len(levels) != m - 1:
         raise SchedulingError(f"internal: produced {len(levels)} levels for m={m}")
     n = 2 * m
-    c0 = sum(1 << s for s in range(0, m, 2))
+    total = sum(len(flipped) for _, flipped in levels)
     budget = math.ceil(flip_budget(n))
-    flips, colorings = _min_flip_plan(levels, c0, budget)
+    if total > budget:
+        raise SchedulingError(f"n={n}: the flip rule needs {total} flips, "
+                              f"over the budget ceil(F_n) = {budget}")
+    is_a = [s % 2 == 0 for s in range(m)]
     last = len(levels) - 1
     plans = []
-    for k, ((r, l), level) in enumerate(zip(_round_labels(n), levels)):
+    for k, ((r, l), (level, flipped)) in enumerate(zip(_round_labels(n), levels)):
+        flipped = _canon_level(flipped)
         matches = []
-        for i, j in level:
-            a, b = (i, j) if (colorings[k] >> i) & 1 else (j, i)
-            btype = 3 if k == last else (2 if (i, j) in flips[k] else 1)
+        for i, j in _canon_level(level):
+            if is_a[i] == is_a[j]:
+                raise SchedulingError(
+                    f"internal: level {k + 1} pairs slots {i} and {j} on the same side")
+            a, b = (i, j) if is_a[i] else (j, i)
+            btype = 3 if k == last else (2 if (i, j) in flipped else 1)
             matches.append(SuperMatch(a_pair=a, b_pair=b, block_type=btype))
+        for i, j in flipped:
+            is_a[i], is_a[j] = is_a[j], is_a[i]
         plans.append(LevelPlan(round=r, level=l, super_matches=tuple(matches)))
     return tuple(plans)
 

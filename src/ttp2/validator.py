@@ -4,9 +4,10 @@ home-stand/away-trip cap 2.
 The checker is deliberately independent of the construction code: it accepts
 raw day lists, parsed JSON objects, day-list text or Schedule values, reads
 each into one normal form (``schedule_array``), and re-derives every verdict
-from the fixtures alone.  All violations are reported, not just the first.
-Travel evaluation in ``analysis`` reads schedules through the same normal
-form.
+from the fixtures alone.  A schedule that also stores typed levels and team
+pairs has each stored block type checked against its days.  All violations
+are reported, not just the first.  Travel evaluation in ``analysis`` reads
+schedules through the same normal form.
 
 ``Fixture`` days holding plain ints, which is what ``build_schedule``,
 ``schedule_from_dict`` and ``parse_day_list`` produce, are read into the
@@ -31,6 +32,7 @@ C2 = "C2_repeater"
 C4 = "C4_max_run"
 S_DAY_COUNT = "structural_day_count"
 S_ONE_GAME = "structural_one_game_per_day"
+S_BLOCK_TYPE = "structural_block_type"
 
 
 @dataclass(frozen=True)
@@ -194,14 +196,77 @@ def parse_day_list(text: str) -> list[list[Fixture]]:
     return days
 
 
+def _stored_blocks(sched):
+    """The typed levels, as (a_pair, b_pair, type) triples, and the team
+    pairs of a ``Schedule`` or ``schedule_to_dict`` dict that stores both;
+    None for any other input."""
+    if isinstance(sched, dict):
+        levels, pairs = sched.get("levels"), sched.get("team_pairs")
+        if not levels or not pairs:
+            return None
+        try:
+            return ([[(int(b["a_pair"]), int(b["b_pair"]), int(b["type"])) for b in lv["blocks"]]
+                     for lv in levels], [tuple(map(int, p)) for p in pairs["pairs"]])
+        except (KeyError, TypeError, ValueError) as exc:
+            raise ValidationError(f"malformed levels or team pairs: {exc!r}") from None
+    levels, pairs = getattr(sched, "levels", None), getattr(sched, "team_pairs", None)
+    if not levels or pairs is None:
+        return None
+    return ([[(sm.a_pair, sm.b_pair, sm.block_type) for sm in lp.super_matches]
+             for lp in levels], pairs.pairs)
+
+
+def _block_type_violations(g: ScheduleArray, levels, pairs) -> list[Violation]:
+    """Stored block types that contradict the level structure or the days.
+
+    Every level but the last holds Type-1 or Type-2 blocks, the last only
+    Type-3.  Level k starts on day 4k, and on its second day, 4k+1, the A
+    pair's lower team plays away in a Type-1 block and at home in a Type-2
+    block (``blocks._LAYOUT``).  Levels past the last day are not checked
+    against days; the day count check reports those schedules.
+    """
+    out = []
+    lower = [min(p, default=-1) for p in pairs]
+    last = len(levels) - 1
+    for k, level in enumerate(levels):
+        allowed = (3,) if k == last else (1, 2)
+        d = 4 * k + 1
+        # who is at home on the level's second day, for non-final levels
+        home = g.at_home[d].tolist() if k < last and d < len(g.at_home) else None
+        for a, b, btype in level:
+            if btype not in allowed:
+                out.append(Violation(
+                    constraint=S_BLOCK_TYPE, day=None, teams=(),
+                    detail=f"level {k + 1} block of pairs {a} and {b} has type {btype}, "
+                           f"expected {' or '.join(map(str, allowed))}"))
+            elif home is not None:
+                t = lower[a] if 0 <= a < len(lower) else -1
+                if not 0 <= t < g.n:
+                    out.append(Violation(
+                        constraint=S_BLOCK_TYPE, day=None, teams=(),
+                        detail=f"level {k + 1} names pair {a}, which has no team in 0..{g.n - 1}"))
+                elif home[t] != (btype == 2):
+                    out.append(Violation(
+                        constraint=S_BLOCK_TYPE, day=d, teams=(t,),
+                        detail=f"team {t} of A pair {a} plays {'at home' if home[t] else 'away'} "
+                               f"on day {d}, but its level-{k + 1} block is stored as Type-{btype}"))
+    return out
+
+
 def validate_schedule(sched, n: Optional[int] = None) -> ViolationReport:
     """Check structure plus the three feasibility constraints.
 
     ``sched`` is any form ``schedule_array`` reads.  Malformed input (team
     out of range, team playing itself) raises; rule violations are
-    collected into the report.
+    collected into the report.  A ``Schedule`` or dict that stores typed
+    levels and team pairs also has its block types checked against its
+    days.
     """
-    g = schedule_array(sched, n)
+    return _validate(schedule_array(sched, n), sched)
+
+
+def _validate(g: ScheduleArray, sched) -> ViolationReport:
+    """``validate_schedule`` on ``g``, already read from ``sched``."""
     n = g.n
     num_days = g.games.shape[0]
     violations: list[Violation] = []
@@ -246,4 +311,7 @@ def validate_schedule(sched, n: Optional[int] = None) -> ViolationReport:
         violations.append(Violation(
             constraint=C4, day=k + 2, teams=(t,),
             detail=f"team {t} has 3 consecutive {kind} games ending day {k + 2}"))
+    stored = _stored_blocks(sched)
+    if stored is not None:
+        violations += _block_type_violations(g, *stored)
     return ViolationReport(violations=tuple(violations))

@@ -4,7 +4,10 @@ Nothing here shares logic with the constructor: day slates are enumerated
 directly and feasibility is enforced game by game, so agreement between
 these searches and the scheduler is meaningful evidence.  The two matching
 references, full enumeration and subset dynamic programming, share only
-input validation with the blossom solver in ``ttp2.matching``.
+input validation with the blossom solver in ``ttp2.matching``.  The flip DP
+(``min_flip_plan``) searches every A/B coloring of a level sequence for the
+fewest flips; the scheduler's explicit per-group flip rule is compared
+against it.
 """
 
 from __future__ import annotations
@@ -13,12 +16,12 @@ import itertools
 import math
 import random
 from dataclasses import dataclass
-from typing import Optional
+from typing import Optional, Sequence
 
 import numpy as np
 
 from ttp2 import (Fixture, Instance, MatchingError, PairMatching, Schedule,
-                  TTP2Error, total_travel)
+                  SchedulingError, TTP2Error, total_travel)
 from ttp2.matching import _validated_weights
 
 BRUTE_FORCE_MATCHING_MAX = 12
@@ -273,3 +276,91 @@ def dp_matching(weights) -> PairMatching:
             raise MatchingError("internal: dp reconstruction failed")
     weight = math.fsum(float(w[i, j]) for i, j in pairs)
     return PairMatching(pairs=tuple(pairs), weight=weight)
+
+
+def transition_choices(level_k, level_next, coloring: int):
+    """Per-cycle flip options turning a proper coloring of level_k into a
+    proper coloring of level_next.
+
+    The union of two perfect matchings splits into alternating cycles; in
+    each cycle the flip indicators of the level_k edges are chained by XOR
+    constraints, leaving exactly two complementary solutions per cycle.
+    """
+    pk: dict[int, int] = {}
+    for i, j in level_k:
+        pk[i] = j
+        pk[j] = i
+    pn: dict[int, int] = {}
+    for i, j in level_next:
+        pn[i] = j
+        pn[j] = i
+    seen: set[int] = set()
+    cycles = []
+    for start in sorted(pk):
+        if start in seen:
+            continue
+        ones: list[tuple[int, int]] = []   # edges flipped in the x(start)=0 solution
+        zeros: list[tuple[int, int]] = []  # its complement within the cycle
+        v, x = start, 0
+        while True:
+            u = pk[v]
+            seen.add(v)
+            seen.add(u)
+            (ones if x else zeros).append((v, u) if v < u else (u, v))
+            w = pn[u]
+            same = ((coloring >> u) & 1) == ((coloring >> w) & 1)
+            if w == start:
+                if x ^ (1 if same else 0):
+                    raise SchedulingError("internal: flip parity violated")
+                break
+            x ^= 1 if same else 0
+            v = w
+        cycles.append((tuple(sorted(ones)), tuple(sorted(zeros))))
+    return cycles
+
+
+def apply_flips(coloring: int, flips) -> int:
+    for i, j in flips:
+        coloring ^= (1 << i) | (1 << j)
+    return coloring
+
+
+def min_flip_plan(levels: Sequence[tuple[tuple[int, int], ...]], c0: int,
+                   budget: int) -> tuple[tuple[tuple[tuple[int, int], ...], ...], list[int]]:
+    """Forward DP over colorings; returns (flip set per non-final level,
+    coloring entering each level).  Ties between equal-flip plans resolve to
+    the lexicographically larger flip-edge path, which keeps the smallest
+    matches unflipped."""
+    for i, j in levels[0]:
+        if ((c0 >> i) & 1) == ((c0 >> j) & 1):
+            raise SchedulingError(f"initial roles do not 2-color level 1 pair ({i}, {j})")
+    states: dict[int, tuple[int, tuple]] = {c0: (0, ())}
+    for k in range(len(levels) - 1):
+        nxt: dict[int, tuple[int, tuple]] = {}
+        for coloring, (cost, path) in sorted(states.items()):
+            cycles = transition_choices(levels[k], levels[k + 1], coloring)
+            for choice in itertools.product(*cycles):
+                flips = tuple(sorted(e for part in choice for e in part))
+                new_cost = cost + len(flips)
+                if new_cost > budget:
+                    continue
+                new_col = apply_flips(coloring, flips)
+                new_path = path + (flips,)
+                held = nxt.get(new_col)
+                if held is None or new_cost < held[0] or \
+                        (new_cost == held[0] and new_path > held[1]):
+                    nxt[new_col] = (new_cost, new_path)
+        if not nxt:
+            raise SchedulingError(
+                f"no flip assignment within budget {budget} at level {k + 2}; "
+                f"levels={list(levels)}")
+        states = nxt
+    best: Optional[tuple[int, tuple]] = None
+    for _, (cost, path) in sorted(states.items()):
+        if best is None or cost < best[0] or (cost == best[0] and path > best[1]):
+            best = (cost, path)
+    best_path = best[1]
+    colorings = [c0]
+    for flips in best_path:
+        colorings.append(apply_flips(colorings[-1], flips))
+    return best_path, colorings

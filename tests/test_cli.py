@@ -354,6 +354,25 @@ def test_stored_flips_must_match_the_levels(sched_12_and_inst, capsys, command):
     assert "stored flips 0" in err and "3 Type-2 blocks" in err
 
 
+@pytest.mark.parametrize("command", ["validate", "evaluate"])
+def test_stored_block_types_must_match_the_days(sched_12_and_inst, capsys, command):
+    # retyping every Type-2 block to 1 keeps the file consistent with
+    # itself, but not with its days
+    obj, sched_path, inst_path = sched_12_and_inst
+    for level in obj["levels"]:
+        for block in level["blocks"]:
+            if block["type"] == 2:
+                block["type"] = 1
+    obj["flips"] = 0
+    sched_path.write_text(json.dumps(obj))
+    code, out, _ = run(capsys, command, "-i", str(sched_path), "-d", str(inst_path))
+    assert code == 3
+    if command == "validate":
+        lines = out.splitlines()
+        assert sum(line.startswith("structural_block_type:") for line in lines) == 3
+        assert lines[-1] == "3 violation(s)"
+
+
 def test_flips_are_counted_from_the_levels(sched_12_and_inst, capsys):
     obj, sched_path, inst_path = sched_12_and_inst
     del obj["flips"]

@@ -15,9 +15,10 @@ from ttp2 import (
     schedule_from_json,
     schedule_to_json,
 )
-from ttp2.scheduler import _min_flip_plan
+from ttp2.scheduler import _template
 
 from helpers import pair_cluster_instance
+from reference import min_flip_plan
 
 
 # --- worked examples, matched exactly ---------------------------------------
@@ -128,7 +129,7 @@ PLAN_8 = [((0, 1), (2, 3)), ((0, 2), (1, 3)), ((0, 3), (1, 2))]
 def test_min_flip_plan_over_budget():
     # with pairs 0 and 2 starting as A there is no plan within one flip ...
     with pytest.raises(SchedulingError, match="no flip assignment within budget 1 at level 3"):
-        _min_flip_plan(PLAN_8, 0b0101, 1)
+        min_flip_plan(PLAN_8, 0b0101, 1)
     # ... while the full construction still handles the same final pairing
     s = build_schedule(pair_cluster_instance(8, [(0, 3), (1, 2)]))
     assert s.flips == 1
@@ -137,7 +138,40 @@ def test_min_flip_plan_over_budget():
 
 def test_min_flip_plan_rejects_improper_initial_roles():
     with pytest.raises(SchedulingError, match=r"initial roles do not 2-color level 1 pair \(0, 1\)"):
-        _min_flip_plan(PLAN_8, 0b0011, 1)
+        min_flip_plan(PLAN_8, 0b0011, 1)
+
+
+@pytest.mark.parametrize("m", [m for m in range(4, 47, 2) if m != 28])
+def test_template_flips_match_the_dp(m):
+    # the per-group flip rule makes the DP's choice: the same flip set per
+    # level from "even slots are A" (and so the same orientation), except
+    # at m=32, where the DP's tie-break picks other edges of equal count
+    plans = _template(m)
+    levels = [tuple(sorted(sm.key for sm in lp.super_matches)) for lp in plans]
+    c0 = sum(1 << s for s in range(0, m, 2))
+    dp_flips, colorings = min_flip_plan(levels, c0, math.ceil(flip_budget(2 * m)))
+    rule_flips = [{sm.key for sm in lp.super_matches if sm.block_type == 2}
+                  for lp in plans[:-1]]
+    if m == 32:
+        assert sum(map(len, rule_flips)) == sum(map(len, dp_flips)) == 32
+        return
+    assert rule_flips == [set(f) for f in dp_flips]
+    for lp, coloring in zip(plans, colorings):
+        assert all((coloring >> sm.a_pair) & 1 for sm in lp.super_matches)
+
+
+@pytest.mark.parametrize("m,flips,budget", [(28, 29, 28), (56, 72, 70)])
+def test_template_refuses_plans_over_budget(m, flips, budget):
+    # where the recursion splits an even q into odd halves (28 -> 14 -> 7),
+    # the rule overshoots ceil(F_n), and the DP finds no plan either
+    _template.cache_clear()
+    try:
+        with pytest.raises(SchedulingError,
+                           match=rf"n={2 * m}: the flip rule needs {flips} flips, "
+                                 rf"over the budget ceil\(F_n\) = {budget}"):
+            _template(m)
+    finally:
+        _template.cache_clear()
 
 
 # --- full construction ---------------------------------------------------------

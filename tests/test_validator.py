@@ -5,8 +5,10 @@ import pytest
 
 from ttp2 import (
     Fixture,
+    Instance,
     ValidationError,
     build_schedule,
+    evaluation_report,
     generate_instance,
     parse_day_list,
     schedule_from_dict,
@@ -14,9 +16,10 @@ from ttp2 import (
     validate_schedule,
 )
 from ttp2 import validator
-from ttp2.validator import C1, C2, C4, S_DAY_COUNT, S_ONE_GAME, schedule_array
+from ttp2.validator import (C1, C2, C4, S_BLOCK_TYPE, S_DAY_COUNT, S_ONE_GAME,
+                            schedule_array)
 
-from helpers import day_list_text
+from helpers import day_list_text, lattice_weights
 
 from reference import brute_force_optimal, sample_valid_schedules
 
@@ -313,3 +316,59 @@ def test_fixture_days_skip_the_per_fixture_reader(clean8, monkeypatch):
     monkeypatch.setattr(validator, "_fixture_ends", per_fixture)
     assert all(_read(form) == expected for form in forms)
     assert _read(bad_fixtures) == bad_expected
+
+
+# --- stored block types ------------------------------------------------------------
+
+
+def test_stored_block_types_are_checked_against_the_days():
+    inst = generate_instance(12, kind="euclidean", seed=0)
+    obj = schedule_to_dict(build_schedule(inst))
+    for level in obj["levels"]:
+        for block in level["blocks"]:
+            if block["type"] == 2:
+                block["type"] = 1
+    obj["flips"] = 0
+    for form in (obj, schedule_from_dict(obj)):
+        report = validate_schedule(form)
+        assert [v.constraint for v in report.violations] == [S_BLOCK_TYPE] * 3
+        assert [v.day for v in report.violations] == [5, 9, 13]
+        assert not evaluation_report(form, inst).valid
+    # the days alone, without the stored levels, are still a valid schedule
+    assert validate_schedule(obj["days"]).ok
+
+
+@pytest.mark.parametrize("level,field,value,expected", [
+    (0, "type", 3, "level 1 block of pairs 0 and 1 has type 3, expected 1 or 2"),
+    (-1, "type", 1, "level 5 block of pairs 4 and 0 has type 1, expected 3"),
+    (0, "a_pair", 99, "level 1 names pair 99, which has no team in 0..11"),
+])
+def test_stored_levels_are_checked(level, field, value, expected):
+    obj = schedule_to_dict(build_schedule(generate_instance(12, "euclidean", 0)))
+    obj["levels"][level]["blocks"][0][field] = value
+    details = [v.detail for v in validate_schedule(obj).by_constraint(S_BLOCK_TYPE)]
+    assert details == [expected]
+
+
+def _seed0_benchmark_instances():
+    """The 624 seed-0 ``sweep`` and ``ties`` inputs of ``perfbench`` at
+    ``--seconds 25``."""
+    def subseed(*parts):
+        return int(np.random.SeedSequence([0, *parts]).generate_state(1)[0])
+    for k in range(16):
+        for n in (8, 12, 16, 20, 24, 28, 32):
+            for kind_index, kind in enumerate(("euclidean", "random_metric")):
+                yield generate_instance(n, kind, subseed(n, kind_index, k))
+    for k in range(100):
+        for n in (20, 24, 28, 32):
+            yield Instance(n=n, dist=lattice_weights(n, subseed(n, k)))
+
+
+def test_built_schedules_have_no_block_type_violation():
+    count = 0
+    for inst in _seed0_benchmark_instances():
+        s = build_schedule(inst)
+        assert validate_schedule(s).ok
+        assert validate_schedule(schedule_to_dict(s)).ok
+        count += 1
+    assert count == 624
