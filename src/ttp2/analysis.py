@@ -19,7 +19,7 @@ import numpy as np
 from .errors import TTP2Error, ValidationError
 from .instance import Instance, check_metric
 from .matching import PairMatching, min_weight_perfect_matching
-from .validator import _validate, schedule_array
+from .validator import ScheduleArray, _validate, schedule_array
 
 BOUND_SLACK = 1e-9   # floating slack when checking the ratio bound
 
@@ -57,14 +57,14 @@ class EvaluationReport:
     per_team: tuple[Itinerary, ...]
 
 
-def _itineraries(sched, inst: Instance) -> list[Itinerary]:
-    """Every team's itinerary, from the schedule's normal form.
+def _legs(g: ScheduleArray, dist: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Every team's venues, home first and then one per day, and the
+    distance of each leg, the return home last; both (days + 1) x teams.
 
     The first fixture of a day naming a team sets its venue; a day where
     the team does not appear keeps it where it is (only relevant for
     partial schedules; complete schedules have no byes).
     """
-    g = schedule_array(sched, inst.n)
     num_days, n = g.games.shape
     teams = np.arange(n)
     # row 0 is home; row d + 1 is where the team plays on day d
@@ -72,7 +72,12 @@ def _itineraries(sched, inst: Instance) -> list[Itinerary]:
     played = np.where(g.opponent >= 0, np.arange(1, num_days + 1)[:, None], 0)
     last = np.maximum.accumulate(np.vstack([np.zeros(n, dtype=int), played]), axis=0)
     venues = spots[last, teams]
-    legs = inst.dist[venues, np.vstack([venues[1:], teams])]   # ... then home
+    return venues, dist[venues, np.vstack([venues[1:], teams])]   # ... then home
+
+
+def _itineraries(g: ScheduleArray, inst: Instance) -> list[Itinerary]:
+    """Every team's itinerary, from the schedule's normal form."""
+    venues, legs = _legs(g, inst.dist)
     return [Itinerary(team=t, venues=tuple(v), travel=math.fsum(leg))
             for t, (v, leg) in enumerate(zip(venues.T.tolist(), legs.T.tolist()))]
 
@@ -82,12 +87,14 @@ def team_itinerary(sched, inst: Instance, team: int) -> Itinerary:
     ``validator.schedule_array`` reads."""
     if not 0 <= team < inst.n:
         raise ValidationError(f"team {team} out of range for n={inst.n}")
-    return _itineraries(sched, inst)[team]
+    return _itineraries(schedule_array(sched, inst.n), inst)[team]
 
 
 def total_travel(sched, inst: Instance) -> float:
-    """Sum of all team travels; summed in team order for determinism."""
-    return math.fsum(it.travel for it in _itineraries(sched, inst))
+    """Sum of all team travels; each team's travel is summed first, then
+    the teams in team order, for determinism."""
+    _, legs = _legs(schedule_array(sched, inst.n), inst.dist)
+    return math.fsum(map(math.fsum, legs.T.tolist()))
 
 
 def pairwise_sum(inst: Instance) -> float:
@@ -170,9 +177,9 @@ def evaluation_report(sched, inst: Instance) -> EvaluationReport:
         raise ValidationError(f"flips must be an integer, got {flips!r}")
     if flips is not None and isinstance(sched, dict):
         # imported here because scheduler imports this module; it refuses
-        # a stored "flips" that the levels contradict
-        from .scheduler import schedule_from_dict
-        schedule_from_dict(sched)
+        # a stored "flips" that the levels contradict, without the days
+        from .scheduler import _stored_plan
+        _stored_plan(sched)
     try:
         budget = flip_budget(n)
     except TTP2Error:

@@ -24,14 +24,16 @@ import json
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from operator import itemgetter
 from typing import Optional
 
 from .analysis import flip_budget
-from .blocks import Fixture, SuperMatch, expand_block
+from .blocks import Fixture, SuperMatch, _fixtures, expand_block
 from .errors import SchedulingError, ValidationError
 from .instance import Instance
 from .matching import (SIZE_MAX, PairMatching, build_super_graph,
                        min_weight_perfect_matching, super_pair_matching)
+from .validator import _integer
 
 
 @dataclass(frozen=True)
@@ -253,49 +255,82 @@ def schedule_to_json(sched: Schedule) -> str:
     return json.dumps(schedule_to_dict(sched), indent=2) + "\n"
 
 
+_AWAY_HOME = itemgetter("away", "home")
+
+
+def _pair_from_dict(p) -> tuple[int, int]:
+    try:
+        a, b = p
+        return _integer(a), _integer(b)
+    except (TypeError, ValueError) as exc:
+        raise ValidationError(f"pair {p!r}: {exc}") from None
+
+
 def _pairs_from_dict(obj) -> Optional[PairMatching]:
     if obj is None:
         return None
-    return PairMatching(pairs=tuple(tuple(p) for p in obj["pairs"]),
+    return PairMatching(pairs=tuple(map(_pair_from_dict, obj["pairs"])),
                         weight=float(obj["weight"]))
 
 
 def _block_from_dict(b) -> SuperMatch:
     try:
-        return SuperMatch(a_pair=int(b["a_pair"]), b_pair=int(b["b_pair"]),
-                          block_type=int(b["type"]))
+        return SuperMatch(a_pair=_integer(b["a_pair"]), b_pair=_integer(b["b_pair"]),
+                          block_type=_integer(b["type"]))
     except (TypeError, ValueError, SchedulingError) as exc:
         raise ValidationError(f"block {b!r}: {exc}") from None
 
 
-def schedule_from_dict(obj: dict) -> Schedule:
-    """Schedule from its ``schedule_to_dict`` form; raises ValidationError
-    when the input cannot be read as one, when a team plays itself, or when
-    a stored ``"flips"`` differs from the levels' Type-2 count."""
+def _malformed(exc: Exception) -> ValidationError:
+    if isinstance(exc, KeyError):
+        return ValidationError(f"malformed schedule JSON: missing field {exc}")
+    return ValidationError(f"malformed schedule JSON: {exc}")
+
+
+def _stored_plan(obj: dict) -> tuple[tuple[LevelPlan, ...], Optional[PairMatching],
+                                    Optional[PairMatching]]:
+    """The typed levels, team pairs and super-pairs of a ``schedule_to_dict``
+    dict, read without its days; raises ValidationError when they cannot be
+    read or when a stored ``"flips"`` differs from the levels' Type-2
+    count."""
     try:
-        n = int(obj["n"])
-        days = tuple(tuple(Fixture(int(f["away"]), int(f["home"])) for f in day)
-                     for day in obj["days"])
         levels = tuple(
-            LevelPlan(round=int(lv["round"]), level=int(lv["level"]),
+            LevelPlan(round=_integer(lv["round"]), level=_integer(lv["level"]),
                       super_matches=tuple(_block_from_dict(b) for b in lv["blocks"]))
             for lv in obj.get("levels", []))
-        stored_flips = int(obj["flips"]) if "flips" in obj else None
-        sched = Schedule(n=n, days=days, levels=levels,
-                         team_pairs=_pairs_from_dict(obj.get("team_pairs")),
-                         super_pairs=_pairs_from_dict(obj.get("super_pairs")))
-    except KeyError as exc:
-        raise ValidationError(f"malformed schedule JSON: missing field {exc}") from None
-    except (TypeError, ValueError, SchedulingError) as exc:
-        raise ValidationError(f"malformed schedule JSON: {exc}") from None
+        stored_flips = _integer(obj["flips"]) if "flips" in obj else None
+        team_pairs = _pairs_from_dict(obj.get("team_pairs"))
+        super_pairs = _pairs_from_dict(obj.get("super_pairs"))
+    except (KeyError, TypeError, ValueError, SchedulingError) as exc:
+        raise _malformed(exc) from None
+    flips = sum(sm.block_type == 2 for lp in levels for sm in lp.super_matches)
+    if stored_flips is not None and stored_flips != flips:
+        raise ValidationError(f"stored flips {stored_flips} differ from the "
+                              f"{flips} Type-2 blocks in the levels")
+    return levels, team_pairs, super_pairs
+
+
+def schedule_from_dict(obj: dict) -> Schedule:
+    """Schedule from its ``schedule_to_dict`` form; raises ValidationError
+    when the input cannot be read as one, when a number it needs as an
+    integer has a fractional part, when a team plays itself, or when a
+    stored ``"flips"`` differs from the levels' Type-2 count."""
+    try:
+        n = _integer(obj["n"])
+        days = tuple(tuple(_fixtures(map(_AWAY_HOME, day))) for day in obj["days"])
+        teams = itertools.chain.from_iterable(itertools.chain.from_iterable(days))
+        if not set(map(type, teams)) <= {int}:
+            days = tuple(tuple(Fixture(_integer(a), _integer(h)) for a, h in day)
+                         for day in days)
+    except (KeyError, TypeError, ValueError) as exc:
+        raise _malformed(exc) from None
+    levels, team_pairs, super_pairs = _stored_plan(obj)
     for d, day in enumerate(days):
         for away, home in day:
             if away == home:
                 raise ValidationError(f"team {away} plays itself on day {d}")
-    if stored_flips is not None and stored_flips != sched.flips:
-        raise ValidationError(f"stored flips {stored_flips} differ from the "
-                              f"{sched.flips} Type-2 blocks in the levels")
-    return sched
+    return Schedule(n=n, days=days, levels=levels, team_pairs=team_pairs,
+                    super_pairs=super_pairs)
 
 
 def schedule_from_json(text: str) -> Schedule:

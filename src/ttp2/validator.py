@@ -13,11 +13,21 @@ schedules through the same normal form.
 ``schedule_from_dict`` and ``parse_day_list`` produce, are read into the
 normal form without a per-fixture Python call.  Every other form (plain
 ``(away, home)`` pairs, dict fixtures, generators, other team types) is
-read fixture by fixture, with the same result and the same errors.
+read fixture by fixture, with the same result and the same errors.  A
+team, team count or stored block field that is a number with a fractional
+part (2.5) is refused, not truncated.
+
+The last day tuple read is remembered with its normal form when it is
+frozen all the way down: a tuple of tuples of ``Fixture`` values of plain
+ints, which is what ``build_schedule`` and ``schedule_from_dict`` produce.
+The next reader of the same days for the same team count, such as
+``total_travel`` or ``evaluation_report`` after ``validate_schedule`` on a
+built schedule, reuses that normal form, whose arrays are read-only.
 """
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 from itertools import chain
 from typing import Optional
@@ -74,34 +84,58 @@ class ScheduleArray:
     games: np.ndarray
 
 
+def _integer(x) -> int:
+    """``int(x)``, refusing a number with a fractional part (2.5, nan or
+    infinity) with ValueError instead of truncating it."""
+    try:
+        v = int(x)
+    except OverflowError:
+        raise ValueError(f"{x!r} is not an integer") from None
+    if v != x and isinstance(x, numbers.Number):
+        raise ValueError(f"{x!r} is not an integer")
+    return v
+
+
 def _fixture_ends(fx) -> tuple[int, int]:
     try:
         if isinstance(fx, dict):
             away, home = fx["away"], fx["home"]
         else:
             away, home = fx
-        return int(away), int(home)
+        if type(away) is int and type(home) is int:
+            return away, home
+        return _integer(away), _integer(home)
     except (KeyError, TypeError, ValueError):
         raise ValidationError(f"malformed fixture {fx!r}") from None
 
 
-def _fixture_teams(days) -> tuple[list[int], list[int]]:
+def _fixture_teams(days) -> tuple[list[int], list[int], bool]:
     """Both teams of every fixture, away first, flattened in input order,
-    and the number of fixtures on each day.
+    the number of fixtures on each day, and whether ``days`` is frozen all
+    the way down (a tuple of tuples of ``Fixture`` values of plain ints).
 
     A list or tuple of list or tuple days whose fixtures are all ``Fixture``
     values of plain ints is flattened by C-level iteration.  Anything else,
     a generator of days included, is read once, fixture by fixture, through
     ``_fixture_ends``.
     """
-    if type(days) in (list, tuple) and set(map(type, days)) <= {list, tuple}:
-        fixtures = list(chain.from_iterable(days))
-        if set(map(type, fixtures)) <= {Fixture}:
-            teams = list(chain.from_iterable(fixtures))
-            if set(map(type, teams)) <= {int}:
-                return teams, list(map(len, days))
+    if type(days) in (list, tuple):
+        day_types = set(map(type, days))
+        if day_types <= {list, tuple}:
+            fixtures = list(chain.from_iterable(days))
+            if set(map(type, fixtures)) <= {Fixture}:
+                teams = list(chain.from_iterable(fixtures))
+                if set(map(type, teams)) <= {int}:
+                    frozen = type(days) is tuple and day_types <= {tuple}
+                    return teams, list(map(len, days)), frozen
     ends = [[_fixture_ends(fx) for fx in day] for day in days]
-    return [t for day in ends for fx in day for t in fx], [len(day) for day in ends]
+    return [t for day in ends for fx in day for t in fx], [len(day) for day in ends], False
+
+
+# the last frozen day tuple read, its resolved team count (None when it was
+# inferred from the teams) and its normal form; holding the days keeps
+# their id from being reused while they are stored
+_last_read: tuple = (object(), None, None)
 
 
 def schedule_array(sched, n: Optional[int] = None) -> ScheduleArray:
@@ -113,8 +147,12 @@ def schedule_array(sched, n: Optional[int] = None) -> ScheduleArray:
     defaults to the schedule's own team count, else the largest team index
     plus one.  Unreadable input raises ValidationError: a malformed fixture,
     a declared team count other than ``n``, n < 2, an empty schedule without
-    n, or a fixture whose team plays itself or lies outside 0..n-1.
+    n, or a fixture whose team plays itself or lies outside 0..n-1.  The
+    normal form's arrays are read-only.  Reading the last frozen day tuple
+    read (see the module docstring) again, for the same team count, returns
+    the normal form already made.
     """
+    global _last_read
     if isinstance(sched, ScheduleArray):
         declared, days = sched.n, None
     elif isinstance(sched, str):
@@ -124,14 +162,18 @@ def schedule_array(sched, n: Optional[int] = None) -> ScheduleArray:
     else:
         declared, days = getattr(sched, "n", None), getattr(sched, "days", sched)
     try:
-        declared = None if declared is None else int(declared)
+        declared = None if declared is None else _integer(declared)
     except (TypeError, ValueError):
         raise ValidationError(f"malformed team count {declared!r}") from None
     if declared is not None and n is not None and declared != n:
         raise ValidationError(f"schedule n={declared} does not match the expected n={n}")
-    if days is None:
+    if isinstance(sched, ScheduleArray):
         return sched
-    teams, counts = _fixture_teams(days)
+    resolved = n if n is not None else declared
+    last_days, last_n, last = _last_read
+    if days is last_days and resolved == last_n:
+        return last
+    teams, counts, frozen = _fixture_teams(days)
     try:
         flat = np.fromiter(teams, np.int64, len(teams)).reshape(-1, 2)
     except OverflowError:
@@ -148,7 +190,7 @@ def schedule_array(sched, n: Optional[int] = None) -> ScheduleArray:
     if n < 2:
         raise ValidationError(f"team count must be at least 2, got {n}")
     away, home = flat[:, 0], flat[:, 1]
-    bad = (away == home) | (flat < 0).any(axis=1) | (flat >= n).any(axis=1)
+    bad = (away == home) | (np.minimum(away, home) < 0) | (np.maximum(away, home) >= n)
     if bad.any():
         g = int(bad.argmax())
         a, h, d = int(away[g]), int(home[g]), int(day[g])
@@ -165,9 +207,14 @@ def schedule_array(sched, n: Optional[int] = None) -> ScheduleArray:
     at_home = np.zeros(size, dtype=bool)
     at_home[key[first]] = first % 2 == 1
     shape = (num_days, n)
-    return ScheduleArray(n=n, day=day, away=away, home=home,
-                         opponent=opponent.reshape(shape), at_home=at_home.reshape(shape),
-                         games=np.bincount(key, minlength=size).reshape(shape))
+    out = ScheduleArray(n=n, day=day, away=away, home=home,
+                        opponent=opponent.reshape(shape), at_home=at_home.reshape(shape),
+                        games=np.bincount(key, minlength=size).reshape(shape))
+    for arr in (out.day, out.away, out.home, out.opponent, out.at_home, out.games):
+        arr.flags.writeable = False
+    if frozen:
+        _last_read = (days, resolved, out)
+    return out
 
 
 def parse_day_list(text: str) -> list[list[Fixture]]:
@@ -205,8 +252,9 @@ def _stored_blocks(sched):
         if not levels or not pairs:
             return None
         try:
-            return ([[(int(b["a_pair"]), int(b["b_pair"]), int(b["type"])) for b in lv["blocks"]]
-                     for lv in levels], [tuple(map(int, p)) for p in pairs["pairs"]])
+            return ([[(_integer(b["a_pair"]), _integer(b["b_pair"]), _integer(b["type"]))
+                      for b in lv["blocks"]] for lv in levels],
+                    [tuple(map(_integer, p)) for p in pairs["pairs"]])
         except (KeyError, TypeError, ValueError) as exc:
             raise ValidationError(f"malformed levels or team pairs: {exc!r}") from None
     levels, pairs = getattr(sched, "levels", None), getattr(sched, "team_pairs", None)
@@ -293,9 +341,14 @@ def _validate(g: ScheduleArray, sched) -> ViolationReport:
             detail=f"{i}@{j} occurs {c} times (expected 1)"))
 
     # C2: no pair meets on consecutive days (venue-blind); a meeting is
-    # coded (day * n + lo) * n + hi, so the day before is n * n lower
-    met = np.unique((g.day * n + np.minimum(g.away, g.home)) * n + np.maximum(g.away, g.home))
-    for code in met[np.isin(met - n * n, met)].tolist():
+    # coded (day * n + lo) * n + hi, so the day before is n * n lower.  A
+    # code found the day before is reported once, at the first of its run
+    # of equal codes.
+    met = np.sort((g.day * n + np.minimum(g.away, g.home)) * n + np.maximum(g.away, g.home))
+    before = met - n * n
+    repeat = met[np.searchsorted(met, before)] == before
+    repeat[1:] &= met[1:] != met[:-1]
+    for code in met[repeat].tolist():
         d, pair = code // (n * n), divmod(code % (n * n), n)
         violations.append(Violation(
             constraint=C2, day=d, teams=pair,

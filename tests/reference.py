@@ -4,7 +4,8 @@ Nothing here shares logic with the constructor: day slates are enumerated
 directly and feasibility is enforced game by game, so agreement between
 these searches and the scheduler is meaningful evidence.  The two matching
 references, full enumeration and subset dynamic programming, share only
-input validation with the blossom solver in ``ttp2.matching``.  The flip DP
+input validation with the blossom solver in ``ttp2.matching``.  ``c2_repeats``
+finds back-to-back meetings with sets, day by day.  The flip DP
 (``min_flip_plan``) searches every A/B coloring of a level sequence for the
 fewest flips; the scheduler's explicit per-group flip rule is compared
 against it.
@@ -189,6 +190,14 @@ def sample_valid_schedules(inst: Instance, count: int, seed: int = 0
         sched = _to_schedule(inst.n, search.best_days)
         out.append((sched, total_travel(sched, inst)))
     return out
+
+
+def c2_repeats(days) -> list[tuple[int, tuple[int, int]]]:
+    """Every (day, (lo, hi)) whose two teams meet on that day and on the day
+    before, at either venue; each once, in (day, lo, hi) order.  ``days``
+    holds (away, home) fixtures."""
+    met = [{(min(a, h), max(a, h)) for a, h in day} for day in days]
+    return sorted((d, pair) for d in range(1, len(met)) for pair in met[d] & met[d - 1])
 
 
 def brute_force_matching(weights) -> PairMatching:

@@ -27,6 +27,7 @@ from ttp2 import (
     pairwise_sum,
     report_to_dict,
     report_to_json,
+    schedule_from_dict,
     schedule_to_dict,
     team_itinerary,
     total_travel,
@@ -263,6 +264,87 @@ def test_evaluation_report_refuses_flips_the_levels_contradict():
     with pytest.raises(ValidationError, match="stored flips 0") as ei:
         evaluation_report(obj, inst)
     assert "3 Type-2 blocks" in str(ei.value)
+
+
+def _damage(obj, path, value):
+    *keys, last = path
+    for key in keys:
+        obj = obj[key]
+    if value is _DELETE:
+        del obj[last]
+    else:
+        obj[last] = obj["a_pair"] if value is _A_PAIR else value
+
+
+_DELETE, _A_PAIR = object(), object()
+
+
+# every ValidationError that a dict carrying "flips" gets from the check of
+# its stored plan, with the message it names
+@pytest.mark.parametrize("path,value,message", [
+    (("flips",), 0, "stored flips 0 differ from the 3 Type-2 blocks"),
+    (("levels",), 5, "malformed levels or team pairs"),
+    (("levels", 0), 5, "malformed levels or team pairs"),
+    (("levels", 0, "round"), "x", "malformed schedule JSON: invalid literal"),
+    (("levels", 0, "level"), _DELETE, "malformed schedule JSON: missing field 'level'"),
+    (("levels", 0, "blocks"), _DELETE, "malformed levels or team pairs"),
+    (("levels", 0, "blocks", 0, "a_pair"), "x", "malformed levels or team pairs"),
+    (("levels", 0, "blocks", 0, "type"), 7,
+     "malformed schedule JSON: block .* unknown block type 7"),
+    (("levels", 1, "blocks", 0, "b_pair"), _A_PAIR, "super-match pairs a pair with itself"),
+    (("team_pairs", "pairs"), "ab", "malformed levels or team pairs"),
+    (("team_pairs", "pairs", 0), [0, "x"], "malformed levels or team pairs"),
+    (("team_pairs", "weight"), _DELETE, "malformed schedule JSON: missing field 'weight'"),
+    (("super_pairs", "pairs"), 5, "malformed schedule JSON: 'int' object is not iterable"),
+    (("super_pairs", "weight"), "heavy", "malformed schedule JSON: could not convert"),
+], ids=lambda x: repr(x) if isinstance(x, tuple) else "")
+def test_evaluation_report_refuses_an_unreadable_stored_plan(path, value, message):
+    inst = generate_instance(12, kind="euclidean", seed=0)
+    obj = schedule_to_dict(build_schedule(inst))
+    _damage(obj, path, value)
+    with pytest.raises(ValidationError, match=message):
+        evaluation_report(obj, inst)
+
+
+@pytest.mark.parametrize("path,value", [
+    (("n",), 12.5),
+    (("flips",), 3.5),
+    (("days", 0, 0, "away"), 2.5),
+    (("levels", 0, "round"), 1.5),
+    (("levels", 0, "blocks", 0, "type"), 1.5),
+    (("team_pairs", "pairs", 0), [0.5, 1]),
+    (("super_pairs", "pairs"), "ab"),
+    (("super_pairs", "pairs", 0), [0, 1, 2]),
+], ids=repr)
+def test_stored_numbers_with_a_fractional_part_and_bad_pairs_are_refused(path, value):
+    inst = generate_instance(12, kind="euclidean", seed=0)
+    obj = schedule_to_dict(build_schedule(inst))
+    _damage(obj, path, value)
+    with pytest.raises(ValidationError):
+        evaluation_report(obj, inst)
+    with pytest.raises(ValidationError, match="malformed schedule JSON"):
+        schedule_from_dict(obj)
+
+
+def test_stored_integral_floats_read_as_integers():
+    inst = generate_instance(12, kind="euclidean", seed=0)
+    s = build_schedule(inst)
+    obj = schedule_to_dict(s)
+    obj["n"] = 12.0
+    obj["days"][0][0]["away"] = float(obj["days"][0][0]["away"])
+    obj["team_pairs"]["pairs"][0] = [float(t) for t in obj["team_pairs"]["pairs"][0]]
+    assert schedule_from_dict(obj) == s
+    report = report_to_dict(evaluation_report(s, inst))
+    assert report_to_dict(evaluation_report(obj, inst)) == report
+
+
+def test_total_travel_sums_each_team_first():
+    for seed in range(3):
+        for n in (8, 20, 32):
+            inst = generate_instance(n, kind="random_metric", seed=seed)
+            s = build_schedule(inst)
+            per_team = evaluation_report(s, inst).per_team
+            assert total_travel(s, inst) == math.fsum(it.travel for it in per_team)
 
 
 def test_evaluation_report_rejects_mismatched_n():

@@ -311,6 +311,12 @@ def _with_block_type(text, block_type):
     return json.dumps(obj)
 
 
+def _with(text, edit):
+    obj = json.loads(text)
+    edit(obj)
+    return json.dumps(obj)
+
+
 @pytest.mark.parametrize("command", ["validate", "evaluate"])
 @pytest.mark.parametrize("damage,message", [
     (lambda text: '{"n": 8}', "missing field 'days'"),
@@ -319,7 +325,16 @@ def _with_block_type(text, block_type):
     (lambda text: _with_block_type(text, 7), "unknown block type 7"),
     (lambda text: text.replace('"n"', '"\u00e9n"', 1).encode("latin-1"),
      "bad.json is not UTF-8"),
-], ids=["no-days", "truncated", "type-null", "type-7", "not-utf8"])
+    (lambda text: _with(text, lambda o: o["team_pairs"].update(pairs="ab")),
+     "malformed schedule JSON: pair 'a'"),
+    (lambda text: _with(text, lambda o: o["team_pairs"]["pairs"].__setitem__(0, [0.5, 1])),
+     "malformed schedule JSON: pair [0.5, 1]: 0.5 is not an integer"),
+    (lambda text: _with(text, lambda o: o["days"][0][0].update(away=2.5)),
+     "malformed schedule JSON: 2.5 is not an integer"),
+    (lambda text: _with(text, lambda o: o.update(n=8.5)),
+     "malformed schedule JSON: 8.5 is not an integer"),
+], ids=["no-days", "truncated", "type-null", "type-7", "not-utf8", "pairs-text",
+        "pair-fraction", "away-fraction", "n-fraction"])
 def test_unreadable_schedule_file_exits_1(sched_and_inst, tmp_path, capsys,
                                           command, damage, message):
     sched_path, inst_path = sched_and_inst

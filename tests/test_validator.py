@@ -21,7 +21,7 @@ from ttp2.validator import (C1, C2, C4, S_BLOCK_TYPE, S_DAY_COUNT, S_ONE_GAME,
 
 from helpers import day_list_text, lattice_weights
 
-from reference import brute_force_optimal, sample_valid_schedules
+from reference import brute_force_optimal, c2_repeats, sample_valid_schedules
 
 
 def _raw_days(sched):
@@ -81,6 +81,48 @@ def test_duplicated_day_breaks_c2(clean8):
     assert len(c2) == 4  # all four pairings repeat
     assert all(v.day == len(days) - 1 for v in c2)
     assert report.by_constraint(C1)  # the displaced games are missing too
+
+
+def _random_days(rng, n, num_days):
+    """Days of random fixtures between n teams, 0 to n - 1 a day: teams may
+    play twice a day, and pairs often meet on consecutive days."""
+    days = []
+    for _ in range(num_days):
+        day = []
+        for _ in range(int(rng.integers(n))):
+            a, h = rng.choice(n, size=2, replace=False).tolist()
+            day.append((a, h))
+        days.append(day)
+    return days
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_c2_matches_the_reference(clean8, seed):
+    rng = np.random.default_rng(seed)
+    cases = [_random_days(rng, n, int(rng.integers(1, 12))) for n in (4, 5, 6, 8)]
+    # built days with some repeats put in: a day copied onto the next, a
+    # pair meeting twice on one day and on the day before, meetings on day 0
+    days = [list(day) for day in clean8]
+    days[1] = list(days[0])
+    days[5] = days[5] + [days[4][0][::-1], days[4][0]]
+    days[9] = days[9] + [days[9][1]]
+    days[10] = days[10] + [days[9][1][::-1]]
+    cases.append(days)
+    for _ in range(20):
+        days = [list(day) for day in clean8]
+        for _ in range(int(rng.integers(1, 6))):
+            d = int(rng.integers(len(days)))
+            e = min(len(days) - 1, d + int(rng.integers(2)))
+            days[e].append(days[d][int(rng.integers(len(days[d])))][::int(rng.choice([-1, 1]))])
+        cases.append(days)
+    found = 0
+    for days in cases:
+        want = c2_repeats(days)
+        for form in (days, tuple(tuple(Fixture(*fx) for fx in day) for day in days)):
+            got = [(v.day, v.teams) for v in validate_schedule(form, n=8).by_constraint(C2)]
+            assert got == want
+        found += len(want)
+    assert found
 
 
 def test_three_day_run_breaks_c4():
@@ -277,9 +319,12 @@ def test_every_form_reads_alike(clean8, mutation, n):
         assert reads["fixture tuples"] == "team index out of range"
 
 
-# team entries other than plain ints, and what int() makes of them
-ODD_TEAMS = [("3", 3), (" 3", 3), (1.7, 1), (True, 1), (np.int64(3), 3), (np.int32(1), 1),
-             ("1.5", "malformed"), (float("nan"), "malformed"),
+# team entries other than plain ints, and what int() makes of them; a
+# number with a fractional part is refused, not truncated
+ODD_TEAMS = [("3", 3), (" 3", 3), (2.0, 2), (True, 1), (np.int64(3), 3), (np.int32(1), 1),
+             (np.float64(5.0), 5), ("1.5", "malformed"), (1.7, "malformed"),
+             (np.float32(2.5), "malformed"), (float("nan"), "malformed"),
+             (float("inf"), "malformed"),
              (1e20, "team index out of range"), (2 ** 70, "team index out of range")]
 
 
@@ -316,6 +361,59 @@ def test_fixture_days_skip_the_per_fixture_reader(clean8, monkeypatch):
     monkeypatch.setattr(validator, "_fixture_ends", per_fixture)
     assert all(_read(form) == expected for form in forms)
     assert _read(bad_fixtures) == bad_expected
+
+
+# --- the last frozen schedule read is read once ------------------------------------
+
+
+def test_a_built_schedule_is_read_once():
+    s = build_schedule(generate_instance(12, kind="euclidean", seed=0))
+    g = schedule_array(s)
+    assert schedule_array(s, s.n) is g
+    assert schedule_array(s.days, 12) is g
+    assert schedule_array(schedule_from_dict(schedule_to_dict(s))) is not g
+    for arr in (g.day, g.away, g.home, g.opponent, g.at_home, g.games):
+        assert not arr.flags.writeable
+        with pytest.raises(ValueError):
+            arr[0] = arr[0]
+
+
+def test_only_the_last_frozen_schedule_is_kept():
+    s8 = build_schedule(generate_instance(8, kind="euclidean", seed=0))
+    s12 = build_schedule(generate_instance(12, kind="euclidean", seed=0))
+    g8 = schedule_array(s8)
+    assert schedule_array(s12) is not g8
+    again = schedule_array(s8)
+    assert again is not g8 and _read(again) == _read(g8)
+    # days that could change under the reader are never kept
+    for days in (list(s8.days), tuple(map(list, s8.days)), _raw_days(s8),
+                 tuple(tuple(day) for day in _raw_days(s8))):
+        assert schedule_array(days) is not schedule_array(days)
+
+
+def test_a_mutated_list_schedule_gets_a_new_verdict(clean8):
+    for make in (Fixture, _pair):
+        days = [[make(a, h) for a, h in day] for day in clean8]
+        assert validate_schedule(days, n=8).ok
+        a, h = days[0][0]
+        days[0][0] = make(h, a)
+        assert {(h, a), (a, h)} <= {v.teams for v in validate_schedule(days, n=8).by_constraint(C1)}
+        days[0][0] = make(a, h)
+        assert validate_schedule(days, n=8).ok
+
+
+def test_another_n_on_the_same_tuple_raises_or_reads_again():
+    s = build_schedule(generate_instance(8, kind="euclidean", seed=0))
+    g = schedule_array(s.days)
+    assert g.n == 8 and schedule_array(s.days) is g
+    with pytest.raises(ValidationError, match="schedule n=8 does not match the expected n=12"):
+        schedule_array(s, 12)
+    g10 = schedule_array(s.days, 10)
+    assert g10.n == 10 and g10.games.shape == (14, 10)
+    assert not validate_schedule(s.days, 10).ok
+    with pytest.raises(ValidationError, match="out of range"):
+        schedule_array(s.days, 6)
+    assert _read(schedule_array(s.days, 8)) == _read(g)
 
 
 # --- stored block types ------------------------------------------------------------
