@@ -61,7 +61,9 @@ class Instance:
             raise InstanceError(
                 f"asymmetry beyond tolerance at ({i}, {j}): {dist[i, j]} vs {dist[j, i]}"
             )
-        dist = (dist + dist.T) / 2.0  # symmetrize sub-tolerance noise
+        # symmetrize sub-tolerance noise; equal entries stay bit for bit, and
+        # halving before adding keeps the largest floats finite
+        dist = np.where(dist == dist.T, dist, dist / 2.0 + dist.T / 2.0)
         if np.abs(np.diag(dist)).max(initial=0.0) > SYMMETRY_TOL:
             i = int(np.argmax(np.abs(np.diag(dist))))
             raise InstanceError(f"nonzero diagonal at ({i}, {i}): {dist[i, i]}")
@@ -286,7 +288,7 @@ def emit_instance(inst: Instance, fmt: str = "json") -> str:
     if fmt == "csv":
         lines = []
         if inst.names is not None:
-            lines.append(",".join(inst.names))
+            lines.append(_csv_header(inst.names))
         for row in inst.dist:
             lines.append(",".join(repr(float(x)) for x in row))
         return "\n".join(lines) + "\n"
@@ -298,6 +300,23 @@ def emit_instance(inst: Instance, fmt: str = "json") -> str:
             obj["coords"] = [[float(x), float(y)] for x, y in inst.coords]
         return json.dumps(obj, indent=2) + "\n"
     raise InstanceError(f"unknown instance format {fmt!r}, expected one of {FORMATS}")
+
+
+def _csv_header(names: tuple[str, ...]) -> str:
+    """The csv name row, refusing a name that ``_parse_csv`` would not read
+    back as written: one holding a comma or a line break, or with leading or
+    trailing whitespace, or a first name that reads as a number (the row
+    would be taken for data)."""
+    for name in names:
+        if "," in name or len(name.splitlines()) > 1 or name != name.strip():
+            raise InstanceError(f"team name {name!r} cannot be written to csv: it holds "
+                                "a comma or a line break, or starts or ends with whitespace")
+    try:
+        float(names[0])
+    except ValueError:
+        return ",".join(names)
+    raise InstanceError(f"team name {names[0]!r} cannot be the first csv name: "
+                        "it reads as a number")
 
 
 def save_instance(inst: Instance, path: str, fmt: Optional[str] = None) -> None:

@@ -1,35 +1,29 @@
 """Exact minimum-weight perfect matching on small complete graphs.
 
-The answer is canonical: among the perfect matchings of minimum
-``math.fsum`` weight, the one whose sorted pair list is lexicographically
-smallest.  Its reported weight is that fsum.  On a complete graph with an
-even vertex count a minimum maximal matching is necessarily perfect, so
-this solves that problem too.  The tests compare it with two independent
-references kept in ``tests/reference.py``: full enumeration and a subset
-dynamic program.
+The answer is canonical: among the perfect matchings of minimum exact
+weight, the one whose sorted pair list is lexicographically smallest.  Its
+reported weight is the ``math.fsum`` of its pairs.  On a complete graph
+with an even vertex count a minimum maximal matching is necessarily
+perfect, so this solves that problem too.  The tests compare it with two
+independent references kept in ``tests/reference.py``: full enumeration
+and a subset dynamic program.
 
-One solver covers the supported range, in two steps that run in exact
-integer arithmetic (every float is an integer times a power of two, so one
-power of two turns all the weights into integers):
+One solve in exact integer arithmetic gives that answer.  Every float is
+an integer times a power of two, so one power of two turns all the weights
+into integers wi.  Then one dense primal-dual blossom algorithm (Edmonds
+1965, "Paths, trees, and flowers"; Galil 1986, "Efficient algorithms for
+finding maximum matching in graphs") finds, in O(m^3), the minimum-weight
+perfect matching under the perturbed weights k * wi + f, with
 
-1. A dense primal-dual blossom algorithm (Edmonds 1965, "Paths, trees, and
-   flowers"; Galil 1986, "Efficient algorithms for finding maximum matching
-   in graphs") in O(m^3): maximum-weight perfect matching on C - w (here
-   C = 0).  It returns an optimum with its vertex and blossom duals.  Its
-   duals start from each vertex's cheapest edge and it matches tight pairs
-   before the first stage, so inputs where every edge ties need no search
-   stage at all.
-2. The tie-break: a depth-first search in lexicographic order (lowest free
-   vertex first, partners ascending) for the first perfect matching whose
-   exact weight rounds to the optimum's fsum.  The duals bound what any
-   completion of a partial matching weighs above the optimum: at least the
-   reduced costs of its edges plus the dual of each blossom it crosses a
-   second time.  The search follows only edges whose reduced cost fits in
-   the rounding of the optimum's fsum, and drops a branch as soon as that
-   excess does not fit or a vertex is left with no usable partner.  Where
-   many matchings tie, those prunes can miss dead ends, so once the search
-   under one node has cost more than a blossom solve on its free vertices,
-   each further child there is checked by such a solve first.
+    f[v, u] = u * (m+1)**(m-1-v)  for v < u,    k = (m+1)**m.
+
+At the first pair where two sorted pair lists differ, both pair the same
+lowest vertex v, and every later pair weighs less in f than one step of
+the partner at v; so f orders perfect matchings exactly as their pair
+lists.  k exceeds any matching's total f, so f only breaks ties of the
+exact weight.  Mulmuley, Vazirani & Vazirani (1987, "Matching is as easy
+as matrix inversion") isolate one optimum with exponential weights in the
+same way.
 
 Solves are memoized by matrix content (shape and bytes of the validated,
 symmetrized weights), so scoring a schedule right after building it does
@@ -86,7 +80,7 @@ def _validated_weights(weights) -> np.ndarray:
         raise MatchingError("weight matrix contains negative entries")
     if np.abs(w - w.T).max(initial=0.0) > SYMMETRY_TOL:
         raise MatchingError("weight matrix is not symmetric within tolerance")
-    return (w + w.T) / 2.0
+    return np.where(w == w.T, w, w / 2.0 + w.T / 2.0)
 
 
 def min_weight_perfect_matching(weights) -> PairMatching:
@@ -103,7 +97,10 @@ def min_weight_perfect_matching(weights) -> PairMatching:
 def _solve_by_content(m: int, data: bytes) -> PairMatching:
     w = np.frombuffer(data, dtype=float).reshape(m, m)
     pairs = _canonical_pairs(w)
-    weight = math.fsum(float(w[i, j]) for i, j in pairs)
+    try:
+        weight = math.fsum(float(w[i, j]) for i, j in pairs)
+    except OverflowError:
+        raise MatchingError("the matching's total weight exceeds the float range") from None
     return PairMatching(pairs=tuple(pairs), weight=weight)
 
 
@@ -131,9 +128,9 @@ def super_pair_matching(weights) -> PairMatching:
 
 # --- the canonical matching ------------------------------------------------
 
-def _exact_integers(w: np.ndarray) -> tuple[np.ndarray, int]:
-    """Python integers wi (an object array) and a power of two s with
-    w == wi / s exactly off the diagonal; the diagonal becomes 0.
+def _exact_integers(w: np.ndarray) -> np.ndarray:
+    """Python integers wi (an object array) with w == wi / s exactly off the
+    diagonal, for one power of two s; the diagonal becomes 0.
 
     Every finite float is an odd integer times a power of two, so the
     smallest of those powers turns every entry into an integer.
@@ -147,120 +144,32 @@ def _exact_integers(w: np.ndarray) -> tuple[np.ndarray, int]:
     e = ex - 53 + tz
     low = min(int(e[q != 0].min(initial=0)), 0)
     shift = np.where(q == 0, 0, e - low)
-    return q.astype(object) << shift.astype(object), 1 << -low
+    return q.astype(object) << shift.astype(object)
+
+
+@lru_cache(maxsize=None)
+def _tie_weights(m: int) -> tuple[int, np.ndarray]:
+    """-4k and the read-only object array -4f of the lexicographic
+    perturbation: f[v, u] = f[u, v] = u * (m+1)**(m-1-v) for v < u, and
+    k = (m+1)**m, which exceeds the f total of any perfect matching."""
+    b = m + 1
+    step = np.array([b ** (m - 1 - v) for v in range(m)], dtype=object)
+    f = np.triu(step[:, None] * np.arange(m, dtype=object), 1)
+    f = -4 * (f + f.T)
+    f.flags.writeable = False
+    return -4 * b ** m, f
 
 
 def _canonical_pairs(w: np.ndarray) -> list[tuple[int, int]]:
     m = w.shape[0]
-    wi, scale = _exact_integers(w)
-    # maximize a = -2 * wi, stored doubled so that every dual stays an integer
-    a2 = (-4 * wi).tolist()
-    mate, lab, blossoms = _blossom(a2, m)
-
-    # The optimum's fsum, and the largest exact weight that still rounds to
-    # it (half an ulp above it, ties to even); exact weights here count in
-    # units of 1 / (4 * scale).
-    best = math.fsum(float(w[v, mate[v]]) for v in range(m) if v < mate[v])
-    opt = 4 * sum(wi[v, mate[v]] for v in range(m) if v < mate[v])
-    denom = 4 * scale
-    lo_n, lo_d = best.as_integer_ratio()
-    hi_n, hi_d = math.nextafter(best, math.inf).as_integer_ratio()
-    ceiling = (lo_n * hi_d + hi_n * lo_d) * denom // (2 * lo_d * hi_d)
-    while ceiling / denom > best:
-        ceiling -= 1
-    budget = ceiling - opt
-
-    # reduced cost of (v, u) under the duals, in the same units: the full
-    # slack lab[v] + lab[u] + (duals of the blossoms holding both) - a2
-    zs = [z for z, _ in blossoms]
-    chain: list[list[int]] = [[] for _ in range(m)]   # blossoms holding v
-    for k, (_, members) in enumerate(blossoms):
-        for v in members:
-            chain[v].append(k)
-    options: list[list[tuple[int, int, list[int]]]] = []
-    for v in range(m):
-        row, lv, cv = a2[v], lab[v], chain[v]
-        opts = []
-        for u in range(v + 1, m):
-            rc = lv + lab[u] - row[u]
-            if rc > budget:          # the blossom terms only add
-                continue
-            cu = chain[u]
-            rc += sum(zs[k] for k in cv if k in cu)
-            if rc <= budget:
-                crossed = [k for k in cv if k not in cu] + [k for k in cu if k not in cv]
-                opts.append((u, rc, crossed))
-        options.append(opts)
-
-    near = [0] * m          # bit mask of each vertex's usable partners
-    for v, opts in enumerate(options):
-        for u, _, _ in opts:
-            near[v] |= 1 << u
-            near[u] |= 1 << v
-    # parity of |B & free| per blossom; a blossom whose free part is even is
-    # already crossed once, and crossing it again costs its dual
-    odd = [True] * len(blossoms)
-    chosen: list[tuple[int, int]] = []
-    nodes = 0
-
-    def fits(free: int) -> bool:
-        # exact: one blossom solve on the free vertices says whether any
-        # completion of ``chosen`` stays within the ceiling
-        verts = [x for x in range(m) if (free >> x) & 1]
-        mate_free = _blossom([[a2[x][y] for y in verts] for x in verts], len(verts))[0]
-        total = sum(wi[x, y] for x, y in chosen)
-        total += sum(wi[verts[i], verts[j]] for i, j in enumerate(mate_free) if i < j)
-        return 4 * total <= ceiling
-
-    def complete(free: int, excess: int) -> bool:
-        nonlocal nodes
-        nodes += 1
-        if not free:
-            return True
-        v = (free & -free).bit_length() - 1
-        rest = free ^ (1 << v)
-        # a blossom solve on the free vertices costs about |free|^2 nodes'
-        # work; once the children tried here cost more than that, check each
-        # further child exactly before descending into it
-        start, limit = nodes, (m - 2 * len(chosen)) ** 2
-        for u, rc, crossed in options[v]:
-            if not (rest >> u) & 1:
-                continue
-            e = excess + rc
-            for k in crossed:
-                if not odd[k]:
-                    e += zs[k]
-            if e > budget:
-                continue
-            left = rest ^ (1 << u)
-            # a free neighbour of v or u with no usable partner left is a dead end
-            stranded = False
-            probe = left & (near[v] | near[u])
-            while probe and not stranded:
-                x = probe & -probe
-                probe ^= x
-                stranded = not near[x.bit_length() - 1] & left
-            if stranded:
-                continue
-            chosen.append((v, u))
-            if nodes - start > limit and left and not fits(left):
-                chosen.pop()
-                continue
-            for k in crossed:
-                odd[k] = not odd[k]
-            if complete(left, e):
-                return True
-            chosen.pop()
-            for k in crossed:
-                odd[k] = not odd[k]
-        return False
-
-    if not complete((1 << m) - 1, 0):
-        raise MatchingError("internal: tie-break search lost the optimum")
-    return chosen
+    k4, f4 = _tie_weights(m)
+    # maximize -2 * (k * wi + f), stored doubled so that every dual stays an
+    # integer: the minimum exact weight, then the smallest sorted pair list
+    mate = _blossom((k4 * _exact_integers(w) + f4).tolist(), m)
+    return [(v, mate[v]) for v in range(m) if v < mate[v]]
 
 
-def _blossom(a2: list[list[int]], n: int):
+def _blossom(a2: list[list[int]], n: int) -> list[int]:
     """Maximum-weight perfect matching on the complete graph, weights a2 / 2.
 
     Vertices are 0..n-1, blossoms n..2n-1.  ``lab`` holds doubled duals:
@@ -270,8 +179,7 @@ def _blossom(a2: list[list[int]], n: int):
     augmentation and the result is perfect.  Every a2 is a multiple of 4 and
     every starting dual is even, so the exposed vertices, which take every
     dual step together, share one parity, and every step is an integer.
-    Returns the mate of each vertex, the duals, and each blossom still
-    standing with a nonzero dual as (dual, vertices).
+    Returns the mate of each vertex.
     """
     N = 2 * n
     # warm start: each vertex's dual from its cheapest edge, then one sweep
@@ -498,22 +406,25 @@ def _blossom(a2: list[list[int]], n: int):
                             slack[v] = u
                     else:
                         update_slack(u, x)
-            d = None
+            # the dual step d, and the top-level x whose least-slack edge it
+            # makes tight: no other edge turns tight in this step
+            d, tight = None, []
             for b in range(n, n_x):
                 if st[b] == b and label[b] == 1:
                     c = lab[b] // 2
                     if d is None or c < d:
                         d = c
             for x in range(n_x):
-                if st[x] == x and slack[x] != -1:
-                    if label[x] == -1:
-                        c = delta(g[slack[x]][x])
-                    elif label[x] == 0:
-                        c = delta(g[slack[x]][x]) // 2
-                    else:
-                        continue
+                s = slack[x]
+                if st[x] == x and s != -1 and label[x] != 1:
+                    u, v = g[s][x]
+                    c = lab[u] + lab[v] - a2[u][v]
+                    if label[x] == 0:
+                        c //= 2
                     if d is None or c < d:
-                        d = c
+                        d, tight = c, [x]
+                    elif c == d:
+                        tight.append(x)
             for u in range(n):
                 t = label[st[u]]
                 if t == 0:
@@ -527,7 +438,7 @@ def _blossom(a2: list[list[int]], n: int):
                     elif label[b] == 1:
                         lab[b] -= 2 * d
             queue.clear()
-            for x in range(n_x):
+            for x in tight:
                 s = slack[x]
                 if st[x] == x and s != -1 and st[s] != x and delta(g[s][x]) == 0:
                     if on_found_edge(g[s][x]):
@@ -538,10 +449,4 @@ def _blossom(a2: list[list[int]], n: int):
 
     while stage():
         pass
-
-    def members(b: int) -> list[int]:
-        return [b] if b < n else [v for c in flower[b] for v in members(c)]
-
-    blossoms = [(lab[b], members(b)) for b in range(n, n_x)
-                if st[b] != -1 and lab[b] > 0]
-    return match[:n], lab, blossoms
+    return match[:n]

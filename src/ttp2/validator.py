@@ -109,6 +109,15 @@ def _fixture_ends(fx) -> tuple[int, int]:
         raise ValidationError(f"malformed fixture {fx!r}") from None
 
 
+def _items(seq, what: str):
+    """An iterator over ``seq``, refusing a non-iterable one with
+    ValidationError."""
+    try:
+        return iter(seq)
+    except TypeError:
+        raise ValidationError(f"malformed {what} {seq!r}: not a sequence") from None
+
+
 def _fixture_teams(days) -> tuple[list[int], list[int], bool]:
     """Both teams of every fixture, away first, flattened in input order,
     the number of fixtures on each day, and whether ``days`` is frozen all
@@ -128,7 +137,7 @@ def _fixture_teams(days) -> tuple[list[int], list[int], bool]:
                 if set(map(type, teams)) <= {int}:
                     frozen = type(days) is tuple and day_types <= {tuple}
                     return teams, list(map(len, days)), frozen
-    ends = [[_fixture_ends(fx) for fx in day] for day in days]
+    ends = [[_fixture_ends(fx) for fx in _items(day, "day")] for day in _items(days, "days")]
     return [t for day in ends for fx in day for t in fx], [len(day) for day in ends], False
 
 

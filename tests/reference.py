@@ -17,6 +17,7 @@ import itertools
 import math
 import random
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Optional, Sequence
 
 import numpy as np
@@ -26,7 +27,7 @@ from ttp2 import (Fixture, Instance, MatchingError, PairMatching, Schedule,
 from ttp2.matching import _validated_weights
 
 BRUTE_FORCE_MATCHING_MAX = 12
-DP_MATCHING_MAX = 22   # subset DP time and memory grow as 2^m
+DP_MATCHING_MAX = 22   # subset DP states grow as about 1.62^m
 
 
 @dataclass(frozen=True)
@@ -200,23 +201,34 @@ def c2_repeats(days) -> list[tuple[int, tuple[int, int]]]:
     return sorted((d, pair) for d in range(1, len(met)) for pair in met[d] & met[d - 1])
 
 
+def _exact_weights(w: np.ndarray) -> list[list[int]]:
+    """The weights as Python integers over one common denominator (every
+    float is a dyadic fraction, so the largest denominator is a multiple of
+    all the others): their sums compare exactly."""
+    fr = [[Fraction(x) for x in row] for row in w.tolist()]
+    den = max(x.denominator for row in fr for x in row)
+    return [[x.numerator * (den // x.denominator) for x in row] for row in fr]
+
+
 def brute_force_matching(weights) -> PairMatching:
     """Minimum-weight perfect matching by full (m-1)!! enumeration, with the
-    same canonical tie-break as the production solver: enumeration visits pair
-    lists in lexicographic order and keeps the first strict improvement."""
+    same canonical rule as the production solver: enumeration visits pair
+    lists in lexicographic order and keeps the first strict improvement of
+    the exact weight.  The reported weight is the fsum."""
     w = _validated_weights(weights)
     m = w.shape[0]
     if m > BRUTE_FORCE_MATCHING_MAX:
         raise MatchingError(
             f"enumeration oracle limited to m <= {BRUTE_FORCE_MATCHING_MAX}, got {m}")
-    best_weight = math.inf
+    wi = _exact_weights(w)
+    best_weight: Optional[int] = None
     best_pairs: Optional[tuple] = None
 
     def rec(mask: int, pairs: list) -> None:
         nonlocal best_weight, best_pairs
         if mask == 0:
-            weight = math.fsum(float(w[i, j]) for i, j in pairs)
-            if weight < best_weight:
+            weight = sum(wi[i][j] for i, j in pairs)
+            if best_weight is None or weight < best_weight:
                 best_weight = weight
                 best_pairs = tuple(pairs)
             return
@@ -232,57 +244,54 @@ def brute_force_matching(weights) -> PairMatching:
 
     rec((1 << m) - 1, [])
     assert best_pairs is not None
-    return PairMatching(pairs=best_pairs, weight=best_weight)
+    weight = math.fsum(float(w[i, j]) for i, j in best_pairs)
+    return PairMatching(pairs=best_pairs, weight=weight)
 
 
 def dp_matching(weights) -> PairMatching:
     """Minimum-weight perfect matching by subset dynamic programming, with
-    the production solver's tie-break and fsum weight, except where optimal
-    matchings tie only up to the last bits of their float sums: the DP and
-    its walk compare right-fold float sums, not fsum weights.
+    the production solver's rule: minimum exact weight, then the
+    lexicographically smallest pair list.  The reported weight is the fsum.
 
-    g[S] = minimum weight to perfectly match the vertex set S, where the
-    transition always matches S's lowest vertex v against each other u in S.
-    States with lowest set bit v depend only on states whose lowest set bit
-    is larger, so batches run with v descending and stay fully vectorized.
+    g(S) = minimum exact weight to perfectly match the vertex set S, where
+    the transition always matches S's lowest vertex v against each other u
+    in S.  It is solved only for the sets reached from the full set: those
+    with lowest vertex v that lack at most v of the vertices above v.
+    There are Fibonacci-many of them (28,656 at m=22).
     """
     w = _validated_weights(weights)
     m = w.shape[0]
     if m > DP_MATCHING_MAX:
         raise MatchingError(f"subset DP limited to m <= {DP_MATCHING_MAX}, got {m}")
-    full = (1 << m) - 1
-    g = np.full(1 << m, np.inf)
-    g[0] = 0.0
-    for v in range(m - 2, -1, -1):
-        free = range(v + 1, m)
-        k = np.arange(1 << (m - 1 - v), dtype=np.int64)
-        masks = np.full(k.shape, 1 << v, dtype=np.int64)
-        for t, b in enumerate(free):
-            masks |= ((k >> t) & 1) << b
-        for u in range(v + 1, m):
-            with_u = masks[(masks >> u) & 1 == 1]
-            rest = with_u ^ ((1 << v) | (1 << u))
-            g[with_u] = np.minimum(g[with_u], w[v, u] + g[rest])
-    if not np.isfinite(g[full]):
-        raise MatchingError("internal: dp found no perfect matching")
+    wi = _exact_weights(w)
+    memo = {0: 0}
 
-    # Walk: v is forced (lowest unmatched); the smallest u whose candidate
-    # value equals g[S] bit-for-bit extends a lex-smallest optimal matching.
-    pairs: list[tuple[int, int]] = []
-    S = full
-    while S:
+    def others(S: int):
+        # S's lowest vertex v, and (u, S without v and u) for each other u
         v = (S & -S).bit_length() - 1
         probe = S & ~(1 << v)
+        out = []
         while probe:
             u = (probe & -probe).bit_length() - 1
             probe &= probe - 1
-            S2 = S ^ ((1 << v) | (1 << u))
-            if g[S] == w[v, u] + g[S2]:
-                pairs.append((v, u))
-                S = S2
-                break
-        else:
-            raise MatchingError("internal: dp reconstruction failed")
+            out.append((u, S ^ (1 << v) ^ (1 << u)))
+        return v, out
+
+    def g(S: int) -> int:
+        if S not in memo:
+            v, choices = others(S)
+            memo[S] = min(wi[v][u] + g(rest) for u, rest in choices)
+        return memo[S]
+
+    # Walk: v is forced (lowest unmatched); the smallest u whose exact
+    # candidate equals g(S) extends a lex-smallest optimal matching.
+    pairs: list[tuple[int, int]] = []
+    S = (1 << m) - 1
+    while S:
+        v, choices = others(S)
+        best = g(S)
+        u, S = next((u, rest) for u, rest in choices if wi[v][u] + g(rest) == best)
+        pairs.append((v, u))
     weight = math.fsum(float(w[i, j]) for i, j in pairs)
     return PairMatching(pairs=tuple(pairs), weight=weight)
 

@@ -1,12 +1,15 @@
 import io
 import json
+import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ttp2 import (Instance, InstanceError, check_metric, emit_instance,
                   generate_instance, load_instance, save_instance)
-from ttp2.instance import EXTENSION_FORMATS
+from ttp2.instance import EXTENSION_FORMATS, FORMATS
 
 
 def small_dist():
@@ -119,6 +122,62 @@ def test_csv_names_header():
     inst = load_instance(text, fmt="csv")
     assert inst.names == ("a", "b", "c", "d")
     assert inst.dist[0, 3] == 3.0
+
+
+@pytest.mark.parametrize("names, culprit", [
+    (("a,b", "c", "d", "e"), "'a,b'"),
+    (("1", "2", "3", "4"), "'1'"),
+    ((" x", "b", "c", "d"), "' x'"),
+    (("a", "b\nc", "d", "e"), "'b\\nc'"),
+])
+def test_csv_refuses_names_it_cannot_read_back(names, culprit):
+    inst = Instance(n=4, dist=small_dist(), names=names)
+    with pytest.raises(InstanceError, match=re.escape(culprit)):
+        emit_instance(inst, fmt="csv")
+    assert load_instance(emit_instance(inst, fmt="json")).names == names
+
+
+# --- every format round-trips bit for bit -----------------------------------
+
+
+@st.composite
+def _instances(draw):
+    n = draw(st.sampled_from((2, 4, 6)))
+    # any finite non-negative bits, with the subnormal and near-overflow
+    # ends drawn often
+    entry = st.one_of(st.floats(min_value=0.0, allow_nan=False, allow_infinity=False),
+                      st.floats(min_value=0.0, max_value=1e-300),
+                      st.floats(min_value=1e300, allow_infinity=False))
+    upper = n * (n - 1) // 2
+    dist = np.zeros((n, n))
+    dist[np.triu_indices(n, 1)] = draw(st.lists(entry, min_size=upper, max_size=upper))
+    dist = dist + dist.T
+    names = draw(st.none() | st.lists(st.text(max_size=4), min_size=n, max_size=n))
+    return Instance(n=n, dist=dist, names=names)
+
+
+def _csv_header_reads_back(inst):
+    # the names row written as is, ahead of the data rows: does the csv
+    # reader give back the same names and distances?
+    rows = emit_instance(Instance(n=inst.n, dist=inst.dist), fmt="csv")
+    try:
+        back = load_instance(",".join(inst.names) + "\n" + rows, fmt="csv")
+    except InstanceError:
+        return False
+    return back.names == inst.names and back.dist.tobytes() == inst.dist.tobytes()
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=300)
+@given(_instances())
+def test_every_format_round_trips_bit_for_bit(inst):
+    for fmt in FORMATS:
+        if fmt == "csv" and inst.names is not None and not _csv_header_reads_back(inst):
+            with pytest.raises(InstanceError, match="team name"):
+                emit_instance(inst, fmt=fmt)
+            continue
+        back = load_instance(emit_instance(inst, fmt=fmt), fmt=fmt)
+        assert back.dist.tobytes() == inst.dist.tobytes(), fmt
+        assert back.names == (None if fmt == "matrix" else inst.names), fmt
 
 
 def test_json_with_coords_only():

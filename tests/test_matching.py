@@ -83,7 +83,7 @@ def _weights(draw):
 @given(_weights())
 def test_matches_enumeration_pair_for_pair(w):
     # small integers (heavy ties) and metric-closure floats (ties up to an
-    # ulp): minimum fsum weight, then the lexicographically smallest list
+    # ulp): minimum exact weight, then the lexicographically smallest list
     got = min_weight_perfect_matching(w)
     ref = brute_force_matching(w)
     assert got.pairs == ref.pairs
@@ -91,11 +91,25 @@ def test_matches_enumeration_pair_for_pair(w):
 
 
 @pytest.mark.parametrize("n, seed", [(16, 1441248948), (20, 637037212), (16, 2216409161)])
-def test_equal_fsum_ties_take_the_smaller_list(n, seed):
-    # two matchings of equal fsum weight whose left-to-right float sums
-    # differ: the lexicographically smaller pair list wins
+def test_equal_fsum_ties_follow_the_exact_weight(n, seed):
+    # matchings of equal fsum weight whose exact sums differ in the last
+    # units: the smaller exact sum wins, even where its pair list is the
+    # larger one (the first two inputs)
     w = generate_instance(n, "random_metric", seed).dist
     assert min_weight_perfect_matching(w) == dp_matching(w)
+
+
+def test_exact_sums_decide_where_float_sums_mislead():
+    # a right-fold float DP returns ((0, 8), (1, 2), (3, 9), (4, 6), (5, 7))
+    # here, whose fsum is 2.4000000000000004
+    rng = np.random.default_rng(35)
+    w = np.triu(rng.integers(1, 30, (10, 10)) * 0.1, 1)
+    w = w + w.T
+    want = ((0, 1), (2, 3), (4, 6), (5, 8), (7, 9))
+    for solver in (min_weight_perfect_matching, dp_matching, brute_force_matching):
+        got = solver(w)
+        assert got.pairs == want
+        assert got.weight == 2.4
 
 
 def _crowded_grid_weights(m, seed):
@@ -107,8 +121,8 @@ def _crowded_grid_weights(m, seed):
 
 @pytest.mark.parametrize("m, seed", [(18, 1016), (20, 1302)])
 def test_crowded_ties_match_the_dp(m, seed):
-    # inputs on which the tie-break search outgrows its budget and checks
-    # children with an exact blossom solve before descending into them
+    # huge numbers of exactly tied optima: the perturbed weights alone
+    # must single out the smallest pair list among them
     w = _crowded_grid_weights(m, seed)
     assert min_weight_perfect_matching(w) == dp_matching(w)
 
@@ -226,6 +240,20 @@ def test_rejects_nonfinite():
     w[0, 1] = w[1, 0] = np.inf
     with pytest.raises(MatchingError, match="finite"):
         min_weight_perfect_matching(w)
+
+
+def test_largest_floats_solve_exactly_or_refuse_an_overflowing_total():
+    # halving before adding keeps symmetrization finite near the float
+    # maximum; a total past it is refused instead of reported as inf
+    big = np.finfo(float).max
+    assert min_weight_perfect_matching([[0.0, big], [big, 0.0]]).weight == big
+    w = (np.ones((4, 4)) - np.eye(4)) * 1e308
+    w[0, 2] = w[2, 0] = w[1, 3] = w[3, 1] = 1e307
+    got = min_weight_perfect_matching(w)
+    assert got == brute_force_matching(w)
+    assert got.pairs == ((0, 2), (1, 3)) and got.weight == 2e307
+    with pytest.raises(MatchingError, match="float range"):
+        min_weight_perfect_matching((np.ones((4, 4)) - np.eye(4)) * 1e308)
 
 
 def test_rejects_oversized():

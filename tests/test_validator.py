@@ -13,6 +13,7 @@ from ttp2 import (
     parse_day_list,
     schedule_from_dict,
     schedule_to_dict,
+    total_travel,
     validate_schedule,
 )
 from ttp2 import validator
@@ -253,6 +254,21 @@ def test_empty_schedule_needs_n():
 def test_malformed_fixture_raises():
     with pytest.raises(ValidationError, match="malformed fixture"):
         validate_schedule([[("x", None)]], n=4)
+
+
+@pytest.mark.parametrize("sched, match", [
+    ({"n": 8, "days": [5]}, "malformed day 5"),
+    ({"days": None}, "malformed days None"),
+    ({"days": 5}, "malformed days 5"),
+    ([5], "malformed day 5"),
+    (None, "malformed days None"),
+], ids=["dict-day", "dict-none", "dict-int", "list-day", "none"])
+def test_non_iterable_days_raise(sched, match):
+    inst = generate_instance(8, kind="unit", seed=0)
+    with pytest.raises(ValidationError, match=match):
+        validate_schedule(sched)
+    with pytest.raises(ValidationError, match=match):
+        total_travel(sched, inst)
 
 
 # --- one reading for every form -------------------------------------------------
