@@ -4,6 +4,11 @@ Travel semantics: a team leaves home, drives directly between consecutive
 away venues, and returns home as soon as it has a home game (and at the end
 of the tournament).  The lower bound 2*W_t + n*W_m combines every pair of
 venues twice (W_t) with n traversals of the minimum matching (W_m).
+
+Schedules are read through ``validator.schedule_array``; a stored
+``schedule_to_dict`` dict is read with ``scheduler.schedule_from_dict``
+first.  Travel and W_t are exact ``math.fsum`` sums, and distances whose
+sum passes the float range raise InstanceError.
 """
 
 from __future__ import annotations
@@ -16,7 +21,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import TTP2Error, ValidationError
+from .errors import InstanceError, TTP2Error, ValidationError
 from .instance import Instance, check_metric
 from .matching import PairMatching, min_weight_perfect_matching
 from .validator import ScheduleArray, _validate, schedule_array
@@ -57,6 +62,14 @@ class EvaluationReport:
     per_team: tuple[Itinerary, ...]
 
 
+def _fsum(values) -> float:
+    """``math.fsum``, refusing a sum past the float range with InstanceError."""
+    try:
+        return math.fsum(values)
+    except OverflowError:
+        raise InstanceError("the distances sum past the float range") from None
+
+
 def _legs(g: ScheduleArray, dist: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Every team's venues, home first and then one per day, and the
     distance of each leg, the return home last; both (days + 1) x teams.
@@ -78,7 +91,7 @@ def _legs(g: ScheduleArray, dist: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def _itineraries(g: ScheduleArray, inst: Instance) -> list[Itinerary]:
     """Every team's itinerary, from the schedule's normal form."""
     venues, legs = _legs(g, inst.dist)
-    return [Itinerary(team=t, venues=tuple(v), travel=math.fsum(leg))
+    return [Itinerary(team=t, venues=tuple(v), travel=_fsum(leg))
             for t, (v, leg) in enumerate(zip(venues.T.tolist(), legs.T.tolist()))]
 
 
@@ -94,13 +107,13 @@ def total_travel(sched, inst: Instance) -> float:
     """Sum of all team travels; each team's travel is summed first, then
     the teams in team order, for determinism."""
     _, legs = _legs(schedule_array(sched, inst.n), inst.dist)
-    return math.fsum(map(math.fsum, legs.T.tolist()))
+    return _fsum(map(math.fsum, legs.T.tolist()))
 
 
 def pairwise_sum(inst: Instance) -> float:
     """W_t: the sum of all inter-venue distances (each unordered pair once)."""
     # fsum is exact, so the zeros np.triu leaves below the diagonal add nothing
-    return math.fsum(np.triu(inst.dist, 1).ravel().tolist())
+    return _fsum(np.triu(inst.dist, 1).ravel().tolist())
 
 
 def lower_bound(inst: Instance, team_matching: PairMatching) -> float:
@@ -155,9 +168,13 @@ def evaluation_report(sched, inst: Instance) -> EvaluationReport:
     ratio); ``NOT_METRIC``, an instance that breaks the triangle inequality
     (the lower bound needs it).  ``bound_reason`` is None when
     ``bound_satisfied`` is a bool.
-    A schedule that declares another team count, or one naming teams
-    outside the instance, raises ValidationError, and so does a dict whose
-    ``"flips"`` differs from the Type-2 count of its ``"levels"``.
+    ``flips`` is the schedule's own count (a ``Schedule``'s Type-2 blocks),
+    None for a form that carries none.  A schedule that declares another
+    team count, or one naming teams outside the instance, raises
+    ValidationError, and so does a dict: a stored ``schedule_to_dict`` dict
+    is read with ``schedule_from_dict``, which also checks its stored flip
+    count against its levels.  Distances that sum past the float range
+    raise InstanceError.
 
     The team matching is solved from ``inst`` rather than read from the
     schedule, which may come from anywhere; right after ``build_schedule``
@@ -168,18 +185,11 @@ def evaluation_report(sched, inst: Instance) -> EvaluationReport:
     valid = not _validate(g, sched).violations
     teams = min_weight_perfect_matching(inst.dist)
     per_team = tuple(_itineraries(g, inst))
-    total = math.fsum(it.travel for it in per_team)
+    total = _fsum(it.travel for it in per_team)
     w_t = pairwise_sum(inst)
     lb = 2.0 * w_t + n * teams.weight
     ratio = (total / lb) if lb > 0 else None
-    flips = sched.get("flips") if isinstance(sched, dict) else getattr(sched, "flips", None)
-    if flips is not None and not isinstance(flips, int):
-        raise ValidationError(f"flips must be an integer, got {flips!r}")
-    if flips is not None and isinstance(sched, dict):
-        # imported here because scheduler imports this module; it refuses
-        # a stored "flips" that the levels contradict, without the days
-        from .scheduler import _stored_plan
-        _stored_plan(sched)
+    flips = getattr(sched, "flips", None)
     try:
         budget = flip_budget(n)
     except TTP2Error:

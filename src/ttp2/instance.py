@@ -305,12 +305,16 @@ def emit_instance(inst: Instance, fmt: str = "json") -> str:
 def _csv_header(names: tuple[str, ...]) -> str:
     """The csv name row, refusing a name that ``_parse_csv`` would not read
     back as written: one holding a comma or a line break, or with leading or
-    trailing whitespace, or a first name that reads as a number (the row
-    would be taken for data)."""
+    trailing whitespace, a first name that reads as a number (the row would
+    be taken for data), or a first name starting with ``{`` (the text would
+    be taken for json)."""
     for name in names:
         if "," in name or len(name.splitlines()) > 1 or name != name.strip():
             raise InstanceError(f"team name {name!r} cannot be written to csv: it holds "
                                 "a comma or a line break, or starts or ends with whitespace")
+    if names[0].startswith("{"):
+        raise InstanceError(f"team name {names[0]!r} cannot be the first csv name: "
+                            "it starts with '{', so the text reads as json")
     try:
         float(names[0])
     except ValueError:

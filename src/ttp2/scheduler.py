@@ -281,19 +281,19 @@ def _block_from_dict(b) -> SuperMatch:
         raise ValidationError(f"block {b!r}: {exc}") from None
 
 
-def _malformed(exc: Exception) -> ValidationError:
-    if isinstance(exc, KeyError):
-        return ValidationError(f"malformed schedule JSON: missing field {exc}")
-    return ValidationError(f"malformed schedule JSON: {exc}")
-
-
-def _stored_plan(obj: dict) -> tuple[tuple[LevelPlan, ...], Optional[PairMatching],
-                                    Optional[PairMatching]]:
-    """The typed levels, team pairs and super-pairs of a ``schedule_to_dict``
-    dict, read without its days; raises ValidationError when they cannot be
-    read or when a stored ``"flips"`` differs from the levels' Type-2
-    count."""
+def schedule_from_dict(obj: dict) -> Schedule:
+    """Schedule from its ``schedule_to_dict`` form, the one reader of that
+    form; raises ValidationError when the input cannot be read as one, when
+    a number it needs as an integer has a fractional part, when a team
+    plays itself, or when a stored ``"flips"`` differs from the levels'
+    Type-2 count."""
     try:
+        n = _integer(obj["n"])
+        days = tuple(tuple(_fixtures(map(_AWAY_HOME, day))) for day in obj["days"])
+        teams = itertools.chain.from_iterable(itertools.chain.from_iterable(days))
+        if not set(map(type, teams)) <= {int}:
+            days = tuple(tuple(Fixture(_integer(a), _integer(h)) for a, h in day)
+                         for day in days)
         levels = tuple(
             LevelPlan(round=_integer(lv["round"]), level=_integer(lv["level"]),
                       super_matches=tuple(_block_from_dict(b) for b in lv["blocks"]))
@@ -302,35 +302,19 @@ def _stored_plan(obj: dict) -> tuple[tuple[LevelPlan, ...], Optional[PairMatchin
         team_pairs = _pairs_from_dict(obj.get("team_pairs"))
         super_pairs = _pairs_from_dict(obj.get("super_pairs"))
     except (KeyError, TypeError, ValueError, SchedulingError) as exc:
-        raise _malformed(exc) from None
-    flips = sum(sm.block_type == 2 for lp in levels for sm in lp.super_matches)
-    if stored_flips is not None and stored_flips != flips:
+        if isinstance(exc, KeyError):
+            raise ValidationError(f"malformed schedule JSON: missing field {exc}") from None
+        raise ValidationError(f"malformed schedule JSON: {exc}") from None
+    sched = Schedule(n=n, days=days, levels=levels, team_pairs=team_pairs,
+                     super_pairs=super_pairs)
+    if stored_flips is not None and stored_flips != sched.flips:
         raise ValidationError(f"stored flips {stored_flips} differ from the "
-                              f"{flips} Type-2 blocks in the levels")
-    return levels, team_pairs, super_pairs
-
-
-def schedule_from_dict(obj: dict) -> Schedule:
-    """Schedule from its ``schedule_to_dict`` form; raises ValidationError
-    when the input cannot be read as one, when a number it needs as an
-    integer has a fractional part, when a team plays itself, or when a
-    stored ``"flips"`` differs from the levels' Type-2 count."""
-    try:
-        n = _integer(obj["n"])
-        days = tuple(tuple(_fixtures(map(_AWAY_HOME, day))) for day in obj["days"])
-        teams = itertools.chain.from_iterable(itertools.chain.from_iterable(days))
-        if not set(map(type, teams)) <= {int}:
-            days = tuple(tuple(Fixture(_integer(a), _integer(h)) for a, h in day)
-                         for day in days)
-    except (KeyError, TypeError, ValueError) as exc:
-        raise _malformed(exc) from None
-    levels, team_pairs, super_pairs = _stored_plan(obj)
+                              f"{sched.flips} Type-2 blocks in the levels")
     for d, day in enumerate(days):
         for away, home in day:
             if away == home:
                 raise ValidationError(f"team {away} plays itself on day {d}")
-    return Schedule(n=n, days=days, levels=levels, team_pairs=team_pairs,
-                    super_pairs=super_pairs)
+    return sched
 
 
 def schedule_from_json(text: str) -> Schedule:

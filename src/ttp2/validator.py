@@ -2,20 +2,20 @@
 home-stand/away-trip cap 2.
 
 The checker is deliberately independent of the construction code: it accepts
-raw day lists, parsed JSON objects, day-list text or Schedule values, reads
-each into one normal form (``schedule_array``), and re-derives every verdict
-from the fixtures alone.  A schedule that also stores typed levels and team
-pairs has each stored block type checked against its days.  All violations
-are reported, not just the first.  Travel evaluation in ``analysis`` reads
-schedules through the same normal form.
+raw day lists, day-list text or Schedule values, reads each into one normal
+form (``schedule_array``), and re-derives every verdict from the fixtures
+alone.  A stored schedule dict is not among them: ``schedule_from_dict`` is
+its one reader, and the ``Schedule`` it returns is.  A schedule that also
+stores typed levels and team pairs has each stored block type checked
+against its days.  All violations are reported, not just the first.  Travel
+evaluation in ``analysis`` reads schedules through the same normal form.
 
 ``Fixture`` days holding plain ints, which is what ``build_schedule``,
 ``schedule_from_dict`` and ``parse_day_list`` produce, are read into the
 normal form without a per-fixture Python call.  Every other form (plain
-``(away, home)`` pairs, dict fixtures, generators, other team types) is
-read fixture by fixture, with the same result and the same errors.  A
-team, team count or stored block field that is a number with a fractional
-part (2.5) is refused, not truncated.
+``(away, home)`` pairs, generators, other team types) is read fixture by
+fixture, with the same result and the same errors.  A team or team count
+that is a number with a fractional part (2.5) is refused, not truncated.
 
 The last day tuple read is remembered with its normal form when it is
 frozen all the way down: a tuple of tuples of ``Fixture`` values of plain
@@ -98,14 +98,13 @@ def _integer(x) -> int:
 
 def _fixture_ends(fx) -> tuple[int, int]:
     try:
-        if isinstance(fx, dict):
-            away, home = fx["away"], fx["home"]
-        else:
-            away, home = fx
+        if isinstance(fx, (dict, str)):   # two keys or characters are not a fixture
+            raise TypeError
+        away, home = fx
         if type(away) is int and type(home) is int:
             return away, home
         return _integer(away), _integer(home)
-    except (KeyError, TypeError, ValueError):
+    except (TypeError, ValueError):
         raise ValidationError(f"malformed fixture {fx!r}") from None
 
 
@@ -150,16 +149,16 @@ _last_read: tuple = (object(), None, None)
 def schedule_array(sched, n: Optional[int] = None) -> ScheduleArray:
     """Read any accepted schedule form into its normal form.
 
-    Accepted: a ``Schedule``, its ``schedule_to_dict`` dict, day-list text,
-    a ``ScheduleArray``, or a list of days whose fixtures are ``Fixture``
-    values, ``(away, home)`` pairs or ``{"away", "home"}`` dicts.  ``n``
-    defaults to the schedule's own team count, else the largest team index
-    plus one.  Unreadable input raises ValidationError: a malformed fixture,
-    a declared team count other than ``n``, n < 2, an empty schedule without
-    n, or a fixture whose team plays itself or lies outside 0..n-1.  The
-    normal form's arrays are read-only.  Reading the last frozen day tuple
-    read (see the module docstring) again, for the same team count, returns
-    the normal form already made.
+    Accepted: a ``Schedule``, day-list text, a ``ScheduleArray``, or a list
+    of days whose fixtures are ``Fixture`` values or ``(away, home)`` pairs.
+    ``n`` defaults to the schedule's own team count, else the largest team
+    index plus one.  Unreadable input raises ValidationError: a dict (a
+    ``schedule_to_dict`` dict is read with ``schedule_from_dict``), a
+    malformed fixture, a declared team count other than ``n``, n < 2, an
+    empty schedule without n, or a fixture whose team plays itself or lies
+    outside 0..n-1.  The normal form's arrays are read-only.  Reading the
+    last frozen day tuple read (see the module docstring) again, for the
+    same team count, returns the normal form already made.
     """
     global _last_read
     if isinstance(sched, ScheduleArray):
@@ -167,7 +166,8 @@ def schedule_array(sched, n: Optional[int] = None) -> ScheduleArray:
     elif isinstance(sched, str):
         declared, days = None, parse_day_list(sched)
     elif isinstance(sched, dict):
-        declared, days = sched.get("n"), sched.get("days", [])
+        raise ValidationError("a schedule_to_dict dict is read with schedule_from_dict; "
+                              "pass the Schedule it returns")
     else:
         declared, days = getattr(sched, "n", None), getattr(sched, "days", sched)
     try:
@@ -254,18 +254,7 @@ def parse_day_list(text: str) -> list[list[Fixture]]:
 
 def _stored_blocks(sched):
     """The typed levels, as (a_pair, b_pair, type) triples, and the team
-    pairs of a ``Schedule`` or ``schedule_to_dict`` dict that stores both;
-    None for any other input."""
-    if isinstance(sched, dict):
-        levels, pairs = sched.get("levels"), sched.get("team_pairs")
-        if not levels or not pairs:
-            return None
-        try:
-            return ([[(_integer(b["a_pair"]), _integer(b["b_pair"]), _integer(b["type"]))
-                      for b in lv["blocks"]] for lv in levels],
-                    [tuple(map(_integer, p)) for p in pairs["pairs"]])
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ValidationError(f"malformed levels or team pairs: {exc!r}") from None
+    pairs of a ``Schedule`` that stores both; None for any other input."""
     levels, pairs = getattr(sched, "levels", None), getattr(sched, "team_pairs", None)
     if not levels or pairs is None:
         return None
@@ -315,9 +304,8 @@ def validate_schedule(sched, n: Optional[int] = None) -> ViolationReport:
 
     ``sched`` is any form ``schedule_array`` reads.  Malformed input (team
     out of range, team playing itself) raises; rule violations are
-    collected into the report.  A ``Schedule`` or dict that stores typed
-    levels and team pairs also has its block types checked against its
-    days.
+    collected into the report.  A ``Schedule`` that stores typed levels
+    and team pairs also has its block types checked against its days.
     """
     return _validate(schedule_array(sched, n), sched)
 

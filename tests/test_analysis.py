@@ -9,7 +9,9 @@ import pytest
 
 from ttp2 import (
     Instance,
+    InstanceError,
     PairMatching,
+    Schedule,
     SuperMatch,
     TTP2Error,
     ValidationError,
@@ -88,10 +90,11 @@ def test_analysis_accepts_the_validator_forms():
     s = build_schedule(inst)
     travel = total_travel(s, inst)
     report = report_to_dict(evaluation_report(s, inst))
-    for form in (schedule_to_dict(s), day_list_text(s.days)):
+    stored = schedule_from_dict(schedule_to_dict(s))
+    for form in (stored, day_list_text(s.days)):
         assert total_travel(form, inst) == travel
         assert team_itinerary(form, inst, 5) == team_itinerary(s, inst, 5)
-    assert report_to_dict(evaluation_report(schedule_to_dict(s), inst)) == report
+    assert report_to_dict(evaluation_report(stored, inst)) == report
     text_report = report_to_dict(evaluation_report(day_list_text(s.days), inst))
     assert text_report == {**report, "flips": None}   # a day list carries no flips
 
@@ -249,20 +252,18 @@ def test_evaluation_report_flags_invalid():
     inst = generate_instance(8, kind="euclidean", seed=0)
     s = build_schedule(inst)
     days = [[(f.away, f.home) for f in day] for day in s.days][:-1]
-    rep = evaluation_report({"n": 8, "days": days}, inst)
+    rep = evaluation_report(days, inst)
     assert rep.valid is False
-    assert rep.flips is None             # raw dict carries no flip count
-    with pytest.raises(ValidationError, match="flips must be an integer"):
-        evaluation_report({"n": 8, "days": days, "flips": "3"}, inst)
+    assert rep.flips is None             # a day list carries no flip count
 
 
 def test_evaluation_report_refuses_flips_the_levels_contradict():
     inst = generate_instance(12, kind="euclidean", seed=0)
     obj = schedule_to_dict(build_schedule(inst))
-    assert evaluation_report(obj, inst).flips == 3
+    assert evaluation_report(schedule_from_dict(obj), inst).flips == 3
     obj["flips"] = 0
     with pytest.raises(ValidationError, match="stored flips 0") as ei:
-        evaluation_report(obj, inst)
+        schedule_from_dict(obj)
     assert "3 Type-2 blocks" in str(ei.value)
 
 
@@ -279,21 +280,22 @@ def _damage(obj, path, value):
 _DELETE, _A_PAIR = object(), object()
 
 
-# every ValidationError that a dict carrying "flips" gets from the check of
-# its stored plan, with the message it names
+# every ValidationError that a stored schedule gets from the check of its
+# stored plan, with the message it names; schedule_from_dict, the one reader
+# of the stored form, makes that check before evaluation_report sees it
 @pytest.mark.parametrize("path,value,message", [
     (("flips",), 0, "stored flips 0 differ from the 3 Type-2 blocks"),
-    (("levels",), 5, "malformed levels or team pairs"),
-    (("levels", 0), 5, "malformed levels or team pairs"),
+    (("levels",), 5, "malformed schedule JSON: 'int' object is not iterable"),
+    (("levels", 0), 5, "malformed schedule JSON: 'int' object is not subscriptable"),
     (("levels", 0, "round"), "x", "malformed schedule JSON: invalid literal"),
     (("levels", 0, "level"), _DELETE, "malformed schedule JSON: missing field 'level'"),
-    (("levels", 0, "blocks"), _DELETE, "malformed levels or team pairs"),
-    (("levels", 0, "blocks", 0, "a_pair"), "x", "malformed levels or team pairs"),
+    (("levels", 0, "blocks"), _DELETE, "malformed schedule JSON: missing field 'blocks'"),
+    (("levels", 0, "blocks", 0, "a_pair"), "x", "malformed schedule JSON: block .* invalid"),
     (("levels", 0, "blocks", 0, "type"), 7,
      "malformed schedule JSON: block .* unknown block type 7"),
     (("levels", 1, "blocks", 0, "b_pair"), _A_PAIR, "super-match pairs a pair with itself"),
-    (("team_pairs", "pairs"), "ab", "malformed levels or team pairs"),
-    (("team_pairs", "pairs", 0), [0, "x"], "malformed levels or team pairs"),
+    (("team_pairs", "pairs"), "ab", "malformed schedule JSON: pair 'a'"),
+    (("team_pairs", "pairs", 0), [0, "x"], "malformed schedule JSON: pair \\[0, 'x'\\]"),
     (("team_pairs", "weight"), _DELETE, "malformed schedule JSON: missing field 'weight'"),
     (("super_pairs", "pairs"), 5, "malformed schedule JSON: 'int' object is not iterable"),
     (("super_pairs", "weight"), "heavy", "malformed schedule JSON: could not convert"),
@@ -303,7 +305,7 @@ def test_evaluation_report_refuses_an_unreadable_stored_plan(path, value, messag
     obj = schedule_to_dict(build_schedule(inst))
     _damage(obj, path, value)
     with pytest.raises(ValidationError, match=message):
-        evaluation_report(obj, inst)
+        evaluation_report(schedule_from_dict(obj), inst)
 
 
 @pytest.mark.parametrize("path,value", [
@@ -320,8 +322,6 @@ def test_stored_numbers_with_a_fractional_part_and_bad_pairs_are_refused(path, v
     inst = generate_instance(12, kind="euclidean", seed=0)
     obj = schedule_to_dict(build_schedule(inst))
     _damage(obj, path, value)
-    with pytest.raises(ValidationError):
-        evaluation_report(obj, inst)
     with pytest.raises(ValidationError, match="malformed schedule JSON"):
         schedule_from_dict(obj)
 
@@ -335,7 +335,18 @@ def test_stored_integral_floats_read_as_integers():
     obj["team_pairs"]["pairs"][0] = [float(t) for t in obj["team_pairs"]["pairs"][0]]
     assert schedule_from_dict(obj) == s
     report = report_to_dict(evaluation_report(s, inst))
-    assert report_to_dict(evaluation_report(obj, inst)) == report
+    assert report_to_dict(evaluation_report(schedule_from_dict(obj), inst)) == report
+
+
+def test_sums_past_the_float_range_are_refused():
+    dist = np.full((8, 8), 1e307)
+    np.fill_diagonal(dist, 0.0)
+    inst = Instance(n=8, dist=dist)
+    s = build_schedule(generate_instance(8, kind="euclidean", seed=0))
+    for call in (lambda: pairwise_sum(inst), lambda: total_travel(s, inst),
+                 lambda: evaluation_report(s, inst)):
+        with pytest.raises(InstanceError, match="sum past the float range"):
+            call()
 
 
 def test_total_travel_sums_each_team_first():
@@ -350,7 +361,7 @@ def test_total_travel_sums_each_team_first():
 def test_evaluation_report_rejects_mismatched_n():
     inst = generate_instance(8, kind="euclidean", seed=0)
     s12 = build_schedule(generate_instance(12, kind="euclidean", seed=0))
-    for sched in (s12, schedule_to_dict(s12), {"n": 12, "days": []}):
+    for sched in (s12, schedule_from_dict(schedule_to_dict(s12)), Schedule(n=12, days=())):
         with pytest.raises(ValidationError, match="n=12") as ei:
             evaluation_report(sched, inst)
         assert "n=8" in str(ei.value)

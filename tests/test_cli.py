@@ -305,6 +305,22 @@ def test_evaluate_rejects_schedule_of_another_size(tmp_path, capsys):
     assert "n=12" in err and "n=8" in err
 
 
+@pytest.mark.parametrize("command", ["schedule", "evaluate"])
+def test_distances_past_the_float_range_exit_1(tmp_path, capsys, command):
+    # every distance fits a float, but their sums do not
+    inst_path = tmp_path / "huge.json"
+    dist = [[0.0 if i == j else 1e307 for j in range(8)] for i in range(8)]
+    inst_path.write_text(json.dumps({"n": 8, "dist": dist}))
+    sched_path = tmp_path / "sched8.json"
+    run(capsys, "schedule", "--n", "8", "--seed", "0", "-o", str(sched_path))
+    argv = {"schedule": ["-i", str(inst_path)],
+            "evaluate": ["-i", str(sched_path), "-d", str(inst_path)]}[command]
+    code, out, err = run(capsys, command, *argv)
+    assert code == 1
+    assert out == ""
+    assert err.splitlines() == ["error: the distances sum past the float range"]
+
+
 def _with_block_type(text, block_type):
     obj = json.loads(text)
     obj["levels"][0]["blocks"][0]["type"] = block_type

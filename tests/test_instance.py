@@ -129,6 +129,7 @@ def test_csv_names_header():
     (("1", "2", "3", "4"), "'1'"),
     ((" x", "b", "c", "d"), "' x'"),
     (("a", "b\nc", "d", "e"), "'b\\nc'"),
+    (("{a", "b", "c", "d"), "'{a'"),
 ])
 def test_csv_refuses_names_it_cannot_read_back(names, culprit):
     inst = Instance(n=4, dist=small_dist(), names=names)
@@ -157,11 +158,11 @@ def _instances(draw):
 
 
 def _csv_header_reads_back(inst):
-    # the names row written as is, ahead of the data rows: does the csv
-    # reader give back the same names and distances?
+    # the names row written as is, ahead of the data rows: does the reader,
+    # sniffing the format, give back the same names and distances?
     rows = emit_instance(Instance(n=inst.n, dist=inst.dist), fmt="csv")
     try:
-        back = load_instance(",".join(inst.names) + "\n" + rows, fmt="csv")
+        back = load_instance(",".join(inst.names) + "\n" + rows)
     except InstanceError:
         return False
     return back.names == inst.names and back.dist.tobytes() == inst.dist.tobytes()

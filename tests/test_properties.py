@@ -18,6 +18,7 @@ from ttp2 import (
     Schedule,
     build_schedule,
     generate_instance,
+    schedule_from_dict,
     schedule_from_json,
     schedule_to_dict,
     schedule_to_json,
@@ -124,11 +125,10 @@ def _forms(n, days):
     sched = Schedule(n=n, days=tuple(tuple(day) for day in fixtures))
     return {
         "schedule": sched,
-        "dict": schedule_to_dict(sched),
+        "dict": schedule_from_dict(schedule_to_dict(sched)),
         "text": day_list_text(days),
         "fixtures": fixtures,
         "pairs": days,
-        "fixture_dicts": [[{"away": a, "home": h} for a, h in day] for day in days],
     }
 
 

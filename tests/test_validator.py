@@ -13,6 +13,7 @@ from ttp2 import (
     parse_day_list,
     schedule_from_dict,
     schedule_to_dict,
+    team_itinerary,
     total_travel,
     validate_schedule,
 )
@@ -201,10 +202,30 @@ def test_parse_day_list_bad_token():
         parse_day_list("row 1: 0@1")
 
 
+def _stored(days, n):
+    """``days`` (lists of (away, home)) in the stored form, read back by
+    ``schedule_from_dict``."""
+    return schedule_from_dict({"n": n, "days": [[{"away": a, "home": h} for a, h in day]
+                                                for day in days]})
+
+
 def test_dict_form_accepted(clean8):
-    obj = {"n": 8, "days": [[{"away": a, "home": h} for a, h in day]
-                            for day in clean8]}
-    assert validate_schedule(obj).ok
+    assert validate_schedule(_stored(clean8, 8)).ok
+
+
+@pytest.mark.parametrize("reader", [
+    lambda obj, inst: schedule_array(obj),
+    lambda obj, inst: validate_schedule(obj),
+    lambda obj, inst: total_travel(obj, inst),
+    lambda obj, inst: team_itinerary(obj, inst, 0),
+    lambda obj, inst: evaluation_report(obj, inst),
+], ids=["schedule_array", "validate_schedule", "total_travel", "team_itinerary",
+        "evaluation_report"])
+def test_readers_refuse_a_stored_dict(reader):
+    inst = generate_instance(8, kind="euclidean", seed=0)
+    obj = schedule_to_dict(build_schedule(inst))
+    with pytest.raises(ValidationError, match="schedule_from_dict"):
+        reader(obj, inst)
 
 
 def test_n_inferred_from_teams(clean8):
@@ -214,7 +235,7 @@ def test_n_inferred_from_teams(clean8):
 
 def test_declared_n_must_match_the_given_n(clean8):
     s = build_schedule(generate_instance(8, kind="euclidean", seed=0))
-    obj = {"n": 8, "days": clean8}
+    obj = _stored(clean8, 8)
     for sched in (s, obj):
         with pytest.raises(ValidationError, match="n=8 does not match the expected n=10"):
             validate_schedule(sched, n=10)
@@ -252,19 +273,25 @@ def test_empty_schedule_needs_n():
 
 
 def test_malformed_fixture_raises():
-    with pytest.raises(ValidationError, match="malformed fixture"):
-        validate_schedule([[("x", None)]], n=4)
+    # a dict or a string would unpack to its two keys or characters
+    for fixture in (("x", None), {"away": 0, "home": 1}, {0: "a", 1: "b"}, "01"):
+        with pytest.raises(ValidationError, match="malformed fixture"):
+            validate_schedule([[fixture]], n=4)
 
 
 @pytest.mark.parametrize("sched, match", [
-    ({"n": 8, "days": [5]}, "malformed day 5"),
-    ({"days": None}, "malformed days None"),
-    ({"days": 5}, "malformed days 5"),
+    ({"n": 8, "days": [5]}, "malformed schedule JSON: 'int' object is not iterable"),
+    ({"n": 8, "days": None}, "malformed schedule JSON: 'NoneType' object is not iterable"),
+    ({"n": 8, "days": 5}, "malformed schedule JSON: 'int' object is not iterable"),
     ([5], "malformed day 5"),
     (None, "malformed days None"),
 ], ids=["dict-day", "dict-none", "dict-int", "list-day", "none"])
 def test_non_iterable_days_raise(sched, match):
     inst = generate_instance(8, kind="unit", seed=0)
+    if isinstance(sched, dict):   # the stored form has one reader
+        with pytest.raises(ValidationError, match=match):
+            schedule_from_dict(sched)
+        return
     with pytest.raises(ValidationError, match=match):
         validate_schedule(sched)
     with pytest.raises(ValidationError, match=match):
@@ -443,13 +470,13 @@ def test_stored_block_types_are_checked_against_the_days():
             if block["type"] == 2:
                 block["type"] = 1
     obj["flips"] = 0
-    for form in (obj, schedule_from_dict(obj)):
-        report = validate_schedule(form)
-        assert [v.constraint for v in report.violations] == [S_BLOCK_TYPE] * 3
-        assert [v.day for v in report.violations] == [5, 9, 13]
-        assert not evaluation_report(form, inst).valid
+    stored = schedule_from_dict(obj)
+    report = validate_schedule(stored)
+    assert [v.constraint for v in report.violations] == [S_BLOCK_TYPE] * 3
+    assert [v.day for v in report.violations] == [5, 9, 13]
+    assert not evaluation_report(stored, inst).valid
     # the days alone, without the stored levels, are still a valid schedule
-    assert validate_schedule(obj["days"]).ok
+    assert validate_schedule(list(stored.days)).ok
 
 
 @pytest.mark.parametrize("level,field,value,expected", [
@@ -460,7 +487,8 @@ def test_stored_block_types_are_checked_against_the_days():
 def test_stored_levels_are_checked(level, field, value, expected):
     obj = schedule_to_dict(build_schedule(generate_instance(12, "euclidean", 0)))
     obj["levels"][level]["blocks"][0][field] = value
-    details = [v.detail for v in validate_schedule(obj).by_constraint(S_BLOCK_TYPE)]
+    report = validate_schedule(schedule_from_dict(obj))
+    details = [v.detail for v in report.by_constraint(S_BLOCK_TYPE)]
     assert details == [expected]
 
 
@@ -483,6 +511,6 @@ def test_built_schedules_have_no_block_type_violation():
     for inst in _seed0_benchmark_instances():
         s = build_schedule(inst)
         assert validate_schedule(s).ok
-        assert validate_schedule(schedule_to_dict(s)).ok
+        assert validate_schedule(schedule_from_dict(schedule_to_dict(s))).ok
         count += 1
     assert count == 624
