@@ -118,9 +118,16 @@ def pairwise_sum(inst: Instance) -> float:
 
 def lower_bound(inst: Instance, team_matching: PairMatching) -> float:
     """2*W_t + n*W_m, the travel floor every feasible schedule obeys on
-    metric instances."""
-    w_t = pairwise_sum(inst)
-    return 2.0 * w_t + inst.n * team_matching.weight
+    metric instances; a bound past the float range raises InstanceError."""
+    return _bound(pairwise_sum(inst), inst.n, team_matching.weight)
+
+
+def _bound(w_t: float, n: int, w_m: float) -> float:
+    """2*w_t + n*w_m, refusing a sum past the float range with InstanceError."""
+    lb = 2.0 * w_t + n * w_m
+    if math.isinf(lb):
+        raise InstanceError("the distances sum past the float range")
+    return lb
 
 
 def _ceil_log2(x: int) -> int:
@@ -187,7 +194,7 @@ def evaluation_report(sched, inst: Instance) -> EvaluationReport:
     per_team = tuple(_itineraries(g, inst))
     total = _fsum(it.travel for it in per_team)
     w_t = pairwise_sum(inst)
-    lb = 2.0 * w_t + n * teams.weight
+    lb = _bound(w_t, n, teams.weight)   # lower_bound's, without summing W_t again
     ratio = (total / lb) if lb > 0 else None
     flips = getattr(sched, "flips", None)
     try:

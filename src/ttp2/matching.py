@@ -29,6 +29,15 @@ Solves are memoized by matrix content (shape and bytes of the validated,
 symmetrized weights), so scoring a schedule right after building it does
 not pay for the team matching again.  Equal content means an equal
 answer, so a cached result can never belong to a different instance.
+
+A solve holds no reference cycles: no helper of the blossom refers to
+itself, so its tables (at m=32 a 32 x 64 least-slack edge table and the
+label, slack and blossom lists) are freed by reference counting as soon
+as it returns.  Left in a cycle, they would wait for the cyclic garbage
+collector, whose pass, about 1,400 objects per m=32 solve, would then
+land on whatever code happens to trigger it.  The vertex rows of the edge
+table are built once per size; each solve copies the rows and shares
+their edge tuples.
 """
 
 from __future__ import annotations
@@ -160,6 +169,15 @@ def _tie_weights(m: int) -> tuple[int, np.ndarray]:
     return -4 * b ** m, f
 
 
+@lru_cache(maxsize=None)
+def _vertex_edges(n: int) -> tuple[tuple, ...]:
+    """The vertex rows of the blossom's least-slack edge table: entry
+    (u, y) is the edge (u, y) for a vertex y and None for a blossom y.
+    Only the blossom columns are ever rewritten, so each solve copies
+    these rows and shares their edge tuples."""
+    return tuple(tuple([(u, v) for v in range(n)] + [None] * n) for u in range(n))
+
+
 def _canonical_pairs(w: np.ndarray) -> list[tuple[int, int]]:
     m = w.shape[0]
     k4, f4 = _tie_weights(m)
@@ -179,15 +197,20 @@ def _blossom(a2: list[list[int]], n: int) -> list[int]:
     augmentation and the result is perfect.  Every a2 is a multiple of 4 and
     every starting dual is even, so the exposed vertices, which take every
     dual step together, share one parity, and every step is an integer.
-    Returns the mate of each vertex.
+    Returns the mate of each vertex; a2's diagonal is overwritten.
     """
     N = 2 * n
     # warm start: each vertex's dual from its cheapest edge, then one sweep
     # that lowers each dual until one of its edges is tight; then match
-    # tight pairs greedily, lowest vertex first
-    lab = [max(row[:v] + row[v + 1:]) // 2 for v, row in enumerate(a2)] + [0] * n
+    # tight pairs greedily, lowest vertex first.  The diagonal a2[v][v] is
+    # never read after the warm start, so each max reads whole rows with the
+    # diagonal term set equal to the term of edge (v, v ^ 1)
     for v, row in enumerate(a2):
-        lab[v] = max(map(sub, row[:v] + row[v + 1:], lab[:v] + lab[v + 1:n]))
+        row[v] = row[v ^ 1]
+    lab = [max(row) // 2 for row in a2] + [0] * n
+    for v, row in enumerate(a2):
+        row[v] = row[v ^ 1] - lab[v ^ 1] + lab[v]
+        lab[v] = max(map(sub, row, lab))
     match = [-1] * N
     for v in range(n):
         if match[v] == -1:
@@ -197,11 +220,11 @@ def _blossom(a2: list[list[int]], n: int) -> list[int]:
                     break
 
     st = list(range(n)) + [-1] * n          # top-level blossom of each index
-    # g[x][y]: the least-slack edge (vertex of x, vertex of y)
-    g = ([[(u, v) for v in range(n)] + [None] * n for u in range(n)]
-         + [[None] * N for _ in range(n)])
-    flower: list[list[int]] = [[] for _ in range(N)]
-    flower_from = [[-1] * n for _ in range(N)]   # child of b holding vertex x
+    # g[x][y]: the least-slack edge (vertex of x, vertex of y); a blossom's
+    # row, like its flower and flower_from row, is made when it forms
+    g = [list(row) for row in _vertex_edges(n)] + [None] * n
+    flower: list = [None] * N
+    flower_from = [[-1] * n for _ in range(n)] + [None] * n   # child of b holding x
     for u in range(n):
         flower_from[u][u] = u
     pa = [-1] * N
@@ -218,7 +241,11 @@ def _blossom(a2: list[list[int]], n: int) -> list[int]:
 
     def update_slack(u: int, x: int) -> None:
         s = slack[x]
-        if s == -1 or delta(g[u][x]) < delta(g[s][x]):
+        if s == -1:
+            slack[x] = u
+            return
+        (p, q), (r, t) = g[u][x], g[s][x]
+        if lab[p] + lab[q] - a2[p][q] < lab[r] + lab[t] - a2[r][t]:
             slack[x] = u
 
     def set_slack(x: int) -> None:
@@ -227,18 +254,26 @@ def _blossom(a2: list[list[int]], n: int) -> list[int]:
             if st[u] != x and label[st[u]] == 0:
                 update_slack(u, x)
 
+    # push, set_st and set_match walk nested blossoms with explicit stacks:
+    # a helper that called itself would hold its own closure cell, and that
+    # cycle would keep every table of the solve alive until the cyclic
+    # garbage collector ran
     def push(x: int) -> None:
-        if x < n:
-            queue.append(x)
-        else:
-            for y in flower[x]:
-                push(y)
+        todo = [x]
+        while todo:
+            y = todo.pop()
+            if y < n:
+                queue.append(y)
+            else:
+                todo += reversed(flower[y])
 
     def set_st(x: int, b: int) -> None:
-        st[x] = b
-        if x >= n:
-            for y in flower[x]:
-                set_st(y, b)
+        todo = [x]
+        while todo:
+            y = todo.pop()
+            st[y] = b
+            if y >= n:
+                todo += flower[y]
 
     def get_pr(b: int, xr: int) -> int:
         fl = flower[b]
@@ -249,16 +284,20 @@ def _blossom(a2: list[list[int]], n: int) -> list[int]:
         return pr
 
     def set_match(u: int, v: int) -> None:
-        e = g[u][v]
-        match[u] = e[1]
-        if u >= n:
-            xr = flower_from[u][e[0]]
-            pr = get_pr(u, xr)
-            fl = flower[u]
-            for i in range(pr):
-                set_match(fl[i], fl[i ^ 1])
-            set_match(xr, v)
-            flower[u] = fl[pr:] + fl[:pr]
+        # the children of one blossom are disjoint blossoms, so the order in
+        # which they are matched, and the rotation's place before them, are free
+        todo = [(u, v)]
+        while todo:
+            u, v = todo.pop()
+            e = g[u][v]
+            match[u] = e[1]
+            if u >= n:
+                xr = flower_from[u][e[0]]
+                pr = get_pr(u, xr)
+                fl = flower[u]
+                todo += [(fl[i], fl[i ^ 1]) for i in range(pr)]
+                todo.append((xr, v))
+                flower[u] = fl[pr:] + fl[:pr]
 
     def augment(u: int, v: int) -> None:
         while True:
@@ -309,21 +348,23 @@ def _blossom(a2: list[list[int]], n: int) -> list[int]:
             x = st[pa[y]]
         flower[b] = fl
         set_st(b, b)
-        row = g[b]
-        for x in range(n_x):
-            row[x] = None
+        # row[x]: the least-slack edge from b to x, of slack least[x]; the
+        # first of equal slack is kept
+        row = g[b] = [None] * N
+        least = [0] * n_x
+        outside = [x for x in range(n_x) if st[x] != b and st[x] != -1]
         for xs in fl:
             edges = g[xs]
-            for x in range(n_x):
-                if st[x] == b or st[x] == -1:
-                    continue
+            for x in outside:
                 e = edges[x]
-                if row[x] is None or delta(e) < delta(row[x]):
-                    row[x] = e
-                    g[x][b] = (e[1], e[0])
-        ff = flower_from[b]
-        for x in range(n):
-            ff[x] = -1
+                u, v = e
+                d = lab[u] + lab[v] - a2[u][v]
+                if row[x] is None or d < least[x]:
+                    row[x], least[x] = e, d
+        for x in outside:
+            u, v = row[x]
+            g[x][b] = (v, u)
+        ff = flower_from[b] = [-1] * n
         for xs in fl:
             held = flower_from[xs]
             for x in range(n):

@@ -349,6 +349,16 @@ def test_sums_past_the_float_range_are_refused():
             call()
 
 
+def test_a_lower_bound_past_the_float_range_is_refused():
+    # W_t = 28 * 6e306 fits the float range; 2 * W_t + 8 * W_m does not
+    dist = np.full((8, 8), 6e306)
+    np.fill_diagonal(dist, 0.0)
+    inst = Instance(n=8, dist=dist)
+    assert pairwise_sum(inst) == pytest.approx(1.68e308)
+    with pytest.raises(InstanceError, match="sum past the float range"):
+        lower_bound(inst, min_weight_perfect_matching(dist))
+
+
 def test_total_travel_sums_each_team_first():
     for seed in range(3):
         for n in (8, 20, 32):

@@ -363,6 +363,24 @@ def test_unreadable_schedule_file_exits_1(sched_and_inst, tmp_path, capsys,
     assert message in err
 
 
+@pytest.mark.parametrize("command", ["validate", "evaluate"])
+@pytest.mark.parametrize("edit,field", [
+    (lambda o: o.update(n="8"), "n"),
+    (lambda o: o["days"][0][0].update(away="0"), "away"),
+    (lambda o: o["days"][0][0].update(away=False), "away"),
+], ids=["n-text", "away-text", "away-false"])
+def test_schedule_file_with_text_or_bool_teams_exits_1(sched_and_inst, tmp_path, capsys,
+                                                       command, edit, field):
+    sched_path, inst_path = sched_and_inst
+    bad = tmp_path / "bad.json"
+    bad.write_text(_with(sched_path.read_text(), edit))
+    code, out, err = run(capsys, command, "-i", str(bad), "-d", str(inst_path))
+    assert code == 1
+    assert out == ""
+    assert f"invalid literal for {field}: " in err
+    assert "Traceback" not in err
+
+
 @pytest.fixture()
 def sched_12_and_inst(tmp_path, capsys):
     inst_path = tmp_path / "inst12.json"

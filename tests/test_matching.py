@@ -1,5 +1,6 @@
 """Minimum-weight perfect matching: optimality, tie-breaks, input checks."""
 
+import gc
 import math
 import time
 
@@ -12,9 +13,13 @@ from ttp2 import (
     generate_instance,
     MatchingError,
     PairMatching,
+    build_schedule,
     build_super_graph,
+    evaluation_report,
     min_weight_perfect_matching,
     super_pair_matching,
+    total_travel,
+    validate_schedule,
 )
 from ttp2.matching import _solve_by_content
 
@@ -313,6 +318,37 @@ def test_memo_still_validates_every_call():
     for _ in range(2):
         with pytest.raises(MatchingError, match="negative"):
             min_weight_perfect_matching(bad)
+
+
+# --- no cyclic garbage ---------------------------------------------------------
+
+
+def _cyclic_garbage(work) -> int:
+    """Objects the cyclic collector finds unreachable after ``work`` runs
+    with the collector off: what reference counting alone did not free."""
+    gc.collect()
+    gc.disable()
+    try:
+        work()
+        return gc.collect()
+    finally:
+        gc.enable()
+
+
+def _operation(inst):
+    sched = build_schedule(inst)
+    validate_schedule(sched)
+    evaluation_report(sched, inst)
+    total_travel(sched, inst)
+
+
+def test_a_solve_and_an_operation_leave_no_cyclic_garbage():
+    inst = generate_instance(32, kind="euclidean", seed=1)
+    _operation(inst)   # fill every per-size cache first
+    _solve_by_content.cache_clear()
+    assert _cyclic_garbage(lambda: min_weight_perfect_matching(inst.dist)) == 0
+    _solve_by_content.cache_clear()
+    assert _cyclic_garbage(lambda: _operation(inst)) == 0
 
 
 # --- super graph construction ----------------------------------------------

@@ -228,6 +228,31 @@ def test_readers_refuse_a_stored_dict(reader):
         reader(obj, inst)
 
 
+# JSON keeps text and true/false apart from numbers, so the stored form
+# refuses them where it needs an integer; the in-memory forms still
+# read a team as int() does (ODD_TEAMS below)
+@pytest.mark.parametrize("path,value,field", [
+    (("n",), "8", "n"),
+    (("days", 0, 0, "away"), "0", "away"),
+    (("days", 0, 0, "away"), False, "away"),
+    (("days", 0, 0, "home"), b"1", "home"),
+    (("flips",), "1", "flips"),
+    (("levels", 0, "round"), True, "round"),
+    (("levels", 0, "blocks", 0, "type"), "1", "type"),
+    (("team_pairs", "pairs", 0), ["0", 1], "team"),
+], ids=repr)
+def test_stored_text_and_bools_are_not_integers(path, value, field):
+    obj = schedule_to_dict(build_schedule(generate_instance(8, kind="euclidean", seed=0)))
+    *keys, last = path
+    target = obj
+    for key in keys:
+        target = target[key]
+    target[last] = value
+    with pytest.raises(ValidationError,
+                       match=f"malformed schedule JSON: .*invalid literal for {field}: "):
+        schedule_from_dict(obj)
+
+
 def test_n_inferred_from_teams(clean8):
     report = validate_schedule(clean8)  # no n given: max index + 1
     assert report.ok
