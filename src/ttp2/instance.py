@@ -13,6 +13,7 @@ with a zero diagonal.  Three interchange formats are supported:
 from __future__ import annotations
 
 import json
+import math
 import os
 from dataclasses import dataclass
 from typing import Optional
@@ -23,6 +24,9 @@ from .errors import InstanceError
 
 SYMMETRY_TOL = 1e-9
 TRIANGLE_TOL = 1e-9
+# entries of the n x n x n excess array that check_metric holds at once;
+# n <= 128 is scanned in one block
+METRIC_BLOCK_ENTRIES = 128 ** 3
 COORD_TOL = 1e-6
 
 FORMATS = ("matrix", "csv", "json")
@@ -371,16 +375,23 @@ def _shortest_path_closure(dist: np.ndarray) -> np.ndarray:
 
 def check_metric(inst: Instance) -> MetricReport:
     """Scan all triples for triangle-inequality violations beyond
-    ``TRIANGLE_TOL``.  Symmetry needs no scan: every ``Instance`` is
-    symmetric."""
+    ``TRIANGLE_TOL``, a block of rows i at a time.  The worst violation is
+    the largest excess, the first in (i, j, k) order among equal ones.
+    Symmetry needs no scan: every ``Instance`` is symmetric."""
     d = inst.dist
-    # violation[i, j, k] = d[i, k] - d[i, j] - d[j, k]
-    excess = d[:, None, :] - d[:, :, None] - d.T[None, :, :]
-    worst = float(excess.max())
-    if worst <= TRIANGLE_TOL:
+    rows = max(1, METRIC_BLOCK_ENTRIES // d.size)
+    worst, first = -math.inf, None
+    for lo in range(0, inst.n, rows):
+        # excess[i - lo, j, k] = d[i, k] - d[i, j] - d[j, k]
+        excess = d[lo:lo + rows, None, :] - d[lo:lo + rows, :, None]
+        excess -= d.T[None, :, :]
+        top = float(excess.max())
+        if top > worst:
+            worst = top
+            if top > TRIANGLE_TOL:
+                i, j, k = np.unravel_index(int(np.argmax(excess)), excess.shape)
+                first = (lo + int(i), int(j), int(k))
+        del excess   # before the next block is made
+    if first is None:
         return MetricReport(triangle_ok=True)
-    i, j, k = np.unravel_index(int(np.argmax(excess)), excess.shape)
-    return MetricReport(
-        triangle_ok=False,
-        worst_violation=(int(i), int(j), int(k), worst),
-    )
+    return MetricReport(triangle_ok=False, worst_violation=(*first, worst))

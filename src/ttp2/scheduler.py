@@ -22,7 +22,8 @@ from __future__ import annotations
 import itertools
 import json
 import math
-from dataclasses import dataclass
+import numbers
+from dataclasses import dataclass, field
 from functools import lru_cache
 from operator import itemgetter
 from typing import Optional
@@ -33,7 +34,7 @@ from .errors import SchedulingError, ValidationError
 from .instance import Instance
 from .matching import (SIZE_MAX, PairMatching, build_super_graph,
                        min_weight_perfect_matching, super_pair_matching)
-from .validator import _integer
+from .validator import ScheduleArray, _integer, schedule_array
 
 
 @dataclass(frozen=True)
@@ -49,13 +50,19 @@ class LevelPlan:
 class Schedule:
     """``days[d]`` holds the fixtures played on day d.  ``levels`` is the
     typed level plan the days were expanded from; it is empty for a
-    schedule found some other way."""
+    schedule found some other way.
+
+    A schedule returned by ``build_schedule`` or ``schedule_from_dict``
+    keeps the normal form of its days (``validator.schedule_array``), read
+    once when it was made; one made any other way is read per call."""
 
     n: int
     days: tuple[tuple[Fixture, ...], ...]
     levels: tuple[LevelPlan, ...] = ()
     team_pairs: Optional[PairMatching] = None
     super_pairs: Optional[PairMatching] = None
+    _array: Optional[ScheduleArray] = field(default=None, init=False, compare=False,
+                                            repr=False)
 
     @property
     def flips(self) -> int:
@@ -230,7 +237,15 @@ def build_schedule(inst: Instance) -> Schedule:
     days = tuple(tuple(itertools.chain.from_iterable(games))
                  for lp in levels
                  for games in zip(*(expand_block(sm, teams.pairs) for sm in lp.super_matches)))
-    return Schedule(n=n, days=days, levels=levels, team_pairs=teams, super_pairs=super_pairs)
+    return _read_once(Schedule(n=n, days=days, levels=levels, team_pairs=teams,
+                               super_pairs=super_pairs))
+
+
+def _read_once(sched: Schedule) -> Schedule:
+    """``sched``, keeping the normal form of its days; a fixture whose team
+    plays itself or lies outside 0..n-1 raises ValidationError."""
+    object.__setattr__(sched, "_array", schedule_array(sched.days, sched.n))
+    return sched
 
 
 # --- serialization ----------------------------------------------------------
@@ -277,11 +292,22 @@ def _pair_from_dict(p) -> tuple[int, int]:
         raise ValidationError(f"pair {p!r}: {exc}") from None
 
 
+def _stored_weight(x) -> float:
+    """A stored matching weight as a float; text, a boolean, or a number
+    that is negative or not finite is refused with ValueError."""
+    if isinstance(x, numbers.Real) and not isinstance(x, bool) and 0 <= x < math.inf:
+        try:
+            return float(x)
+        except OverflowError:   # an int past the float range
+            pass
+    raise ValueError(f"invalid literal for weight: {x!r} is not a finite non-negative number")
+
+
 def _pairs_from_dict(obj) -> Optional[PairMatching]:
     if obj is None:
         return None
     return PairMatching(pairs=tuple(map(_pair_from_dict, obj["pairs"])),
-                        weight=float(obj["weight"]))
+                        weight=_stored_weight(obj["weight"]))
 
 
 def _block_from_dict(b) -> SuperMatch:
@@ -297,8 +323,8 @@ def schedule_from_dict(obj: dict) -> Schedule:
     """Schedule from its ``schedule_to_dict`` form, the one reader of that
     form; raises ValidationError when the input cannot be read as one, when
     a number it needs as an integer has a fractional part or is stored as
-    text or a boolean, when a team plays itself, or when a stored
-    ``"flips"`` differs from the levels' Type-2 count."""
+    text or a boolean, when a stored ``"flips"`` differs from the levels'
+    Type-2 count, or when a team plays itself or lies outside 0..n-1."""
     try:
         n = _stored_integer(obj["n"], "n")
         days = tuple(tuple(_fixtures(map(_AWAY_HOME, day))) for day in obj["days"])
@@ -324,11 +350,7 @@ def schedule_from_dict(obj: dict) -> Schedule:
     if stored_flips is not None and stored_flips != sched.flips:
         raise ValidationError(f"stored flips {stored_flips} differ from the "
                               f"{sched.flips} Type-2 blocks in the levels")
-    for d, day in enumerate(days):
-        for away, home in day:
-            if away == home:
-                raise ValidationError(f"team {away} plays itself on day {d}")
-    return sched
+    return _read_once(sched)
 
 
 def schedule_from_json(text: str) -> Schedule:

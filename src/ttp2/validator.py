@@ -17,12 +17,10 @@ normal form without a per-fixture Python call.  Every other form (plain
 fixture, with the same result and the same errors.  A team or team count
 that is a number with a fractional part (2.5) is refused, not truncated.
 
-The last day tuple read is remembered with its normal form when it is
-frozen all the way down: a tuple of tuples of ``Fixture`` values of plain
-ints, which is what ``build_schedule`` and ``schedule_from_dict`` produce.
-The next reader of the same days for the same team count, such as
-``total_travel`` or ``evaluation_report`` after ``validate_schedule`` on a
-built schedule, reuses that normal form, whose arrays are read-only.
+Each built or loaded schedule keeps its normal form: ``build_schedule``
+and ``schedule_from_dict`` read their days once and store the result on
+the ``Schedule``, and every reader returns it.  Other forms are read per
+call, so a list edited in place gets a fresh verdict.
 """
 
 from __future__ import annotations
@@ -117,33 +115,23 @@ def _items(seq, what: str):
         raise ValidationError(f"malformed {what} {seq!r}: not a sequence") from None
 
 
-def _fixture_teams(days) -> tuple[list[int], list[int], bool]:
+def _fixture_teams(days) -> tuple[list[int], list[int]]:
     """Both teams of every fixture, away first, flattened in input order,
-    the number of fixtures on each day, and whether ``days`` is frozen all
-    the way down (a tuple of tuples of ``Fixture`` values of plain ints).
+    and the number of fixtures on each day.
 
     A list or tuple of list or tuple days whose fixtures are all ``Fixture``
     values of plain ints is flattened by C-level iteration.  Anything else,
     a generator of days included, is read once, fixture by fixture, through
     ``_fixture_ends``.
     """
-    if type(days) in (list, tuple):
-        day_types = set(map(type, days))
-        if day_types <= {list, tuple}:
-            fixtures = list(chain.from_iterable(days))
-            if set(map(type, fixtures)) <= {Fixture}:
-                teams = list(chain.from_iterable(fixtures))
-                if set(map(type, teams)) <= {int}:
-                    frozen = type(days) is tuple and day_types <= {tuple}
-                    return teams, list(map(len, days)), frozen
+    if type(days) in (list, tuple) and set(map(type, days)) <= {list, tuple}:
+        fixtures = list(chain.from_iterable(days))
+        if set(map(type, fixtures)) <= {Fixture}:
+            teams = list(chain.from_iterable(fixtures))
+            if set(map(type, teams)) <= {int}:
+                return teams, list(map(len, days))
     ends = [[_fixture_ends(fx) for fx in _items(day, "day")] for day in _items(days, "days")]
-    return [t for day in ends for fx in day for t in fx], [len(day) for day in ends], False
-
-
-# the last frozen day tuple read, its resolved team count (None when it was
-# inferred from the teams) and its normal form; holding the days keeps
-# their id from being reused while they are stored
-_last_read: tuple = (object(), None, None)
+    return [t for day in ends for fx in day for t in fx], [len(day) for day in ends]
 
 
 def schedule_array(sched, n: Optional[int] = None) -> ScheduleArray:
@@ -156,11 +144,10 @@ def schedule_array(sched, n: Optional[int] = None) -> ScheduleArray:
     ``schedule_to_dict`` dict is read with ``schedule_from_dict``), a
     malformed fixture, a declared team count other than ``n``, n < 2, an
     empty schedule without n, or a fixture whose team plays itself or lies
-    outside 0..n-1.  The normal form's arrays are read-only.  Reading the
-    last frozen day tuple read (see the module docstring) again, for the
-    same team count, returns the normal form already made.
+    outside 0..n-1.  The normal form's arrays are read-only.  A built or
+    loaded ``Schedule`` returns the normal form it keeps; every other input
+    is read on every call.
     """
-    global _last_read
     if isinstance(sched, ScheduleArray):
         declared, days = sched.n, None
     elif isinstance(sched, str):
@@ -178,11 +165,10 @@ def schedule_array(sched, n: Optional[int] = None) -> ScheduleArray:
         raise ValidationError(f"schedule n={declared} does not match the expected n={n}")
     if isinstance(sched, ScheduleArray):
         return sched
-    resolved = n if n is not None else declared
-    last_days, last_n, last = _last_read
-    if days is last_days and resolved == last_n:
-        return last
-    teams, counts, frozen = _fixture_teams(days)
+    kept = getattr(sched, "_array", None)
+    if kept is not None:
+        return kept
+    teams, counts = _fixture_teams(days)
     try:
         flat = np.fromiter(teams, np.int64, len(teams)).reshape(-1, 2)
     except OverflowError:
@@ -221,8 +207,6 @@ def schedule_array(sched, n: Optional[int] = None) -> ScheduleArray:
                         games=np.bincount(key, minlength=size).reshape(shape))
     for arr in (out.day, out.away, out.home, out.opponent, out.at_home, out.games):
         arr.flags.writeable = False
-    if frozen:
-        _last_read = (days, resolved, out)
     return out
 
 

@@ -298,7 +298,8 @@ _DELETE, _A_PAIR = object(), object()
     (("team_pairs", "pairs", 0), [0, "x"], "malformed schedule JSON: pair \\[0, 'x'\\]"),
     (("team_pairs", "weight"), _DELETE, "malformed schedule JSON: missing field 'weight'"),
     (("super_pairs", "pairs"), 5, "malformed schedule JSON: 'int' object is not iterable"),
-    (("super_pairs", "weight"), "heavy", "malformed schedule JSON: could not convert"),
+    (("super_pairs", "weight"), "heavy",
+     "malformed schedule JSON: invalid literal for weight: 'heavy'"),
 ], ids=lambda x: repr(x) if isinstance(x, tuple) else "")
 def test_evaluation_report_refuses_an_unreadable_stored_plan(path, value, message):
     inst = generate_instance(12, kind="euclidean", seed=0)

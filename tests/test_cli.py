@@ -1,11 +1,16 @@
 """Command-line behavior: outputs, exit codes, env seed handling."""
 
+import contextlib
 import csv
+import io
 import json
+import math
 import re
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ttp2 import (
     build_schedule,
@@ -430,6 +435,71 @@ def test_flips_are_counted_from_the_levels(sched_12_and_inst, capsys):
                        "--json")
     assert code == 0
     assert json.loads(out)["flips"] == 3
+
+
+# One mutation of a stored schedule file, and the exit code it must get: 3
+# for a swapped venue, which the file can hold but a schedule cannot; 1 for
+# a file that cannot be read as a schedule at all.
+TEAM_DAMAGE = ("text", "fraction", "bool", "out-of-range", "self-play")
+WEIGHT_DAMAGE = ("text", "bool", "nan", "inf", "negative")
+
+
+@pytest.fixture(scope="module")
+def stored_8_and_12(tmp_path_factory):
+    root = tmp_path_factory.mktemp("stored")
+    files = {}
+    for n in (8, 12):
+        inst = generate_instance(n, kind="euclidean", seed=3)
+        inst_path = root / f"inst{n}.json"
+        inst_path.write_text(emit_instance(inst))
+        files[n] = (json.loads(schedule_to_json(build_schedule(inst))), inst_path)
+    return root, files
+
+
+@st.composite
+def _damage(draw, obj):
+    """A copy of ``obj`` with one mutation, and the exit code it must get."""
+    obj = json.loads(json.dumps(obj))
+    kind = draw(st.sampled_from(("swap", "team", "weight")))
+    if kind == "weight":
+        key = draw(st.sampled_from(("team_pairs", "super_pairs")))
+        how = draw(st.sampled_from(WEIGHT_DAMAGE))
+        w = obj[key]["weight"]
+        obj[key]["weight"] = {"text": str(w), "bool": True, "nan": math.nan, "inf": math.inf,
+                              "negative": -w - draw(st.floats(0.0, 1e6))}[how]
+        return obj, 1
+    day = draw(st.sampled_from(obj["days"]))
+    fixture = draw(st.sampled_from(day))
+    if kind == "swap":
+        fixture["away"], fixture["home"] = fixture["home"], fixture["away"]
+        return obj, 3
+    side, other = draw(st.sampled_from((("away", "home"), ("home", "away"))))
+    team, n = fixture[side], obj["n"]
+    how = draw(st.sampled_from(TEAM_DAMAGE))
+    if how == "out-of-range":
+        beyond = draw(st.integers(0, 2 ** 70))
+        fixture[side] = draw(st.sampled_from((n + beyond, -1 - beyond)))
+    else:
+        fixture[side] = {"text": str(team), "fraction": team + 0.5, "bool": team == 1,
+                         "self-play": fixture[other]}[how]
+    return obj, 1
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data(), n=st.sampled_from((8, 12)), command=st.sampled_from(("validate", "evaluate")))
+def test_one_mutation_of_a_stored_file_gets_its_exit_code(stored_8_and_12, data, n, command):
+    root, files = stored_8_and_12
+    obj, inst_path = files[n]
+    bad, expected = data.draw(_damage(obj))
+    path = root / f"bad{n}.json"
+    path.write_text(json.dumps(bad))
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main([command, "-i", str(path), "-d", str(inst_path)])
+    assert code == expected, err.getvalue()
+    assert "Traceback" not in err.getvalue()
+    if expected == 1:
+        assert out.getvalue() == "" and err.getvalue().startswith("error: ")
 
 
 # --- bench ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 import io
 import json
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,7 +10,8 @@ from hypothesis import strategies as st
 
 from ttp2 import (Instance, InstanceError, check_metric, emit_instance,
                   generate_instance, load_instance, save_instance)
-from ttp2.instance import EXTENSION_FORMATS, FORMATS
+from ttp2 import instance as instance_module
+from ttp2.instance import EXTENSION_FORMATS, FORMATS, TRIANGLE_TOL, MetricReport
 
 
 def small_dist():
@@ -281,3 +283,47 @@ def test_missing_path_names_the_file(tmp_path):
         load_instance(str(latin1))
     with pytest.raises(InstanceError, match="not UTF-8"):
         load_instance(latin1.read_bytes())
+
+
+def _full_scan(d):
+    """check_metric's worst excess and its first (i, j, k), from the whole
+    n x n x n array at once."""
+    excess = d[:, None, :] - d[:, :, None] - d.T[None, :, :]
+    i, j, k = np.unravel_index(int(np.argmax(excess)), excess.shape)
+    return int(i), int(j), int(k), float(excess.max())
+
+
+@settings(max_examples=40, deadline=None)
+@given(n=st.sampled_from([6, 10, 20]), rows=st.integers(1, 7), seed=st.integers(0, 2 ** 32 - 1),
+       top=st.integers(2, 9))
+def test_blocked_metric_scan_matches_the_full_array(n, rows, seed, top):
+    # small integer distances: many triples tie at the worst excess
+    upper = np.triu(np.random.default_rng(seed).integers(1, top, size=(n, n)), 1)
+    inst = Instance(n=n, dist=(upper + upper.T).astype(float))
+    saved = instance_module.METRIC_BLOCK_ENTRIES
+    instance_module.METRIC_BLOCK_ENTRIES = rows * n * n   # ceil(n / rows) blocks
+    try:
+        rep = check_metric(inst)
+    finally:
+        instance_module.METRIC_BLOCK_ENTRIES = saved
+    i, j, k, worst = _full_scan(inst.dist)
+    if worst <= TRIANGLE_TOL:
+        assert rep == MetricReport(triangle_ok=True)
+    else:
+        assert rep == MetricReport(triangle_ok=False, worst_violation=(i, j, k, worst))
+
+
+def test_metric_scan_memory_stays_bounded_at_n_256():
+    n = 256
+    upper = np.triu(np.random.default_rng(0).integers(1, 50, size=(n, n)), 1)
+    inst = Instance(n=n, dist=(upper + upper.T).astype(float))
+    tracemalloc.start()
+    try:
+        rep = check_metric(inst)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 2 ** 20
+    i, j, k, worst = rep.worst_violation
+    d = inst.dist
+    assert worst == d[i, k] - d[i, j] - d[j, k] == 47.0

@@ -1,18 +1,23 @@
 """Feasibility checker: clean passes, surgical mutations, input formats."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from ttp2 import (
     Fixture,
     Instance,
+    Schedule,
     ValidationError,
     build_schedule,
     evaluation_report,
     generate_instance,
     parse_day_list,
     schedule_from_dict,
+    schedule_from_json,
     schedule_to_dict,
+    schedule_to_json,
     team_itinerary,
     total_travel,
     validate_schedule,
@@ -240,6 +245,14 @@ def test_readers_refuse_a_stored_dict(reader):
     (("levels", 0, "round"), True, "round"),
     (("levels", 0, "blocks", 0, "type"), "1", "type"),
     (("team_pairs", "pairs", 0), ["0", 1], "team"),
+    (("team_pairs", "weight"), "1.0", "weight"),
+    (("team_pairs", "weight"), True, "weight"),
+    (("team_pairs", "weight"), -5.0, "weight"),
+    (("team_pairs", "weight"), float("nan"), "weight"),
+    (("super_pairs", "weight"), "nan", "weight"),
+    (("super_pairs", "weight"), False, "weight"),
+    (("super_pairs", "weight"), float("inf"), "weight"),
+    (("super_pairs", "weight"), 10 ** 400, "weight"),
 ], ids=repr)
 def test_stored_text_and_bools_are_not_integers(path, value, field):
     obj = schedule_to_dict(build_schedule(generate_instance(8, kind="euclidean", seed=0)))
@@ -431,32 +444,74 @@ def test_fixture_days_skip_the_per_fixture_reader(clean8, monkeypatch):
     assert _read(bad_fixtures) == bad_expected
 
 
-# --- the last frozen schedule read is read once ------------------------------------
+# --- a built or loaded schedule is read once ---------------------------------------
 
 
-def test_a_built_schedule_is_read_once():
-    s = build_schedule(generate_instance(12, kind="euclidean", seed=0))
+def _count_reads(monkeypatch):
+    """The day sequences ``_fixture_teams`` is called on, in call order."""
+    read = []
+    fixture_teams = validator._fixture_teams
+
+    def counted(days):
+        read.append(days)
+        return fixture_teams(days)
+
+    monkeypatch.setattr(validator, "_fixture_teams", counted)
+    return read
+
+
+def _reads_of(read, days):
+    return sum(r is days for r in read)
+
+
+def test_a_built_schedule_is_read_once(monkeypatch):
+    inst = generate_instance(12, kind="euclidean", seed=0)
+    read = _count_reads(monkeypatch)
+    s = build_schedule(inst)
+    other = build_schedule(generate_instance(8, kind="euclidean", seed=0))
+    assert read == [s.days, other.days]
+    assert validate_schedule(s).ok
+    assert validate_schedule(other).ok
+    rep = evaluation_report(s, inst)
+    assert schedule_array(other) is schedule_array(other, 8)
+    assert total_travel(s, inst) == rep.total_travel
+    assert _reads_of(read, s.days) == 1 and _reads_of(read, other.days) == 1
     g = schedule_array(s)
     assert schedule_array(s, s.n) is g
-    assert schedule_array(s.days, 12) is g
-    assert schedule_array(schedule_from_dict(schedule_to_dict(s))) is not g
     for arr in (g.day, g.away, g.home, g.opponent, g.at_home, g.games):
         assert not arr.flags.writeable
         with pytest.raises(ValueError):
             arr[0] = arr[0]
 
 
-def test_only_the_last_frozen_schedule_is_kept():
+def test_a_loaded_schedule_is_read_once(monkeypatch):
+    inst = generate_instance(12, kind="euclidean", seed=0)
+    built = build_schedule(inst)
+    text = schedule_to_json(built)
+    read = _count_reads(monkeypatch)
+    s = schedule_from_json(text)
+    other = schedule_from_json(schedule_to_json(build_schedule(
+        generate_instance(8, kind="euclidean", seed=0))))
+    assert _reads_of(read, s.days) == 1
+    assert validate_schedule(s).ok
+    assert validate_schedule(other).ok
+    assert total_travel(s, inst) == total_travel(built, inst)
+    assert _reads_of(read, s.days) == 1 and _reads_of(read, other.days) == 1
+    assert schedule_array(s) is not schedule_array(built)
+    assert _read(schedule_array(s)) == _read(schedule_array(built))
+
+
+def test_other_forms_are_read_on_every_call(monkeypatch):
     s8 = build_schedule(generate_instance(8, kind="euclidean", seed=0))
-    s12 = build_schedule(generate_instance(12, kind="euclidean", seed=0))
-    g8 = schedule_array(s8)
-    assert schedule_array(s12) is not g8
-    again = schedule_array(s8)
-    assert again is not g8 and _read(again) == _read(g8)
-    # days that could change under the reader are never kept
-    for days in (list(s8.days), tuple(map(list, s8.days)), _raw_days(s8),
-                 tuple(tuple(day) for day in _raw_days(s8))):
+    # the same days outside a built Schedule, and days that could change
+    # under the reader, are read again on every call
+    forms = (s8.days, Schedule(n=8, days=s8.days), replace(s8, levels=()), list(s8.days),
+             tuple(map(list, s8.days)), _raw_days(s8), tuple(tuple(day) for day in _raw_days(s8)))
+    read = _count_reads(monkeypatch)
+    for days in forms:
         assert schedule_array(days) is not schedule_array(days)
+        assert _read(days) == _read(s8)
+    assert len(read) == 3 * len(forms)
 
 
 def test_a_mutated_list_schedule_gets_a_new_verdict(clean8):
@@ -473,7 +528,7 @@ def test_a_mutated_list_schedule_gets_a_new_verdict(clean8):
 def test_another_n_on_the_same_tuple_raises_or_reads_again():
     s = build_schedule(generate_instance(8, kind="euclidean", seed=0))
     g = schedule_array(s.days)
-    assert g.n == 8 and schedule_array(s.days) is g
+    assert g.n == 8 and schedule_array(s.days) is not g
     with pytest.raises(ValidationError, match="schedule n=8 does not match the expected n=12"):
         schedule_array(s, 12)
     g10 = schedule_array(s.days, 10)
