@@ -73,17 +73,14 @@ def _check_constructor_n(n: int) -> None:
 
 
 def _load_schedule_file(path: str):
-    """Schedule from JSON (constructor output) or day-list text."""
+    """A ``Schedule`` from JSON (constructor output), else the day-list text."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
     except UnicodeDecodeError as exc:
         raise ValidationError(f"schedule file {path} is not UTF-8 text "
                               f"(byte {exc.start})") from None
-    if text.lstrip().startswith("{"):
-        sched = schedule_from_json(text)
-        return sched, sched.n
-    return text, None
+    return schedule_from_json(text) if text.lstrip().startswith("{") else text
 
 
 def cmd_gen(args) -> int:
@@ -126,9 +123,8 @@ def cmd_schedule(args) -> int:
 
 
 def cmd_validate(args) -> int:
-    sched, n = _load_schedule_file(args.input)
-    if args.n is not None:
-        n = args.n
+    sched = _load_schedule_file(args.input)
+    n = getattr(sched, "n", None) if args.n is None else args.n
     if args.instance:
         inst = load_instance(args.instance)
         if n is not None and inst.n != n:
@@ -146,7 +142,7 @@ def cmd_validate(args) -> int:
 
 
 def cmd_evaluate(args) -> int:
-    sched, _ = _load_schedule_file(args.input)
+    sched = _load_schedule_file(args.input)
     rep = evaluation_report(sched, load_instance(args.instance))
     if args.json:
         sys.stdout.write(report_to_json(rep))

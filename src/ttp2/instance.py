@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 import os
 from dataclasses import dataclass
 from typing import Optional
@@ -37,6 +38,11 @@ EXTENSION_FORMATS = {".txt": "matrix", ".mat": "matrix", ".dist": "matrix",
 GENERATOR_KINDS = ("euclidean", "unit", "random_metric")
 
 
+def _is_integer(x) -> bool:
+    """Whether ``x`` is an integer (a numpy integer included) other than a bool."""
+    return isinstance(x, numbers.Integral) and not isinstance(x, bool)
+
+
 @dataclass(frozen=True)
 class Instance:
     """An immutable distance matrix plus optional team names/coordinates."""
@@ -47,6 +53,9 @@ class Instance:
     coords: Optional[np.ndarray] = None
 
     def __post_init__(self) -> None:
+        if not _is_integer(self.n):
+            raise InstanceError(f"team count must be an integer, got {self.n!r}")
+        object.__setattr__(self, "n", int(self.n))
         dist = np.asarray(self.dist, dtype=float)
         if dist.ndim != 2 or dist.shape[0] != dist.shape[1]:
             raise InstanceError(f"distance matrix must be square, got shape {dist.shape}")
@@ -200,7 +209,7 @@ def _parse_json(text: str) -> Instance:
     if not isinstance(obj, dict) or "n" not in obj:
         raise InstanceError("json instance must be an object with an 'n' key")
     n = obj["n"]
-    if not isinstance(n, int):
+    if not _is_integer(n):
         raise InstanceError(f"'n' must be an integer, got {n!r}")
     coords = obj.get("coords")
     if coords is not None:
@@ -342,12 +351,12 @@ def generate_instance(n: int, kind: str = "euclidean", seed: int = 0) -> Instanc
     ``random_metric``: perturbed Euclidean distances repaired to a metric
     by shortest-path closure.
     """
-    if n < 2 or n % 2 != 0:
-        raise InstanceError(f"generator needs an even n >= 2, got {n}")
+    if not _is_integer(n) or n < 2 or n % 2 != 0:
+        raise InstanceError(f"generator needs an even integer n >= 2, got {n!r}")
     if kind not in GENERATOR_KINDS:
         raise InstanceError(f"unknown generator kind {kind!r}, expected one of {GENERATOR_KINDS}")
-    if seed < 0:
-        raise InstanceError(f"seed must be a non-negative integer, got {seed}")
+    if not _is_integer(seed) or seed < 0:
+        raise InstanceError(f"seed must be a non-negative integer, got {seed!r}")
     rng = np.random.default_rng(seed)
     if kind == "unit":
         dist = np.ones((n, n)) - np.eye(n)

@@ -273,21 +273,10 @@ def schedule_to_json(sched: Schedule) -> str:
 _AWAY_HOME = itemgetter("away", "home")
 
 
-def _stored_integer(x, field: str) -> int:
-    """``validator._integer`` for a number of a stored schedule.  JSON keeps
-    text and true/false apart from numbers, so a string, bytes or a bool is
-    refused with ValueError naming ``field``, not read as ``int()`` reads it."""
-    if type(x) is int:   # what json.loads makes of an integer
-        return x
-    if isinstance(x, (str, bytes, bool)):
-        raise ValueError(f"invalid literal for {field}: {x!r} is not a number")
-    return _integer(x)
-
-
 def _pair_from_dict(p) -> tuple[int, int]:
     try:
         a, b = p
-        return _stored_integer(a, "team"), _stored_integer(b, "team")
+        return _integer(a, "team"), _integer(b, "team")
     except (TypeError, ValueError) as exc:
         raise ValidationError(f"pair {p!r}: {exc}") from None
 
@@ -312,9 +301,9 @@ def _pairs_from_dict(obj) -> Optional[PairMatching]:
 
 def _block_from_dict(b) -> SuperMatch:
     try:
-        return SuperMatch(a_pair=_stored_integer(b["a_pair"], "a_pair"),
-                          b_pair=_stored_integer(b["b_pair"], "b_pair"),
-                          block_type=_stored_integer(b["type"], "type"))
+        return SuperMatch(a_pair=_integer(b["a_pair"], "a_pair"),
+                          b_pair=_integer(b["b_pair"], "b_pair"),
+                          block_type=_integer(b["type"], "type"))
     except (TypeError, ValueError, SchedulingError) as exc:
         raise ValidationError(f"block {b!r}: {exc}") from None
 
@@ -322,23 +311,22 @@ def _block_from_dict(b) -> SuperMatch:
 def schedule_from_dict(obj: dict) -> Schedule:
     """Schedule from its ``schedule_to_dict`` form, the one reader of that
     form; raises ValidationError when the input cannot be read as one, when
-    a number it needs as an integer has a fractional part or is stored as
-    text or a boolean, when a stored ``"flips"`` differs from the levels'
-    Type-2 count, or when a team plays itself or lies outside 0..n-1."""
+    ``validator._integer`` refuses a number it needs as an integer, when a
+    stored ``"flips"`` differs from the levels' Type-2 count, or when a
+    team plays itself or lies outside 0..n-1."""
     try:
-        n = _stored_integer(obj["n"], "n")
+        n = _integer(obj["n"], "n")
         days = tuple(tuple(_fixtures(map(_AWAY_HOME, day))) for day in obj["days"])
         teams = itertools.chain.from_iterable(itertools.chain.from_iterable(days))
         if not set(map(type, teams)) <= {int}:
-            days = tuple(tuple(Fixture(_stored_integer(a, "away"), _stored_integer(h, "home"))
-                               for a, h in day)
+            days = tuple(tuple(Fixture(_integer(a, "away"), _integer(h, "home")) for a, h in day)
                          for day in days)
         levels = tuple(
-            LevelPlan(round=_stored_integer(lv["round"], "round"),
-                      level=_stored_integer(lv["level"], "level"),
+            LevelPlan(round=_integer(lv["round"], "round"),
+                      level=_integer(lv["level"], "level"),
                       super_matches=tuple(_block_from_dict(b) for b in lv["blocks"]))
             for lv in obj.get("levels", []))
-        stored_flips = _stored_integer(obj["flips"], "flips") if "flips" in obj else None
+        stored_flips = _integer(obj["flips"], "flips") if "flips" in obj else None
         team_pairs = _pairs_from_dict(obj.get("team_pairs"))
         super_pairs = _pairs_from_dict(obj.get("super_pairs"))
     except (KeyError, TypeError, ValueError, SchedulingError) as exc:

@@ -10,23 +10,23 @@ stores typed levels and team pairs has each stored block type checked
 against its days.  All violations are reported, not just the first.  Travel
 evaluation in ``analysis`` reads schedules through the same normal form.
 
-``Fixture`` days holding plain ints, which is what ``build_schedule``,
-``schedule_from_dict`` and ``parse_day_list`` produce, are read into the
-normal form without a per-fixture Python call.  Every other form (plain
-``(away, home)`` pairs, generators, other team types) is read fixture by
-fixture, with the same result and the same errors.  A team or team count
-that is a number with a fractional part (2.5) is refused, not truncated.
-
-Each built or loaded schedule keeps its normal form: ``build_schedule``
-and ``schedule_from_dict`` read their days once and store the result on
-the ``Schedule``, and every reader returns it.  Other forms are read per
-call, so a list edited in place gets a fresh verdict.
+Every integer a schedule carries, in memory or stored, is read by one rule
+(``_integer``): a numpy integer or an integral float is read; text, bytes,
+a bool, or a number with a fractional part is refused.  A fixture is an
+ordered ``(away, home)`` pair (a set, a dict or a string is refused),
+and day-list text writes teams in ASCII digits only.  ``Fixture`` days of
+plain ints, which ``build_schedule``, ``schedule_from_dict`` and
+``parse_day_list`` produce, are read without a per-fixture Python call,
+other forms fixture by fixture with the same result.  A built or loaded
+schedule keeps its normal form, read once; other forms are read per call,
+so a list edited in place gets a fresh verdict.
 """
 
 from __future__ import annotations
 
 import numbers
-from dataclasses import dataclass
+import re
+from dataclasses import dataclass, fields
 from itertools import chain
 from typing import Optional
 
@@ -70,7 +70,8 @@ class ScheduleArray:
     ``day``, ``away`` and ``home`` list every fixture in input order.  The
     days x teams arrays describe each team's day as set by the first fixture
     of that day naming it: ``opponent`` (-1 on a day without a game) and
-    ``at_home``; ``games`` counts every fixture naming the team.
+    ``at_home``; ``games`` counts every fixture naming the team.  The
+    arrays are read-only, in a copy or an unpickled form too.
     """
 
     n: int
@@ -81,27 +82,39 @@ class ScheduleArray:
     at_home: np.ndarray
     games: np.ndarray
 
+    def __post_init__(self) -> None:
+        for arr in (self.day, self.away, self.home, self.opponent, self.at_home, self.games):
+            arr.flags.writeable = False
 
-def _integer(x) -> int:
-    """``int(x)``, refusing a number with a fractional part (2.5, nan or
-    infinity) with ValueError instead of truncating it."""
+    def __reduce__(self):   # copies and unpickled forms are made by the constructor too
+        return ScheduleArray, tuple(getattr(self, f.name) for f in fields(self))
+
+
+def _integer(x, field: str) -> int:
+    """``x`` as an int, the one rule for every integer a schedule carries:
+    a plain int as is, another number if it has no fractional part (2.5,
+    nan and infinity are refused, not truncated).  Text, bytes, a bool or
+    anything else is refused with ValueError naming ``field``."""
+    if type(x) is int:
+        return x
+    if isinstance(x, bool) or not isinstance(x, numbers.Number):
+        raise ValueError(f"invalid literal for {field}: {x!r} is not a number")
     try:
         v = int(x)
     except OverflowError:
         raise ValueError(f"{x!r} is not an integer") from None
-    if v != x and isinstance(x, numbers.Number):
+    if v != x:
         raise ValueError(f"{x!r} is not an integer")
     return v
 
 
 def _fixture_ends(fx) -> tuple[int, int]:
     try:
-        if isinstance(fx, (dict, str)):   # two keys or characters are not a fixture
+        # characters, keys or set members (in hash order) are no ordered pair
+        if isinstance(fx, (str, bytes, dict, set, frozenset)):
             raise TypeError
         away, home = fx
-        if type(away) is int and type(home) is int:
-            return away, home
-        return _integer(away), _integer(home)
+        return _integer(away, "away"), _integer(home, "home")
     except (TypeError, ValueError):
         raise ValidationError(f"malformed fixture {fx!r}") from None
 
@@ -137,20 +150,18 @@ def _fixture_teams(days) -> tuple[list[int], list[int]]:
 def schedule_array(sched, n: Optional[int] = None) -> ScheduleArray:
     """Read any accepted schedule form into its normal form.
 
-    Accepted: a ``Schedule``, day-list text, a ``ScheduleArray``, or a list
-    of days whose fixtures are ``Fixture`` values or ``(away, home)`` pairs.
-    ``n`` defaults to the schedule's own team count, else the largest team
-    index plus one.  Unreadable input raises ValidationError: a dict (a
-    ``schedule_to_dict`` dict is read with ``schedule_from_dict``), a
-    malformed fixture, a declared team count other than ``n``, n < 2, an
-    empty schedule without n, or a fixture whose team plays itself or lies
-    outside 0..n-1.  The normal form's arrays are read-only.  A built or
+    Accepted: a ``Schedule``, day-list text, or a list of days of
+    ``Fixture`` values or ordered ``(away, home)`` pairs, every team and
+    team count read by ``_integer``.  ``n`` defaults to the schedule's own
+    team count, else the largest team index plus one.  Unreadable input
+    raises ValidationError: a dict (a ``schedule_to_dict`` dict is read
+    with ``schedule_from_dict``), a malformed fixture, a declared team
+    count other than ``n``, n < 2, an empty schedule without n, or a
+    fixture whose team plays itself or lies outside 0..n-1.  A built or
     loaded ``Schedule`` returns the normal form it keeps; every other input
     is read on every call.
     """
-    if isinstance(sched, ScheduleArray):
-        declared, days = sched.n, None
-    elif isinstance(sched, str):
+    if isinstance(sched, str):
         declared, days = None, parse_day_list(sched)
     elif isinstance(sched, dict):
         raise ValidationError("a schedule_to_dict dict is read with schedule_from_dict; "
@@ -158,13 +169,13 @@ def schedule_array(sched, n: Optional[int] = None) -> ScheduleArray:
     else:
         declared, days = getattr(sched, "n", None), getattr(sched, "days", sched)
     try:
-        declared = None if declared is None else _integer(declared)
-    except (TypeError, ValueError):
-        raise ValidationError(f"malformed team count {declared!r}") from None
-    if declared is not None and n is not None and declared != n:
+        declared, n = [None if v is None else _integer(v, "n") for v in (declared, n)]
+    except (TypeError, ValueError) as exc:
+        raise ValidationError(f"malformed team count: {exc}") from None
+    if n is None:
+        n = declared
+    elif declared is not None and declared != n:
         raise ValidationError(f"schedule n={declared} does not match the expected n={n}")
-    if isinstance(sched, ScheduleArray):
-        return sched
     kept = getattr(sched, "_array", None)
     if kept is not None:
         return kept
@@ -176,12 +187,9 @@ def schedule_array(sched, n: Optional[int] = None) -> ScheduleArray:
     num_days = len(counts)
     day = np.repeat(np.arange(num_days), counts)
     if n is None:
-        n = declared
-    if n is None:
         if not flat.size:
             raise ValidationError("cannot infer team count from an empty schedule")
         n = int(flat.max()) + 1
-    n = int(n)
     if n < 2:
         raise ValidationError(f"team count must be at least 2, got {n}")
     away, home = flat[:, 0], flat[:, 1]
@@ -202,18 +210,19 @@ def schedule_array(sched, n: Optional[int] = None) -> ScheduleArray:
     at_home = np.zeros(size, dtype=bool)
     at_home[key[first]] = first % 2 == 1
     shape = (num_days, n)
-    out = ScheduleArray(n=n, day=day, away=away, home=home,
-                        opponent=opponent.reshape(shape), at_home=at_home.reshape(shape),
-                        games=np.bincount(key, minlength=size).reshape(shape))
-    for arr in (out.day, out.away, out.home, out.opponent, out.at_home, out.games):
-        arr.flags.writeable = False
-    return out
+    return ScheduleArray(n=n, day=day, away=away, home=home,
+                         opponent=opponent.reshape(shape), at_home=at_home.reshape(shape),
+                         games=np.bincount(key, minlength=size).reshape(shape))
+
+
+# a day's games: away@home tokens of ASCII digits, separated by whitespace
+_GAMES = re.compile(r"\s*(?:[0-9]+@[0-9]+(?:\s+|\Z))*")
 
 
 def parse_day_list(text: str) -> list[list[Fixture]]:
     """Parse the plain-text day format: lines of 'day k: a@h a@h ...'
-    (the 'day k:' prefix is optional; teams are 0-based integers) into
-    days of ``Fixture`` values."""
+    (the 'day k:' prefix is optional; teams are 0-based integers in ASCII
+    digits) into days of ``Fixture`` values."""
     days = []
     for raw in text.splitlines():
         line = raw.strip()
@@ -223,16 +232,12 @@ def parse_day_list(text: str) -> list[list[Fixture]]:
             prefix, line = line.split(":", 1)
             if not prefix.strip().lower().startswith("day"):
                 raise ValidationError(f"unrecognized day prefix {prefix!r}")
-        games = []
-        for token in line.split():
-            if "@" not in token:
-                raise ValidationError(f"malformed game token {token!r} (expected away@home)")
-            away, home = token.split("@", 1)
-            try:
-                games.append((int(away), int(home)))
-            except ValueError:
-                raise ValidationError(f"non-integer team in token {token!r}") from None
-        days.append(list(_fixtures(games)))
+        if not _GAMES.fullmatch(line):
+            bad = next(token for token in line.split() if not _GAMES.fullmatch(token))
+            raise ValidationError(f"non-integer team in token {bad!r}" if "@" in bad else
+                                  f"malformed game token {bad!r} (expected away@home)")
+        teams = map(int, line.replace("@", " ").split())
+        days.append(list(_fixtures(zip(teams, teams))))   # consecutive teams pair up
     return days
 
 

@@ -354,8 +354,11 @@ def _with(text, edit):
      "malformed schedule JSON: 2.5 is not an integer"),
     (lambda text: _with(text, lambda o: o.update(n=8.5)),
      "malformed schedule JSON: 8.5 is not an integer"),
+    # a day list names its teams in ASCII digits only
+    (lambda text: "day 1: 1_0@3 1@2\n", "non-integer team in token '1_0@3'"),
+    (lambda text: "day 1: \u0663@0 1@2\n", "non-integer team in token '\u0663@0'"),
 ], ids=["no-days", "truncated", "type-null", "type-7", "not-utf8", "pairs-text",
-        "pair-fraction", "away-fraction", "n-fraction"])
+        "pair-fraction", "away-fraction", "n-fraction", "text-underscore", "text-arabic-indic"])
 def test_unreadable_schedule_file_exits_1(sched_and_inst, tmp_path, capsys,
                                           command, damage, message):
     sched_path, inst_path = sched_and_inst

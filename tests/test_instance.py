@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ttp2 import (Instance, InstanceError, check_metric, emit_instance,
+from ttp2 import (Instance, InstanceError, build_schedule, check_metric, emit_instance,
                   generate_instance, load_instance, save_instance)
 from ttp2 import instance as instance_module
 from ttp2.instance import EXTENSION_FORMATS, FORMATS, TRIANGLE_TOL, MetricReport
@@ -32,6 +32,29 @@ def test_instance_rejects_odd_n():
     d = np.zeros((3, 3))
     with pytest.raises(InstanceError):
         Instance(n=3, dist=d)
+
+
+@pytest.mark.parametrize("n", [8.0, True, "8", None], ids=repr)
+def test_instance_refuses_a_team_count_that_is_not_an_integer(n):
+    with pytest.raises(InstanceError, match="team count must be an integer"):
+        Instance(n=n, dist=np.ones((8, 8)) - np.eye(8))
+
+
+def test_numpy_integers_are_read_as_ints():
+    dist = generate_instance(8, "euclidean", 0).dist
+    inst = Instance(n=np.int64(8), dist=dist)
+    assert type(inst.n) is int and inst == Instance(n=8, dist=dist)
+    assert build_schedule(inst) == build_schedule(Instance(n=8, dist=dist))
+    generated = generate_instance(np.int64(8), "euclidean", np.int64(3))
+    assert type(generated.n) is int and generated == generate_instance(8, "euclidean", 3)
+
+
+@pytest.mark.parametrize("n,seed", [(8.0, 0), (True, 0), ("8", 0), (8, 1.5), (8, True), (8, "1")],
+                         ids=repr)
+def test_generate_refuses_a_non_integer_n_or_seed(n, seed):
+    match = "seed must be a non-negative integer" if type(n) is int else "needs an even integer n"
+    with pytest.raises(InstanceError, match=match):
+        generate_instance(n, "euclidean", seed)
 
 
 def test_instance_rejects_shape_mismatch():

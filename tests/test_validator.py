@@ -1,5 +1,7 @@
 """Feasibility checker: clean passes, surgical mutations, input formats."""
 
+import copy
+import pickle
 from dataclasses import replace
 
 import numpy as np
@@ -201,8 +203,10 @@ def test_parse_day_list_without_prefix():
 def test_parse_day_list_bad_token():
     with pytest.raises(ValidationError, match="away@home"):
         parse_day_list("0-1")
-    with pytest.raises(ValidationError, match="non-integer"):
-        parse_day_list("a@b")
+    # a team is read from ASCII digits only, not as int() reads it
+    for text in ("a@b", "1_0@2", "\u0663@1", "+1@2", "0@1@2"):
+        with pytest.raises(ValidationError, match="non-integer team in token"):
+            parse_day_list(text)
     with pytest.raises(ValidationError, match="prefix"):
         parse_day_list("row 1: 0@1")
 
@@ -233,9 +237,8 @@ def test_readers_refuse_a_stored_dict(reader):
         reader(obj, inst)
 
 
-# JSON keeps text and true/false apart from numbers, so the stored form
-# refuses them where it needs an integer; the in-memory forms still
-# read a team as int() does (ODD_TEAMS below)
+# the stored form refuses text and booleans where it needs an integer, as
+# the in-memory forms do (ODD_TEAMS below)
 @pytest.mark.parametrize("path,value,field", [
     (("n",), "8", "n"),
     (("days", 0, 0, "away"), "0", "away"),
@@ -311,8 +314,10 @@ def test_empty_schedule_needs_n():
 
 
 def test_malformed_fixture_raises():
-    # a dict or a string would unpack to its two keys or characters
-    for fixture in (("x", None), {"away": 0, "home": 1}, {0: "a", 1: "b"}, "01"):
+    # a dict, a string or a set would unpack to its two keys, characters or
+    # members, a set's in hash order: none is an ordered pair
+    for fixture in (("x", None), {"away": 0, "home": 1}, {0: "a", 1: "b"}, "01", {0, 1},
+                    frozenset((0, 1))):
         with pytest.raises(ValidationError, match="malformed fixture"):
             validate_schedule([[fixture]], n=4)
 
@@ -400,27 +405,42 @@ def test_every_form_reads_alike(clean8, mutation, n):
         assert reads["fixture tuples"] == "team index out of range"
 
 
-# team entries other than plain ints, and what int() makes of them; a
-# number with a fractional part is refused, not truncated
-ODD_TEAMS = [("3", 3), (" 3", 3), (2.0, 2), (True, 1), (np.int64(3), 3), (np.int32(1), 1),
+# team entries other than plain ints, and the team each is read as: a
+# numpy integer or an integral float is read; text, a bool, or a number
+# with a fractional part is refused, not read as int() reads it
+ODD_TEAMS = [("3", "malformed"), (" 3", "malformed"), (2.0, 2), (True, "malformed"),
+             (np.int64(3), 3), (np.int32(1), 1),
              (np.float64(5.0), 5), ("1.5", "malformed"), (1.7, "malformed"),
              (np.float32(2.5), "malformed"), (float("nan"), "malformed"),
              (float("inf"), "malformed"),
              (1e20, "team index out of range"), (2 ** 70, "team index out of range")]
 
 
-@pytest.mark.parametrize("make", [Fixture, _pair], ids=["Fixture", "pair"])
+def _stored_fixture(away, home):
+    return {"away": away, "home": home}
+
+
+@pytest.mark.parametrize("make", [Fixture, _pair, _stored_fixture],
+                         ids=["Fixture", "pair", "stored"])
 @pytest.mark.parametrize("entry,read_as", ODD_TEAMS, ids=repr)
 def test_odd_team_entries_read_as_int_reads_them(clean8, entry, read_as, make):
     days = [[make(a, h) for a, h in day] for day in clean8]
     if isinstance(read_as, int):
         d, f = next((d, f) for d, day in enumerate(clean8)
                     for f, (a, _) in enumerate(day) if a == read_as)
-        expected = _read(days)
+        expected = _read(clean8)
     else:
         d, f = 0, 0
         expected = read_as
     days[d][f] = make(entry, clean8[d][f][1])
+    if make is _stored_fixture:
+        # the stored form's one reader reads the same schedule, or refuses it too
+        try:
+            read = _read(schedule_from_dict({"n": 8, "days": days}))
+        except ValidationError:
+            read = "refused"
+        assert read == (expected if isinstance(read_as, int) else "refused")
+        return
     if expected == "malformed":
         expected = f"malformed fixture {days[d][f]!r}"
     assert _read(days) == expected
@@ -498,7 +518,27 @@ def test_a_loaded_schedule_is_read_once(monkeypatch):
     assert total_travel(s, inst) == total_travel(built, inst)
     assert _reads_of(read, s.days) == 1 and _reads_of(read, other.days) == 1
     assert schedule_array(s) is not schedule_array(built)
-    assert _read(schedule_array(s)) == _read(schedule_array(built))
+    assert _read(s) == _read(built)
+
+
+@pytest.mark.parametrize("copy_of", [lambda s: pickle.loads(pickle.dumps(s)), copy.deepcopy],
+                         ids=["pickle", "deepcopy"])
+def test_a_copied_schedule_keeps_a_read_only_normal_form(clean8, copy_of):
+    inst = generate_instance(8, kind="euclidean", seed=0)
+    built = build_schedule(inst)
+    swapped = _stored(_mutated(clean8, "venue_swap"), 8)
+    for s in (built, schedule_from_json(schedule_to_json(built)), swapped):
+        c = copy_of(s)
+        g = schedule_array(c)
+        assert g is c._array and g is not s._array
+        for arr in (g.day, g.away, g.home, g.opponent, g.at_home, g.games):
+            assert not arr.flags.writeable
+            with pytest.raises(ValueError):
+                arr[0] = arr[0]
+        assert _read(c) == _read(s)
+        assert validate_schedule(c) == validate_schedule(s)
+        assert total_travel(c, inst) == total_travel(s, inst)
+    assert not validate_schedule(copy_of(swapped)).ok
 
 
 def test_other_forms_are_read_on_every_call(monkeypatch):
