@@ -8,7 +8,9 @@ venues twice (W_t) with n traversals of the minimum matching (W_m).
 Schedules are read through ``validator.schedule_array``; a stored
 ``schedule_to_dict`` dict is read with ``scheduler.schedule_from_dict``
 first.  Travel and W_t are exact ``math.fsum`` sums, and distances whose
-sum passes the float range raise InstanceError.
+sum passes the float range raise InstanceError.  The flip budget and the
+factors take an integer n (a numpy integer included) and refuse anything
+else with TTP2Error.
 """
 
 from __future__ import annotations
@@ -17,16 +19,18 @@ import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from typing import Optional
 
 import numpy as np
 
 from .errors import InstanceError, TTP2Error, ValidationError
-from .instance import Instance, check_metric
+from .instance import Instance, _is_integer, check_metric
 from .matching import PairMatching, min_weight_perfect_matching
-from .validator import ScheduleArray, _validate, schedule_array
+from .validator import ScheduleArray, _verdict, schedule_array
 
 BOUND_SLACK = 1e-9   # floating slack when checking the ratio bound
+SIZES_KEPT = 64      # team counts whose per-size figures and indices are kept
 
 # EvaluationReport.bound_reason: why bound_satisfied is None
 NO_FACTOR = "no factor for this n (n is not a multiple of 4, or is below 8)"
@@ -110,10 +114,18 @@ def total_travel(sched, inst: Instance) -> float:
     return _fsum(map(math.fsum, legs.T.tolist()))
 
 
+@lru_cache(maxsize=SIZES_KEPT)
+def _upper(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only row and column indices of the n(n-1)/2 entries above the
+    diagonal of an n x n matrix."""
+    rows, cols = np.triu_indices(n, 1)
+    rows.flags.writeable = cols.flags.writeable = False
+    return rows, cols
+
+
 def pairwise_sum(inst: Instance) -> float:
     """W_t: the sum of all inter-venue distances (each unordered pair once)."""
-    # fsum is exact, so the zeros np.triu leaves below the diagonal add nothing
-    return _fsum(np.triu(inst.dist, 1).ravel().tolist())
+    return _fsum(inst.dist[_upper(inst.n)].tolist())
 
 
 def lower_bound(inst: Instance, team_matching: PairMatching) -> float:
@@ -136,9 +148,18 @@ def _ceil_log2(x: int) -> int:
     return (x - 1).bit_length()
 
 
+def _team_count(n) -> int:
+    """``n`` as an int: an int or a numpy integer; a bool, a float, text or
+    anything else raises TTP2Error."""
+    if not _is_integer(n):
+        raise TTP2Error(f"n must be an integer, got {n!r}")
+    return int(n)
+
+
 def flip_budget(n: int) -> float:
     """F_n = (n/8) * ceil(log2(n/4)); schedules may use at most ceil(F_n)
     Type-2 blocks."""
+    n = _team_count(n)
     if n % 4 != 0 or n < 4:
         raise TTP2Error(f"flip budget needs 4 | n, got {n}")
     return n * _ceil_log2(n // 4) / 8.0
@@ -147,6 +168,7 @@ def flip_budget(n: int) -> float:
 def factors_exact(n: int) -> tuple[Fraction, Fraction]:
     """Both approximation factors as exact rationals: this construction's
     and the benchmark (XK) it is compared against."""
+    n = _team_count(n)
     if n % 4 != 0 or n < 8:
         raise TTP2Error(f"factors need 4 | n and n >= 8, got {n}")
     ours = 1 + Fraction(_ceil_log2(n // 4) + 4, 2 * (n - 2))
@@ -162,11 +184,27 @@ def factor_xiao_kou(n: int) -> float:
     return float(factors_exact(n)[1])
 
 
+@lru_cache(maxsize=SIZES_KEPT)
+def _size_figures(n: int) -> tuple[Optional[float], Optional[float], Optional[float]]:
+    """The flip budget and both factors of an int team count, each None
+    where n has none."""
+    try:
+        budget: Optional[float] = flip_budget(n)
+    except TTP2Error:
+        budget = None
+    if n % 4 != 0 or n < 8:
+        return budget, None, None
+    ours, xk = factors_exact(n)
+    return budget, float(ours), float(xk)
+
+
 def evaluation_report(sched, inst: Instance) -> EvaluationReport:
     """All headline quantities for one schedule on one instance.
 
     ``sched`` is any form ``validator.schedule_array`` reads; it is read
-    once, and both the validity check and the itineraries use that read.
+    once, and both the validity check and the itineraries use that read.  A
+    built or loaded ``Schedule`` brings the verdict it keeps, shared with
+    ``validate_schedule``.
     The schedule may be invalid; the report then carries valid=False and the
     ratio loses its guarantee (it is still computed when the bound is > 0).
     ``bound_satisfied`` is None in three cases, and ``bound_reason`` then
@@ -188,8 +226,7 @@ def evaluation_report(sched, inst: Instance) -> EvaluationReport:
     on the same instance the solve is a memo hit.
     """
     n = inst.n
-    g = schedule_array(sched, n)
-    valid = not _validate(g, sched).violations
+    g, verdict = _verdict(sched, n)
     teams = min_weight_perfect_matching(inst.dist)
     per_team = tuple(_itineraries(g, inst))
     total = _fsum(it.travel for it in per_team)
@@ -197,16 +234,7 @@ def evaluation_report(sched, inst: Instance) -> EvaluationReport:
     lb = _bound(w_t, n, teams.weight)   # lower_bound's, without summing W_t again
     ratio = (total / lb) if lb > 0 else None
     flips = getattr(sched, "flips", None)
-    try:
-        budget = flip_budget(n)
-    except TTP2Error:
-        budget = None
-    if n % 4 == 0 and n >= 8:
-        ours, xk = factors_exact(n)
-        ours_f: Optional[float] = float(ours)
-        xk_f: Optional[float] = float(xk)
-    else:
-        ours_f = xk_f = None
+    budget, ours_f, xk_f = _size_figures(_team_count(n))
     bound_ok = reason = None
     if ours_f is None:
         reason = NO_FACTOR
@@ -219,7 +247,7 @@ def evaluation_report(sched, inst: Instance) -> EvaluationReport:
     return EvaluationReport(
         n=n, total_travel=total, lower_bound=lb, ratio=ratio, flips=flips,
         flip_budget=budget, factor_ours=ours_f, factor_xiao_kou=xk_f,
-        W_t=w_t, W_m=teams.weight, valid=valid, bound_satisfied=bound_ok,
+        W_t=w_t, W_m=teams.weight, valid=verdict.ok, bound_satisfied=bound_ok,
         bound_reason=reason, per_team=per_team)
 
 

@@ -21,8 +21,8 @@ from .analysis import (BOUND_SLACK, evaluation_report, factors_exact,
                        total_travel)
 from .errors import (InstanceError, MatchingError, SchedulingError, TTP2Error,
                      ValidationError)
-from .instance import (FORMATS, GENERATOR_KINDS, emit_instance, generate_instance,
-                       load_instance, save_instance)
+from .instance import (FORMATS, GENERATOR_KINDS, _decimal, emit_instance,
+                       generate_instance, load_instance, save_instance)
 from .scheduler import (build_schedule, check_team_count, format_level_table,
                         schedule_from_json, schedule_to_json)
 from .validator import validate_schedule
@@ -44,9 +44,9 @@ def _resolve_seed(value):
     env = os.environ.get("TTP2_SEED")
     if env is not None:
         try:
-            seed = int(env)
+            seed = _decimal(env)
         except ValueError:
-            raise InstanceError(f"TTP2_SEED must be an integer, got {env!r}")
+            raise InstanceError(f"TTP2_SEED must be an integer in ASCII digits, got {env!r}")
         if seed < 0:
             raise InstanceError(f"TTP2_SEED must be a non-negative integer, got {env!r}")
         return seed
@@ -220,9 +220,18 @@ def cmd_factors(args) -> int:
     return 0
 
 
+def _int_arg(text: str) -> int:
+    """An integer option's value, in ASCII digits (``instance._decimal``)."""
+    try:
+        return _decimal(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"expected an integer in ASCII digits, got {text!r}") from None
+
+
 def _team_counts(text: str) -> list[int]:
     try:
-        return [int(tok) for tok in text.split(",") if tok.strip()]
+        return [_decimal(tok.strip()) for tok in text.split(",") if tok.strip()]
     except ValueError:
         raise argparse.ArgumentTypeError(
             f"expected comma-separated integers, got {text!r}") from None
@@ -230,7 +239,7 @@ def _team_counts(text: str) -> list[int]:
 
 def _positive_int(text: str) -> int:
     try:
-        value = int(text)
+        value = _decimal(text)
     except ValueError:
         value = 0
     if value < 1:
@@ -244,8 +253,8 @@ def _add_gen_source(sub):
     sub.add_argument("--gen", choices=GENERATOR_KINDS, metavar="KIND",
                      help="generate an instance instead of reading one "
                           f"(one of: {', '.join(GENERATOR_KINDS)})")
-    sub.add_argument("--n", type=int, help="team count for --gen")
-    sub.add_argument("--seed", type=int, default=None,
+    sub.add_argument("--n", type=_int_arg, help="team count for --gen")
+    sub.add_argument("--seed", type=_int_arg, default=None,
                      help="RNG seed (default: $TTP2_SEED or 0)")
 
 
@@ -259,8 +268,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = subs.add_parser("gen", help="generate a distance-matrix instance")
     p.add_argument("--kind", choices=GENERATOR_KINDS, default="euclidean")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--n", type=_int_arg, required=True)
+    p.add_argument("--seed", type=_int_arg, default=None)
     p.add_argument("-o", "--output", metavar="PATH")
     p.add_argument("--fmt", choices=FORMATS, default=None)
     p.set_defaults(func=cmd_gen)
@@ -279,7 +288,7 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="schedule file (JSON or day-list text)")
     p.add_argument("-d", "--instance", metavar="PATH",
                    help="instance file, for cross-checking the team count")
-    p.add_argument("-n", type=int, default=None, help="team count for text schedules")
+    p.add_argument("-n", type=_int_arg, default=None, help="team count for text schedules")
     p.set_defaults(func=cmd_validate)
 
     p = subs.add_parser("evaluate", help="travel totals, bounds, and ratio")
@@ -293,12 +302,12 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n-set", type=_team_counts, default=BENCH_DEFAULT_NS,
                    help=f"comma-separated team counts (default {BENCH_DEFAULT_NS})")
     p.add_argument("--trials", type=_positive_int, default=5)
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--seed", type=_int_arg, default=None)
     p.add_argument("-o", "--output", metavar="PATH")
     p.set_defaults(func=cmd_bench)
 
     p = subs.add_parser("factors", help="approximation factor table")
-    p.add_argument("--n-max", type=int, default=40)
+    p.add_argument("--n-max", type=_int_arg, default=40)
     p.add_argument("--csv", action="store_true")
     p.set_defaults(func=cmd_factors)
 

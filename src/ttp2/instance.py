@@ -16,6 +16,7 @@ import json
 import math
 import numbers
 import os
+import re
 from dataclasses import dataclass
 from typing import Optional
 
@@ -36,6 +37,19 @@ FORMATS = ("matrix", "csv", "json")
 EXTENSION_FORMATS = {".txt": "matrix", ".mat": "matrix", ".dist": "matrix",
                      ".csv": "csv", ".json": "json"}
 GENERATOR_KINDS = ("euclidean", "unit", "random_metric")
+
+
+# the minus sign is read so that a negative value meets its caller's refusal
+_DECIMAL = re.compile(r"-?[0-9]+")
+
+
+def _decimal(text: str) -> int:
+    """``text`` as an int if it is written in ASCII digits, as day-list
+    teams are, else ValueError; ``int()`` alone would also take ``1_0``, a
+    plus sign, whitespace around the digits and non-ASCII digits."""
+    if not _DECIMAL.fullmatch(text):
+        raise ValueError(f"invalid integer {text!r}: expected ASCII digits")
+    return int(text)
 
 
 def _is_integer(x) -> bool:
@@ -168,7 +182,7 @@ def _parse_matrix(text: str) -> Instance:
         raise InstanceError("empty matrix input")
     first = tokens[0]
     try:
-        n = int(first)
+        n = _decimal(first)
     except ValueError:
         raise InstanceError(f"matrix input must start with the team count, got {first!r}") from None
     if len(tokens) - 1 != n * n:

@@ -25,10 +25,13 @@ exact weight.  Mulmuley, Vazirani & Vazirani (1987, "Matching is as easy
 as matrix inversion") isolate one optimum with exponential weights in the
 same way.
 
-Solves are memoized by matrix content (shape and bytes of the validated,
-symmetrized weights), so scoring a schedule right after building it does
+Solves are memoized by matrix content (shape and bytes of the caller's
+weights as float64), so scoring a schedule right after building it does
 not pay for the team matching again.  Equal content means an equal
 answer, so a cached result can never belong to a different instance.
+Validation runs inside the memoized solve, once per distinct content: a
+memo hit skips it, and a matrix it refuses is never memoized, so it is
+refused on every call.
 
 A solve holds no reference cycles: no helper of the blossom refers to
 itself, so its tables (at m=32 a 32 x 64 least-slack edge table and the
@@ -95,16 +98,17 @@ def _validated_weights(weights) -> np.ndarray:
 def min_weight_perfect_matching(weights) -> PairMatching:
     """Globally minimum-weight perfect matching with deterministic tie-break.
 
-    Validation runs on every call; the solve itself is looked up by matrix
-    content first.
+    The answer is looked up by matrix content first.  Validation runs once
+    per distinct content, as part of the solve; a refused matrix raises
+    MatchingError on every call.
     """
-    w = _validated_weights(weights)
-    return _solve_by_content(w.shape[0], w.tobytes())
+    w = np.asarray(weights, dtype=float)
+    return _solve_by_content(w.shape, w.tobytes())
 
 
 @lru_cache(maxsize=MEMO_SIZE)
-def _solve_by_content(m: int, data: bytes) -> PairMatching:
-    w = np.frombuffer(data, dtype=float).reshape(m, m)
+def _solve_by_content(shape: tuple[int, ...], data: bytes) -> PairMatching:
+    w = _validated_weights(np.frombuffer(data, dtype=float).reshape(shape))
     pairs = _canonical_pairs(w)
     try:
         weight = math.fsum(float(w[i, j]) for i, j in pairs)

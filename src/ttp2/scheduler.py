@@ -34,7 +34,7 @@ from .errors import SchedulingError, ValidationError
 from .instance import Instance
 from .matching import (SIZE_MAX, PairMatching, build_super_graph,
                        min_weight_perfect_matching, super_pair_matching)
-from .validator import ScheduleArray, _integer, schedule_array
+from .validator import ScheduleArray, ViolationReport, _integer, schedule_array
 
 
 @dataclass(frozen=True)
@@ -54,7 +54,10 @@ class Schedule:
 
     A schedule returned by ``build_schedule`` or ``schedule_from_dict``
     keeps the normal form of its days (``validator.schedule_array``), read
-    once when it was made; one made any other way is read per call."""
+    once when it was made, and the ``ViolationReport`` on it, given the
+    first time ``validate_schedule`` or ``evaluation_report`` judges it.
+    One made any other way, a ``dataclasses.replace`` copy included, is
+    read and judged per call."""
 
     n: int
     days: tuple[tuple[Fixture, ...], ...]
@@ -63,6 +66,8 @@ class Schedule:
     super_pairs: Optional[PairMatching] = None
     _array: Optional[ScheduleArray] = field(default=None, init=False, compare=False,
                                             repr=False)
+    _report: Optional[ViolationReport] = field(default=None, init=False, compare=False,
+                                               repr=False)
 
     @property
     def flips(self) -> int:

@@ -18,8 +18,11 @@ and day-list text writes teams in ASCII digits only.  ``Fixture`` days of
 plain ints, which ``build_schedule``, ``schedule_from_dict`` and
 ``parse_day_list`` produce, are read without a per-fixture Python call,
 other forms fixture by fixture with the same result.  A built or loaded
-schedule keeps its normal form, read once; other forms are read per call,
-so a list edited in place gets a fresh verdict.
+schedule keeps its normal form, read once, and the verdict on it, given
+once: ``validate_schedule`` and ``evaluation_report`` share it, whichever
+runs first.  Other forms, a ``dataclasses.replace`` copy of a schedule
+included, are read and judged per call, so a list edited in place gets a
+fresh verdict.
 """
 
 from __future__ import annotations
@@ -294,9 +297,22 @@ def validate_schedule(sched, n: Optional[int] = None) -> ViolationReport:
     ``sched`` is any form ``schedule_array`` reads.  Malformed input (team
     out of range, team playing itself) raises; rule violations are
     collected into the report.  A ``Schedule`` that stores typed levels
-    and team pairs also has its block types checked against its days.
+    and team pairs also has its block types checked against its days.  A
+    built or loaded ``Schedule`` is judged once and keeps its report.
     """
-    return _validate(schedule_array(sched, n), sched)
+    return _verdict(sched, n)[1]
+
+
+def _verdict(sched, n: Optional[int] = None) -> tuple[ScheduleArray, ViolationReport]:
+    """The normal form of ``sched`` and the report on it.  A schedule that
+    keeps its normal form (``Schedule._array``) also keeps the first report
+    given on it, in ``Schedule._report``; every other form is judged anew."""
+    g = schedule_array(sched, n)
+    if g is not getattr(sched, "_array", None):
+        return g, _validate(g, sched)
+    if sched._report is None:
+        object.__setattr__(sched, "_report", _validate(g, sched))
+    return g, sched._report
 
 
 def _validate(g: ScheduleArray, sched) -> ViolationReport:

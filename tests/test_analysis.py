@@ -36,7 +36,7 @@ from ttp2 import (
 )
 from ttp2 import analysis
 from ttp2.analysis import NO_FACTOR, NOT_METRIC, ZERO_BOUND
-from helpers import day_list_text
+from helpers import day_list_text, lattice_weights
 from reference import sample_valid_schedules
 
 
@@ -138,6 +138,27 @@ def test_pairwise_sum_by_hand():
         assert pairwise_sum(inst) == loop
 
 
+def _lattice_instance(n, seed):
+    return Instance(n=n, dist=lattice_weights(n, seed=seed))
+
+
+@pytest.mark.parametrize("make", [
+    lambda n: generate_instance(n, "euclidean", seed=n),
+    lambda n: generate_instance(n, "random_metric", seed=n),
+    lambda n: generate_instance(n, "unit"),
+    lambda n: _lattice_instance(n, seed=n),
+], ids=["euclidean", "random_metric", "unit", "lattice"])
+def test_pairwise_sum_equals_the_zero_filled_triangle_sum(make):
+    for n in range(8, 33, 4):
+        inst = make(n)
+        triangle = math.fsum(np.triu(inst.dist, 1).ravel().tolist())
+        assert pairwise_sum(inst).hex() == triangle.hex()
+    huge = np.full((8, 8), 1e307)
+    np.fill_diagonal(huge, 0.0)
+    with pytest.raises(InstanceError, match="sum past the float range"):
+        pairwise_sum(Instance(n=8, dist=huge))
+
+
 def test_lower_bound_unit_n4():
     teams = min_weight_perfect_matching(UNIT4.dist)
     # W_t = 6 unit pairs, W_m = 2: bound = 2*6 + 4*2 = 20
@@ -200,6 +221,25 @@ def test_factors_reject_bad_n():
         factors_exact(6)
     with pytest.raises(TTP2Error, match="factors"):
         factors_exact(4)
+
+
+@pytest.mark.parametrize("n", [8.0, "8", True, None, Fraction(8)], ids=repr)
+@pytest.mark.parametrize("figure", [flip_budget, factors_exact, factor_ours, factor_xiao_kou])
+def test_budget_and_factors_refuse_a_non_integer_n(figure, n):
+    # a report on n=8 fills the per-size figures first; 8.0 == 8 must not hit them
+    evaluation_report(build_schedule(generate_instance(8, kind="euclidean", seed=0)),
+                      generate_instance(8, kind="euclidean", seed=0))
+    with pytest.raises(TTP2Error, match="n must be an integer"):
+        figure(n)
+
+
+@pytest.mark.parametrize("n", [np.int64(8), np.int32(32), np.uint8(12)], ids=repr)
+def test_budget_and_factors_take_numpy_integers(n):
+    assert flip_budget(n) == flip_budget(int(n))
+    assert factors_exact(n) == factors_exact(int(n))
+    assert factor_ours(n) == factor_ours(int(n))
+    assert factor_xiao_kou(n) == factor_xiao_kou(int(n))
+    assert type(flip_budget(n)) is float
 
 
 # --- evaluation report ------------------------------------------------------------

@@ -547,7 +547,12 @@ def test_bench_rejects_bad_n(capsys):
     (["--trials", "0"], "argument --trials: expected a positive integer, got '0'"),
     (["--trials", "-2"], "argument --trials: expected a positive integer, got '-2'"),
     (["--n-set", "8,x"], "argument --n-set: expected comma-separated integers, got '8,x'"),
-], ids=["trials-0", "trials-negative", "n-set-not-integer"])
+    (["--trials", "1_0"], "argument --trials: expected a positive integer, got '1_0'"),
+    (["--n-set", "8,1_2"], "argument --n-set: expected comma-separated integers, got '8,1_2'"),
+    (["--n-set", "\u0668"], "argument --n-set: expected comma-separated integers, got '\u0668'"),
+    (["--seed", "1_0"], "argument --seed: expected an integer in ASCII digits, got '1_0'"),
+], ids=["trials-0", "trials-negative", "n-set-not-integer", "trials-underscore",
+        "n-set-underscore", "n-set-arabic-indic", "seed-underscore"])
 def test_bench_rejects_bad_arguments(capsys, argv, message):
     code, out, err = run(capsys, "bench", *argv)
     assert code == 1
@@ -572,6 +577,57 @@ def test_negative_seed_exits_1(monkeypatch, capsys, argv):
     else:   # the message names the variable
         assert "TTP2_SEED must be a non-negative integer, got '-3'" in err
     assert "Traceback" not in err
+
+
+# --- integers in ASCII digits -------------------------------------------------------------
+#
+# Every integer the command line reads, and a matrix file's team count,
+# is ASCII digits, as day-list teams are: int() alone would also take
+# 1_0, +8, and digits of other scripts.  The bench options are checked
+# with the other bench arguments above.
+
+
+@pytest.mark.parametrize("argv,names", [
+    (["schedule", "--n", "1_2", "--seed", "0"], "argument --n: "),
+    (["schedule", "--n", "\u0668"], "argument --n: "),
+    (["gen", "--n", "+8"], "argument --n: "),
+    (["schedule", "--n", "8", "--seed", "1_0"], "argument --seed: "),
+    (["gen", "--n", "8", "--seed", "\u0663"], "argument --seed: "),
+    (["validate", "-i", "unused.json", "-n", "1_2"], "argument -n: "),
+    (["factors", "--n-max", "3_6"], "argument --n-max: "),
+], ids=["schedule-n", "schedule-n-arabic-indic", "gen-n-plus", "schedule-seed", "gen-seed",
+        "validate-n", "factors-n-max"])
+def test_integer_arguments_are_ascii_digits(capsys, argv, names):
+    code, out, err = run(capsys, *argv)
+    assert code == 1
+    assert out == ""
+    assert names in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("value", ["1_0", "\u0663", "+3", " 3"], ids=repr)
+def test_seed_env_is_ascii_digits(monkeypatch, capsys, value):
+    monkeypatch.setenv("TTP2_SEED", value)
+    code, out, err = run(capsys, "schedule", "--n", "8")
+    assert code == 1
+    assert out == ""
+    assert f"TTP2_SEED must be an integer in ASCII digits, got {value!r}" in err
+
+
+def test_matrix_team_count_is_ascii_digits(tmp_path, capsys):
+    path = tmp_path / "inst.txt"
+    path.write_text("1_0 0 1\n")
+    code, out, err = run(capsys, "schedule", "-i", str(path))
+    assert code == 1
+    assert out == ""
+    assert "matrix input must start with the team count, got '1_0'" in err
+
+
+def test_team_counts_may_have_whitespace_around_them(capsys):
+    code, out, _ = run(capsys, "bench", "--n-set", " 8 , 12 ", "--trials", "1")
+    assert code == 0
+    assert [row[:2] for row in csv.reader(out.splitlines())][1:] == [
+        ["8", "0"], ["8", "max"], ["12", "0"], ["12", "max"]]
 
 
 # --- factors ----------------------------------------------------------------------------

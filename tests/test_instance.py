@@ -247,6 +247,13 @@ def test_matrix_format_rejects_token_shortage():
         load_instance("4\n0 1 2\n", fmt="matrix")
 
 
+@pytest.mark.parametrize("count", ["1_0", "\u0662", "+2", "2.0"], ids=repr)
+def test_matrix_team_count_is_ascii_digits(count):
+    with pytest.raises(InstanceError, match="must start with the team count"):
+        load_instance(f"{count}\n0 1\n1 0\n", fmt="matrix")
+    assert load_instance("2\n0 1\n1 0\n", fmt="matrix").n == 2
+
+
 def test_generators_deterministic():
     a = generate_instance(8, "euclidean", 7)
     b = generate_instance(8, "euclidean", 7)

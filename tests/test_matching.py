@@ -21,6 +21,7 @@ from ttp2 import (
     total_travel,
     validate_schedule,
 )
+from ttp2 import matching
 from ttp2.matching import _solve_by_content
 
 from helpers import euclid_weights, lattice_weights, unit_weights
@@ -318,6 +319,35 @@ def test_memo_still_validates_every_call():
     for _ in range(2):
         with pytest.raises(MatchingError, match="negative"):
             min_weight_perfect_matching(bad)
+
+
+def test_a_memo_hit_skips_validation(monkeypatch):
+    validated = []
+    validate = matching._validated_weights
+    monkeypatch.setattr(matching, "_validated_weights",
+                        lambda w: validated.append(w.shape) or validate(w))
+    _solve_by_content.cache_clear()
+    w = euclid_weights(10, seed=23)
+    first = min_weight_perfect_matching(w)
+    assert validated == [(10, 10)]
+    assert min_weight_perfect_matching(w.tolist()) == first   # same content, other type
+    assert validated == [(10, 10)]
+    # a build validates the team matrix and the super graph, and the
+    # report's team matching on the same instance is a memo hit
+    inst = generate_instance(16, "euclidean", seed=23)
+    s = build_schedule(inst)
+    assert validated[1:] == [(16, 16), (8, 8)]
+    evaluation_report(s, inst)
+    assert len(validated) == 3
+    # a refused matrix is not memoized
+    bad = unit_weights(6)
+    bad[0, 1] = 2.0
+    size = _solve_by_content.cache_info().currsize
+    for _ in range(2):
+        with pytest.raises(MatchingError, match="symmetric"):
+            min_weight_perfect_matching(bad)
+    assert _solve_by_content.cache_info().currsize == size
+    assert len(validated) == 5
 
 
 # --- no cyclic garbage ---------------------------------------------------------

@@ -1,6 +1,7 @@
 """Feasibility checker: clean passes, surgical mutations, input formats."""
 
 import copy
+import json
 import pickle
 from dataclasses import replace
 
@@ -577,6 +578,72 @@ def test_another_n_on_the_same_tuple_raises_or_reads_again():
     with pytest.raises(ValidationError, match="out of range"):
         schedule_array(s.days, 6)
     assert _read(schedule_array(s.days, 8)) == _read(g)
+
+
+# --- a built or loaded schedule is judged once ------------------------------------
+
+
+def _count_verdicts(monkeypatch):
+    """The schedules ``_validate`` judges, in call order."""
+    judged = []
+    judge = validator._validate
+
+    def counted(g, sched):
+        judged.append(sched)
+        return judge(g, sched)
+
+    monkeypatch.setattr(validator, "_validate", counted)
+    return judged
+
+
+def _loaded(inst):
+    return schedule_from_json(schedule_to_json(build_schedule(inst)))
+
+
+@pytest.mark.parametrize("validate_first", [True, False],
+                         ids=["validate-then-evaluate", "evaluate-then-validate"])
+@pytest.mark.parametrize("make", [build_schedule, _loaded], ids=["built", "loaded"])
+def test_a_built_or_loaded_schedule_is_judged_once(monkeypatch, make, validate_first):
+    inst = generate_instance(12, kind="euclidean", seed=0)
+    s = make(inst)
+    judged = _count_verdicts(monkeypatch)
+    calls = [lambda: validate_schedule(s).ok, lambda: evaluation_report(s, inst).valid]
+    if not validate_first:
+        calls.reverse()
+    assert all(call() for call in calls + calls)
+    assert len(judged) == 1 and judged[0] is s
+    assert validate_schedule(s) is s._report and validate_schedule(s, 12) is s._report
+    assert len(judged) == 1
+
+
+def test_other_forms_are_judged_on_every_call(monkeypatch):
+    inst = generate_instance(8, kind="euclidean", seed=0)
+    s8 = build_schedule(inst)
+    assert validate_schedule(s8).ok
+    # copies made by dataclasses.replace start without a kept verdict
+    forms = (replace(s8), replace(s8, levels=()), list(s8.days), _raw_days(s8),
+             day_list_text(s8.days))
+    judged = _count_verdicts(monkeypatch)
+    for sched in forms:
+        for _ in range(2):
+            assert validate_schedule(sched, 8).ok
+            assert evaluation_report(sched, inst).valid
+    assert len(judged) == 4 * len(forms)
+    assert forms[0]._report is None and forms[1]._report is None
+
+
+def test_a_loaded_venue_swapped_schedule_keeps_its_violations():
+    inst = generate_instance(8, kind="euclidean", seed=0)
+    obj = schedule_to_dict(build_schedule(inst))
+    fixture = obj["days"][0][0]
+    fixture["away"], fixture["home"] = fixture["home"], fixture["away"]
+    s = schedule_from_json(json.dumps(obj))
+    assert not evaluation_report(s, inst).valid
+    kept = s._report
+    fresh = validator._validate(schedule_array(s), s)
+    assert kept is not None and kept is not fresh
+    assert kept.by_constraint(C1) and kept.by_constraint(C1) == fresh.by_constraint(C1)
+    assert validate_schedule(s) is kept
 
 
 # --- stored block types ------------------------------------------------------------
