@@ -24,7 +24,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import InstanceError, TTP2Error, ValidationError
+from .errors import InstanceError, MatchingError, TTP2Error, ValidationError
 from .instance import Instance, _is_integer, check_metric
 from .matching import PairMatching, min_weight_perfect_matching
 from .validator import ScheduleArray, _verdict, schedule_array
@@ -101,7 +101,11 @@ def _itineraries(g: ScheduleArray, inst: Instance) -> list[Itinerary]:
 
 def team_itinerary(sched, inst: Instance, team: int) -> Itinerary:
     """Venue sequence and travel for one team; ``sched`` is any form
-    ``validator.schedule_array`` reads."""
+    ``validator.schedule_array`` reads.  ``team`` is an integer in 0..n-1
+    (a numpy integer included); a bool, a float or anything else raises
+    ValidationError."""
+    if not _is_integer(team):
+        raise ValidationError(f"team must be an integer, got {team!r}")
     if not 0 <= team < inst.n:
         raise ValidationError(f"team {team} out of range for n={inst.n}")
     return _itineraries(schedule_array(sched, inst.n), inst)[team]
@@ -130,7 +134,21 @@ def pairwise_sum(inst: Instance) -> float:
 
 def lower_bound(inst: Instance, team_matching: PairMatching) -> float:
     """2*W_t + n*W_m, the travel floor every feasible schedule obeys on
-    metric instances; a bound past the float range raises InstanceError."""
+    metric instances; a bound past the float range raises InstanceError.
+
+    ``team_matching`` must be a perfect matching of 0..n-1 whose ``weight``
+    is bit-equal to the ``math.fsum`` of its pairs' distances on ``inst``;
+    any other raises MatchingError.  A perfect matching that is not of
+    minimum weight but states its weight honestly passes: only
+    ``evaluation_report``, which solves the team matching itself, catches
+    that."""
+    if not team_matching.covers(inst.n):
+        raise MatchingError(f"team pairs {list(team_matching.pairs)} are not a perfect "
+                            f"matching of 0..{inst.n - 1}")
+    weight = _fsum(float(inst.dist[i, j]) for i, j in team_matching.pairs)
+    if weight != team_matching.weight:
+        raise MatchingError(f"team matching weight {team_matching.weight!r} is not the "
+                            f"{weight!r} its pairs sum to on this instance")
     return _bound(pairwise_sum(inst), inst.n, team_matching.weight)
 
 
@@ -203,8 +221,7 @@ def evaluation_report(sched, inst: Instance) -> EvaluationReport:
 
     ``sched`` is any form ``validator.schedule_array`` reads; it is read
     once, and both the validity check and the itineraries use that read.  A
-    built or loaded ``Schedule`` brings the verdict it keeps, shared with
-    ``validate_schedule``.
+    ``Schedule`` brings the read and the verdict it keeps.
     The schedule may be invalid; the report then carries valid=False and the
     ratio loses its guarantee (it is still computed when the bound is > 0).
     ``bound_satisfied`` is None in three cases, and ``bound_reason`` then
@@ -217,8 +234,8 @@ def evaluation_report(sched, inst: Instance) -> EvaluationReport:
     None for a form that carries none.  A schedule that declares another
     team count, or one naming teams outside the instance, raises
     ValidationError, and so does a dict: a stored ``schedule_to_dict`` dict
-    is read with ``schedule_from_dict``, which also checks its stored flip
-    count against its levels.  Distances that sum past the float range
+    is read with ``schedule_from_dict``, which also refuses a stored plan
+    that contradicts itself.  Distances that sum past the float range
     raise InstanceError.
 
     The team matching is solved from ``inst`` rather than read from the

@@ -23,8 +23,8 @@ import itertools
 import json
 import math
 import numbers
-from dataclasses import dataclass, field
-from functools import lru_cache
+from dataclasses import dataclass
+from functools import cached_property, lru_cache
 from operator import itemgetter
 from typing import Optional
 
@@ -34,7 +34,7 @@ from .errors import SchedulingError, ValidationError
 from .instance import Instance
 from .matching import (SIZE_MAX, PairMatching, build_super_graph,
                        min_weight_perfect_matching, super_pair_matching)
-from .validator import ScheduleArray, ViolationReport, _integer, schedule_array
+from .validator import ViolationReport, _integer, _validate, schedule_array
 
 
 @dataclass(frozen=True)
@@ -52,27 +52,34 @@ class Schedule:
     typed level plan the days were expanded from; it is empty for a
     schedule found some other way.
 
-    A schedule returned by ``build_schedule`` or ``schedule_from_dict``
-    keeps the normal form of its days (``validator.schedule_array``), read
-    once when it was made, and the ``ViolationReport`` on it, given the
-    first time ``validate_schedule`` or ``evaluation_report`` judges it.
-    One made any other way, a ``dataclasses.replace`` copy included, is
-    read and judged per call."""
+    Every schedule reads its days once, when it is made, and keeps their
+    normal form (``validator.schedule_array``); days it cannot read raise
+    ValidationError then.  It keeps the ``ViolationReport`` on them too,
+    given the first time ``validate_schedule`` or ``evaluation_report``
+    judges it."""
 
     n: int
     days: tuple[tuple[Fixture, ...], ...]
     levels: tuple[LevelPlan, ...] = ()
     team_pairs: Optional[PairMatching] = None
     super_pairs: Optional[PairMatching] = None
-    _array: Optional[ScheduleArray] = field(default=None, init=False, compare=False,
-                                            repr=False)
-    _report: Optional[ViolationReport] = field(default=None, init=False, compare=False,
-                                               repr=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "_array", schedule_array(self.days, self.n))
+
+    @cached_property
+    def _report(self) -> ViolationReport:
+        """The verdict on the days and the stored levels, given once."""
+        return _validate(self._array, self)
 
     @property
     def flips(self) -> int:
         """The number of Type-2 blocks in ``levels``."""
-        return sum(sm.block_type == 2 for lp in self.levels for sm in lp.super_matches)
+        return _flip_count(self.levels)
+
+
+def _flip_count(levels) -> int:
+    return sum(sm.block_type == 2 for lp in levels for sm in lp.super_matches)
 
 
 # --- level template on "slots" ---------------------------------------------
@@ -242,15 +249,7 @@ def build_schedule(inst: Instance) -> Schedule:
     days = tuple(tuple(itertools.chain.from_iterable(games))
                  for lp in levels
                  for games in zip(*(expand_block(sm, teams.pairs) for sm in lp.super_matches)))
-    return _read_once(Schedule(n=n, days=days, levels=levels, team_pairs=teams,
-                               super_pairs=super_pairs))
-
-
-def _read_once(sched: Schedule) -> Schedule:
-    """``sched``, keeping the normal form of its days; a fixture whose team
-    plays itself or lies outside 0..n-1 raises ValidationError."""
-    object.__setattr__(sched, "_array", schedule_array(sched.days, sched.n))
-    return sched
+    return Schedule(n=n, days=days, levels=levels, team_pairs=teams, super_pairs=super_pairs)
 
 
 # --- serialization ----------------------------------------------------------
@@ -316,9 +315,9 @@ def _block_from_dict(b) -> SuperMatch:
 def schedule_from_dict(obj: dict) -> Schedule:
     """Schedule from its ``schedule_to_dict`` form, the one reader of that
     form; raises ValidationError when the input cannot be read as one, when
-    ``validator._integer`` refuses a number it needs as an integer, when a
-    stored ``"flips"`` differs from the levels' Type-2 count, or when a
-    team plays itself or lies outside 0..n-1."""
+    ``validator._integer`` refuses a number it needs as an integer, when the
+    stored plan contradicts itself (``_check_plan``), or when a team plays
+    itself or lies outside 0..n-1."""
     try:
         n = _integer(obj["n"], "n")
         days = tuple(tuple(_fixtures(map(_AWAY_HOME, day))) for day in obj["days"])
@@ -338,12 +337,34 @@ def schedule_from_dict(obj: dict) -> Schedule:
         if isinstance(exc, KeyError):
             raise ValidationError(f"malformed schedule JSON: missing field {exc}") from None
         raise ValidationError(f"malformed schedule JSON: {exc}") from None
-    sched = Schedule(n=n, days=days, levels=levels, team_pairs=team_pairs,
-                     super_pairs=super_pairs)
-    if stored_flips is not None and stored_flips != sched.flips:
+    _check_plan(n, levels, stored_flips, super_pairs)
+    return Schedule(n=n, days=days, levels=levels, team_pairs=team_pairs,
+                    super_pairs=super_pairs)
+
+
+def _check_plan(n: int, levels, stored_flips: Optional[int],
+                super_pairs: Optional[PairMatching]) -> None:
+    """Refuse a stored plan that contradicts itself with ValidationError: a
+    ``"flips"`` other than the levels' Type-2 count, or, when levels are
+    stored, a level count other than n/2 - 1, a level without n/4 blocks,
+    or super-pairs other than the pairs of the last level."""
+    flips = _flip_count(levels)
+    if stored_flips is not None and stored_flips != flips:
         raise ValidationError(f"stored flips {stored_flips} differ from the "
-                              f"{sched.flips} Type-2 blocks in the levels")
-    return _read_once(sched)
+                              f"{flips} Type-2 blocks in the levels")
+    if not levels:
+        return
+    if 2 * (len(levels) + 1) != n:
+        raise ValidationError(f"stored levels: {len(levels)} level(s), "
+                              f"expected n/2 - 1 = {n / 2 - 1:g}")
+    for k, lp in enumerate(levels):
+        if 4 * len(lp.super_matches) != n:
+            raise ValidationError(f"stored levels: level {k + 1} holds {len(lp.super_matches)} "
+                                  f"blocks, expected n/4 = {n / 4:g}")
+    last = sorted(sm.key for sm in levels[-1].super_matches)
+    if super_pairs is not None and sorted(tuple(sorted(p)) for p in super_pairs.pairs) != last:
+        raise ValidationError(f"stored super_pairs {list(super_pairs.pairs)} differ from "
+                              f"the pairs {last} of the last level")
 
 
 def schedule_from_json(text: str) -> Schedule:

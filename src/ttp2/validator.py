@@ -6,9 +6,10 @@ raw day lists, day-list text or Schedule values, reads each into one normal
 form (``schedule_array``), and re-derives every verdict from the fixtures
 alone.  A stored schedule dict is not among them: ``schedule_from_dict`` is
 its one reader, and the ``Schedule`` it returns is.  A schedule that also
-stores typed levels and team pairs has each stored block type checked
-against its days.  All violations are reported, not just the first.  Travel
-evaluation in ``analysis`` reads schedules through the same normal form.
+stores typed levels has each stored block type checked against its level,
+and against its days where it stores team pairs.  All violations are
+reported, not just the first.  Travel evaluation in ``analysis`` reads
+schedules through the same normal form.
 
 Every integer a schedule carries, in memory or stored, is read by one rule
 (``_integer``): a numpy integer or an integral float is read; text, bytes,
@@ -17,12 +18,11 @@ ordered ``(away, home)`` pair (a set, a dict or a string is refused),
 and day-list text writes teams in ASCII digits only.  ``Fixture`` days of
 plain ints, which ``build_schedule``, ``schedule_from_dict`` and
 ``parse_day_list`` produce, are read without a per-fixture Python call,
-other forms fixture by fixture with the same result.  A built or loaded
-schedule keeps its normal form, read once, and the verdict on it, given
-once: ``validate_schedule`` and ``evaluation_report`` share it, whichever
-runs first.  Other forms, a ``dataclasses.replace`` copy of a schedule
-included, are read and judged per call, so a list edited in place gets a
-fresh verdict.
+other forms fixture by fixture with the same result.  Every ``Schedule``
+reads its days once, when it is made, and keeps the verdict on them once
+judged; every other form is read and judged per call, so a list edited in
+place gets a fresh verdict.  This module sets no attribute on anything it
+is given.
 """
 
 from __future__ import annotations
@@ -160,9 +160,9 @@ def schedule_array(sched, n: Optional[int] = None) -> ScheduleArray:
     raises ValidationError: a dict (a ``schedule_to_dict`` dict is read
     with ``schedule_from_dict``), a malformed fixture, a declared team
     count other than ``n``, n < 2, an empty schedule without n, or a
-    fixture whose team plays itself or lies outside 0..n-1.  A built or
-    loaded ``Schedule`` returns the normal form it keeps; every other input
-    is read on every call.
+    fixture whose team plays itself or lies outside 0..n-1.  A
+    ``Schedule`` returns the normal form it keeps; every other input is
+    read on every call.
     """
     if isinstance(sched, str):
         declared, days = None, parse_day_list(sched)
@@ -246,31 +246,35 @@ def parse_day_list(text: str) -> list[list[Fixture]]:
 
 def _stored_blocks(sched):
     """The typed levels, as (a_pair, b_pair, type) triples, and the team
-    pairs of a ``Schedule`` that stores both; None for any other input."""
-    levels, pairs = getattr(sched, "levels", None), getattr(sched, "team_pairs", None)
-    if not levels or pairs is None:
+    pairs (None if not stored) of a ``Schedule`` that stores levels; None
+    for any other input."""
+    levels = getattr(sched, "levels", None)
+    if not levels:
         return None
+    pairs = getattr(sched, "team_pairs", None)
     return ([[(sm.a_pair, sm.b_pair, sm.block_type) for sm in lp.super_matches]
-             for lp in levels], pairs.pairs)
+             for lp in levels], None if pairs is None else pairs.pairs)
 
 
 def _block_type_violations(g: ScheduleArray, levels, pairs) -> list[Violation]:
     """Stored block types that contradict the level structure or the days.
 
     Every level but the last holds Type-1 or Type-2 blocks, the last only
-    Type-3.  Level k starts on day 4k, and on its second day, 4k+1, the A
-    pair's lower team plays away in a Type-1 block and at home in a Type-2
-    block (``blocks._LAYOUT``).  Levels past the last day are not checked
-    against days; the day count check reports those schedules.
+    Type-3.  Where team pairs are stored, the days are checked too: level k
+    starts on day 4k, and on its second day, 4k+1, the A pair's lower team
+    plays away in a Type-1 block and at home in a Type-2 block
+    (``blocks._LAYOUT``).  Levels past the last day are not checked against
+    days; the day count check reports those schedules.
     """
     out = []
-    lower = [min(p, default=-1) for p in pairs]
+    lower = [min(p, default=-1) for p in pairs or ()]
     last = len(levels) - 1
     for k, level in enumerate(levels):
         allowed = (3,) if k == last else (1, 2)
         d = 4 * k + 1
         # who is at home on the level's second day, for non-final levels
-        home = g.at_home[d].tolist() if k < last and d < len(g.at_home) else None
+        home = (g.at_home[d].tolist()
+                if pairs is not None and k < last and d < len(g.at_home) else None)
         for a, b, btype in level:
             if btype not in allowed:
                 out.append(Violation(
@@ -297,22 +301,19 @@ def validate_schedule(sched, n: Optional[int] = None) -> ViolationReport:
     ``sched`` is any form ``schedule_array`` reads.  Malformed input (team
     out of range, team playing itself) raises; rule violations are
     collected into the report.  A ``Schedule`` that stores typed levels
-    and team pairs also has its block types checked against its days.  A
-    built or loaded ``Schedule`` is judged once and keeps its report.
+    also has its block types checked (``_block_type_violations``).  A
+    ``Schedule`` is judged once and keeps its report.
     """
     return _verdict(sched, n)[1]
 
 
 def _verdict(sched, n: Optional[int] = None) -> tuple[ScheduleArray, ViolationReport]:
-    """The normal form of ``sched`` and the report on it.  A schedule that
-    keeps its normal form (``Schedule._array``) also keeps the first report
-    given on it, in ``Schedule._report``; every other form is judged anew."""
+    """The normal form of ``sched`` and the report on it: the ones a
+    ``Schedule`` keeps, or, for every other form, read and judged anew."""
     g = schedule_array(sched, n)
-    if g is not getattr(sched, "_array", None):
-        return g, _validate(g, sched)
-    if sched._report is None:
-        object.__setattr__(sched, "_report", _validate(g, sched))
-    return g, sched._report
+    if g is getattr(sched, "_array", None):
+        return g, sched._report
+    return g, _validate(g, sched)
 
 
 def _validate(g: ScheduleArray, sched) -> ViolationReport:

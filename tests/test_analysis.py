@@ -10,6 +10,7 @@ import pytest
 from ttp2 import (
     Instance,
     InstanceError,
+    MatchingError,
     PairMatching,
     Schedule,
     SuperMatch,
@@ -30,7 +31,9 @@ from ttp2 import (
     report_to_dict,
     report_to_json,
     schedule_from_dict,
+    schedule_from_json,
     schedule_to_dict,
+    schedule_to_json,
     team_itinerary,
     total_travel,
 )
@@ -67,6 +70,16 @@ def test_itinerary_with_no_games_stays_home():
 def test_itinerary_team_range_check():
     with pytest.raises(ValidationError, match="out of range"):
         team_itinerary([], UNIT4, 4)
+
+
+@pytest.mark.parametrize("team", [True, 1.0, "1", None], ids=repr)
+def test_itinerary_refuses_a_team_that_is_not_an_integer(team):
+    with pytest.raises(ValidationError, match="team must be an integer"):
+        team_itinerary(_t3_days(), UNIT4, team)
+
+
+def test_itinerary_takes_a_numpy_integer_team():
+    assert team_itinerary(_t3_days(), UNIT4, np.int64(1)) == team_itinerary(_t3_days(), UNIT4, 1)
 
 
 def test_total_travel_unit_blocks():
@@ -174,6 +187,32 @@ def test_lower_bound_scales_linearly():
     steams = min_weight_perfect_matching(scaled.dist)
     assert lower_bound(scaled, steams) == pytest.approx(
         4.0 * lower_bound(inst, teams), rel=1e-12)
+
+
+def test_lower_bound_refuses_a_matching_it_cannot_trust():
+    inst = generate_instance(12, "euclidean", 0)
+    own = min_weight_perfect_matching(inst.dist)
+    other = min_weight_perfect_matching(generate_instance(12, "euclidean", 1).dist)
+    assert lower_bound(inst, own) == pytest.approx(91948.26, abs=0.01)
+    with pytest.raises(MatchingError, match="is not the .* its pairs sum to"):
+        lower_bound(inst, other)
+    for pairs in (own.pairs[1:], own.pairs + ((0, 1),), ((0, 0),) + own.pairs[1:]):
+        with pytest.raises(MatchingError, match="not a perfect matching of 0..11"):
+            lower_bound(inst, PairMatching(pairs=pairs, weight=own.weight))
+    # a matching that is not of minimum weight but states its weight passes
+    honest = PairMatching(pairs=other.pairs, weight=math.fsum(
+        inst.dist[i, j] for i, j in other.pairs))
+    assert lower_bound(inst, honest) > lower_bound(inst, own)
+
+
+def test_built_and_stored_team_pairs_are_trusted():
+    for n in range(8, 33, 4):
+        for kind in ("euclidean", "random_metric", "unit"):
+            for seed in range(5):
+                inst = generate_instance(n, kind, seed)
+                s = build_schedule(inst)
+                stored = schedule_from_json(schedule_to_json(s))   # its plan checks pass
+                assert lower_bound(inst, stored.team_pairs) == lower_bound(inst, s.team_pairs)
 
 
 # --- flip budget and approximation factors --------------------------------------

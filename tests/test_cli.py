@@ -445,6 +445,7 @@ def test_flips_are_counted_from_the_levels(sched_12_and_inst, capsys):
 # a file that cannot be read as a schedule at all.
 TEAM_DAMAGE = ("text", "fraction", "bool", "out-of-range", "self-play")
 WEIGHT_DAMAGE = ("text", "bool", "nan", "inf", "negative")
+PLAN_DAMAGE = ("retyped-without-team-pairs", "truncated-levels", "swapped-super-pairs")
 
 
 @pytest.fixture(scope="module")
@@ -463,7 +464,23 @@ def stored_8_and_12(tmp_path_factory):
 def _damage(draw, obj):
     """A copy of ``obj`` with one mutation, and the exit code it must get."""
     obj = json.loads(json.dumps(obj))
-    kind = draw(st.sampled_from(("swap", "team", "weight")))
+    kind = draw(st.sampled_from(("swap", "team", "weight", "plan")))
+    if kind == "plan":
+        how = draw(st.sampled_from(PLAN_DAMAGE))
+        levels, code = obj["levels"], 1
+        if how == "retyped-without-team-pairs":
+            k = draw(st.integers(0, len(levels) - 1))
+            draw(st.sampled_from(levels[k]["blocks"]))["type"] = 1 if k == len(levels) - 1 else 3
+            obj["team_pairs"], code = None, 3
+        elif how == "truncated-levels":
+            del levels[:draw(st.integers(1, len(levels) - 1))]
+        else:   # two super-pairs trade a member
+            pairs = obj["super_pairs"]["pairs"]
+            i, j = draw(st.lists(st.integers(0, len(pairs) - 1), min_size=2, max_size=2,
+                                 unique=True))
+            pairs[i][1], pairs[j][1] = pairs[j][1], pairs[i][1]
+        obj["flips"] = sum(b["type"] == 2 for level in levels for b in level["blocks"])
+        return obj, code
     if kind == "weight":
         key = draw(st.sampled_from(("team_pairs", "super_pairs")))
         how = draw(st.sampled_from(WEIGHT_DAMAGE))

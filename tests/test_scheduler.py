@@ -255,6 +255,42 @@ def test_schedule_json_malformed():
             schedule_from_json(json.dumps(obj))
 
 
+def _recount_flips(obj):
+    obj["flips"] = sum(b["type"] == 2 for lv in obj["levels"] for b in lv["blocks"])
+
+
+def _keep_last_level(obj):
+    del obj["levels"][:-1]
+
+
+def _drop_a_block(obj):
+    del obj["levels"][2]["blocks"][0]
+
+
+def _swap_super_pairs(obj):
+    (a, b), (c, d) = obj["super_pairs"]["pairs"][:2]
+    obj["super_pairs"]["pairs"][:2] = [[a, d], [c, b]]
+
+
+@pytest.mark.parametrize("damage,message", [
+    (_keep_last_level, r"stored levels: 1 level\(s\), expected n/2 - 1 = 5"),
+    (_drop_a_block, "stored levels: level 3 holds 2 blocks, expected n/4 = 3"),
+    (_swap_super_pairs, r"stored super_pairs \[.*\] differ from the pairs \[.*\] of the last level"),
+], ids=["truncated-levels", "short-level", "swapped-super-pairs"])
+def test_a_stored_plan_that_contradicts_itself_is_refused(damage, message):
+    obj = json.loads(schedule_to_json(build_schedule(generate_instance(12, "euclidean", 0))))
+    damage(obj)
+    _recount_flips(obj)
+    with pytest.raises(ValidationError, match=message):
+        schedule_from_json(json.dumps(obj))
+    obj["super_pairs"] = None   # with nothing to compare, swapped pairs are gone
+    if damage is _swap_super_pairs:
+        assert schedule_from_json(json.dumps(obj)).super_pairs is None
+    else:
+        with pytest.raises(ValidationError, match=message):
+            schedule_from_json(json.dumps(obj))
+
+
 def test_fixture_validation():
     obj = json.loads(schedule_to_json(build_schedule(generate_instance(8, "unit"))))
     fixture = obj["days"][5][2]

@@ -1,6 +1,7 @@
 """Feasibility checker: clean passes, surgical mutations, input formats."""
 
 import copy
+import itertools
 import json
 import pickle
 from dataclasses import replace
@@ -25,7 +26,7 @@ from ttp2 import (
     total_travel,
     validate_schedule,
 )
-from ttp2 import validator
+from ttp2 import scheduler, validator
 from ttp2.validator import (C1, C2, C4, S_BLOCK_TYPE, S_DAY_COUNT, S_ONE_GAME,
                             schedule_array)
 
@@ -542,19 +543,6 @@ def test_a_copied_schedule_keeps_a_read_only_normal_form(clean8, copy_of):
     assert not validate_schedule(copy_of(swapped)).ok
 
 
-def test_other_forms_are_read_on_every_call(monkeypatch):
-    s8 = build_schedule(generate_instance(8, kind="euclidean", seed=0))
-    # the same days outside a built Schedule, and days that could change
-    # under the reader, are read again on every call
-    forms = (s8.days, Schedule(n=8, days=s8.days), replace(s8, levels=()), list(s8.days),
-             tuple(map(list, s8.days)), _raw_days(s8), tuple(tuple(day) for day in _raw_days(s8)))
-    read = _count_reads(monkeypatch)
-    for days in forms:
-        assert schedule_array(days) is not schedule_array(days)
-        assert _read(days) == _read(s8)
-    assert len(read) == 3 * len(forms)
-
-
 def test_a_mutated_list_schedule_gets_a_new_verdict(clean8):
     for make in (Fixture, _pair):
         days = [[make(a, h) for a, h in day] for day in clean8]
@@ -580,7 +568,7 @@ def test_another_n_on_the_same_tuple_raises_or_reads_again():
     assert _read(schedule_array(s.days, 8)) == _read(g)
 
 
-# --- a built or loaded schedule is judged once ------------------------------------
+# --- every Schedule is read once and judged once; other forms per call ---------
 
 
 def _count_verdicts(monkeypatch):
@@ -592,44 +580,58 @@ def _count_verdicts(monkeypatch):
         judged.append(sched)
         return judge(g, sched)
 
-    monkeypatch.setattr(validator, "_validate", counted)
+    # ``Schedule._report`` judges through the binding in ``scheduler``
+    for module in (validator, scheduler):
+        monkeypatch.setattr(module, "_validate", counted)
     return judged
 
 
-def _loaded(inst):
-    return schedule_from_json(schedule_to_json(build_schedule(inst)))
+# how each form is made from a built schedule ``s`` on ``inst``, and
+# whether it is a ``Schedule``, which reads its days when it is made
+_FORMS = {
+    "built": (lambda inst, s: build_schedule(inst), True),
+    "loaded": (lambda inst, s: schedule_from_json(schedule_to_json(s)), True),
+    "made": (lambda inst, s: Schedule(n=s.n, days=s.days), True),
+    "replaced": (lambda inst, s: replace(s, levels=()), True),
+    "pickled": (lambda inst, s: pickle.loads(pickle.dumps(build_schedule(inst))), True),
+    "deep-copied": (lambda inst, s: copy.deepcopy(build_schedule(inst)), True),
+    "day-tuple": (lambda inst, s: s.days, False),
+    "day-list": (lambda inst, s: list(s.days), False),
+    "list-days": (lambda inst, s: tuple(map(list, s.days)), False),
+    "raw-pairs": (lambda inst, s: _raw_days(s), False),
+    "raw-pair-tuples": (lambda inst, s: tuple(map(tuple, _raw_days(s))), False),
+    "day-list-text": (lambda inst, s: day_list_text(s.days), False),
+}
+_CALLS = ("validate", "evaluate", "travel")
 
 
-@pytest.mark.parametrize("validate_first", [True, False],
-                         ids=["validate-then-evaluate", "evaluate-then-validate"])
-@pytest.mark.parametrize("make", [build_schedule, _loaded], ids=["built", "loaded"])
-def test_a_built_or_loaded_schedule_is_judged_once(monkeypatch, make, validate_first):
+@pytest.mark.parametrize("order", list(itertools.permutations(_CALLS)), ids="-".join)
+@pytest.mark.parametrize("form", list(_FORMS))
+def test_a_schedule_is_read_and_judged_once_other_forms_per_call(monkeypatch, form, order):
     inst = generate_instance(12, kind="euclidean", seed=0)
-    s = make(inst)
-    judged = _count_verdicts(monkeypatch)
-    calls = [lambda: validate_schedule(s).ok, lambda: evaluation_report(s, inst).valid]
-    if not validate_first:
-        calls.reverse()
-    assert all(call() for call in calls + calls)
-    assert len(judged) == 1 and judged[0] is s
-    assert validate_schedule(s) is s._report and validate_schedule(s, 12) is s._report
-    assert len(judged) == 1
+    s = build_schedule(inst)
+    travel = total_travel(s, inst)
+    make, kept = _FORMS[form]
+    read, judged = _count_reads(monkeypatch), _count_verdicts(monkeypatch)
+    sched = make(inst, s)
+    calls = {"validate": lambda: validate_schedule(sched, 12).ok,
+             "evaluate": lambda: evaluation_report(sched, inst).valid,
+             "travel": lambda: total_travel(sched, inst) == travel}
+    for _ in range(2):
+        assert all(calls[name]() for name in order)
+    if kept:
+        assert len(read) == 1 and judged == [sched]
+        assert validate_schedule(sched) is sched._report
+    else:   # three reads and two verdicts per round
+        assert len(read) == 6 and len(judged) == 4
+    assert _read(sched) == _read(s)
 
 
-def test_other_forms_are_judged_on_every_call(monkeypatch):
-    inst = generate_instance(8, kind="euclidean", seed=0)
-    s8 = build_schedule(inst)
-    assert validate_schedule(s8).ok
-    # copies made by dataclasses.replace start without a kept verdict
-    forms = (replace(s8), replace(s8, levels=()), list(s8.days), _raw_days(s8),
-             day_list_text(s8.days))
-    judged = _count_verdicts(monkeypatch)
-    for sched in forms:
-        for _ in range(2):
-            assert validate_schedule(sched, 8).ok
-            assert evaluation_report(sched, inst).valid
-    assert len(judged) == 4 * len(forms)
-    assert forms[0]._report is None and forms[1]._report is None
+def test_a_schedule_of_malformed_days_is_refused_when_made():
+    for days, match in ((((Fixture(0, 0),),), "plays itself"), ((((0, 9),),), "out of range"),
+                        ((((0, "1"),),), "malformed fixture")):
+        with pytest.raises(ValidationError, match=match):
+            Schedule(n=8, days=days)
 
 
 def test_a_loaded_venue_swapped_schedule_keeps_its_violations():
@@ -677,6 +679,11 @@ def test_stored_levels_are_checked(level, field, value, expected):
     report = validate_schedule(schedule_from_dict(obj))
     details = [v.detail for v in report.by_constraint(S_BLOCK_TYPE)]
     assert details == [expected]
+    # without team pairs the types are still checked, but no pair is read
+    obj["team_pairs"] = None
+    report = validate_schedule(schedule_from_dict(obj))
+    details = [v.detail for v in report.by_constraint(S_BLOCK_TYPE)]
+    assert details == ([] if field == "a_pair" else [expected])
 
 
 def _seed0_benchmark_instances():
