@@ -19,8 +19,7 @@ import time
 from .analysis import (BOUND_SLACK, evaluation_report, factors_exact,
                        flip_budget, format_report, lower_bound, report_to_json,
                        total_travel)
-from .errors import (InstanceError, MatchingError, SchedulingError, TTP2Error,
-                     ValidationError)
+from .errors import InstanceError, SchedulingError, TTP2Error, ValidationError
 from .instance import (FORMATS, GENERATOR_KINDS, _decimal, emit_instance,
                        generate_instance, load_instance, save_instance)
 from .scheduler import (build_schedule, check_team_count, format_level_table,
@@ -324,10 +323,7 @@ def main(argv=None) -> int:
     except SchedulingError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (InstanceError, MatchingError, ValidationError, TTP2Error) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
+    except (TTP2Error, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

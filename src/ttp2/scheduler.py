@@ -25,7 +25,7 @@ import math
 import numbers
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from operator import itemgetter
+from operator import attrgetter, itemgetter
 from typing import Optional
 
 from .analysis import flip_budget
@@ -34,7 +34,9 @@ from .errors import SchedulingError, ValidationError
 from .instance import Instance
 from .matching import (SIZE_MAX, PairMatching, build_super_graph,
                        min_weight_perfect_matching, super_pair_matching)
-from .validator import ViolationReport, _integer, _validate, schedule_array
+from .validator import Violation, ViolationReport, _integer, _read, _read_n, _validate
+
+S_BLOCK_TYPE = "structural_block_type"
 
 
 @dataclass(frozen=True)
@@ -52,11 +54,10 @@ class Schedule:
     typed level plan the days were expanded from; it is empty for a
     schedule found some other way.
 
-    Every schedule reads its days once, when it is made, and keeps their
-    normal form (``validator.schedule_array``); days it cannot read raise
-    ValidationError then.  It keeps the ``ViolationReport`` on them too,
-    given the first time ``validate_schedule`` or ``evaluation_report``
-    judges it."""
+    However it is made, a schedule checks its plan (``_check_plan``), then
+    reads its days once, and keeps them as ``Fixture`` tuples with their
+    normal form (``validator.schedule_array``); either step can raise
+    ValidationError.  Once judged, it keeps its report too."""
 
     n: int
     days: tuple[tuple[Fixture, ...], ...]
@@ -65,12 +66,16 @@ class Schedule:
     super_pairs: Optional[PairMatching] = None
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "_array", schedule_array(self.days, self.n))
+        _check_plan(_read_n(self.n), self.levels, self.team_pairs, self.super_pairs)
+        days, g = _read(self.days, self.n)
+        object.__setattr__(self, "days", days)
+        object.__setattr__(self, "_array", g)
 
     @cached_property
     def _report(self) -> ViolationReport:
-        """The verdict on the days and the stored levels, given once."""
-        return _validate(self._array, self)
+        """The days' violations, then the stored block types that contradict
+        their level or the days, given once."""
+        return ViolationReport(_validate(self._array).violations + _block_type_violations(self))
 
     @property
     def flips(self) -> int:
@@ -80,6 +85,75 @@ class Schedule:
 
 def _flip_count(levels) -> int:
     return sum(sm.block_type == 2 for lp in levels for sm in lp.super_matches)
+
+
+def _check_plan(n: int, levels, team_pairs: Optional[PairMatching],
+                super_pairs: Optional[PairMatching]) -> None:
+    """Refuse a plan that contradicts itself with ValidationError: team
+    pairs that are no perfect matching of the teams 0..n-1, or, when levels
+    are stored, other than n/2 - 1 levels labeled by ``_round_labels(n)``,
+    each of n/4 blocks naming every pair 0..n/2 - 1 once, or super-pairs
+    other than the pairs of the last level."""
+    if team_pairs is not None and not team_pairs.covers(n):
+        raise ValidationError(f"stored team_pairs {[list(p) for p in team_pairs.pairs]} are "
+                              f"not a perfect matching of the teams 0..{n - 1}")
+    if not levels:
+        return
+    if 2 * (len(levels) + 1) != n:
+        raise ValidationError(f"stored levels: {len(levels)} level(s), "
+                              f"expected n/2 - 1 = {n / 2 - 1:g}")
+    pairs = list(range(n // 2))
+    for k, (lp, (r, l)) in enumerate(zip(levels, _round_labels(n))):
+        if (lp.round, lp.level) != (r, l):
+            raise ValidationError(f"stored levels: level {k + 1} is labeled round {lp.round} "
+                                  f"level {lp.level}, expected round {r} level {l}")
+        if 4 * len(lp.super_matches) != n:
+            raise ValidationError(f"stored levels: level {k + 1} holds {len(lp.super_matches)} "
+                                  f"blocks, expected n/4 = {n / 4:g}")
+        ends = map(attrgetter("a_pair", "b_pair"), lp.super_matches)
+        named = sorted(itertools.chain.from_iterable(ends))
+        if named != pairs:
+            raise ValidationError(f"stored levels: level {k + 1} names pairs {named}, "
+                                  f"expected each of 0..{len(pairs) - 1} once")
+    last = sorted(sm.key for sm in levels[-1].super_matches)
+    if super_pairs is not None and sorted(tuple(sorted(p)) for p in super_pairs.pairs) != last:
+        raise ValidationError(f"stored super_pairs {list(super_pairs.pairs)} differ from "
+                              f"the pairs {last} of the last level")
+
+
+def _block_type_violations(sched: Schedule) -> tuple[Violation, ...]:
+    """Stored block types of ``sched`` that contradict their level or its days.
+
+    Every level but the last holds Type-1 or Type-2 blocks, the last only
+    Type-3.  Where team pairs are stored, the days are checked too: level k
+    starts on day 4k, and on its second day, 4k+1, the A pair's lower team
+    plays away in a Type-1 block and at home in a Type-2 block
+    (``blocks._LAYOUT``).  Levels past the last day are not checked against
+    days; the day count check reports those schedules.
+    """
+    out, g, levels = [], sched._array, sched.levels
+    lower = None if sched.team_pairs is None else [min(p) for p in sched.team_pairs.pairs]
+    last = len(levels) - 1
+    for k, lp in enumerate(levels):
+        allowed = (3,) if k == last else (1, 2)
+        d = 4 * k + 1
+        # who is at home on the level's second day, for non-final levels
+        home = (g.at_home[d].tolist()
+                if lower is not None and k < last and d < len(g.at_home) else None)
+        for sm in lp.super_matches:
+            a, b, btype = sm.a_pair, sm.b_pair, sm.block_type
+            if btype not in allowed:
+                out.append(Violation(
+                    constraint=S_BLOCK_TYPE, day=None, teams=(),
+                    detail=f"level {k + 1} block of pairs {a} and {b} has type {btype}, "
+                           f"expected {' or '.join(map(str, allowed))}"))
+            elif home is not None and home[lower[a]] != (btype == 2):
+                t = lower[a]
+                out.append(Violation(
+                    constraint=S_BLOCK_TYPE, day=d, teams=(t,),
+                    detail=f"team {t} of A pair {a} plays {'at home' if home[t] else 'away'} "
+                           f"on day {d}, but its level-{k + 1} block is stored as Type-{btype}"))
+    return tuple(out)
 
 
 # --- level template on "slots" ---------------------------------------------
@@ -134,6 +208,7 @@ def _group_levels(X: list[int], Y: list[int]
     return levels
 
 
+@lru_cache(maxsize=None)
 def _round_labels(n: int) -> tuple[tuple[int, int], ...]:
     """(round, level) per level, 1-based: round i has ceil((n/2^i - 1)/2)
     of the m-1 levels."""
@@ -315,8 +390,10 @@ def _block_from_dict(b) -> SuperMatch:
 def schedule_from_dict(obj: dict) -> Schedule:
     """Schedule from its ``schedule_to_dict`` form, the one reader of that
     form; raises ValidationError when the input cannot be read as one, when
-    ``validator._integer`` refuses a number it needs as an integer, when the
-    stored plan contradicts itself (``_check_plan``), or when a team plays
+    ``validator._integer`` refuses a number it needs as an integer, or when
+    a stored ``"flips"`` differs from the levels' Type-2 count.  The
+    ``Schedule`` it makes refuses the rest in the same way: a stored plan
+    that contradicts itself (``_check_plan``), then a team that plays
     itself or lies outside 0..n-1."""
     try:
         n = _integer(obj["n"], "n")
@@ -337,34 +414,11 @@ def schedule_from_dict(obj: dict) -> Schedule:
         if isinstance(exc, KeyError):
             raise ValidationError(f"malformed schedule JSON: missing field {exc}") from None
         raise ValidationError(f"malformed schedule JSON: {exc}") from None
-    _check_plan(n, levels, stored_flips, super_pairs)
+    if stored_flips is not None and stored_flips != _flip_count(levels):
+        raise ValidationError(f"stored flips {stored_flips} differ from the "
+                              f"{_flip_count(levels)} Type-2 blocks in the levels")
     return Schedule(n=n, days=days, levels=levels, team_pairs=team_pairs,
                     super_pairs=super_pairs)
-
-
-def _check_plan(n: int, levels, stored_flips: Optional[int],
-                super_pairs: Optional[PairMatching]) -> None:
-    """Refuse a stored plan that contradicts itself with ValidationError: a
-    ``"flips"`` other than the levels' Type-2 count, or, when levels are
-    stored, a level count other than n/2 - 1, a level without n/4 blocks,
-    or super-pairs other than the pairs of the last level."""
-    flips = _flip_count(levels)
-    if stored_flips is not None and stored_flips != flips:
-        raise ValidationError(f"stored flips {stored_flips} differ from the "
-                              f"{flips} Type-2 blocks in the levels")
-    if not levels:
-        return
-    if 2 * (len(levels) + 1) != n:
-        raise ValidationError(f"stored levels: {len(levels)} level(s), "
-                              f"expected n/2 - 1 = {n / 2 - 1:g}")
-    for k, lp in enumerate(levels):
-        if 4 * len(lp.super_matches) != n:
-            raise ValidationError(f"stored levels: level {k + 1} holds {len(lp.super_matches)} "
-                                  f"blocks, expected n/4 = {n / 4:g}")
-    last = sorted(sm.key for sm in levels[-1].super_matches)
-    if super_pairs is not None and sorted(tuple(sorted(p)) for p in super_pairs.pairs) != last:
-        raise ValidationError(f"stored super_pairs {list(super_pairs.pairs)} differ from "
-                              f"the pairs {last} of the last level")
 
 
 def schedule_from_json(text: str) -> Schedule:

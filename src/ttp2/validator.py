@@ -1,15 +1,15 @@
 """Ground-truth feasibility checks for double round-robin schedules with
 home-stand/away-trip cap 2.
 
-The checker is deliberately independent of the construction code: it accepts
-raw day lists, day-list text or Schedule values, reads each into one normal
-form (``schedule_array``), and re-derives every verdict from the fixtures
-alone.  A stored schedule dict is not among them: ``schedule_from_dict`` is
-its one reader, and the ``Schedule`` it returns is.  A schedule that also
-stores typed levels has each stored block type checked against its level,
-and against its days where it stores team pairs.  All violations are
-reported, not just the first.  Travel evaluation in ``analysis`` reads
-schedules through the same normal form.
+The checker judges days only, and is deliberately independent of the
+construction code: it accepts raw day lists, day-list text or Schedule
+values, reads each into one normal form (``schedule_array``), and re-derives
+every verdict from the fixtures alone.  A stored schedule dict is not among
+them: ``schedule_from_dict`` is its one reader, and the ``Schedule`` it
+returns is.  What a ``Schedule`` stores besides its days, the plan they were
+expanded from, is ``scheduler``'s to check.  All violations are reported,
+not just the first.  Travel evaluation in ``analysis`` reads schedules
+through the same normal form.
 
 Every integer a schedule carries, in memory or stored, is read by one rule
 (``_integer``): a numpy integer or an integral float is read; text, bytes,
@@ -19,7 +19,8 @@ and day-list text writes teams in ASCII digits only.  ``Fixture`` days of
 plain ints, which ``build_schedule``, ``schedule_from_dict`` and
 ``parse_day_list`` produce, are read without a per-fixture Python call,
 other forms fixture by fixture with the same result.  Every ``Schedule``
-reads its days once, when it is made, and keeps the verdict on them once
+reads its days once, when it is made (``_read``), keeps them as a tuple of
+day tuples of ``Fixture`` values, and keeps the verdict on them once
 judged; every other form is read and judged per call, so a list edited in
 place gets a fresh verdict.  This module sets no attribute on anything it
 is given.
@@ -43,7 +44,6 @@ C2 = "C2_repeater"
 C4 = "C4_max_run"
 S_DAY_COUNT = "structural_day_count"
 S_ONE_GAME = "structural_one_game_per_day"
-S_BLOCK_TYPE = "structural_block_type"
 
 
 @dataclass(frozen=True)
@@ -111,6 +111,14 @@ def _integer(x, field: str) -> int:
     return v
 
 
+def _read_n(v) -> Optional[int]:
+    """A team count (or None) read by ``_integer``; ValidationError if not."""
+    try:
+        return None if v is None else _integer(v, "n")
+    except (TypeError, ValueError) as exc:
+        raise ValidationError(f"malformed team count: {exc}") from None
+
+
 def _fixture_ends(fx) -> tuple[int, int]:
     try:
         # characters, keys or set members (in hash order) are no ordered pair
@@ -131,23 +139,29 @@ def _items(seq, what: str):
         raise ValidationError(f"malformed {what} {seq!r}: not a sequence") from None
 
 
-def _fixture_teams(days) -> tuple[list[int], list[int]]:
-    """Both teams of every fixture, away first, flattened in input order,
+def _fixture_teams(days) -> tuple[tuple[tuple[Fixture, ...], ...], list[int], list[int]]:
+    """``days`` as a tuple of day tuples of ``Fixture`` values of plain
+    ints, both teams of every fixture, away first, flattened in input order,
     and the number of fixtures on each day.
 
     A list or tuple of list or tuple days whose fixtures are all ``Fixture``
-    values of plain ints is flattened by C-level iteration.  Anything else,
-    a generator of days included, is read once, fixture by fixture, through
-    ``_fixture_ends``.
+    values of plain ints is flattened by C-level iteration, and kept as it
+    is when it is a tuple of tuples.  Anything else, a generator of days
+    included, is read once, fixture by fixture, through ``_fixture_ends``,
+    into new ``Fixture`` values.
     """
-    if type(days) in (list, tuple) and set(map(type, days)) <= {list, tuple}:
+    kinds = set(map(type, days)) if type(days) in (list, tuple) else {None}
+    if kinds <= {list, tuple}:
         fixtures = list(chain.from_iterable(days))
         if set(map(type, fixtures)) <= {Fixture}:
             teams = list(chain.from_iterable(fixtures))
             if set(map(type, teams)) <= {int}:
-                return teams, list(map(len, days))
-    ends = [[_fixture_ends(fx) for fx in _items(day, "day")] for day in _items(days, "days")]
-    return [t for day in ends for fx in day for t in fx], [len(day) for day in ends]
+                if type(days) is not tuple or list in kinds:
+                    days = tuple(map(tuple, days))
+                return days, teams, list(map(len, days))
+    read = tuple(tuple(_fixtures(map(_fixture_ends, _items(day, "day"))))
+                 for day in _items(days, "days"))
+    return read, list(chain.from_iterable(chain.from_iterable(read))), list(map(len, read))
 
 
 def schedule_array(sched, n: Optional[int] = None) -> ScheduleArray:
@@ -164,6 +178,11 @@ def schedule_array(sched, n: Optional[int] = None) -> ScheduleArray:
     ``Schedule`` returns the normal form it keeps; every other input is
     read on every call.
     """
+    return _read(sched, n)[1]
+
+
+def _read(sched, n: Optional[int] = None) -> tuple[tuple, ScheduleArray]:
+    """``schedule_array``, and the days it read as ``_fixture_teams`` returns them."""
     if isinstance(sched, str):
         declared, days = None, parse_day_list(sched)
     elif isinstance(sched, dict):
@@ -171,18 +190,15 @@ def schedule_array(sched, n: Optional[int] = None) -> ScheduleArray:
                               "pass the Schedule it returns")
     else:
         declared, days = getattr(sched, "n", None), getattr(sched, "days", sched)
-    try:
-        declared, n = [None if v is None else _integer(v, "n") for v in (declared, n)]
-    except (TypeError, ValueError) as exc:
-        raise ValidationError(f"malformed team count: {exc}") from None
+    declared, n = _read_n(declared), _read_n(n)
     if n is None:
         n = declared
     elif declared is not None and declared != n:
         raise ValidationError(f"schedule n={declared} does not match the expected n={n}")
     kept = getattr(sched, "_array", None)
     if kept is not None:
-        return kept
-    teams, counts = _fixture_teams(days)
+        return days, kept
+    days, teams, counts = _fixture_teams(days)
     try:
         flat = np.fromiter(teams, np.int64, len(teams)).reshape(-1, 2)
     except OverflowError:
@@ -213,9 +229,9 @@ def schedule_array(sched, n: Optional[int] = None) -> ScheduleArray:
     at_home = np.zeros(size, dtype=bool)
     at_home[key[first]] = first % 2 == 1
     shape = (num_days, n)
-    return ScheduleArray(n=n, day=day, away=away, home=home,
-                         opponent=opponent.reshape(shape), at_home=at_home.reshape(shape),
-                         games=np.bincount(key, minlength=size).reshape(shape))
+    return days, ScheduleArray(n=n, day=day, away=away, home=home,
+                               opponent=opponent.reshape(shape), at_home=at_home.reshape(shape),
+                               games=np.bincount(key, minlength=size).reshape(shape))
 
 
 # a day's games: away@home tokens of ASCII digits, separated by whitespace
@@ -244,65 +260,14 @@ def parse_day_list(text: str) -> list[list[Fixture]]:
     return days
 
 
-def _stored_blocks(sched):
-    """The typed levels, as (a_pair, b_pair, type) triples, and the team
-    pairs (None if not stored) of a ``Schedule`` that stores levels; None
-    for any other input."""
-    levels = getattr(sched, "levels", None)
-    if not levels:
-        return None
-    pairs = getattr(sched, "team_pairs", None)
-    return ([[(sm.a_pair, sm.b_pair, sm.block_type) for sm in lp.super_matches]
-             for lp in levels], None if pairs is None else pairs.pairs)
-
-
-def _block_type_violations(g: ScheduleArray, levels, pairs) -> list[Violation]:
-    """Stored block types that contradict the level structure or the days.
-
-    Every level but the last holds Type-1 or Type-2 blocks, the last only
-    Type-3.  Where team pairs are stored, the days are checked too: level k
-    starts on day 4k, and on its second day, 4k+1, the A pair's lower team
-    plays away in a Type-1 block and at home in a Type-2 block
-    (``blocks._LAYOUT``).  Levels past the last day are not checked against
-    days; the day count check reports those schedules.
-    """
-    out = []
-    lower = [min(p, default=-1) for p in pairs or ()]
-    last = len(levels) - 1
-    for k, level in enumerate(levels):
-        allowed = (3,) if k == last else (1, 2)
-        d = 4 * k + 1
-        # who is at home on the level's second day, for non-final levels
-        home = (g.at_home[d].tolist()
-                if pairs is not None and k < last and d < len(g.at_home) else None)
-        for a, b, btype in level:
-            if btype not in allowed:
-                out.append(Violation(
-                    constraint=S_BLOCK_TYPE, day=None, teams=(),
-                    detail=f"level {k + 1} block of pairs {a} and {b} has type {btype}, "
-                           f"expected {' or '.join(map(str, allowed))}"))
-            elif home is not None:
-                t = lower[a] if 0 <= a < len(lower) else -1
-                if not 0 <= t < g.n:
-                    out.append(Violation(
-                        constraint=S_BLOCK_TYPE, day=None, teams=(),
-                        detail=f"level {k + 1} names pair {a}, which has no team in 0..{g.n - 1}"))
-                elif home[t] != (btype == 2):
-                    out.append(Violation(
-                        constraint=S_BLOCK_TYPE, day=d, teams=(t,),
-                        detail=f"team {t} of A pair {a} plays {'at home' if home[t] else 'away'} "
-                               f"on day {d}, but its level-{k + 1} block is stored as Type-{btype}"))
-    return out
-
-
 def validate_schedule(sched, n: Optional[int] = None) -> ViolationReport:
     """Check structure plus the three feasibility constraints.
 
     ``sched`` is any form ``schedule_array`` reads.  Malformed input (team
     out of range, team playing itself) raises; rule violations are
-    collected into the report.  A ``Schedule`` that stores typed levels
-    also has its block types checked (``_block_type_violations``).  A
-    ``Schedule`` is judged once and keeps its report.
+    collected into the report.  A ``Schedule`` is judged once and keeps
+    its report, which ``Schedule`` completes with what it finds wrong in
+    its stored plan.
     """
     return _verdict(sched, n)[1]
 
@@ -313,11 +278,11 @@ def _verdict(sched, n: Optional[int] = None) -> tuple[ScheduleArray, ViolationRe
     g = schedule_array(sched, n)
     if g is getattr(sched, "_array", None):
         return g, sched._report
-    return g, _validate(g, sched)
+    return g, _validate(g)
 
 
-def _validate(g: ScheduleArray, sched) -> ViolationReport:
-    """``validate_schedule`` on ``g``, already read from ``sched``."""
+def _validate(g: ScheduleArray) -> ViolationReport:
+    """``validate_schedule`` on ``g``, a schedule already read."""
     n = g.n
     num_days = g.games.shape[0]
     violations: list[Violation] = []
@@ -367,7 +332,4 @@ def _validate(g: ScheduleArray, sched) -> ViolationReport:
         violations.append(Violation(
             constraint=C4, day=k + 2, teams=(t,),
             detail=f"team {t} has 3 consecutive {kind} games ending day {k + 2}"))
-    stored = _stored_blocks(sched)
-    if stored is not None:
-        violations += _block_type_violations(g, *stored)
     return ViolationReport(violations=tuple(violations))

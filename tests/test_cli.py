@@ -445,7 +445,8 @@ def test_flips_are_counted_from_the_levels(sched_12_and_inst, capsys):
 # a file that cannot be read as a schedule at all.
 TEAM_DAMAGE = ("text", "fraction", "bool", "out-of-range", "self-play")
 WEIGHT_DAMAGE = ("text", "bool", "nan", "inf", "negative")
-PLAN_DAMAGE = ("retyped-without-team-pairs", "truncated-levels", "swapped-super-pairs")
+PLAN_DAMAGE = ("retyped-without-team-pairs", "truncated-levels", "swapped-super-pairs",
+               "pair-named-twice", "relabeled-level", "self-paired-team")
 
 
 @pytest.fixture(scope="module")
@@ -474,11 +475,23 @@ def _damage(draw, obj):
             obj["team_pairs"], code = None, 3
         elif how == "truncated-levels":
             del levels[:draw(st.integers(1, len(levels) - 1))]
-        else:   # two super-pairs trade a member
+        elif how == "swapped-super-pairs":   # two super-pairs trade a member
             pairs = obj["super_pairs"]["pairs"]
             i, j = draw(st.lists(st.integers(0, len(pairs) - 1), min_size=2, max_size=2,
                                  unique=True))
             pairs[i][1], pairs[j][1] = pairs[j][1], pairs[i][1]
+        elif how == "pair-named-twice":   # a block takes another block's pairs
+            blocks = draw(st.sampled_from(levels))["blocks"]
+            i, j = draw(st.lists(st.integers(0, len(blocks) - 1), min_size=2, max_size=2,
+                                 unique=True))
+            blocks[i]["a_pair"], blocks[i]["b_pair"] = blocks[j]["a_pair"], blocks[j]["b_pair"]
+        elif how == "relabeled-level":
+            level = draw(st.sampled_from(levels))
+            level[draw(st.sampled_from(("round", "level")))] += draw(st.sampled_from((-1, 1, 7)))
+        else:   # a team pair names one of its teams twice
+            pair = draw(st.sampled_from(obj["team_pairs"]["pairs"]))
+            k = draw(st.integers(0, 1))
+            pair[1 - k] = pair[k]
         obj["flips"] = sum(b["type"] == 2 for level in levels for b in level["blocks"])
         return obj, code
     if kind == "weight":

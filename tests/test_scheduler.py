@@ -2,6 +2,7 @@
 
 import json
 import math
+from dataclasses import replace
 
 import pytest
 
@@ -14,6 +15,7 @@ from ttp2 import (
     generate_instance,
     schedule_from_json,
     schedule_to_json,
+    validate_schedule,
 )
 from ttp2.scheduler import _template
 
@@ -272,11 +274,32 @@ def _swap_super_pairs(obj):
     obj["super_pairs"]["pairs"][:2] = [[a, d], [c, b]]
 
 
+def _name_a_pair_twice(obj):
+    first, second = obj["levels"][0]["blocks"][:2]
+    second["a_pair"], second["b_pair"] = first["a_pair"], first["b_pair"]
+
+
+def _relabel_levels(obj):
+    for level in obj["levels"]:
+        level["round"], level["level"] = 7, -3
+
+
+def _pair_a_team_with_itself(obj):
+    obj["team_pairs"]["pairs"][0] = [0, 0]
+
+
 @pytest.mark.parametrize("damage,message", [
     (_keep_last_level, r"stored levels: 1 level\(s\), expected n/2 - 1 = 5"),
     (_drop_a_block, "stored levels: level 3 holds 2 blocks, expected n/4 = 3"),
     (_swap_super_pairs, r"stored super_pairs \[.*\] differ from the pairs \[.*\] of the last level"),
-], ids=["truncated-levels", "short-level", "swapped-super-pairs"])
+    (_name_a_pair_twice, r"stored levels: level 1 names pairs \[(\d, ){5}\d\], expected each "
+                         r"of 0\.\.5 once"),
+    (_relabel_levels, "stored levels: level 1 is labeled round 7 level -3, "
+                      "expected round 1 level 1"),
+    (_pair_a_team_with_itself, r"stored team_pairs \[\[0, 0\], .*\] are not a perfect "
+                               r"matching of the teams 0\.\.11"),
+], ids=["truncated-levels", "short-level", "swapped-super-pairs", "pair-named-twice",
+        "relabeled-levels", "self-paired-team"])
 def test_a_stored_plan_that_contradicts_itself_is_refused(damage, message):
     obj = json.loads(schedule_to_json(build_schedule(generate_instance(12, "euclidean", 0))))
     damage(obj)
@@ -289,6 +312,13 @@ def test_a_stored_plan_that_contradicts_itself_is_refused(damage, message):
     else:
         with pytest.raises(ValidationError, match=message):
             schedule_from_json(json.dumps(obj))
+
+
+def test_a_schedule_reads_its_team_count_before_its_plan():
+    s = build_schedule(generate_instance(12, "euclidean", 0))
+    assert validate_schedule(replace(s, n=12.0)).ok   # an integral float is read as 12
+    with pytest.raises(ValidationError, match="malformed team count: invalid literal for n"):
+        replace(s, n="12")
 
 
 def test_fixture_validation():

@@ -4,6 +4,7 @@ import copy
 import itertools
 import json
 import pickle
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -27,8 +28,8 @@ from ttp2 import (
     validate_schedule,
 )
 from ttp2 import scheduler, validator
-from ttp2.validator import (C1, C2, C4, S_BLOCK_TYPE, S_DAY_COUNT, S_ONE_GAME,
-                            schedule_array)
+from ttp2.scheduler import S_BLOCK_TYPE
+from ttp2.validator import C1, C2, C4, S_DAY_COUNT, S_ONE_GAME, schedule_array
 
 from helpers import day_list_text, lattice_weights
 
@@ -572,13 +573,13 @@ def test_another_n_on_the_same_tuple_raises_or_reads_again():
 
 
 def _count_verdicts(monkeypatch):
-    """The schedules ``_validate`` judges, in call order."""
+    """The normal forms ``_validate`` judges, in call order."""
     judged = []
     judge = validator._validate
 
-    def counted(g, sched):
-        judged.append(sched)
-        return judge(g, sched)
+    def counted(g):
+        judged.append(g)
+        return judge(g)
 
     # ``Schedule._report`` judges through the binding in ``scheduler``
     for module in (validator, scheduler):
@@ -620,7 +621,7 @@ def test_a_schedule_is_read_and_judged_once_other_forms_per_call(monkeypatch, fo
     for _ in range(2):
         assert all(calls[name]() for name in order)
     if kept:
-        assert len(read) == 1 and judged == [sched]
+        assert len(read) == 1 and judged == [sched._array]
         assert validate_schedule(sched) is sched._report
     else:   # three reads and two verdicts per round
         assert len(read) == 6 and len(judged) == 4
@@ -634,6 +635,27 @@ def test_a_schedule_of_malformed_days_is_refused_when_made():
             Schedule(n=8, days=days)
 
 
+def test_a_schedule_keeps_its_days_as_it_read_them():
+    inst = generate_instance(12, kind="euclidean", seed=0)
+    s = build_schedule(inst)
+    day_lists = [list(day) for day in s.days]
+    fixture_lists = [[list(fx) for fx in day] for day in s.days]
+    made = (Schedule(n=12, days=(day for day in s.days)), Schedule(n=12, days=day_lists),
+            Schedule(n=12, days=fixture_lists))
+    # editing the lists afterwards reaches none of the schedules
+    day_lists[0][0] = Fixture(*reversed(day_lists[0][0]))
+    fixture_lists[0][0].reverse()
+    del day_lists[1], fixture_lists[-1][0]
+    days_only = schedule_to_json(Schedule(n=12, days=s.days))
+    for sched in made:
+        assert sched.days == s.days and type(sched.days) is tuple
+        assert {type(day) for day in sched.days} == {tuple}
+        assert {type(fx) for day in sched.days for fx in day} == {Fixture}
+        assert validate_schedule(sched).ok
+        assert total_travel(sched, inst) == total_travel(s, inst)
+        assert schedule_to_json(sched) == days_only
+
+
 def test_a_loaded_venue_swapped_schedule_keeps_its_violations():
     inst = generate_instance(8, kind="euclidean", seed=0)
     obj = schedule_to_dict(build_schedule(inst))
@@ -642,7 +664,7 @@ def test_a_loaded_venue_swapped_schedule_keeps_its_violations():
     s = schedule_from_json(json.dumps(obj))
     assert not evaluation_report(s, inst).valid
     kept = s._report
-    fresh = validator._validate(schedule_array(s), s)
+    fresh = validator._validate(schedule_array(s))
     assert kept is not None and kept is not fresh
     assert kept.by_constraint(C1) and kept.by_constraint(C1) == fresh.by_constraint(C1)
     assert validate_schedule(s) is kept
@@ -671,19 +693,23 @@ def test_stored_block_types_are_checked_against_the_days():
 @pytest.mark.parametrize("level,field,value,expected", [
     (0, "type", 3, "level 1 block of pairs 0 and 1 has type 3, expected 1 or 2"),
     (-1, "type", 1, "level 5 block of pairs 4 and 0 has type 1, expected 3"),
-    (0, "a_pair", 99, "level 1 names pair 99, which has no team in 0..11"),
+    (0, "a_pair", 99, "stored levels: level 1 names pairs [1, 2, 3, 4, 5, 99], "
+                      "expected each of 0..5 once"),
 ])
 def test_stored_levels_are_checked(level, field, value, expected):
     obj = schedule_to_dict(build_schedule(generate_instance(12, "euclidean", 0)))
     obj["levels"][level]["blocks"][0][field] = value
-    report = validate_schedule(schedule_from_dict(obj))
-    details = [v.detail for v in report.by_constraint(S_BLOCK_TYPE)]
-    assert details == [expected]
-    # without team pairs the types are still checked, but no pair is read
-    obj["team_pairs"] = None
-    report = validate_schedule(schedule_from_dict(obj))
-    details = [v.detail for v in report.by_constraint(S_BLOCK_TYPE)]
-    assert details == ([] if field == "a_pair" else [expected])
+    # without team pairs the types are still checked, and a level that is
+    # no perfect matching of the pairs is still refused when it is loaded
+    for team_pairs in (obj["team_pairs"], None):
+        obj["team_pairs"] = team_pairs
+        if field == "a_pair":
+            with pytest.raises(ValidationError, match=re.escape(expected)):
+                schedule_from_dict(obj)
+            continue
+        report = validate_schedule(schedule_from_dict(obj))
+        details = [v.detail for v in report.by_constraint(S_BLOCK_TYPE)]
+        assert details == [expected]
 
 
 def _seed0_benchmark_instances():
