@@ -33,14 +33,17 @@ Validation runs inside the memoized solve, once per distinct content: a
 memo hit skips it, and a matrix it refuses is never memoized, so it is
 refused on every call.
 
-A solve holds no reference cycles: no helper of the blossom refers to
-itself, so its tables (at m=32 a 32 x 64 least-slack edge table and the
-label, slack and blossom lists) are freed by reference counting as soon
-as it returns.  Left in a cycle, they would wait for the cyclic garbage
+What depends on the size alone is built once per size: the pairs of the
+upper triangle with their perturbation, and the vertex rows of the edge
+table, whose edge tuples every solve shares.  A solve makes one Python
+int per pair, shared by both halves of its weight table, and returns at
+once when its warm start matches every vertex.  It holds no reference
+cycles: no helper of the blossom refers to itself, so its tables (at m=32
+a 32 x 64 least-slack edge table, the label, slack and blossom lists, and
+a flower_from row per blossom) are freed by reference counting as soon as
+it returns.  Left in a cycle, they would wait for the cyclic garbage
 collector, whose pass, about 1,400 objects per m=32 solve, would then
-land on whatever code happens to trigger it.  The vertex rows of the edge
-table are built once per size; each solve copies the rows and shares
-their edge tuples.
+land on whatever code happens to trigger it.
 """
 
 from __future__ import annotations
@@ -87,12 +90,14 @@ def _validated_weights(weights) -> np.ndarray:
         raise MatchingError(f"vertex count {m} exceeds supported maximum {SIZE_MAX}")
     if not np.all(np.isfinite(w)):
         raise MatchingError("weight matrix contains non-finite entries")
-    off = ~np.eye(m, dtype=bool)
-    if np.any(w[off] < 0):
+    if w.min() < 0 and np.any(w[~np.eye(m, dtype=bool)] < 0):
         raise MatchingError("weight matrix contains negative entries")
-    if np.abs(w - w.T).max(initial=0.0) > SYMMETRY_TOL:
+    same = w == w.T
+    if same.all():
+        return w
+    if np.abs(w - w.T).max() > SYMMETRY_TOL:
         raise MatchingError("weight matrix is not symmetric within tolerance")
-    return np.where(w == w.T, w, w / 2.0 + w.T / 2.0)
+    return np.where(same, w, w / 2.0 + w.T / 2.0)
 
 
 def min_weight_perfect_matching(weights) -> PairMatching:
@@ -141,17 +146,12 @@ def super_pair_matching(weights) -> PairMatching:
 
 # --- the canonical matching ------------------------------------------------
 
-def _exact_integers(w: np.ndarray) -> np.ndarray:
-    """Python integers wi (an object array) with w == wi / s exactly off the
-    diagonal, for one power of two s; the diagonal becomes 0.
-
-    Every finite float is an odd integer times a power of two, so the
-    smallest of those powers turns every entry into an integer.
-    """
-    w = w.copy()
-    np.fill_diagonal(w, 0.0)
-    mant, ex = np.frexp(w)
-    q = (mant * 2.0 ** 53).astype(np.int64)          # w == q * 2**(ex - 53)
+def _exact_integers(x: np.ndarray) -> np.ndarray:
+    """Python integers xi (an object array) with x == xi / s exactly, for
+    one power of two s: every finite float is an odd integer times a power
+    of two, so the smallest of those powers turns every entry into one."""
+    mant, ex = np.frexp(x)
+    q = (mant * 2.0 ** 53).astype(np.int64)          # x == q * 2**(ex - 53)
     tz = np.frexp(np.where(q == 0, 1, q & -q))[1] - 1   # trailing zero bits
     q >>= tz
     e = ex - 53 + tz
@@ -161,16 +161,20 @@ def _exact_integers(w: np.ndarray) -> np.ndarray:
 
 
 @lru_cache(maxsize=None)
-def _tie_weights(m: int) -> tuple[int, np.ndarray]:
-    """-4k and the read-only object array -4f of the lexicographic
-    perturbation: f[v, u] = f[u, v] = u * (m+1)**(m-1-v) for v < u, and
-    k = (m+1)**m, which exceeds the f total of any perfect matching."""
+def _pair_tables(m: int) -> tuple[tuple[np.ndarray, np.ndarray], np.ndarray, int, np.ndarray]:
+    """The read-only tables of size m: the pairs v < u in row order, each
+    entry's place among them (the diagonal, never read, names the first),
+    -4k and the object vector -4f of the perturbation, f(v, u) = u *
+    (m+1)**(m-1-v); k = (m+1)**m exceeds the f total of any matching."""
+    upper = np.triu_indices(m, 1)
+    at = np.zeros((m, m), dtype=np.intp)
+    at[upper] = at.T[upper] = np.arange(len(upper[0]))
     b = m + 1
-    step = np.array([b ** (m - 1 - v) for v in range(m)], dtype=object)
-    f = np.triu(step[:, None] * np.arange(m, dtype=object), 1)
-    f = -4 * (f + f.T)
-    f.flags.writeable = False
-    return -4 * b ** m, f
+    f4 = np.array([-4 * u * b ** (m - 1 - v) for v in range(m) for u in range(v + 1, m)],
+                  dtype=object)
+    for table in (*upper, at, f4):
+        table.flags.writeable = False
+    return upper, at, -4 * b ** m, f4
 
 
 @lru_cache(maxsize=None)
@@ -184,10 +188,10 @@ def _vertex_edges(n: int) -> tuple[tuple, ...]:
 
 def _canonical_pairs(w: np.ndarray) -> list[tuple[int, int]]:
     m = w.shape[0]
-    k4, f4 = _tie_weights(m)
+    upper, at, k4, f4 = _pair_tables(m)
     # maximize -2 * (k * wi + f), stored doubled so that every dual stays an
     # integer: the minimum exact weight, then the smallest sorted pair list
-    mate = _blossom((k4 * _exact_integers(w) + f4).tolist(), m)
+    mate = _blossom((k4 * _exact_integers(w[upper]) + f4)[at].tolist(), m)
     return [(v, mate[v]) for v in range(m) if v < mate[v]]
 
 
@@ -201,36 +205,40 @@ def _blossom(a2: list[list[int]], n: int) -> list[int]:
     augmentation and the result is perfect.  Every a2 is a multiple of 4 and
     every starting dual is even, so the exposed vertices, which take every
     dual step together, share one parity, and every step is an integer.
-    Returns the mate of each vertex; a2's diagonal is overwritten.
+    A warm start that exposes no vertex is returned before any stage table
+    is built.  Returns the mate of each vertex; a2's diagonal is overwritten.
     """
     N = 2 * n
     # warm start: each vertex's dual from its cheapest edge, then one sweep
     # that lowers each dual until one of its edges is tight; then match
-    # tight pairs greedily, lowest vertex first.  The diagonal a2[v][v] is
-    # never read after the warm start, so each max reads whole rows with the
-    # diagonal term set equal to the term of edge (v, v ^ 1)
+    # tight pairs greedily, lowest vertex first.  No slack is then negative,
+    # so a perfect greedy matching is optimal, and under the perturbation
+    # the one optimum.  The diagonal a2[v][v] is never read after the warm
+    # start, so each max reads whole rows with the diagonal term set equal
+    # to the term of edge (v, v ^ 1)
     for v, row in enumerate(a2):
         row[v] = row[v ^ 1]
     lab = [max(row) // 2 for row in a2] + [0] * n
     for v, row in enumerate(a2):
         row[v] = row[v ^ 1] - lab[v ^ 1] + lab[v]
         lab[v] = max(map(sub, row, lab))
-    match = [-1] * N
+    match = [-1] * n
     for v in range(n):
         if match[v] == -1:
             for u in range(v + 1, n):
                 if match[u] == -1 and lab[v] + lab[u] == a2[v][u]:
                     match[v], match[u] = u, v
                     break
+    if -1 not in match:
+        return match
+    match += [-1] * n
 
     st = list(range(n)) + [-1] * n          # top-level blossom of each index
     # g[x][y]: the least-slack edge (vertex of x, vertex of y); a blossom's
     # row, like its flower and flower_from row, is made when it forms
     g = [list(row) for row in _vertex_edges(n)] + [None] * n
     flower: list = [None] * N
-    flower_from = [[-1] * n for _ in range(n)] + [None] * n   # child of b holding x
-    for u in range(n):
-        flower_from[u][u] = u
+    flower_from: list = [None] * N           # flower_from[b][x]: child of b holding x
     pa = [-1] * N
     label = [-1] * N                         # -1 free, 0 outer (S), 1 inner (T)
     slack = [-1] * N
@@ -368,11 +376,13 @@ def _blossom(a2: list[list[int]], n: int) -> list[int]:
         for x in outside:
             u, v = row[x]
             g[x][b] = (v, u)
-        ff = flower_from[b] = [-1] * n
+        ff = flower_from[b] = [-1] * n       # a vertex child holds only itself
         for xs in fl:
-            held = flower_from[xs]
-            for x in range(n):
-                if held[x] != -1:
+            if xs < n:
+                ff[xs] = xs
+                continue
+            for x, held in enumerate(flower_from[xs]):
+                if held != -1:
                     ff[x] = xs
         set_slack(b)
 

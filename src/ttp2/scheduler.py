@@ -54,10 +54,11 @@ class Schedule:
     typed level plan the days were expanded from; it is empty for a
     schedule found some other way.
 
-    However it is made, a schedule checks its plan (``_check_plan``), then
-    reads its days once, and keeps them as ``Fixture`` tuples with their
-    normal form (``validator.schedule_array``); either step can raise
-    ValidationError.  Once judged, it keeps its report too."""
+    However it is made, a schedule reads its team count, which may not be
+    None, checks its plan (``_check_plan``), then reads its days once, and
+    keeps them as ``Fixture`` tuples with their normal form
+    (``validator.schedule_array``); each step can raise ValidationError.
+    Once judged, it keeps its report too."""
 
     n: int
     days: tuple[tuple[Fixture, ...], ...]
@@ -66,8 +67,11 @@ class Schedule:
     super_pairs: Optional[PairMatching] = None
 
     def __post_init__(self) -> None:
-        _check_plan(_read_n(self.n), self.levels, self.team_pairs, self.super_pairs)
-        days, g = _read(self.days, self.n)
+        n = _read_n(self.n)
+        if n is None:
+            raise ValidationError("a Schedule needs its team count n, got None")
+        _check_plan(n, self.levels, self.team_pairs, self.super_pairs)
+        days, g = _read(self.days, n)
         object.__setattr__(self, "days", days)
         object.__setattr__(self, "_array", g)
 

@@ -13,7 +13,8 @@ through the same normal form.
 
 Every integer a schedule carries, in memory or stored, is read by one rule
 (``_integer``): a numpy integer or an integral float is read; text, bytes,
-a bool, or a number with a fractional part is refused.  A fixture is an
+a bool, or a number with a fractional part is refused.  A team count,
+declared or inferred, is at most ``TEAMS_MAX``.  A fixture is an
 ordered ``(away, home)`` pair (a set, a dict or a string is refused),
 and day-list text writes teams in ASCII digits only.  ``Fixture`` days of
 plain ints, which ``build_schedule``, ``schedule_from_dict`` and
@@ -111,12 +112,21 @@ def _integer(x, field: str) -> int:
     return v
 
 
+# the most teams a schedule may have: far past what a build makes, and far
+# below a count whose days x teams arrays could not be allocated
+TEAMS_MAX = 2048
+
+
 def _read_n(v) -> Optional[int]:
-    """A team count (or None) read by ``_integer``; ValidationError if not."""
+    """A team count (or None) read by ``_integer`` and at most TEAMS_MAX;
+    ValidationError if not."""
     try:
-        return None if v is None else _integer(v, "n")
+        n = None if v is None else _integer(v, "n")
     except (TypeError, ValueError) as exc:
         raise ValidationError(f"malformed team count: {exc}") from None
+    if n is not None and n > TEAMS_MAX:
+        raise ValidationError(f"team count {n} exceeds the supported maximum {TEAMS_MAX}")
+    return n
 
 
 def _fixture_ends(fx) -> tuple[int, int]:
@@ -208,7 +218,7 @@ def _read(sched, n: Optional[int] = None) -> tuple[tuple, ScheduleArray]:
     if n is None:
         if not flat.size:
             raise ValidationError("cannot infer team count from an empty schedule")
-        n = int(flat.max()) + 1
+        n = _read_n(int(flat.max()) + 1)
     if n < 2:
         raise ValidationError(f"team count must be at least 2, got {n}")
     away, home = flat[:, 0], flat[:, 1]

@@ -357,8 +357,16 @@ def _with(text, edit):
     # a day list names its teams in ASCII digits only
     (lambda text: "day 1: 1_0@3 1@2\n", "non-integer team in token '1_0@3'"),
     (lambda text: "day 1: \u0663@0 1@2\n", "non-integer team in token '\u0663@0'"),
+    # a team count past the bound, with no plan to refuse first
+    (lambda text: _with(text, lambda o: o.update(n=2 ** 80, levels=[], flips=0,
+                                                 team_pairs=None, super_pairs=None)),
+     f"team count {2 ** 80} exceeds the supported maximum 2048"),
+    (lambda text: _with(text, lambda o: o.update(n=2 ** 40, levels=[], flips=0,
+                                                 team_pairs=None, super_pairs=None)),
+     f"team count {2 ** 40} exceeds the supported maximum 2048"),
 ], ids=["no-days", "truncated", "type-null", "type-7", "not-utf8", "pairs-text",
-        "pair-fraction", "away-fraction", "n-fraction", "text-underscore", "text-arabic-indic"])
+        "pair-fraction", "away-fraction", "n-fraction", "text-underscore", "text-arabic-indic",
+        "n-2e80", "n-2e40"])
 def test_unreadable_schedule_file_exits_1(sched_and_inst, tmp_path, capsys,
                                           command, damage, message):
     sched_path, inst_path = sched_and_inst

@@ -25,7 +25,7 @@ from ttp2 import matching
 from ttp2.matching import _solve_by_content
 
 from helpers import euclid_weights, lattice_weights, unit_weights
-from reference import DP_MATCHING_MAX, brute_force_matching, dp_matching
+from reference import DP_MATCHING_MAX, _exact_weights, brute_force_matching, dp_matching
 
 
 # --- optimality against enumeration ----------------------------------------
@@ -73,27 +73,69 @@ def _metric_closure(w):
     return w
 
 
+# off-diagonal entries from the smallest subnormal to 1e300
+FLOAT_RANGE = (0.0, 5e-324, 1e-300, 1.0, 1e300)
+
+
 @st.composite
 def _weights(draw):
     m = draw(st.sampled_from(range(2, 11, 2)))
-    closure = draw(st.booleans())
-    entries = st.integers(1, 99).map(lambda k: k / 10) if closure else st.integers(1, 3)
+    kind = draw(st.sampled_from(("integers", "closure", "float-range")))
+    entries = {"integers": st.integers(1, 3),
+               "closure": st.integers(1, 99).map(lambda k: k / 10),
+               "float-range": st.sampled_from(FLOAT_RANGE)}[kind]
     upper = m * (m - 1) // 2
     w = np.zeros((m, m))
     w[np.triu_indices(m, 1)] = draw(st.lists(entries, min_size=upper, max_size=upper))
     w = w + w.T
-    return _metric_closure(w) if closure else w
+    return _metric_closure(w) if kind == "closure" else w
 
 
 @settings(derandomize=True, deadline=None, database=None, max_examples=300)
 @given(_weights())
 def test_matches_enumeration_pair_for_pair(w):
-    # small integers (heavy ties) and metric-closure floats (ties up to an
-    # ulp): minimum exact weight, then the lexicographically smallest list
+    # small integers (heavy ties), metric-closure floats (ties up to an
+    # ulp) and entries spanning the float range, whose exact integers span
+    # about 2,000 bits: minimum exact weight, then the smallest list
     got = min_weight_perfect_matching(w)
     ref = brute_force_matching(w)
     assert got.pairs == ref.pairs
     assert got.weight == ref.weight
+
+
+def test_each_pair_weight_is_made_into_the_references_exact_integer():
+    # once per pair v < u, over one common power of two, as the Fraction
+    # reference does over the whole matrix
+    spread = np.zeros((6, 6))
+    spread[np.triu_indices(6, 1)] = FLOAT_RANGE * 3
+    for w in (euclid_weights(8, seed=0), lattice_weights(12, seed=1), unit_weights(4),
+              np.zeros((4, 4)), spread + spread.T, _metric_closure(euclid_weights(10, 2) / 7)):
+        upper = matching._pair_tables(len(w))[0]
+        exact = _exact_weights(w)
+        assert matching._exact_integers(w[upper]).tolist() == [
+            exact[i][j] for i, j in zip(*upper)]
+
+
+def test_a_warm_start_that_matches_every_vertex_is_the_answer(monkeypatch):
+    # a solve that returns at its warm start never builds the edge table
+    # of the blossom stages
+    staged = []
+    edges = matching._vertex_edges
+    monkeypatch.setattr(matching, "_vertex_edges", lambda n: staged.append(n) or edges(n))
+
+    def solve(w):
+        return _solve_by_content.__wrapped__(w.shape, w.tobytes())   # past the memo
+
+    for m in (4, 6, 8, 10):
+        assert solve(unit_weights(m)) == brute_force_matching(unit_weights(m))
+    assert staged == []
+    unstaged = 0
+    for seed in range(12):
+        w = euclid_weights(4, seed=seed)
+        before = len(staged)
+        assert solve(w) == brute_force_matching(w)
+        unstaged += len(staged) == before
+    assert 0 < unstaged < 12
 
 
 @pytest.mark.parametrize("n, seed", [(16, 1441248948), (20, 637037212), (16, 2216409161)])

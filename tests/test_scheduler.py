@@ -7,6 +7,7 @@ from dataclasses import replace
 import pytest
 
 from ttp2 import (
+    Schedule,
     SchedulingError,
     ValidationError,
     build_schedule,
@@ -319,6 +320,10 @@ def test_a_schedule_reads_its_team_count_before_its_plan():
     assert validate_schedule(replace(s, n=12.0)).ok   # an integral float is read as 12
     with pytest.raises(ValidationError, match="malformed team count: invalid literal for n"):
         replace(s, n="12")
+    with pytest.raises(ValidationError, match="needs its team count n, got None"):
+        Schedule(n=None, days=s.days, levels=s.levels)
+    with pytest.raises(ValidationError, match="exceeds the supported maximum 2048"):
+        replace(s, n=2 ** 80)
 
 
 def test_fixture_validation():

@@ -29,7 +29,7 @@ from ttp2 import (
 )
 from ttp2 import scheduler, validator
 from ttp2.scheduler import S_BLOCK_TYPE
-from ttp2.validator import C1, C2, C4, S_DAY_COUNT, S_ONE_GAME, schedule_array
+from ttp2.validator import C1, C2, C4, S_DAY_COUNT, S_ONE_GAME, TEAMS_MAX, schedule_array
 
 from helpers import day_list_text, lattice_weights
 
@@ -304,6 +304,16 @@ def test_self_play_raises():
 def test_out_of_range_raises():
     with pytest.raises(ValidationError, match="out of range"):
         validate_schedule([[(0, 9)]], n=4)
+
+
+def test_a_team_count_past_the_bound_raises(clean8):
+    # declared or inferred, it is refused before any days x teams array is
+    # sized from it
+    assert not validate_schedule(clean8, n=TEAMS_MAX).ok
+    for days, n in ((clean8, TEAMS_MAX + 1), (clean8, 2 ** 40), (clean8, 2 ** 80),
+                    ([[(0, 2 ** 40)]], None)):
+        with pytest.raises(ValidationError, match=f"exceeds the supported maximum {TEAMS_MAX}"):
+            validate_schedule(days, n=n)
 
 
 def test_tiny_n_raises():
