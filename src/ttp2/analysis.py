@@ -5,9 +5,9 @@ away venues, and returns home as soon as it has a home game (and at the end
 of the tournament).  The lower bound 2*W_t + n*W_m combines every pair of
 venues twice (W_t) with n traversals of the minimum matching (W_m).
 
-Schedules are read through ``validator.schedule_array``; a stored
-``schedule_to_dict`` dict is read with ``scheduler.schedule_from_dict``
-first.  Travel and W_t are exact ``math.fsum`` sums, and distances whose
+The readers take a ``Schedule`` of the instance's team count
+(``validator._schedule`` refuses anything else) and use the normal form it
+keeps.  Travel and W_t are exact ``math.fsum`` sums, and distances whose
 sum passes the float range raise InstanceError.  The flip budget and the
 factors take an integer n (a numpy integer included) and refuse anything
 else with TTP2Error.
@@ -27,7 +27,7 @@ import numpy as np
 from .errors import InstanceError, MatchingError, TTP2Error, ValidationError
 from .instance import Instance, _is_integer, check_metric
 from .matching import PairMatching, min_weight_perfect_matching
-from .validator import ScheduleArray, _verdict, schedule_array
+from .validator import ScheduleArray, _schedule
 
 BOUND_SLACK = 1e-9   # floating slack when checking the ratio bound
 SIZES_KEPT = 64      # team counts whose per-size figures and indices are kept
@@ -100,21 +100,21 @@ def _itineraries(g: ScheduleArray, inst: Instance) -> list[Itinerary]:
 
 
 def team_itinerary(sched, inst: Instance, team: int) -> Itinerary:
-    """Venue sequence and travel for one team; ``sched`` is any form
-    ``validator.schedule_array`` reads.  ``team`` is an integer in 0..n-1
-    (a numpy integer included); a bool, a float or anything else raises
-    ValidationError."""
+    """Venue sequence and travel for one team of ``sched``, a ``Schedule``
+    of ``inst.n`` teams.  ``team`` is an integer in 0..n-1 (a numpy integer
+    included); a bool, a float or anything else raises ValidationError."""
     if not _is_integer(team):
         raise ValidationError(f"team must be an integer, got {team!r}")
     if not 0 <= team < inst.n:
         raise ValidationError(f"team {team} out of range for n={inst.n}")
-    return _itineraries(schedule_array(sched, inst.n), inst)[team]
+    return _itineraries(_schedule(sched, inst.n)._array, inst)[team]
 
 
 def total_travel(sched, inst: Instance) -> float:
-    """Sum of all team travels; each team's travel is summed first, then
-    the teams in team order, for determinism."""
-    _, legs = _legs(schedule_array(sched, inst.n), inst.dist)
+    """Sum of all team travels of ``sched``, a ``Schedule`` of ``inst.n``
+    teams; each team's travel is summed first, then the teams in team
+    order, for determinism."""
+    _, legs = _legs(_schedule(sched, inst.n)._array, inst.dist)
     return _fsum(map(math.fsum, legs.T.tolist()))
 
 
@@ -219,9 +219,8 @@ def _size_figures(n: int) -> tuple[Optional[float], Optional[float], Optional[fl
 def evaluation_report(sched, inst: Instance) -> EvaluationReport:
     """All headline quantities for one schedule on one instance.
 
-    ``sched`` is any form ``validator.schedule_array`` reads; it is read
-    once, and both the validity check and the itineraries use that read.  A
-    ``Schedule`` brings the read and the verdict it keeps.
+    ``sched`` is a ``Schedule`` of ``inst.n`` teams; both the validity
+    check and the itineraries use the read and the verdict it keeps.
     The schedule may be invalid; the report then carries valid=False and the
     ratio loses its guarantee (it is still computed when the bound is > 0).
     ``bound_satisfied`` is None in three cases, and ``bound_reason`` then
@@ -230,27 +229,25 @@ def evaluation_report(sched, inst: Instance) -> EvaluationReport:
     ratio); ``NOT_METRIC``, an instance that breaks the triangle inequality
     (the lower bound needs it).  ``bound_reason`` is None when
     ``bound_satisfied`` is a bool.
-    ``flips`` is the schedule's own count (a ``Schedule``'s Type-2 blocks),
-    None for a form that carries none.  A schedule that declares another
-    team count, or one naming teams outside the instance, raises
-    ValidationError, and so does a dict: a stored ``schedule_to_dict`` dict
-    is read with ``schedule_from_dict``, which also refuses a stored plan
-    that contradicts itself.  Distances that sum past the float range
-    raise InstanceError.
+    ``flips`` is the Type-2 count of the schedule's level plan, None for
+    a schedule that stores no levels (a day list).  Anything but a
+    ``Schedule``, or one of another team count, raises ValidationError.
+    Distances that sum past the float range raise InstanceError.
 
     The team matching is solved from ``inst`` rather than read from the
     schedule, which may come from anywhere; right after ``build_schedule``
     on the same instance the solve is a memo hit.
     """
     n = inst.n
-    g, verdict = _verdict(sched, n)
+    sched = _schedule(sched, n)
+    g, verdict = sched._array, sched._report
     teams = min_weight_perfect_matching(inst.dist)
     per_team = tuple(_itineraries(g, inst))
     total = _fsum(it.travel for it in per_team)
     w_t = pairwise_sum(inst)
     lb = _bound(w_t, n, teams.weight)   # lower_bound's, without summing W_t again
     ratio = (total / lb) if lb > 0 else None
-    flips = getattr(sched, "flips", None)
+    flips = sched.flips if sched.levels else None
     budget, ours_f, xk_f = _size_figures(_team_count(n))
     bound_ok = reason = None
     if ours_f is None:

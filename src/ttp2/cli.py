@@ -24,7 +24,7 @@ from .instance import (FORMATS, GENERATOR_KINDS, _decimal, emit_instance,
                        generate_instance, load_instance, save_instance)
 from .scheduler import (build_schedule, check_team_count, format_level_table,
                         schedule_from_json, schedule_to_json)
-from .validator import validate_schedule
+from .validator import _schedule, parse_day_list, validate_schedule
 
 DEFAULT_SEED = 0
 BENCH_DEFAULT_NS = "8,12,16,20,24,28,32"
@@ -72,7 +72,8 @@ def _check_constructor_n(n: int) -> None:
 
 
 def _load_schedule_file(path: str):
-    """A ``Schedule`` from JSON (constructor output), else the day-list text."""
+    """A ``Schedule`` from JSON (constructor output), else the day-list
+    text, which ``parse_day_list`` reads once its team count is settled."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
@@ -95,7 +96,7 @@ def cmd_schedule(args) -> int:
     inst = _obtain_instance(args)
     _check_constructor_n(inst.n)
     sched = build_schedule(inst)
-    report = validate_schedule(sched, inst.n)
+    report = validate_schedule(sched)
     if not report.ok:
         for v in report.violations:
             print(f"violation: {v.constraint} day={v.day} teams={v.teams} {v.detail}",
@@ -122,15 +123,17 @@ def cmd_schedule(args) -> int:
 
 
 def cmd_validate(args) -> int:
-    sched = _load_schedule_file(args.input)
-    n = getattr(sched, "n", None) if args.n is None else args.n
+    sched, n = _load_schedule_file(args.input), args.n
+    text = isinstance(sched, str)
+    if not text:
+        n = _schedule(sched, n).n   # refused if -n gives another count
     if args.instance:
         inst = load_instance(args.instance)
         if n is not None and inst.n != n:
             raise InstanceError(
-                f"instance has n={inst.n} but schedule has n={n}")
+                f"instance has n={inst.n} but {'-n gives' if text else 'schedule has'} n={n}")
         n = inst.n
-    report = validate_schedule(sched, n)
+    report = validate_schedule(parse_day_list(sched, n) if text else sched)
     if report.ok:
         print("valid")
         return 0
@@ -141,8 +144,10 @@ def cmd_validate(args) -> int:
 
 
 def cmd_evaluate(args) -> int:
-    sched = _load_schedule_file(args.input)
-    rep = evaluation_report(sched, load_instance(args.instance))
+    sched, inst = _load_schedule_file(args.input), load_instance(args.instance)
+    if isinstance(sched, str):
+        sched = parse_day_list(sched, inst.n)
+    rep = evaluation_report(sched, inst)
     if args.json:
         sys.stdout.write(report_to_json(rep))
     else:
@@ -292,7 +297,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = subs.add_parser("evaluate", help="travel totals, bounds, and ratio")
     p.add_argument("-i", "--input", metavar="PATH", required=True,
-                   help="schedule JSON file")
+                   help="schedule file (JSON or day-list text)")
     p.add_argument("-d", "--instance", metavar="PATH", required=True)
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_evaluate)

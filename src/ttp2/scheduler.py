@@ -54,11 +54,14 @@ class Schedule:
     typed level plan the days were expanded from; it is empty for a
     schedule found some other way.
 
-    However it is made, a schedule reads its team count, which may not be
-    None, checks its plan (``_check_plan``), then reads its days once, and
-    keeps them as ``Fixture`` tuples with their normal form
-    (``validator.schedule_array``); each step can raise ValidationError.
-    Once judged, it keeps its report too."""
+    A schedule is the one input the readers (``validate_schedule``,
+    ``total_travel``, ``team_itinerary``, ``evaluation_report``) take: raw
+    day lists become one with ``Schedule(n, days)``, day-list text with
+    ``validator.parse_day_list``.  However it is made, it reads its team
+    count, which may not be None, checks its plan (``_check_plan``), then
+    reads its days once (``validator._read``), and keeps them as
+    ``Fixture`` tuples with their normal form; each step can raise
+    ValidationError.  Once judged, it keeps its report too."""
 
     n: int
     days: tuple[tuple[Fixture, ...], ...]
@@ -67,9 +70,9 @@ class Schedule:
     super_pairs: Optional[PairMatching] = None
 
     def __post_init__(self) -> None:
-        n = _read_n(self.n)
-        if n is None:
+        if self.n is None:
             raise ValidationError("a Schedule needs its team count n, got None")
+        n = _read_n(self.n)
         _check_plan(n, self.levels, self.team_pairs, self.super_pairs)
         days, g = _read(self.days, n)
         object.__setattr__(self, "days", days)

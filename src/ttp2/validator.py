@@ -2,29 +2,27 @@
 home-stand/away-trip cap 2.
 
 The checker judges days only, and is deliberately independent of the
-construction code: it accepts raw day lists, day-list text or Schedule
-values, reads each into one normal form (``schedule_array``), and re-derives
-every verdict from the fixtures alone.  A stored schedule dict is not among
-them: ``schedule_from_dict`` is its one reader, and the ``Schedule`` it
-returns is.  What a ``Schedule`` stores besides its days, the plan they were
-expanded from, is ``scheduler``'s to check.  All violations are reported,
-not just the first.  Travel evaluation in ``analysis`` reads schedules
-through the same normal form.
+construction code.  It takes one input, a ``Schedule``: every other form
+is made into one first, raw day lists with ``Schedule(n, days)``, day-list
+text with ``parse_day_list`` and a stored schedule dict with
+``schedule_from_dict``.  A ``Schedule`` reads its days once, when it is
+made, through ``_read`` (nothing else calls it), into one normal form
+(``ScheduleArray``), and keeps the verdict on them once judged; every
+verdict is re-derived from the fixtures alone.  What a ``Schedule`` stores besides its days, the
+plan they were expanded from, is ``scheduler``'s to check.  All violations
+are reported, not just the first.  Travel evaluation in ``analysis`` reads
+the same normal form.
 
 Every integer a schedule carries, in memory or stored, is read by one rule
 (``_integer``): a numpy integer or an integral float is read; text, bytes,
 a bool, or a number with a fractional part is refused.  A team count,
-declared or inferred, is at most ``TEAMS_MAX``.  A fixture is an
-ordered ``(away, home)`` pair (a set, a dict or a string is refused),
-and day-list text writes teams in ASCII digits only.  ``Fixture`` days of
-plain ints, which ``build_schedule``, ``schedule_from_dict`` and
+given or inferred from day-list text, is at most ``TEAMS_MAX``.  A fixture
+is an ordered ``(away, home)`` pair (a set, a dict or a string is
+refused), and day-list text writes teams in ASCII digits only.  ``Fixture``
+days of plain ints, which ``build_schedule``, ``schedule_from_dict`` and
 ``parse_day_list`` produce, are read without a per-fixture Python call,
-other forms fixture by fixture with the same result.  Every ``Schedule``
-reads its days once, when it is made (``_read``), keeps them as a tuple of
-day tuples of ``Fixture`` values, and keeps the verdict on them once
-judged; every other form is read and judged per call, so a list edited in
-place gets a fresh verdict.  This module sets no attribute on anything it
-is given.
+other forms fixture by fixture with the same result.  This module sets no
+attribute on anything it is given.
 """
 
 from __future__ import annotations
@@ -33,12 +31,15 @@ import numbers
 import re
 from dataclasses import dataclass, fields
 from itertools import chain
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
 import numpy as np
 
 from .blocks import Fixture, _fixtures
 from .errors import ValidationError
+
+if TYPE_CHECKING:
+    from .scheduler import Schedule
 
 C1 = "C1_double_round_robin"
 C2 = "C2_repeater"
@@ -69,7 +70,7 @@ class ViolationReport:
 
 @dataclass(frozen=True, eq=False)
 class ScheduleArray:
-    """A schedule in normal form, read by ``schedule_array``.
+    """A schedule in normal form, as a ``Schedule`` reads and keeps it.
 
     ``day``, ``away`` and ``home`` list every fixture in input order.  The
     days x teams arrays describe each team's day as set by the first fixture
@@ -117,14 +118,14 @@ def _integer(x, field: str) -> int:
 TEAMS_MAX = 2048
 
 
-def _read_n(v) -> Optional[int]:
-    """A team count (or None) read by ``_integer`` and at most TEAMS_MAX;
+def _read_n(v) -> int:
+    """A team count read by ``_integer`` and at most TEAMS_MAX;
     ValidationError if not."""
     try:
-        n = None if v is None else _integer(v, "n")
+        n = _integer(v, "n")
     except (TypeError, ValueError) as exc:
         raise ValidationError(f"malformed team count: {exc}") from None
-    if n is not None and n > TEAMS_MAX:
+    if n > TEAMS_MAX:
         raise ValidationError(f"team count {n} exceeds the supported maximum {TEAMS_MAX}")
     return n
 
@@ -174,40 +175,11 @@ def _fixture_teams(days) -> tuple[tuple[tuple[Fixture, ...], ...], list[int], li
     return read, list(chain.from_iterable(chain.from_iterable(read))), list(map(len, read))
 
 
-def schedule_array(sched, n: Optional[int] = None) -> ScheduleArray:
-    """Read any accepted schedule form into its normal form.
-
-    Accepted: a ``Schedule``, day-list text, or a list of days of
-    ``Fixture`` values or ordered ``(away, home)`` pairs, every team and
-    team count read by ``_integer``.  ``n`` defaults to the schedule's own
-    team count, else the largest team index plus one.  Unreadable input
-    raises ValidationError: a dict (a ``schedule_to_dict`` dict is read
-    with ``schedule_from_dict``), a malformed fixture, a declared team
-    count other than ``n``, n < 2, an empty schedule without n, or a
-    fixture whose team plays itself or lies outside 0..n-1.  A
-    ``Schedule`` returns the normal form it keeps; every other input is
-    read on every call.
-    """
-    return _read(sched, n)[1]
-
-
-def _read(sched, n: Optional[int] = None) -> tuple[tuple, ScheduleArray]:
-    """``schedule_array``, and the days it read as ``_fixture_teams`` returns them."""
-    if isinstance(sched, str):
-        declared, days = None, parse_day_list(sched)
-    elif isinstance(sched, dict):
-        raise ValidationError("a schedule_to_dict dict is read with schedule_from_dict; "
-                              "pass the Schedule it returns")
-    else:
-        declared, days = getattr(sched, "n", None), getattr(sched, "days", sched)
-    declared, n = _read_n(declared), _read_n(n)
-    if n is None:
-        n = declared
-    elif declared is not None and declared != n:
-        raise ValidationError(f"schedule n={declared} does not match the expected n={n}")
-    kept = getattr(sched, "_array", None)
-    if kept is not None:
-        return days, kept
+def _read(days, n: int) -> tuple[tuple, ScheduleArray]:
+    """``days`` as ``_fixture_teams`` keeps them, and their normal form on
+    ``n`` teams, a count ``_read_n`` has read; ``Schedule.__post_init__``
+    is the one caller.  Raises ValidationError for a malformed fixture,
+    n < 2, or a fixture whose team plays itself or lies outside 0..n-1."""
     days, teams, counts = _fixture_teams(days)
     try:
         flat = np.fromiter(teams, np.int64, len(teams)).reshape(-1, 2)
@@ -215,10 +187,6 @@ def _read(sched, n: Optional[int] = None) -> tuple[tuple, ScheduleArray]:
         raise ValidationError("team index out of range") from None
     num_days = len(counts)
     day = np.repeat(np.arange(num_days), counts)
-    if n is None:
-        if not flat.size:
-            raise ValidationError("cannot infer team count from an empty schedule")
-        n = _read_n(int(flat.max()) + 1)
     if n < 2:
         raise ValidationError(f"team count must be at least 2, got {n}")
     away, home = flat[:, 0], flat[:, 1]
@@ -248,10 +216,16 @@ def _read(sched, n: Optional[int] = None) -> tuple[tuple, ScheduleArray]:
 _GAMES = re.compile(r"\s*(?:[0-9]+@[0-9]+(?:\s+|\Z))*")
 
 
-def parse_day_list(text: str) -> list[list[Fixture]]:
-    """Parse the plain-text day format: lines of 'day k: a@h a@h ...'
-    (the 'day k:' prefix is optional; teams are 0-based integers in ASCII
-    digits) into days of ``Fixture`` values."""
+def parse_day_list(text: str, n: Optional[int] = None) -> Schedule:
+    """The plain-text day format as a ``Schedule`` of ``n`` teams, by
+    default the largest team the text names plus one.
+
+    Lines read 'day k: a@h a@h ...' (the 'day k:' prefix is optional; teams
+    are 0-based integers in ASCII digits).  ValidationError for a line it
+    cannot read, for text naming no team without ``n``, and for what
+    ``Schedule`` refuses.
+    """
+    from .scheduler import Schedule   # scheduler imports this module
     days = []
     for raw in text.splitlines():
         line = raw.strip()
@@ -266,29 +240,38 @@ def parse_day_list(text: str) -> list[list[Fixture]]:
             raise ValidationError(f"non-integer team in token {bad!r}" if "@" in bad else
                                   f"malformed game token {bad!r} (expected away@home)")
         teams = map(int, line.replace("@", " ").split())
-        days.append(list(_fixtures(zip(teams, teams))))   # consecutive teams pair up
-    return days
+        days.append(tuple(_fixtures(zip(teams, teams))))   # consecutive teams pair up
+    if n is None:
+        top = max(chain.from_iterable(chain.from_iterable(days)), default=None)
+        if top is None:
+            raise ValidationError("cannot infer team count from an empty schedule")
+        n = top + 1
+    return Schedule(n=n, days=tuple(days))
 
 
-def validate_schedule(sched, n: Optional[int] = None) -> ViolationReport:
+def _schedule(sched, n: Optional[int] = None) -> Schedule:
+    """``sched`` if it is a ``Schedule``, of ``n`` teams where ``n`` is
+    given; ValidationError if not.  Every reader of a schedule checks its
+    input here."""
+    from .scheduler import Schedule   # scheduler imports this module
+    if not isinstance(sched, Schedule):
+        raise ValidationError(f"expected a Schedule, got a {type(sched).__name__}: make one "
+                              "with Schedule(n, days), parse_day_list or schedule_from_dict")
+    if n is not None and sched.n != n:
+        raise ValidationError(f"schedule n={sched.n} does not match the expected n={n}")
+    return sched
+
+
+def validate_schedule(sched) -> ViolationReport:
     """Check structure plus the three feasibility constraints.
 
-    ``sched`` is any form ``schedule_array`` reads.  Malformed input (team
-    out of range, team playing itself) raises; rule violations are
+    ``sched`` is a ``Schedule``, which refused malformed days (a team out
+    of range, a team playing itself) when it was made; rule violations are
     collected into the report.  A ``Schedule`` is judged once and keeps
-    its report, which ``Schedule`` completes with what it finds wrong in
-    its stored plan.
+    its report, which it completes with what it finds wrong in its stored
+    plan.
     """
-    return _verdict(sched, n)[1]
-
-
-def _verdict(sched, n: Optional[int] = None) -> tuple[ScheduleArray, ViolationReport]:
-    """The normal form of ``sched`` and the report on it: the ones a
-    ``Schedule`` keeps, or, for every other form, read and judged anew."""
-    g = schedule_array(sched, n)
-    if g is getattr(sched, "_array", None):
-        return g, sched._report
-    return g, _validate(g)
+    return _schedule(sched)._report
 
 
 def _validate(g: ScheduleArray) -> ViolationReport:

@@ -14,6 +14,7 @@ import pytest
 
 from ttp2 import (
     Instance,
+    Schedule,
     block_travel,
     build_schedule,
     expand_block,
@@ -112,7 +113,7 @@ def test_criterion_4_block_travel_closed_forms():
             d = np.sqrt(((pts[:, None, :] - pts[None, :, :]) ** 2).sum(-1))
             inst = Instance(n=4, dist=d)
             assert block_travel(block_type, d) == pytest.approx(
-                total_travel(days, inst), abs=1e-9)
+                total_travel(Schedule(n=4, days=days), inst), abs=1e-9)
             checked += 1
     print(f"\nPASS criterion 4: block travel closed forms match itinerary "
           f"evaluation on {checked} random geometries (tol 1e-9)")

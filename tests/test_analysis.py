@@ -28,6 +28,7 @@ from ttp2 import (
     lower_bound,
     min_weight_perfect_matching,
     pairwise_sum,
+    parse_day_list,
     report_to_dict,
     report_to_json,
     schedule_from_dict,
@@ -46,49 +47,50 @@ from reference import sample_valid_schedules
 UNIT4 = Instance(n=4, dist=np.ones((4, 4)) - np.eye(4))
 
 
-def _t3_days():
+def _t3_block():
+    """A Type-3 block on the four teams of UNIT4, as a Schedule."""
     sm = SuperMatch(a_pair=0, b_pair=1, block_type=3)
-    return expand_block(sm, [(0, 1), (2, 3)])
+    return Schedule(n=4, days=expand_block(sm, [(0, 1), (2, 3)]))
 
 
 # --- itineraries -------------------------------------------------------------
 
 
 def test_itinerary_of_a1_through_type3_block():
-    it = team_itinerary(_t3_days(), UNIT4, 0)
+    it = team_itinerary(_t3_block(), UNIT4, 0)
     # pattern aahhah: away at B1, away at A2, two home days, away at B2, home
     assert it.venues == (0, 2, 1, 0, 0, 3, 0)
     assert it.travel == pytest.approx(5.0)
 
 
 def test_itinerary_with_no_games_stays_home():
-    it = team_itinerary([], UNIT4, 2)
+    it = team_itinerary(Schedule(n=4, days=()), UNIT4, 2)
     assert it.venues == (2,)
     assert it.travel == 0.0
 
 
 def test_itinerary_team_range_check():
     with pytest.raises(ValidationError, match="out of range"):
-        team_itinerary([], UNIT4, 4)
+        team_itinerary(Schedule(n=4, days=()), UNIT4, 4)
 
 
 @pytest.mark.parametrize("team", [True, 1.0, "1", None], ids=repr)
 def test_itinerary_refuses_a_team_that_is_not_an_integer(team):
     with pytest.raises(ValidationError, match="team must be an integer"):
-        team_itinerary(_t3_days(), UNIT4, team)
+        team_itinerary(_t3_block(), UNIT4, team)
 
 
 def test_itinerary_takes_a_numpy_integer_team():
-    assert team_itinerary(_t3_days(), UNIT4, np.int64(1)) == team_itinerary(_t3_days(), UNIT4, 1)
+    assert team_itinerary(_t3_block(), UNIT4, np.int64(1)) == team_itinerary(_t3_block(), UNIT4, 1)
 
 
 def test_total_travel_unit_blocks():
-    assert total_travel(_t3_days(), UNIT4) == pytest.approx(20.0)
+    assert total_travel(_t3_block(), UNIT4) == pytest.approx(20.0)
 
 
 def test_total_travel_zero_matrix():
     zero = Instance(n=4, dist=np.zeros((4, 4)))
-    assert total_travel(_t3_days(), zero) == 0.0
+    assert total_travel(_t3_block(), zero) == 0.0
 
 
 def test_total_travel_rejects_mismatched_n():
@@ -104,11 +106,11 @@ def test_analysis_accepts_the_validator_forms():
     travel = total_travel(s, inst)
     report = report_to_dict(evaluation_report(s, inst))
     stored = schedule_from_dict(schedule_to_dict(s))
-    for form in (stored, day_list_text(s.days)):
+    for form in (stored, parse_day_list(day_list_text(s.days))):
         assert total_travel(form, inst) == travel
         assert team_itinerary(form, inst, 5) == team_itinerary(s, inst, 5)
     assert report_to_dict(evaluation_report(stored, inst)) == report
-    text_report = report_to_dict(evaluation_report(day_list_text(s.days), inst))
+    text_report = report_to_dict(evaluation_report(parse_day_list(day_list_text(s.days)), inst))
     assert text_report == {**report, "flips": None}   # a day list carries no flips
 
 
@@ -118,9 +120,10 @@ def test_analysis_accepts_the_validator_forms():
     ([[("x", 1)]], "malformed fixture"),
 ])
 def test_total_travel_refuses_unreadable_fixtures(days, message):
+    # the Schedule that total_travel takes refuses them when it is made
     inst = generate_instance(8, kind="euclidean", seed=0)
     with pytest.raises(ValidationError, match=message):
-        total_travel(days, inst)
+        total_travel(Schedule(n=8, days=days), inst)
 
 
 def test_total_travel_permutation_invariant():
@@ -131,8 +134,8 @@ def test_total_travel_permutation_invariant():
     pdays = [[(perm[a], perm[h]) for a, h in day] for day in days]
     pdist = inst.dist[np.ix_(np.argsort(perm), np.argsort(perm))]
     pinst = Instance(n=8, dist=pdist)
-    assert total_travel(pdays, pinst) == pytest.approx(
-        total_travel(days, inst), rel=1e-12)
+    assert total_travel(Schedule(n=8, days=pdays), pinst) == pytest.approx(
+        total_travel(Schedule(n=8, days=days), inst), rel=1e-12)
 
 
 # --- bounds -------------------------------------------------------------------
@@ -331,9 +334,9 @@ def test_evaluation_report_flags_invalid():
     inst = generate_instance(8, kind="euclidean", seed=0)
     s = build_schedule(inst)
     days = [[(f.away, f.home) for f in day] for day in s.days][:-1]
-    rep = evaluation_report(days, inst)
+    rep = evaluation_report(Schedule(n=8, days=days), inst)
     assert rep.valid is False
-    assert rep.flips is None             # a day list carries no flip count
+    assert rep.flips is None             # days without levels carry no flip count
 
 
 def test_evaluation_report_refuses_flips_the_levels_contradict():
@@ -451,14 +454,15 @@ def test_total_travel_sums_each_team_first():
 def test_evaluation_report_rejects_mismatched_n():
     inst = generate_instance(8, kind="euclidean", seed=0)
     s12 = build_schedule(generate_instance(12, kind="euclidean", seed=0))
-    for sched in (s12, schedule_from_dict(schedule_to_dict(s12)), Schedule(n=12, days=())):
+    text = day_list_text(s12.days)
+    for sched in (s12, schedule_from_dict(schedule_to_dict(s12)), Schedule(n=12, days=()),
+                  parse_day_list(text)):
         with pytest.raises(ValidationError, match="n=12") as ei:
             evaluation_report(sched, inst)
         assert "n=8" in str(ei.value)
-    # a bare day list declares no n; its out-of-range teams are refused
-    days = [[(f.away, f.home) for f in day] for day in s12.days]
+    # a day list read with the instance's n refuses its out-of-range teams
     with pytest.raises(ValidationError, match="out of range"):
-        evaluation_report(days, inst)
+        parse_day_list(text, inst.n)
 
 
 def test_evaluation_report_no_bound_claim_on_non_metric_instance():

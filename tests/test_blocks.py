@@ -5,6 +5,7 @@ import pytest
 
 from ttp2 import (
     Instance,
+    Schedule,
     SchedulingError,
     SuperMatch,
     block_travel,
@@ -169,7 +170,7 @@ def test_travel_formula_matches_itinerary_evaluation(block_type):
         inst = Instance(n=4, dist=d)
         days = _days(block_type)
         assert block_travel(block_type, d) == pytest.approx(
-            total_travel(days, inst), abs=1e-9)
+            total_travel(Schedule(n=4, days=days), inst), abs=1e-9)
 
 
 def test_travel_unit_distances():

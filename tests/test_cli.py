@@ -28,6 +28,8 @@ from ttp2 import (
 )
 from ttp2.cli import _build_parser, main
 
+from helpers import day_list_text
+
 
 @pytest.fixture(autouse=True)
 def _no_ambient_seed(monkeypatch):
@@ -234,6 +236,25 @@ def test_validate_cross_checks_instance(tmp_path, capsys):
     assert "n=12" in err and "n=8" in err
 
 
+def test_validate_names_the_count_that_disagrees(tmp_path, capsys):
+    inst_path, sched_path = tmp_path / "inst16.json", tmp_path / "s16.json"
+    run(capsys, "gen", "--n", "16", "--seed", "7", "-o", str(inst_path))
+    run(capsys, "schedule", "-i", str(inst_path), "-o", str(sched_path))
+    text_path = tmp_path / "s16.txt"
+    text_path.write_text(day_list_text(schedule_from_json(sched_path.read_text()).days))
+    # a JSON schedule's own n is checked against -n first, then the instance's
+    for extra in ((), ("-d", str(inst_path))):
+        code, out, err = run(capsys, "validate", "-i", str(sched_path), "-n", "12", *extra)
+        assert (code, out, err) == (1, "", "error: schedule n=16 does not match the "
+                                           "expected n=12\n")
+    # a day list has no n of its own: the count that disagrees is -n's
+    code, out, err = run(capsys, "validate", "-i", str(text_path), "-n", "12",
+                         "-d", str(inst_path))
+    assert (code, out, err) == (1, "", "error: instance has n=16 but -n gives n=12\n")
+    assert run(capsys, "validate", "-i", str(text_path), "-n", "16",
+               "-d", str(inst_path))[:2] == (0, "valid\n")
+
+
 def test_validate_missing_file(capsys):
     code, _, err = run(capsys, "validate", "-i", "/nonexistent/sched.json")
     assert code == 1
@@ -286,6 +307,12 @@ def test_evaluate_day_list_text(tmp_path, capsys):
                        "-d", str(inst_path))
     assert code == 0
     assert "yes" in out
+
+
+def test_evaluate_help_names_both_schedule_formats(capsys):
+    code, out, _ = run(capsys, "evaluate", "-h")
+    assert code == 0
+    assert "schedule file (JSON or day-list text)" in " ".join(out.split())
 
 
 def test_evaluate_invalid_schedule_exit_code(tmp_path, capsys):

@@ -2,7 +2,8 @@
 
 Built schedules and single mutations of them (venue swap, dropped game,
 swapped days, duplicated game) are fed to the validator and to travel
-evaluation in each form ``validator.schedule_array`` accepts.  The verdicts
+evaluation as a ``Schedule`` made from each input form: Fixture tuples and
+lists, (away, home) pairs, a stored dict and day-list text.  The verdicts
 must agree with each other and with the plain-loop reference below, which
 walks the fixtures one by one the way the checks are specified.
 """
@@ -18,6 +19,7 @@ from ttp2 import (
     Schedule,
     build_schedule,
     generate_instance,
+    parse_day_list,
     schedule_from_dict,
     schedule_from_json,
     schedule_to_dict,
@@ -126,9 +128,9 @@ def _forms(n, days):
     return {
         "schedule": sched,
         "dict": schedule_from_dict(schedule_to_dict(sched)),
-        "text": day_list_text(days),
-        "fixtures": fixtures,
-        "pairs": days,
+        "text": parse_day_list(day_list_text(days), n),
+        "fixtures": Schedule(n=n, days=fixtures),
+        "pairs": Schedule(n=n, days=days),
     }
 
 
@@ -139,7 +141,7 @@ def test_every_form_reads_the_same(case):
     violations = reference_violations(days, n)
     travel = reference_travel(days, inst)
     for name, form in _forms(n, days).items():
-        assert validate_schedule(form, n).violations == violations, name
+        assert validate_schedule(form).violations == violations, name
         assert total_travel(form, inst) == travel, name
 
 

@@ -29,7 +29,7 @@ from ttp2 import (
 )
 from ttp2 import scheduler, validator
 from ttp2.scheduler import S_BLOCK_TYPE
-from ttp2.validator import C1, C2, C4, S_DAY_COUNT, S_ONE_GAME, TEAMS_MAX, schedule_array
+from ttp2.validator import C1, C2, C4, S_DAY_COUNT, S_ONE_GAME, TEAMS_MAX
 
 from helpers import day_list_text, lattice_weights
 
@@ -76,7 +76,7 @@ def test_venue_flip_breaks_c1(clean8):
     days = [list(day) for day in clean8]
     a, h = days[0][0]
     days[0][0] = (h, a)
-    report = validate_schedule(days, n=8)
+    report = validate_schedule(Schedule(n=8, days=days))
     assert not report.ok
     c1 = report.by_constraint(C1)
     details = {v.teams: v.detail for v in c1}
@@ -88,7 +88,7 @@ def test_venue_flip_breaks_c1(clean8):
 def test_duplicated_day_breaks_c2(clean8):
     days = [list(day) for day in clean8]
     days[-1] = list(days[-2])
-    report = validate_schedule(days, n=8)
+    report = validate_schedule(Schedule(n=8, days=days))
     c2 = report.by_constraint(C2)
     assert len(c2) == 4  # all four pairings repeat
     assert all(v.day == len(days) - 1 for v in c2)
@@ -131,7 +131,8 @@ def test_c2_matches_the_reference(clean8, seed):
     for days in cases:
         want = c2_repeats(days)
         for form in (days, tuple(tuple(Fixture(*fx) for fx in day) for day in days)):
-            got = [(v.day, v.teams) for v in validate_schedule(form, n=8).by_constraint(C2)]
+            report = validate_schedule(Schedule(n=8, days=form))
+            got = [(v.day, v.teams) for v in report.by_constraint(C2)]
             assert got == want
         found += len(want)
     assert found
@@ -143,7 +144,7 @@ def test_three_day_run_breaks_c4():
     day 2: 0@1
     day 3: 0@1
     """
-    report = validate_schedule(text)
+    report = validate_schedule(parse_day_list(text))
     c4 = report.by_constraint(C4)
     # team 0 away three straight days, team 1 home three straight days;
     # the violation is logged on the third day of the run, 0-based
@@ -158,13 +159,13 @@ def test_two_day_runs_are_fine():
     0@1
     """
     # repeated pair breaks C1/C2 but the two-day away stand is legal
-    report = validate_schedule(text, n=2)
+    report = validate_schedule(parse_day_list(text, n=2))
     assert report.by_constraint(C4) == []
 
 
 def test_missing_day_breaks_day_count(clean8):
     days = [list(day) for day in clean8][:-1]
-    report = validate_schedule(days, n=8)
+    report = validate_schedule(Schedule(n=8, days=days))
     sd = report.by_constraint(S_DAY_COUNT)
     assert len(sd) == 1
     assert "13 days, expected 14" in sd[0].detail
@@ -175,7 +176,7 @@ def test_team_swap_breaks_one_game_per_day(clean8):
     (a, h) = days[0][0]
     (a2, h2) = days[0][1]
     days[0][1] = (a, h2)  # team a now plays twice on day 0, a2 not at all
-    report = validate_schedule(days, n=8)
+    report = validate_schedule(Schedule(n=8, days=days))
     og = report.by_constraint(S_ONE_GAME)
     by_team = {v.teams[0]: v.detail for v in og}
     assert f"team {a} plays 2 games" in by_team[a]
@@ -193,14 +194,15 @@ def test_parse_day_list_formats():
 
     Day 2: 1@0 3@2
     """
-    days = parse_day_list(text)
-    assert days == [[(0, 1), (2, 3)], [(1, 0), (3, 2)]]
-    assert {type(f) for day in days for f in day} == {Fixture}
+    s = parse_day_list(text)
+    assert isinstance(s, Schedule) and s.levels == ()
+    assert s.days == (((0, 1), (2, 3)), ((1, 0), (3, 2)))
+    assert {type(f) for day in s.days for f in day} == {Fixture}
 
 
 def test_parse_day_list_without_prefix():
-    assert parse_day_list("0@1 2@3\n1@0 3@2") == [
-        [(0, 1), (2, 3)], [(1, 0), (3, 2)]]
+    assert parse_day_list("0@1 2@3\n1@0 3@2").days == (
+        ((0, 1), (2, 3)), ((1, 0), (3, 2)))
 
 
 def test_parse_day_list_bad_token():
@@ -225,18 +227,28 @@ def test_dict_form_accepted(clean8):
     assert validate_schedule(_stored(clean8, 8)).ok
 
 
+# forms the readers refuse: each is made into a Schedule first
+_NOT_SCHEDULES = {
+    "list": lambda s: [list(day) for day in s.days],
+    "text": lambda s: day_list_text(s.days),
+    "dict": schedule_to_dict,
+}
+
+
+@pytest.mark.parametrize("form", list(_NOT_SCHEDULES))
 @pytest.mark.parametrize("reader", [
-    lambda obj, inst: schedule_array(obj),
     lambda obj, inst: validate_schedule(obj),
     lambda obj, inst: total_travel(obj, inst),
     lambda obj, inst: team_itinerary(obj, inst, 0),
     lambda obj, inst: evaluation_report(obj, inst),
-], ids=["schedule_array", "validate_schedule", "total_travel", "team_itinerary",
-        "evaluation_report"])
-def test_readers_refuse_a_stored_dict(reader):
+], ids=["validate_schedule", "total_travel", "team_itinerary", "evaluation_report"])
+def test_readers_take_a_schedule_only(reader, form):
     inst = generate_instance(8, kind="euclidean", seed=0)
-    obj = schedule_to_dict(build_schedule(inst))
-    with pytest.raises(ValidationError, match="schedule_from_dict"):
+    obj = _NOT_SCHEDULES[form](build_schedule(inst))
+    kind = type(obj).__name__
+    with pytest.raises(ValidationError, match=re.escape(
+            f"expected a Schedule, got a {kind}: make one with Schedule(n, days), "
+            "parse_day_list or schedule_from_dict")):
         reader(obj, inst)
 
 
@@ -273,22 +285,30 @@ def test_stored_text_and_bools_are_not_integers(path, value, field):
 
 
 def test_n_inferred_from_teams(clean8):
-    report = validate_schedule(clean8)  # no n given: max index + 1
-    assert report.ok
+    s = parse_day_list(day_list_text(clean8))  # no n given: max index + 1
+    assert s.n == 8 and validate_schedule(s).ok
+    assert parse_day_list("day 1: 0@5\nday 2: 2@1").n == 6
+    assert parse_day_list("day 1: 0@5\nday 2: 2@1", n=8).n == 8
+    with pytest.raises(ValidationError, match=re.escape("team 5 out of range on day 0 (n=5)")):
+        parse_day_list("day 1: 0@5\nday 2: 2@1", n=5)
 
 
 def test_declared_n_must_match_the_given_n(clean8):
     s = build_schedule(generate_instance(8, kind="euclidean", seed=0))
     obj = _stored(clean8, 8)
-    for sched in (s, obj):
-        with pytest.raises(ValidationError, match="n=8 does not match the expected n=10"):
-            validate_schedule(sched, n=10)
-    assert validate_schedule(obj, n=8).ok
+    inst10 = Instance(n=10, dist=np.zeros((10, 10)))
+    for sched in (s, obj, parse_day_list(day_list_text(clean8))):
+        for reader in (lambda: total_travel(sched, inst10),
+                       lambda: team_itinerary(sched, inst10, 0),
+                       lambda: evaluation_report(sched, inst10)):
+            with pytest.raises(ValidationError, match="n=8 does not match the expected n=10"):
+                reader()
+    assert validate_schedule(obj).ok
 
 
 def test_n_cross_check_mismatch(clean8):
     # declaring more teams makes every game involving them "missing"
-    report = validate_schedule(clean8, n=10)
+    report = validate_schedule(Schedule(n=10, days=clean8))
     assert not report.ok
     assert report.by_constraint(C1)
 
@@ -298,32 +318,42 @@ def test_n_cross_check_mismatch(clean8):
 
 def test_self_play_raises():
     with pytest.raises(ValidationError, match="plays itself"):
-        validate_schedule([[(1, 1)]], n=4)
+        Schedule(n=4, days=[[(1, 1)]])
 
 
 def test_out_of_range_raises():
     with pytest.raises(ValidationError, match="out of range"):
-        validate_schedule([[(0, 9)]], n=4)
+        Schedule(n=4, days=[[(0, 9)]])
 
 
 def test_a_team_count_past_the_bound_raises(clean8):
-    # declared or inferred, it is refused before any days x teams array is
-    # sized from it
-    assert not validate_schedule(clean8, n=TEAMS_MAX).ok
-    for days, n in ((clean8, TEAMS_MAX + 1), (clean8, 2 ** 40), (clean8, 2 ** 80),
-                    ([[(0, 2 ** 40)]], None)):
+    # given or inferred from a day list, it is refused before any days x
+    # teams array is sized from it
+    assert not validate_schedule(Schedule(n=TEAMS_MAX, days=clean8)).ok
+    text = day_list_text(clean8)
+    makes = [lambda n=n: Schedule(n=n, days=clean8) for n in (TEAMS_MAX + 1, 2 ** 40, 2 ** 80)]
+    makes += [lambda: parse_day_list(text, TEAMS_MAX + 1),
+              lambda: parse_day_list(f"day 1: 0@{2 ** 40}"),
+              lambda: parse_day_list(f"day 1: 0@{TEAMS_MAX}")]
+    for make in makes:
         with pytest.raises(ValidationError, match=f"exceeds the supported maximum {TEAMS_MAX}"):
-            validate_schedule(days, n=n)
+            make()
+    assert parse_day_list(f"day 1: 0@{TEAMS_MAX - 1}").n == TEAMS_MAX
 
 
 def test_tiny_n_raises():
     with pytest.raises(ValidationError, match="at least 2"):
-        validate_schedule([[(0, 1)]], n=1)
+        Schedule(n=1, days=[[(0, 1)]])
 
 
 def test_empty_schedule_needs_n():
-    with pytest.raises(ValidationError, match="empty"):
-        validate_schedule([])
+    for text in ("", "# no games\n", "day 1:\nday 2:\n"):
+        with pytest.raises(ValidationError,
+                           match="cannot infer team count from an empty schedule"):
+            parse_day_list(text)
+    assert parse_day_list("day 1:\nday 2:\n", n=4).days == ((), ())
+    with pytest.raises(ValidationError, match="needs its team count n, got None"):
+        Schedule(n=None, days=())
 
 
 def test_malformed_fixture_raises():
@@ -332,7 +362,7 @@ def test_malformed_fixture_raises():
     for fixture in (("x", None), {"away": 0, "home": 1}, {0: "a", 1: "b"}, "01", {0, 1},
                     frozenset((0, 1))):
         with pytest.raises(ValidationError, match="malformed fixture"):
-            validate_schedule([[fixture]], n=4)
+            Schedule(n=4, days=[[fixture]])
 
 
 @pytest.mark.parametrize("sched, match", [
@@ -349,22 +379,21 @@ def test_non_iterable_days_raise(sched, match):
             schedule_from_dict(sched)
         return
     with pytest.raises(ValidationError, match=match):
-        validate_schedule(sched)
-    with pytest.raises(ValidationError, match=match):
-        total_travel(sched, inst)
+        Schedule(n=inst.n, days=sched)
 
 
 # --- one reading for every form -------------------------------------------------
 #
-# Lists and tuples of Fixture days holding plain ints are read without a
-# per-fixture call; every other form is read fixture by fixture.  Both
-# readings must give the same normal form and the same errors.
+# A Schedule reads lists and tuples of Fixture days holding plain ints
+# without a per-fixture call, and every other form of days fixture by
+# fixture.  Both readings must give the same normal form and the same errors.
 
 
-def _read(sched, n=None):
-    """schedule_array's fields as lists, or its ValidationError message."""
+def _read(sched, n=8):
+    """The normal form of ``sched``, a Schedule or the days of one of ``n``
+    teams, as lists, or the ValidationError message that refuses it."""
     try:
-        g = schedule_array(sched, n)
+        g = (sched if isinstance(sched, Schedule) else Schedule(n=n, days=sched))._array
     except ValidationError as exc:
         return str(exc)
     return (g.n, g.day.tolist(), g.away.tolist(), g.home.tolist(),
@@ -407,7 +436,7 @@ def _mutated(clean8, mutation):
     return days
 
 
-@pytest.mark.parametrize("n", [None, 8, 10])
+@pytest.mark.parametrize("n", [8, 10])
 @pytest.mark.parametrize("mutation", ["none", "venue_swap", "ragged", "empty_day", "self_play",
                                       "out_of_range", "negative", "huge"])
 def test_every_form_reads_alike(clean8, mutation, n):
@@ -463,7 +492,7 @@ def test_odd_team_entries_read_as_int_reads_them(clean8, entry, read_as, make):
 def test_fixture_days_skip_the_per_fixture_reader(clean8, monkeypatch):
     s = build_schedule(generate_instance(8, kind="euclidean", seed=0))
     forms = [s, s.days, schedule_from_dict(schedule_to_dict(s)),
-             parse_day_list(day_list_text(s.days)), day_list_text(s.days)]
+             parse_day_list(day_list_text(s.days))]
     expected = _read(clean8)
     bad = _mutated(clean8, "self_play")
     bad_fixtures = [[Fixture(a, h) for a, h in day] for day in bad]
@@ -506,11 +535,9 @@ def test_a_built_schedule_is_read_once(monkeypatch):
     assert validate_schedule(s).ok
     assert validate_schedule(other).ok
     rep = evaluation_report(s, inst)
-    assert schedule_array(other) is schedule_array(other, 8)
     assert total_travel(s, inst) == rep.total_travel
     assert _reads_of(read, s.days) == 1 and _reads_of(read, other.days) == 1
-    g = schedule_array(s)
-    assert schedule_array(s, s.n) is g
+    g = s._array
     for arr in (g.day, g.away, g.home, g.opponent, g.at_home, g.games):
         assert not arr.flags.writeable
         with pytest.raises(ValueError):
@@ -530,7 +557,7 @@ def test_a_loaded_schedule_is_read_once(monkeypatch):
     assert validate_schedule(other).ok
     assert total_travel(s, inst) == total_travel(built, inst)
     assert _reads_of(read, s.days) == 1 and _reads_of(read, other.days) == 1
-    assert schedule_array(s) is not schedule_array(built)
+    assert s._array is not built._array
     assert _read(s) == _read(built)
 
 
@@ -542,8 +569,8 @@ def test_a_copied_schedule_keeps_a_read_only_normal_form(clean8, copy_of):
     swapped = _stored(_mutated(clean8, "venue_swap"), 8)
     for s in (built, schedule_from_json(schedule_to_json(built)), swapped):
         c = copy_of(s)
-        g = schedule_array(c)
-        assert g is c._array and g is not s._array
+        g = c._array
+        assert g is not s._array
         for arr in (g.day, g.away, g.home, g.opponent, g.at_home, g.games):
             assert not arr.flags.writeable
             with pytest.raises(ValueError):
@@ -554,32 +581,21 @@ def test_a_copied_schedule_keeps_a_read_only_normal_form(clean8, copy_of):
     assert not validate_schedule(copy_of(swapped)).ok
 
 
-def test_a_mutated_list_schedule_gets_a_new_verdict(clean8):
-    for make in (Fixture, _pair):
-        days = [[make(a, h) for a, h in day] for day in clean8]
-        assert validate_schedule(days, n=8).ok
-        a, h = days[0][0]
-        days[0][0] = make(h, a)
-        assert {(h, a), (a, h)} <= {v.teams for v in validate_schedule(days, n=8).by_constraint(C1)}
-        days[0][0] = make(a, h)
-        assert validate_schedule(days, n=8).ok
-
-
 def test_another_n_on_the_same_tuple_raises_or_reads_again():
     s = build_schedule(generate_instance(8, kind="euclidean", seed=0))
-    g = schedule_array(s.days)
-    assert g.n == 8 and schedule_array(s.days) is not g
+    g = Schedule(n=8, days=s.days)._array
+    assert g.n == 8 and g is not s._array
     with pytest.raises(ValidationError, match="schedule n=8 does not match the expected n=12"):
-        schedule_array(s, 12)
-    g10 = schedule_array(s.days, 10)
-    assert g10.n == 10 and g10.games.shape == (14, 10)
-    assert not validate_schedule(s.days, 10).ok
+        total_travel(s, generate_instance(12, kind="euclidean", seed=0))
+    s10 = Schedule(n=10, days=s.days)
+    assert s10._array.n == 10 and s10._array.games.shape == (14, 10)
+    assert not validate_schedule(s10).ok
     with pytest.raises(ValidationError, match="out of range"):
-        schedule_array(s.days, 6)
-    assert _read(schedule_array(s.days, 8)) == _read(g)
+        Schedule(n=6, days=s.days)
+    assert _read(s.days) == _read(s)
 
 
-# --- every Schedule is read once and judged once; other forms per call ---------
+# --- every Schedule is read once and judged once, however it is made ---------------
 
 
 def _count_verdicts(monkeypatch):
@@ -597,44 +613,41 @@ def _count_verdicts(monkeypatch):
     return judged
 
 
-# how each form is made from a built schedule ``s`` on ``inst``, and
-# whether it is a ``Schedule``, which reads its days when it is made
+# how a Schedule is made from a built schedule ``s`` on ``inst``: built,
+# loaded or copied, or from ``s``'s days in each form ``Schedule(n, days)``
+# and ``parse_day_list`` read
 _FORMS = {
-    "built": (lambda inst, s: build_schedule(inst), True),
-    "loaded": (lambda inst, s: schedule_from_json(schedule_to_json(s)), True),
-    "made": (lambda inst, s: Schedule(n=s.n, days=s.days), True),
-    "replaced": (lambda inst, s: replace(s, levels=()), True),
-    "pickled": (lambda inst, s: pickle.loads(pickle.dumps(build_schedule(inst))), True),
-    "deep-copied": (lambda inst, s: copy.deepcopy(build_schedule(inst)), True),
-    "day-tuple": (lambda inst, s: s.days, False),
-    "day-list": (lambda inst, s: list(s.days), False),
-    "list-days": (lambda inst, s: tuple(map(list, s.days)), False),
-    "raw-pairs": (lambda inst, s: _raw_days(s), False),
-    "raw-pair-tuples": (lambda inst, s: tuple(map(tuple, _raw_days(s))), False),
-    "day-list-text": (lambda inst, s: day_list_text(s.days), False),
+    "built": lambda inst, s: build_schedule(inst),
+    "loaded": lambda inst, s: schedule_from_json(schedule_to_json(s)),
+    "made": lambda inst, s: Schedule(n=s.n, days=s.days),
+    "replaced": lambda inst, s: replace(s, levels=()),
+    "pickled": lambda inst, s: pickle.loads(pickle.dumps(build_schedule(inst))),
+    "deep-copied": lambda inst, s: copy.deepcopy(build_schedule(inst)),
+    "day-list": lambda inst, s: Schedule(n=s.n, days=list(s.days)),
+    "list-days": lambda inst, s: Schedule(n=s.n, days=tuple(map(list, s.days))),
+    "raw-pairs": lambda inst, s: Schedule(n=s.n, days=_raw_days(s)),
+    "raw-pair-tuples": lambda inst, s: Schedule(n=s.n, days=tuple(map(tuple, _raw_days(s)))),
+    "day-list-text": lambda inst, s: parse_day_list(day_list_text(s.days)),
+    "day-list-text-n": lambda inst, s: parse_day_list(day_list_text(s.days), s.n),
 }
 _CALLS = ("validate", "evaluate", "travel")
 
 
 @pytest.mark.parametrize("order", list(itertools.permutations(_CALLS)), ids="-".join)
 @pytest.mark.parametrize("form", list(_FORMS))
-def test_a_schedule_is_read_and_judged_once_other_forms_per_call(monkeypatch, form, order):
+def test_every_schedule_is_read_and_judged_once(monkeypatch, form, order):
     inst = generate_instance(12, kind="euclidean", seed=0)
     s = build_schedule(inst)
     travel = total_travel(s, inst)
-    make, kept = _FORMS[form]
     read, judged = _count_reads(monkeypatch), _count_verdicts(monkeypatch)
-    sched = make(inst, s)
-    calls = {"validate": lambda: validate_schedule(sched, 12).ok,
+    sched = _FORMS[form](inst, s)
+    calls = {"validate": lambda: validate_schedule(sched).ok,
              "evaluate": lambda: evaluation_report(sched, inst).valid,
              "travel": lambda: total_travel(sched, inst) == travel}
     for _ in range(2):
         assert all(calls[name]() for name in order)
-    if kept:
-        assert len(read) == 1 and judged == [sched._array]
-        assert validate_schedule(sched) is sched._report
-    else:   # three reads and two verdicts per round
-        assert len(read) == 6 and len(judged) == 4
+    assert len(read) == 1 and judged == [sched._array]
+    assert validate_schedule(sched) is sched._report
     assert _read(sched) == _read(s)
 
 
@@ -674,7 +687,7 @@ def test_a_loaded_venue_swapped_schedule_keeps_its_violations():
     s = schedule_from_json(json.dumps(obj))
     assert not evaluation_report(s, inst).valid
     kept = s._report
-    fresh = validator._validate(schedule_array(s))
+    fresh = validator._validate(s._array)
     assert kept is not None and kept is not fresh
     assert kept.by_constraint(C1) and kept.by_constraint(C1) == fresh.by_constraint(C1)
     assert validate_schedule(s) is kept
@@ -697,7 +710,7 @@ def test_stored_block_types_are_checked_against_the_days():
     assert [v.day for v in report.violations] == [5, 9, 13]
     assert not evaluation_report(stored, inst).valid
     # the days alone, without the stored levels, are still a valid schedule
-    assert validate_schedule(list(stored.days)).ok
+    assert validate_schedule(Schedule(n=12, days=list(stored.days))).ok
 
 
 @pytest.mark.parametrize("level,field,value,expected", [
