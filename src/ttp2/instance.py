@@ -22,7 +22,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import InstanceError
+from .errors import InstanceError, overlong_integer
 
 SYMMETRY_TOL = 1e-9
 TRIANGLE_TOL = 1e-9
@@ -220,6 +220,8 @@ def _parse_json(text: str) -> Instance:
         obj = json.loads(text)
     except json.JSONDecodeError as exc:
         raise InstanceError(f"invalid json: {exc}") from None
+    except ValueError:   # an integer past int's digit limit
+        raise InstanceError(f"invalid json: integer {overlong_integer(text)}") from None
     if not isinstance(obj, dict) or "n" not in obj:
         raise InstanceError("json instance must be an object with an 'n' key")
     n = obj["n"]

@@ -30,7 +30,7 @@ from typing import Optional
 
 from .analysis import flip_budget
 from .blocks import Fixture, SuperMatch, _fixtures, expand_block
-from .errors import SchedulingError, ValidationError
+from .errors import SchedulingError, ValidationError, overlong_integer
 from .instance import Instance
 from .matching import (SIZE_MAX, PairMatching, build_super_graph,
                        min_weight_perfect_matching, super_pair_matching)
@@ -59,9 +59,9 @@ class Schedule:
     day lists become one with ``Schedule(n, days)``, day-list text with
     ``validator.parse_day_list``.  However it is made, it reads its team
     count, which may not be None, checks its plan (``_check_plan``), then
-    reads its days once (``validator._read``), and keeps them as
-    ``Fixture`` tuples with their normal form; each step can raise
-    ValidationError.  Once judged, it keeps its report too."""
+    reads its days once (``validator._read``), and keeps the count as the
+    int it read and the days as ``Fixture`` tuples with their normal form;
+    each step can raise ValidationError.  Once judged, it keeps its report too."""
 
     n: int
     days: tuple[tuple[Fixture, ...], ...]
@@ -75,6 +75,7 @@ class Schedule:
         n = _read_n(self.n)
         _check_plan(n, self.levels, self.team_pairs, self.super_pairs)
         days, g = _read(self.days, n)
+        object.__setattr__(self, "n", n)
         object.__setattr__(self, "days", days)
         object.__setattr__(self, "_array", g)
 
@@ -356,7 +357,8 @@ def schedule_to_json(sched: Schedule) -> str:
     return json.dumps(schedule_to_dict(sched), indent=2) + "\n"
 
 
-_AWAY_HOME = itemgetter("away", "home")
+_AWAY = itemgetter("away")
+_HOME = itemgetter("home")
 
 
 def _pair_from_dict(p) -> tuple[int, int]:
@@ -385,11 +387,16 @@ def _pairs_from_dict(obj) -> Optional[PairMatching]:
                         weight=_stored_weight(obj["weight"]))
 
 
+_BLOCK_FIELDS = ("a_pair", "b_pair", "type")
+_BLOCK_VALUES = itemgetter(*_BLOCK_FIELDS)
+
+
 def _block_from_dict(b) -> SuperMatch:
     try:
-        return SuperMatch(a_pair=_integer(b["a_pair"], "a_pair"),
-                          b_pair=_integer(b["b_pair"], "b_pair"),
-                          block_type=_integer(b["type"], "type"))
+        values = _BLOCK_VALUES(b)
+        if not type(values[0]) is type(values[1]) is type(values[2]) is int:
+            values = map(_integer, values, _BLOCK_FIELDS)
+        return SuperMatch(*values)
     except (TypeError, ValueError, SchedulingError) as exc:
         raise ValidationError(f"block {b!r}: {exc}") from None
 
@@ -401,18 +408,29 @@ def schedule_from_dict(obj: dict) -> Schedule:
     a stored ``"flips"`` differs from the levels' Type-2 count.  The
     ``Schedule`` it makes refuses the rest in the same way: a stored plan
     that contradicts itself (``_check_plan``), then a team that plays
-    itself or lies outside 0..n-1."""
+    itself or lies outside 0..n-1.
+
+    The stored games are read in one flat pass: every ``"away"``, then
+    every ``"home"``, then, unless all are plain ints, each through
+    ``_integer`` in game order; the ``Fixture`` values are cut into days by
+    each stored day's length.  Of two faults in one file, a missing field
+    is named before a number it refuses, and a missing ``"away"`` before a
+    missing ``"home"``."""
     try:
         n = _integer(obj["n"], "n")
-        days = tuple(tuple(_fixtures(map(_AWAY_HOME, day))) for day in obj["days"])
-        teams = itertools.chain.from_iterable(itertools.chain.from_iterable(days))
-        if not set(map(type, teams)) <= {int}:
-            days = tuple(tuple(Fixture(_integer(a, "away"), _integer(h, "home")) for a, h in day)
-                         for day in days)
+        stored = list(map(list, obj["days"]))
+        games = list(itertools.chain.from_iterable(stored))
+        away = list(map(_AWAY, games))
+        home = list(map(_HOME, games))
+        pairs = zip(away, home)
+        if not set(map(type, away)) | set(map(type, home)) <= {int}:
+            pairs = [(_integer(a, "away"), _integer(h, "home")) for a, h in pairs]
+        fixtures = _fixtures(pairs)
+        days = tuple(tuple(itertools.islice(fixtures, len(day))) for day in stored)
         levels = tuple(
             LevelPlan(round=_integer(lv["round"], "round"),
                       level=_integer(lv["level"], "level"),
-                      super_matches=tuple(_block_from_dict(b) for b in lv["blocks"]))
+                      super_matches=tuple(map(_block_from_dict, lv["blocks"])))
             for lv in obj.get("levels", []))
         stored_flips = _integer(obj["flips"], "flips") if "flips" in obj else None
         team_pairs = _pairs_from_dict(obj.get("team_pairs"))
@@ -433,6 +451,8 @@ def schedule_from_json(text: str) -> Schedule:
         obj = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ValidationError(f"invalid schedule JSON: {exc}") from None
+    except ValueError:   # an integer past int's digit limit
+        raise ValidationError(f"invalid schedule JSON: integer {overlong_integer(text)}") from None
     return schedule_from_dict(obj)
 
 

@@ -18,11 +18,14 @@ Every integer a schedule carries, in memory or stored, is read by one rule
 a bool, or a number with a fractional part is refused.  A team count,
 given or inferred from day-list text, is at most ``TEAMS_MAX``.  A fixture
 is an ordered ``(away, home)`` pair (a set, a dict or a string is
-refused), and day-list text writes teams in ASCII digits only.  ``Fixture``
-days of plain ints, which ``build_schedule``, ``schedule_from_dict`` and
-``parse_day_list`` produce, are read without a per-fixture Python call,
-other forms fixture by fixture with the same result.  This module sets no
-attribute on anything it is given.
+refused), and day-list text writes teams in ASCII digits only, of no more
+digits than ``int`` reads.  ``parse_day_list`` checks its text line by
+line, then reads all its teams in one pass and cuts the fixtures into
+days.  ``Fixture`` days of plain ints, which ``build_schedule``,
+``schedule_from_dict`` and ``parse_day_list`` produce, are read without a
+per-fixture Python call, other forms fixture by fixture with the same
+result; each team's day is set by its first fixture without a sort.  This
+module sets no attribute on anything it is given.
 """
 
 from __future__ import annotations
@@ -30,13 +33,13 @@ from __future__ import annotations
 import numbers
 import re
 from dataclasses import dataclass, fields
-from itertools import chain
+from itertools import chain, islice
 from typing import TYPE_CHECKING, Optional
 
 import numpy as np
 
 from .blocks import Fixture, _fixtures
-from .errors import ValidationError
+from .errors import ValidationError, overlong_integer
 
 if TYPE_CHECKING:
     from .scheduler import Schedule
@@ -198,17 +201,19 @@ def _read(days, n: int) -> tuple[tuple, ScheduleArray]:
             raise ValidationError(f"team {a} plays itself on day {d}")
         raise ValidationError(f"team {a if not 0 <= a < n else h} out of range on day {d} (n={n})")
 
-    # both ends of every fixture in input order, away end first
+    # both ends of every fixture in input order, away end first (even
+    # position) and home end second; each (day, team) takes the first end
+    # naming it, and one with no end the even position past the last, whose
+    # opponent is -1
     key = np.repeat(day, 2) * n + flat.ravel()
     size = num_days * n
-    _, first = np.unique(key, return_index=True)
-    opponent = np.full(size, -1, dtype=np.int64)
-    opponent[key[first]] = flat[:, ::-1].ravel()[first]
-    at_home = np.zeros(size, dtype=bool)
-    at_home[key[first]] = first % 2 == 1
+    first = np.full(size, key.size)
+    np.minimum.at(first, key, np.arange(key.size))
+    opponent = np.append(flat[:, ::-1].ravel(), -1)[first]
     shape = (num_days, n)
     return days, ScheduleArray(n=n, day=day, away=away, home=home,
-                               opponent=opponent.reshape(shape), at_home=at_home.reshape(shape),
+                               opponent=opponent.reshape(shape),
+                               at_home=(first % 2 == 1).reshape(shape),
                                games=np.bincount(key, minlength=size).reshape(shape))
 
 
@@ -221,12 +226,16 @@ def parse_day_list(text: str, n: Optional[int] = None) -> Schedule:
     default the largest team the text names plus one.
 
     Lines read 'day k: a@h a@h ...' (the 'day k:' prefix is optional; teams
-    are 0-based integers in ASCII digits).  ValidationError for a line it
-    cannot read, for text naming no team without ``n``, and for what
-    ``Schedule`` refuses.
+    are 0-based integers in ASCII digits); blank lines and lines starting
+    with '#' are skipped.  Every line is checked first, in order; then the
+    teams of the whole text are read in one pass, converting each distinct
+    token once, and paired into ``Fixture`` values in another, which are
+    cut into days by each line's game count.  ValidationError for a line it cannot read, for a team of
+    more digits than ``int`` reads, for text naming no team without ``n``,
+    and for what ``Schedule`` refuses.
     """
     from .scheduler import Schedule   # scheduler imports this module
-    days = []
+    lines = []
     for raw in text.splitlines():
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -239,14 +248,23 @@ def parse_day_list(text: str, n: Optional[int] = None) -> Schedule:
             bad = next(token for token in line.split() if not _GAMES.fullmatch(token))
             raise ValidationError(f"non-integer team in token {bad!r}" if "@" in bad else
                                   f"malformed game token {bad!r} (expected away@home)")
-        teams = map(int, line.replace("@", " ").split())
-        days.append(tuple(_fixtures(zip(teams, teams))))   # consecutive teams pair up
+        lines.append(line)
+    games = " ".join(lines)
+    tokens = games.replace("@", " ").split()
+    try:
+        # a day list names each team many times: convert each distinct token once
+        value = {token: int(token) for token in set(tokens)}
+    except ValueError:   # only a team past int's digit limit gets here
+        raise ValidationError(f"team {overlong_integer(games)}") from None
+    teams = list(map(value.__getitem__, tokens))
+    pairs = iter(teams)
+    fixtures = _fixtures(zip(pairs, pairs))   # consecutive teams pair up
+    days = tuple(tuple(islice(fixtures, line.count("@"))) for line in lines)
     if n is None:
-        top = max(chain.from_iterable(chain.from_iterable(days)), default=None)
-        if top is None:
+        if not value:
             raise ValidationError("cannot infer team count from an empty schedule")
-        n = top + 1
-    return Schedule(n=n, days=tuple(days))
+        n = max(value.values()) + 1
+    return Schedule(n=n, days=days)
 
 
 def _schedule(sched, n: Optional[int] = None) -> Schedule:

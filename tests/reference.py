@@ -5,7 +5,10 @@ directly and feasibility is enforced game by game, so agreement between
 these searches and the scheduler is meaningful evidence.  The two matching
 references, full enumeration and subset dynamic programming, share only
 input validation with the blossom solver in ``ttp2.matching``.  ``c2_repeats``
-finds back-to-back meetings with sets, day by day.  The flip DP
+finds back-to-back meetings with sets, day by day.  ``parse_day_list_per_line``
+reads day-list text line by line, each line into its day at once, and
+``first_seen`` describes each team's day by its first fixture with a plain
+loop; the package reads both in flat passes.  The flip DP
 (``min_flip_plan``) searches every A/B coloring of a level sequence for the
 fewest flips; the scheduler's explicit per-group flip rule is compared
 against it.
@@ -16,6 +19,7 @@ from __future__ import annotations
 import itertools
 import math
 import random
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
@@ -23,7 +27,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from ttp2 import (Fixture, Instance, MatchingError, PairMatching, Schedule,
-                  SchedulingError, TTP2Error, total_travel)
+                  SchedulingError, TTP2Error, ValidationError, total_travel)
 from ttp2.matching import _validated_weights
 
 BRUTE_FORCE_MATCHING_MAX = 12
@@ -199,6 +203,58 @@ def c2_repeats(days) -> list[tuple[int, tuple[int, int]]]:
     holds (away, home) fixtures."""
     met = [{(min(a, h), max(a, h)) for a, h in day} for day in days]
     return sorted((d, pair) for d in range(1, len(met)) for pair in met[d] & met[d - 1])
+
+
+# a day's games: away@home tokens of ASCII digits, separated by whitespace
+_DAY_GAMES = re.compile(r"\s*(?:[0-9]+@[0-9]+(?:\s+|\Z))*")
+
+
+def parse_day_list_per_line(text: str, n: Optional[int] = None) -> Schedule:
+    """Day-list text as a ``Schedule``, read one line at a time: each line
+    is checked and then read into its day before the next is looked at.
+    Blank lines and '#' comments are skipped, a 'day k:' prefix is dropped,
+    and n defaults to the largest team plus one."""
+    days = []
+    for raw in text.splitlines():
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        if ":" in line:
+            prefix, line = line.split(":", 1)
+            if not prefix.strip().lower().startswith("day"):
+                raise ValidationError(f"unrecognized day prefix {prefix!r}")
+        if not _DAY_GAMES.fullmatch(line):
+            bad = next(token for token in line.split() if not _DAY_GAMES.fullmatch(token))
+            raise ValidationError(f"non-integer team in token {bad!r}" if "@" in bad else
+                                  f"malformed game token {bad!r} (expected away@home)")
+        day = []
+        for token in line.split():
+            away, home = token.split("@")
+            day.append(Fixture(int(away), int(home)))
+        days.append(tuple(day))
+    if n is None:
+        teams = [t for day in days for fixture in day for t in fixture]
+        if not teams:
+            raise ValidationError("cannot infer team count from an empty schedule")
+        n = max(teams) + 1
+    return Schedule(n=n, days=tuple(days))
+
+
+def first_seen(days, n: int) -> tuple[list[list[int]], list[list[bool]], list[list[int]]]:
+    """Per day and team: the opponent of the team's first fixture that day
+    (-1 without one), whether it is at home there, and how many fixtures
+    name it.  ``days`` holds (away, home) fixtures; in each, the away team
+    is seen before the home team."""
+    opponent = [[-1] * n for _ in days]
+    at_home = [[False] * n for _ in days]
+    games = [[0] * n for _ in days]
+    for d, day in enumerate(days):
+        for away, home in day:
+            for team, other, home_end in ((away, home, False), (home, away, True)):
+                if not games[d][team]:
+                    opponent[d][team], at_home[d][team] = other, home_end
+                games[d][team] += 1
+    return opponent, at_home, games
 
 
 def _exact_weights(w: np.ndarray) -> list[list[int]]:

@@ -353,6 +353,31 @@ def test_distances_past_the_float_range_exit_1(tmp_path, capsys, command):
     assert err.splitlines() == ["error: the distances sum past the float range"]
 
 
+# an integer past Python's 4300-digit limit for reading integer text
+_LONG = "1" * 5000
+
+
+@pytest.mark.parametrize("command", ["schedule", "evaluate"])
+@pytest.mark.parametrize("field", ["n", "dist"])
+def test_an_instance_with_an_overlong_integer_exits_1(tmp_path, capsys, command, field):
+    inst_path = tmp_path / "long.json"
+    text = emit_instance(generate_instance(8, kind="euclidean", seed=0))
+    if field == "n":
+        text = text.replace('"n": 8', f'"n": {_LONG}')
+    else:
+        text = text.replace("0.0", _LONG, 1)
+    inst_path.write_text(text)
+    sched_path = tmp_path / "sched8.json"
+    run(capsys, "schedule", "--n", "8", "--seed", "0", "-o", str(sched_path))
+    argv = {"schedule": ["-i", str(inst_path)],
+            "evaluate": ["-i", str(sched_path), "-d", str(inst_path)]}[command]
+    code, out, err = run(capsys, command, *argv)
+    assert code == 1
+    assert out == ""
+    assert err.splitlines() == ["error: invalid json: integer 111111111111... has 5000 digits, "
+                                "past the 4300-digit limit for integers"]
+
+
 def _with_block_type(text, block_type):
     obj = json.loads(text)
     obj["levels"][0]["blocks"][0]["type"] = block_type
@@ -391,9 +416,15 @@ def _with(text, edit):
     (lambda text: _with(text, lambda o: o.update(n=2 ** 40, levels=[], flips=0,
                                                  team_pairs=None, super_pairs=None)),
      f"team count {2 ** 40} exceeds the supported maximum 2048"),
+    # an integer of more digits than int() reads
+    (lambda text: _with(text, lambda o: o.update(n=0)).replace('"n": 0', f'"n": {_LONG}'),
+     "invalid schedule JSON: integer 111111111111... has 5000 digits, past the 4300-digit "
+     "limit for integers"),
+    (lambda text: f"day 1: 0@1 {_LONG}@2\n",
+     "team 111111111111... has 5000 digits, past the 4300-digit limit for integers"),
 ], ids=["no-days", "truncated", "type-null", "type-7", "not-utf8", "pairs-text",
         "pair-fraction", "away-fraction", "n-fraction", "text-underscore", "text-arabic-indic",
-        "n-2e80", "n-2e40"])
+        "n-2e80", "n-2e40", "n-5000-digits", "text-5000-digits"])
 def test_unreadable_schedule_file_exits_1(sched_and_inst, tmp_path, capsys,
                                           command, damage, message):
     sched_path, inst_path = sched_and_inst

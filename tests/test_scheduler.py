@@ -4,6 +4,7 @@ import json
 import math
 from dataclasses import replace
 
+import numpy as np
 import pytest
 
 from ttp2 import (
@@ -324,6 +325,14 @@ def test_a_schedule_reads_its_team_count_before_its_plan():
         Schedule(n=None, days=s.days, levels=s.levels)
     with pytest.raises(ValidationError, match="exceeds the supported maximum 2048"):
         replace(s, n=2 ** 80)
+
+
+@pytest.mark.parametrize("n", [np.int64(12), 12.0, np.float32(12)], ids=repr)
+def test_a_schedule_keeps_the_team_count_it_read(n):
+    s = build_schedule(generate_instance(12, "euclidean", 0))
+    t = replace(s, n=n)
+    assert type(t.n) is int and t.n == 12
+    assert schedule_to_json(t) == schedule_to_json(s)
 
 
 def test_fixture_validation():

@@ -9,6 +9,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ttp2 import (
     Fixture,
@@ -33,7 +35,8 @@ from ttp2.validator import C1, C2, C4, S_DAY_COUNT, S_ONE_GAME, TEAMS_MAX
 
 from helpers import day_list_text, lattice_weights
 
-from reference import brute_force_optimal, c2_repeats, sample_valid_schedules
+from reference import (brute_force_optimal, c2_repeats, first_seen, parse_day_list_per_line,
+                       sample_valid_schedules)
 
 
 def _raw_days(sched):
@@ -214,6 +217,64 @@ def test_parse_day_list_bad_token():
             parse_day_list(text)
     with pytest.raises(ValidationError, match="prefix"):
         parse_day_list("row 1: 0@1")
+
+
+_GAME = st.builds("{2}{0}@{1}".format, st.integers(0, 12), st.integers(0, 12),
+                  st.sampled_from(["", "", "", "0", "00"]))
+_BAD_TOKEN = st.sampled_from(["0-1", "a@b", "1_0@2", "+1@2", "\u0663@1", "0@1@2", "@1", "x"])
+_SPACE = st.sampled_from([" ", "  ", "\t", " \t "])
+
+
+@st.composite
+def _day_list_lines(draw):
+    kind = draw(st.sampled_from(["games", "games", "games", "blank", "comment", "empty day"]))
+    if kind == "blank":
+        return draw(st.sampled_from(["", "   ", "\t"]))
+    if kind == "comment":
+        return draw(st.sampled_from(["# a comment", "#day 1: 0@1", "  # 5@6 x"]))
+    prefix = draw(st.sampled_from(["", "", "day 3: ", "Day 12:", "  DAY 1 :  "] * 4 +
+                                  ["row 1: "]))
+    if kind == "empty day":
+        return prefix
+    bad = draw(st.sampled_from([False] * 9 + [True]))
+    tokens = draw(st.lists(_GAME | _BAD_TOKEN if bad else _GAME, min_size=1, max_size=5))
+    spaces = draw(st.lists(_SPACE, min_size=len(tokens), max_size=len(tokens)))
+    return prefix + "".join(s + t for s, t in zip(spaces, tokens)) + draw(_SPACE | st.just(""))
+
+
+def _outcome(read, text, n):
+    try:
+        s = read(text, n)
+    except ValidationError as exc:
+        return str(exc)
+    assert {type(f) for day in s.days for f in day} <= {Fixture}
+    return s.days, s.n
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=300)
+@given(lines=st.lists(_day_list_lines(), max_size=8),
+       end=st.sampled_from(["\n", "\r\n"]), n=st.none() | st.integers(0, 16))
+def test_parse_day_list_reads_as_the_per_line_reference(lines, end, n):
+    # the same days and n, or the same refusal, line for line
+    text = end.join(lines)
+    assert _outcome(parse_day_list, text, n) == _outcome(parse_day_list_per_line, text, n)
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=300)
+@given(st.data())
+def test_each_team_day_is_set_by_its_first_fixture(data):
+    # a team repeated on a day, byes and any fixture order: the normal form
+    # describes each team's day by the first fixture naming it
+    n = data.draw(st.integers(2, 8))
+    fixture = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)).filter(
+        lambda f: f[0] != f[1])
+    days = data.draw(st.lists(st.lists(fixture, max_size=n), max_size=6))
+    g = Schedule(n=n, days=days)._array
+    opponent, at_home, games = first_seen(days, n)
+    assert g.opponent.tolist() == opponent
+    assert g.at_home.tolist() == at_home
+    assert g.games.tolist() == games
+    assert g.opponent.dtype == np.int64 and g.at_home.dtype == bool
 
 
 def _stored(days, n):
