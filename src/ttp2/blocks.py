@@ -103,15 +103,23 @@ def expand_block(sm: SuperMatch, pairs: Mapping[int, Sequence[int]] | Sequence[S
     tuple of fixtures in layout order.
 
     ``pairs`` maps pair index -> its two team indices; the lower team of the
-    A pair is A1, the lower team of the B pair is B1.
+    A pair is A1, the lower team of the B pair is B1.  Each pair is unpacked
+    into its two teams and put in order with one comparison, as ``sorted``
+    would; a pair of other than two teams, or two pairs that share a team,
+    raise SchedulingError.
     """
-    a = sorted(pairs[sm.a_pair])
-    b = sorted(pairs[sm.b_pair])
-    if len(a) != 2 or len(b) != 2:
-        raise SchedulingError("each pair must hold exactly two teams")
-    teams = (a[0], a[1], b[0], b[1])
-    if len(set(teams)) != 4:
-        raise SchedulingError(f"super-match pairs overlap: {a} vs {b}")
+    try:
+        a1, a2 = pairs[sm.a_pair]
+        b1, b2 = pairs[sm.b_pair]
+    except ValueError:   # too many or too few teams to unpack
+        raise SchedulingError("each pair must hold exactly two teams") from None
+    if a2 < a1:
+        a1, a2 = a2, a1
+    if b2 < b1:
+        b1, b2 = b2, b1
+    if a1 == a2 or b1 == b2 or a1 == b1 or a1 == b2 or a2 == b1 or a2 == b2:
+        raise SchedulingError(f"super-match pairs overlap: {[a1, a2]} vs {[b1, b2]}")
+    teams = (a1, a2, b1, b2)
     aways, homes = _ROLES[sm.block_type]
     fixtures = _fixtures(zip(aways(teams), homes(teams)))
     return tuple(zip(fixtures, fixtures))   # consecutive fixtures pair up into days

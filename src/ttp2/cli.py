@@ -93,6 +93,8 @@ def cmd_gen(args) -> int:
 
 
 def cmd_schedule(args) -> int:
+    if not args.input and args.n is not None:
+        _check_constructor_n(args.n)   # before an instance of that size is generated
     inst = _obtain_instance(args)
     _check_constructor_n(inst.n)
     sched = build_schedule(inst)

@@ -222,6 +222,8 @@ def _parse_json(text: str) -> Instance:
         raise InstanceError(f"invalid json: {exc}") from None
     except ValueError:   # an integer past int's digit limit
         raise InstanceError(f"invalid json: integer {overlong_integer(text)}") from None
+    except RecursionError:   # arrays or objects nested past the recursion limit
+        raise InstanceError("invalid json: nested too deeply to read") from None
     if not isinstance(obj, dict) or "n" not in obj:
         raise InstanceError("json instance must be an object with an 'n' key")
     n = obj["n"]

@@ -149,7 +149,14 @@ def super_pair_matching(weights) -> PairMatching:
 def _exact_integers(x: np.ndarray) -> np.ndarray:
     """Python integers xi (an object array) with x == xi / s exactly, for
     one power of two s: every finite float is an odd integer times a power
-    of two, so the smallest of those powers turns every entry into one."""
+    of two, so the smallest of those powers turns every entry into one.
+
+    The power is never below 1, so integer-valued entries are their own
+    integers (s = 1).  Those within int64 are returned as they are, without
+    the decomposition; integer distances, such as the standard TTP instance
+    families', and the super graphs built from them take this path."""
+    if (np.rint(x) == x).all() and (np.abs(x) < 2.0 ** 63).all():
+        return x.astype(np.int64).astype(object)
     mant, ex = np.frexp(x)
     q = (mant * 2.0 ** 53).astype(np.int64)          # x == q * 2**(ex - 53)
     tz = np.frexp(np.where(q == 0, 1, q & -q))[1] - 1   # trailing zero bits

@@ -453,6 +453,8 @@ def schedule_from_json(text: str) -> Schedule:
         raise ValidationError(f"invalid schedule JSON: {exc}") from None
     except ValueError:   # an integer past int's digit limit
         raise ValidationError(f"invalid schedule JSON: integer {overlong_integer(text)}") from None
+    except RecursionError:   # arrays or objects nested past the recursion limit
+        raise ValidationError("invalid schedule JSON: nested too deeply to read") from None
     return schedule_from_dict(obj)
 
 

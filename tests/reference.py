@@ -11,7 +11,10 @@ reads day-list text line by line, each line into its day at once, and
 loop; the package reads both in flat passes.  The flip DP
 (``min_flip_plan``) searches every A/B coloring of a level sequence for the
 fewest flips; the scheduler's explicit per-group flip rule is compared
-against it.
+against it.  ``expand_block_sorted`` and ``exact_integers_frexp`` do what
+``blocks.expand_block`` and ``matching._exact_integers`` do, by sorting a
+copy of each pair and by decomposing every weight with ``np.frexp``, with
+no shortcut for integer weights; the first shares the block layouts.
 """
 
 from __future__ import annotations
@@ -27,7 +30,8 @@ from typing import Optional, Sequence
 import numpy as np
 
 from ttp2 import (Fixture, Instance, MatchingError, PairMatching, Schedule,
-                  SchedulingError, TTP2Error, ValidationError, total_travel)
+                  SchedulingError, SuperMatch, TTP2Error, ValidationError, total_travel)
+from ttp2.blocks import _ROLES, _fixtures
 from ttp2.matching import _validated_weights
 
 BRUTE_FORCE_MATCHING_MAX = 12
@@ -255,6 +259,35 @@ def first_seen(days, n: int) -> tuple[list[list[int]], list[list[bool]], list[li
                     opponent[d][team], at_home[d][team] = other, home_end
                 games[d][team] += 1
     return opponent, at_home, games
+
+
+def expand_block_sorted(sm: SuperMatch, pairs) -> tuple[tuple[Fixture, ...], ...]:
+    """Block expansion by sorting: both pairs sorted into lists, their sizes
+    checked, then the four teams checked distinct with a set."""
+    a = sorted(pairs[sm.a_pair])
+    b = sorted(pairs[sm.b_pair])
+    if len(a) != 2 or len(b) != 2:
+        raise SchedulingError("each pair must hold exactly two teams")
+    teams = (a[0], a[1], b[0], b[1])
+    if len(set(teams)) != 4:
+        raise SchedulingError(f"super-match pairs overlap: {a} vs {b}")
+    aways, homes = _ROLES[sm.block_type]
+    fixtures = _fixtures(zip(aways(teams), homes(teams)))
+    return tuple(zip(fixtures, fixtures))
+
+
+def exact_integers_frexp(x: np.ndarray) -> np.ndarray:
+    """Exact integers by decomposition: every entry an odd integer times a
+    power of two, all scaled by the smallest power (never below 1), for
+    integer-valued input too."""
+    mant, ex = np.frexp(x)
+    q = (mant * 2.0 ** 53).astype(np.int64)
+    tz = np.frexp(np.where(q == 0, 1, q & -q))[1] - 1
+    q >>= tz
+    e = ex - 53 + tz
+    low = min(int(e[q != 0].min(initial=0)), 0)
+    shift = np.where(q == 0, 0, e - low)
+    return q.astype(object) << shift.astype(object)
 
 
 def _exact_weights(w: np.ndarray) -> list[list[int]]:

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ttp2 import (
     Instance,
@@ -16,6 +18,7 @@ from ttp2.blocks import BLOCK_TYPES
 from ttp2.analysis import total_travel
 
 from helpers import euclid_weights
+from reference import expand_block_sorted
 
 
 PAIRS = [(0, 1), (2, 3)]  # slot teams: A1=0, A2=1, B1=2, B2=3
@@ -139,6 +142,51 @@ def test_expand_bad_pair_size_raises():
     sm = SuperMatch(a_pair=0, b_pair=1, block_type=1)
     with pytest.raises(SchedulingError, match="exactly two"):
         expand_block(sm, [(0, 1, 2), (3, 4)])
+
+
+# one pair of teams as a caller may hold it: in order or reversed, as a
+# tuple, list, set or numpy array, of Python or numpy integers
+_PAIR_FORMS = (tuple, list, set, lambda p: tuple(reversed(p)), np.array,
+               lambda p: tuple(map(np.int64, p)), lambda p: [np.int32(t) for t in p])
+
+
+@st.composite
+def _blocks(draw):
+    # few teams, so pairs often overlap or repeat a team; some hold 1 or 3
+    count = draw(st.integers(2, 4))
+    sizes = st.sampled_from((2,) * 6 + (1, 3))
+    pairs = [draw(st.sampled_from(_PAIR_FORMS))(draw(st.lists(st.integers(0, 15), min_size=k,
+                                                                max_size=k)))
+             for k in draw(st.lists(sizes, min_size=count, max_size=count))]
+    if draw(st.booleans()):
+        pairs = dict(enumerate(pairs))
+    a, b = draw(st.lists(st.integers(0, count - 1), min_size=2, max_size=2, unique=True))
+    return SuperMatch(a_pair=a, b_pair=b, block_type=draw(st.sampled_from(BLOCK_TYPES))), pairs
+
+
+def _outcome(expand, sm, pairs):
+    try:
+        return repr(expand(sm, pairs))   # the teams' types as well as their values
+    except SchedulingError as exc:
+        return type(exc), str(exc)
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=400)
+@given(_blocks())
+def test_expand_block_matches_the_sorting_reference(block):
+    # the same days, or the same refusal and message, as sorting copies of
+    # both pairs and checking the four teams with a set
+    sm, pairs = block
+    assert _outcome(expand_block, sm, pairs) == _outcome(expand_block_sorted, sm, pairs)
+
+
+@pytest.mark.parametrize("pairs", [[5, (2, 3)], [(2, 3), None], [(0, "1"), (2, 3)]],
+                         ids=["int", "none", "int-and-text"])
+def test_expand_a_pair_that_cannot_be_iterated_or_ordered_raises_type_error(pairs):
+    sm = SuperMatch(a_pair=0, b_pair=1, block_type=1)
+    for expand in (expand_block, expand_block_sorted):
+        with pytest.raises(TypeError):
+            expand(sm, pairs)
 
 
 def test_supermatch_validation():

@@ -105,6 +105,21 @@ def test_schedule_names_the_supported_range(capsys):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("n,message", [
+    ("100000", "n must be at most 32 (supported: multiples of 4 from 8 to 32), got 100000"),
+    ("7", "n must be divisible by 4, got 7"), ("0", "n must be at least 8, got 0")])
+def test_schedule_refuses_a_team_count_before_generating(monkeypatch, capsys, n, message):
+    # an instance of an unsupported size is never generated: at a large n
+    # the generators alone would take seconds and gigabytes
+    def generate(*args, **kwargs):
+        raise AssertionError("generate_instance called")
+    monkeypatch.setattr("ttp2.cli.generate_instance", generate)
+    for argv in (["--n", n], ["--gen", "random_metric", "--n", n, "--seed", "3"]):
+        code, out, err = run(capsys, "schedule", *argv)
+        assert (code, out) == (1, "")
+        assert err.splitlines() == [f"error: {message}"]
+
+
 def test_schedule_missing_input_file(tmp_path, capsys):
     missing = tmp_path / "nope.json"
     code, _, err = run(capsys, "schedule", "-i", str(missing))
@@ -356,6 +371,23 @@ def test_distances_past_the_float_range_exit_1(tmp_path, capsys, command):
 # an integer past Python's 4300-digit limit for reading integer text
 _LONG = "1" * 5000
 
+# JSON nested past the interpreter's recursion limit
+_DEEP = '{"n": ' + "[" * 100_000 + "]" * 100_000 + "}"
+
+
+@pytest.mark.parametrize("command", ["schedule", "evaluate"])
+def test_an_instance_nested_too_deeply_exits_1(tmp_path, capsys, command):
+    inst_path = tmp_path / "deep.json"
+    inst_path.write_text(_DEEP)
+    sched_path = tmp_path / "sched8.json"
+    run(capsys, "schedule", "--n", "8", "--seed", "0", "-o", str(sched_path))
+    argv = {"schedule": ["-i", str(inst_path)],
+            "evaluate": ["-i", str(sched_path), "-d", str(inst_path)]}[command]
+    code, out, err = run(capsys, command, *argv)
+    assert code == 1
+    assert out == ""
+    assert err.splitlines() == ["error: invalid json: nested too deeply to read"]
+
 
 @pytest.mark.parametrize("command", ["schedule", "evaluate"])
 @pytest.mark.parametrize("field", ["n", "dist"])
@@ -422,9 +454,11 @@ def _with(text, edit):
      "limit for integers"),
     (lambda text: f"day 1: 0@1 {_LONG}@2\n",
      "team 111111111111... has 5000 digits, past the 4300-digit limit for integers"),
+    # arrays nested past the recursion limit
+    (lambda text: _DEEP, "invalid schedule JSON: nested too deeply to read"),
 ], ids=["no-days", "truncated", "type-null", "type-7", "not-utf8", "pairs-text",
         "pair-fraction", "away-fraction", "n-fraction", "text-underscore", "text-arabic-indic",
-        "n-2e80", "n-2e40", "n-5000-digits", "text-5000-digits"])
+        "n-2e80", "n-2e40", "n-5000-digits", "text-5000-digits", "nested-too-deeply"])
 def test_unreadable_schedule_file_exits_1(sched_and_inst, tmp_path, capsys,
                                           command, damage, message):
     sched_path, inst_path = sched_and_inst

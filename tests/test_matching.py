@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from ttp2 import (
     generate_instance,
+    Instance,
     MatchingError,
     PairMatching,
     build_schedule,
@@ -25,7 +26,8 @@ from ttp2 import matching
 from ttp2.matching import _solve_by_content
 
 from helpers import euclid_weights, lattice_weights, unit_weights
-from reference import DP_MATCHING_MAX, _exact_weights, brute_force_matching, dp_matching
+from reference import (DP_MATCHING_MAX, _exact_weights, brute_force_matching, dp_matching,
+                       exact_integers_frexp)
 
 
 # --- optimality against enumeration ----------------------------------------
@@ -114,6 +116,55 @@ def test_each_pair_weight_is_made_into_the_references_exact_integer():
         exact = _exact_weights(w)
         assert matching._exact_integers(w[upper]).tolist() == [
             exact[i][j] for i, j in zip(*upper)]
+
+
+def _integer_vectors():
+    rng = np.random.default_rng(5)
+    yield from (rng.integers(0, 15, size).astype(float) for size in (1, 6, 28, 120, 496))
+    yield rng.integers(0, 2 ** 40, 496).astype(float)
+    yield 2.0 * rng.integers(0, 1000, 120)                  # all even
+    yield 1024.0 * rng.integers(1, 1000, 28)                # a common power of two
+    yield np.zeros(28)
+    yield np.array([-0.0, 0.0, 3.0, -0.0, 1.0, 0.0])
+    yield np.array([2.0 ** 53 - 1, 2.0 ** 53, 1.0, 0.0, 7.0, 2.0 ** 52 + 1])
+    yield np.array([2.0 ** 63 - 1024, 1.0, 2.0 ** 62, 0.0, 3.0, 2.0 ** 63 - 2048])
+
+
+def _general_vectors():
+    # past int64, and not integer-valued: the frexp decomposition
+    yield np.array([2.0 ** 63, 1.0, 0.0, 5.0, 2.0 ** 62, 3.0])
+    yield np.array([2.0 ** 64, 1.0, 0.0, 5.0, 2.0, 3.0])
+    yield np.array([2.0 ** 63 - 1024, 2.0 ** 63, 0.0, 1.0, 8.0, 6.0])
+    yield np.array([4.0, 1.0, 0.0, 5.0, 2.5, 3.0])             # one fraction
+    yield np.array([4.0, 1.0, 0.0, 5.0, 2.0, 3.0 + 2.0 ** -40])
+    yield euclid_weights(8, seed=1)[np.triu_indices(8, 1)]
+    yield np.array([1e300, 5e-324, 0.0, 1.0, 2.0, 3.0])
+
+
+@pytest.mark.parametrize("x", [*_integer_vectors(), *_general_vectors()],
+                         ids=lambda x: f"{x.size}-{x.max():g}")
+def test_exact_integers_match_the_frexp_reference(x):
+    # element for element and as Python ints, with or without the integer
+    # shortcut; 2**63 and above would wrap in int64, so equality shows that
+    # they take the decomposition
+    got, ref = matching._exact_integers(x), exact_integers_frexp(x)
+    assert got.dtype == object and got.shape == x.shape
+    assert [type(v) for v in got] == [int] * x.size
+    assert got.tolist() == ref.tolist()
+
+
+@pytest.mark.parametrize("m", [4, 6, 8, 10, 12])
+def test_integer_weights_match_enumeration_where_many_matchings_tie(m):
+    # lattice distances on small grids tie often at the optimum, and their
+    # super graphs are integer too: the canonical matching by enumeration
+    for seed in range(6):
+        for side in (4, 8):
+            w = lattice_weights(m, seed=seed, side=side)
+            assert min_weight_perfect_matching(w) == brute_force_matching(w)
+            inst = Instance(n=m, dist=w)
+            sup = build_super_graph(inst, min_weight_perfect_matching(w))
+            if len(sup) % 2 == 0:
+                assert super_pair_matching(sup) == brute_force_matching(sup)
 
 
 def test_a_warm_start_that_matches_every_vertex_is_the_answer(monkeypatch):
