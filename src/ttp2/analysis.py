@@ -9,8 +9,8 @@ The readers take a ``Schedule`` of the instance's team count
 (``validator._schedule`` refuses anything else) and use the normal form it
 keeps.  Travel and W_t are exact ``math.fsum`` sums, and distances whose
 sum passes the float range raise InstanceError.  The flip budget and the
-factors take an integer n (a numpy integer included) and refuse anything
-else with TTP2Error.
+factors take an integer n, read by ``errors.integer`` (a numpy integer or
+an integral float included), and refuse anything else with TTP2Error.
 """
 
 from __future__ import annotations
@@ -24,8 +24,8 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import InstanceError, MatchingError, TTP2Error, ValidationError
-from .instance import Instance, _is_integer, check_metric
+from .errors import InstanceError, MatchingError, TTP2Error, ValidationError, integer, shown
+from .instance import Instance, check_metric
 from .matching import PairMatching, min_weight_perfect_matching
 from .validator import ScheduleArray, _schedule
 
@@ -101,12 +101,11 @@ def _itineraries(g: ScheduleArray, inst: Instance) -> list[Itinerary]:
 
 def team_itinerary(sched, inst: Instance, team: int) -> Itinerary:
     """Venue sequence and travel for one team of ``sched``, a ``Schedule``
-    of ``inst.n`` teams.  ``team`` is an integer in 0..n-1 (a numpy integer
-    included); a bool, a float or anything else raises ValidationError."""
-    if not _is_integer(team):
-        raise ValidationError(f"team must be an integer, got {team!r}")
+    of ``inst.n`` teams.  ``team`` is an integer in 0..n-1, read by
+    ``errors.integer``; anything else raises ValidationError."""
+    team = integer(team, "team", ValidationError, "team must be an integer, got {value}")
     if not 0 <= team < inst.n:
-        raise ValidationError(f"team {team} out of range for n={inst.n}")
+        raise ValidationError(f"team {shown(team)} out of range for n={inst.n}")
     return _itineraries(_schedule(sched, inst.n)._array, inst)[team]
 
 
@@ -161,34 +160,28 @@ def _bound(w_t: float, n: int, w_m: float) -> float:
 
 
 def _ceil_log2(x: int) -> int:
-    if x < 1:
-        raise TTP2Error(f"ceil_log2 needs a positive integer, got {x}")
+    """ceil(log2(x)) of an int x >= 1."""
     return (x - 1).bit_length()
-
-
-def _team_count(n) -> int:
-    """``n`` as an int: an int or a numpy integer; a bool, a float, text or
-    anything else raises TTP2Error."""
-    if not _is_integer(n):
-        raise TTP2Error(f"n must be an integer, got {n!r}")
-    return int(n)
 
 
 def flip_budget(n: int) -> float:
     """F_n = (n/8) * ceil(log2(n/4)); schedules may use at most ceil(F_n)
     Type-2 blocks."""
-    n = _team_count(n)
+    n = integer(n, "n", TTP2Error, "n must be an integer, got {value}")
     if n % 4 != 0 or n < 4:
-        raise TTP2Error(f"flip budget needs 4 | n, got {n}")
-    return n * _ceil_log2(n // 4) / 8.0
+        raise TTP2Error(f"flip budget needs 4 | n, got {shown(n)}")
+    try:
+        return n * _ceil_log2(n // 4) / 8.0
+    except OverflowError:   # an n past the float range
+        raise TTP2Error(f"the flip budget of n={shown(n)} is past the float range") from None
 
 
 def factors_exact(n: int) -> tuple[Fraction, Fraction]:
     """Both approximation factors as exact rationals: this construction's
     and the benchmark (XK) it is compared against."""
-    n = _team_count(n)
+    n = integer(n, "n", TTP2Error, "n must be an integer, got {value}")
     if n % 4 != 0 or n < 8:
-        raise TTP2Error(f"factors need 4 | n and n >= 8, got {n}")
+        raise TTP2Error(f"factors need 4 | n and n >= 8, got {shown(n)}")
     ours = 1 + Fraction(_ceil_log2(n // 4) + 4, 2 * (n - 2))
     xk = 1 + Fraction(2, n - 2) + Fraction(2, n)
     return ours, xk
@@ -248,7 +241,7 @@ def evaluation_report(sched, inst: Instance) -> EvaluationReport:
     lb = _bound(w_t, n, teams.weight)   # lower_bound's, without summing W_t again
     ratio = (total / lb) if lb > 0 else None
     flips = sched.flips if sched.levels else None
-    budget, ours_f, xk_f = _size_figures(_team_count(n))
+    budget, ours_f, xk_f = _size_figures(n)
     bound_ok = reason = None
     if ours_f is None:
         reason = NO_FACTOR

@@ -22,7 +22,7 @@ from itertools import repeat
 from operator import itemgetter
 from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
-from .errors import SchedulingError
+from .errors import SchedulingError, shown
 
 BLOCK_TYPES = (1, 2, 3)
 
@@ -63,9 +63,9 @@ class SuperMatch:
 
     def __post_init__(self) -> None:
         if self.a_pair == self.b_pair:
-            raise SchedulingError(f"super-match pairs a pair with itself: {self.a_pair}")
+            raise SchedulingError(f"super-match pairs a pair with itself: {shown(self.a_pair)}")
         if self.block_type not in BLOCK_TYPES:
-            raise SchedulingError(f"unknown block type {self.block_type!r}")
+            raise SchedulingError(f"unknown block type {shown(self.block_type)}")
 
     @property
     def key(self) -> tuple[int, int]:
@@ -146,4 +146,4 @@ def block_travel(block_type: int, dists) -> float:
         return math.fsum((3 * d02, 3 * d12, 2 * d01, 3 * d03, 3 * d13))
     if block_type == 1:
         return math.fsum((2 * d01, 2 * d02, 2 * d03, 2 * d12, 2 * d13, 2 * d23))
-    raise SchedulingError(f"unknown block type {block_type!r}")
+    raise SchedulingError(f"unknown block type {shown(block_type)}")

@@ -19,9 +19,10 @@ import time
 from .analysis import (BOUND_SLACK, evaluation_report, factors_exact,
                        flip_budget, format_report, lower_bound, report_to_json,
                        total_travel)
-from .errors import InstanceError, SchedulingError, TTP2Error, ValidationError
-from .instance import (FORMATS, GENERATOR_KINDS, _decimal, emit_instance,
-                       generate_instance, load_instance, save_instance)
+from .errors import (InstanceError, SchedulingError, TTP2Error, ValidationError, decimal,
+                     read_text, shown)
+from .instance import (FORMATS, GENERATOR_KINDS, emit_instance, generate_instance,
+                       load_instance, save_instance)
 from .scheduler import (build_schedule, check_team_count, format_level_table,
                         schedule_from_json, schedule_to_json)
 from .validator import _schedule, parse_day_list, validate_schedule
@@ -42,12 +43,10 @@ def _resolve_seed(value):
         return value
     env = os.environ.get("TTP2_SEED")
     if env is not None:
-        try:
-            seed = _decimal(env)
-        except ValueError:
-            raise InstanceError(f"TTP2_SEED must be an integer in ASCII digits, got {env!r}")
+        seed = decimal(env, InstanceError,
+                       "TTP2_SEED must be an integer in ASCII digits, got {value}")
         if seed < 0:
-            raise InstanceError(f"TTP2_SEED must be a non-negative integer, got {env!r}")
+            raise InstanceError(f"TTP2_SEED must be a non-negative integer, got {shown(env)}")
         return seed
     return DEFAULT_SEED
 
@@ -64,22 +63,10 @@ def _obtain_instance(args):
     raise InstanceError("provide an instance via -i PATH or --gen KIND --n N")
 
 
-def _check_constructor_n(n: int) -> None:
-    try:
-        check_team_count(n)
-    except SchedulingError as exc:   # a usage error here, not a failed build
-        raise InstanceError(str(exc)) from None
-
-
 def _load_schedule_file(path: str):
     """A ``Schedule`` from JSON (constructor output), else the day-list
     text, which ``parse_day_list`` reads once its team count is settled."""
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            text = fh.read()
-    except UnicodeDecodeError as exc:
-        raise ValidationError(f"schedule file {path} is not UTF-8 text "
-                              f"(byte {exc.start})") from None
+    text = read_text(path, ValidationError, f"schedule file {path} is not UTF-8 text")
     return schedule_from_json(text) if text.lstrip().startswith("{") else text
 
 
@@ -93,10 +80,10 @@ def cmd_gen(args) -> int:
 
 
 def cmd_schedule(args) -> int:
-    if not args.input and args.n is not None:
-        _check_constructor_n(args.n)   # before an instance of that size is generated
+    if not args.input and args.n is not None:   # before an instance of that size is made
+        check_team_count(args.n, InstanceError)
     inst = _obtain_instance(args)
-    _check_constructor_n(inst.n)
+    check_team_count(inst.n, InstanceError)
     sched = build_schedule(inst)
     report = validate_schedule(sched)
     if not report.ok:
@@ -132,8 +119,8 @@ def cmd_validate(args) -> int:
     if args.instance:
         inst = load_instance(args.instance)
         if n is not None and inst.n != n:
-            raise InstanceError(
-                f"instance has n={inst.n} but {'-n gives' if text else 'schedule has'} n={n}")
+            raise InstanceError(f"instance has n={inst.n} but "
+                                f"{'-n gives' if text else 'schedule has'} n={shown(n)}")
         n = inst.n
     report = validate_schedule(parse_day_list(sched, n) if text else sched)
     if report.ok:
@@ -159,7 +146,7 @@ def cmd_evaluate(args) -> int:
 
 def cmd_bench(args) -> int:
     for n in args.n_set:
-        _check_constructor_n(n)
+        check_team_count(n, InstanceError)
     base_seed = _resolve_seed(args.seed)
     buf = io.StringIO()
     writer = csv.writer(buf)
@@ -227,29 +214,26 @@ def cmd_factors(args) -> int:
 
 
 def _int_arg(text: str) -> int:
-    """An integer option's value, in ASCII digits (``instance._decimal``)."""
-    try:
-        return _decimal(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(
-            f"expected an integer in ASCII digits, got {text!r}") from None
+    """An integer option's value, in ASCII digits (``errors.decimal``)."""
+    return decimal(text, argparse.ArgumentTypeError,
+                   "expected an integer in ASCII digits, got {value}")
 
 
 def _team_counts(text: str) -> list[int]:
     try:
-        return [_decimal(tok.strip()) for tok in text.split(",") if tok.strip()]
+        counts = [decimal(tok.strip()) for tok in text.split(",") if tok.strip()]
     except ValueError:
-        raise argparse.ArgumentTypeError(
-            f"expected comma-separated integers, got {text!r}") from None
+        counts = []
+    if not counts:
+        raise argparse.ArgumentTypeError(f"expected comma-separated integers, got {shown(text)}")
+    return counts
 
 
 def _positive_int(text: str) -> int:
-    try:
-        value = _decimal(text)
-    except ValueError:
-        value = 0
+    refusal = "expected a positive integer, got {value}"
+    value = decimal(text, argparse.ArgumentTypeError, refusal)
     if value < 1:
-        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
+        raise argparse.ArgumentTypeError(refusal.format(value=shown(text)))
     return value
 
 

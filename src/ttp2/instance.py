@@ -14,15 +14,13 @@ from __future__ import annotations
 
 import json
 import math
-import numbers
 import os
-import re
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
-from .errors import InstanceError, overlong_integer
+from .errors import InstanceError, decimal, integer, load_json, read_text, shown, team_count
 
 SYMMETRY_TOL = 1e-9
 TRIANGLE_TOL = 1e-9
@@ -39,24 +37,6 @@ EXTENSION_FORMATS = {".txt": "matrix", ".mat": "matrix", ".dist": "matrix",
 GENERATOR_KINDS = ("euclidean", "unit", "random_metric")
 
 
-# the minus sign is read so that a negative value meets its caller's refusal
-_DECIMAL = re.compile(r"-?[0-9]+")
-
-
-def _decimal(text: str) -> int:
-    """``text`` as an int if it is written in ASCII digits, as day-list
-    teams are, else ValueError; ``int()`` alone would also take ``1_0``, a
-    plus sign, whitespace around the digits and non-ASCII digits."""
-    if not _DECIMAL.fullmatch(text):
-        raise ValueError(f"invalid integer {text!r}: expected ASCII digits")
-    return int(text)
-
-
-def _is_integer(x) -> bool:
-    """Whether ``x`` is an integer (a numpy integer included) other than a bool."""
-    return isinstance(x, numbers.Integral) and not isinstance(x, bool)
-
-
 @dataclass(frozen=True)
 class Instance:
     """An immutable distance matrix plus optional team names/coordinates."""
@@ -67,9 +47,8 @@ class Instance:
     coords: Optional[np.ndarray] = None
 
     def __post_init__(self) -> None:
-        if not _is_integer(self.n):
-            raise InstanceError(f"team count must be an integer, got {self.n!r}")
-        object.__setattr__(self, "n", int(self.n))
+        object.__setattr__(self, "n", team_count(
+            self.n, InstanceError, "team count must be an integer, got {value}"))
         dist = np.asarray(self.dist, dtype=float)
         if dist.ndim != 2 or dist.shape[0] != dist.shape[1]:
             raise InstanceError(f"distance matrix must be square, got shape {dist.shape}")
@@ -136,7 +115,7 @@ def _coerce_number(token: str, where: str) -> float:
     try:
         return float(token)
     except ValueError:
-        raise InstanceError(f"malformed number {token!r} at {where}") from None
+        raise InstanceError(f"malformed number {shown(token)} at {where}") from None
 
 
 def _read_source(source) -> str:
@@ -147,26 +126,15 @@ def _read_source(source) -> str:
     if isinstance(source, (str, os.PathLike)):
         path = os.fspath(source)
         try:
-            with open(path, "r", encoding="utf-8") as fh:
-                return fh.read()
+            return read_text(source, InstanceError, f"instance file {path} is not UTF-8 text")
         except FileNotFoundError:
             raise InstanceError(f"instance file not found: {path}") from None
-        except UnicodeDecodeError as exc:
-            raise InstanceError(f"instance file {path} is not UTF-8 text "
-                                f"(byte {exc.start})") from None
-    if isinstance(source, bytes):
-        return _decode(source)
-    if hasattr(source, "read"):
-        data = source.read()
-        return _decode(data) if isinstance(data, bytes) else data
-    raise InstanceError(f"unreadable instance source of type {type(source).__name__}")
-
-
-def _decode(data: bytes) -> str:
-    try:
-        return data.decode("utf-8")
-    except UnicodeDecodeError as exc:
-        raise InstanceError(f"instance bytes are not UTF-8 text (byte {exc.start})") from None
+    data = source.read() if hasattr(source, "read") else source
+    if isinstance(data, bytes):
+        return read_text(data, InstanceError, "instance bytes are not UTF-8 text")
+    if not isinstance(data, str):
+        raise InstanceError(f"unreadable instance source of type {type(data).__name__}")
+    return data
 
 
 def _number_array(value, field: str) -> np.ndarray:
@@ -180,11 +148,8 @@ def _parse_matrix(text: str) -> Instance:
     tokens = text.split()
     if not tokens:
         raise InstanceError("empty matrix input")
-    first = tokens[0]
-    try:
-        n = _decimal(first)
-    except ValueError:
-        raise InstanceError(f"matrix input must start with the team count, got {first!r}") from None
+    refusal = "matrix input must start with the team count, got {value}"
+    n = team_count(decimal(tokens[0], InstanceError, refusal), InstanceError)
     if len(tokens) - 1 != n * n:
         raise InstanceError(f"expected {n * n} entries after n={n}, found {len(tokens) - 1}")
     values = [_coerce_number(tok, f"entry {idx}") for idx, tok in enumerate(tokens[1:])]
@@ -203,7 +168,7 @@ def _parse_csv(text: str) -> Instance:
     except ValueError:
         names = tuple(c.strip() for c in cells[0])
         cells = cells[1:]
-    n = len(cells)
+    n = team_count(len(cells), InstanceError)   # before the n x n matrix is allocated
     if n == 0:
         raise InstanceError("csv input has a header but no data rows")
     dist = np.zeros((n, n))
@@ -216,19 +181,10 @@ def _parse_csv(text: str) -> Instance:
 
 
 def _parse_json(text: str) -> Instance:
-    try:
-        obj = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise InstanceError(f"invalid json: {exc}") from None
-    except ValueError:   # an integer past int's digit limit
-        raise InstanceError(f"invalid json: integer {overlong_integer(text)}") from None
-    except RecursionError:   # arrays or objects nested past the recursion limit
-        raise InstanceError("invalid json: nested too deeply to read") from None
+    obj = load_json(text, InstanceError, "invalid json")
     if not isinstance(obj, dict) or "n" not in obj:
         raise InstanceError("json instance must be an object with an 'n' key")
-    n = obj["n"]
-    if not _is_integer(n):
-        raise InstanceError(f"'n' must be an integer, got {n!r}")
+    n = team_count(obj["n"], InstanceError, "'n' must be an integer, got {value}")
     coords = obj.get("coords")
     if coords is not None:
         coords = _number_array(coords, "coords")
@@ -236,35 +192,31 @@ def _parse_json(text: str) -> Instance:
             raise InstanceError(f"coords must have shape ({n}, 2), got {coords.shape}")
     rounding = obj.get("rounding", "exact")
     if rounding not in ("exact", "nearest_int"):
-        raise InstanceError(f"unknown rounding mode {rounding!r}")
+        raise InstanceError(f"unknown rounding mode {shown(rounding)}")
     if "dist" in obj:
         dist = _number_array(obj["dist"], "dist")
     elif coords is not None:
-        dist = _euclidean_matrix(coords)
-        if rounding == "nearest_int":
-            dist = np.round(dist)
-            np.fill_diagonal(dist, 0.0)
+        dist = _euclidean_matrix(coords, rounding)
     else:
         raise InstanceError("json instance needs 'dist' or 'coords'")
     names = obj.get("names")
     if names is not None and not isinstance(names, list):
-        raise InstanceError(f"'names' must be a list of {n} names, got {names!r}")
+        raise InstanceError(f"'names' must be a list of {n} names, got {shown(names)}")
     inst = Instance(n=n, dist=dist, names=tuple(names) if names else None, coords=coords)
     if coords is not None and "dist" in obj:
         _check_coords_consistent(inst, rounding)
     return inst
 
 
-def _euclidean_matrix(coords: np.ndarray) -> np.ndarray:
+def _euclidean_matrix(coords: np.ndarray, rounding: str = "exact") -> np.ndarray:
+    """Pairwise distances of ``coords``, rounded for ``nearest_int``."""
     delta = coords[:, None, :] - coords[None, :, :]
-    return np.sqrt((delta ** 2).sum(axis=2))
+    dist = np.sqrt((delta ** 2).sum(axis=2))
+    return np.round(dist) if rounding == "nearest_int" else dist
 
 
 def _check_coords_consistent(inst: Instance, rounding: str) -> None:
-    expected = _euclidean_matrix(inst.coords)
-    if rounding == "nearest_int":
-        expected = np.round(expected)
-        np.fill_diagonal(expected, 0.0)
+    expected = _euclidean_matrix(inst.coords, rounding)
     gap = np.abs(inst.dist - expected)
     if gap.max(initial=0.0) > COORD_TOL:
         i, j = np.unravel_index(np.argmax(gap), gap.shape)
@@ -287,7 +239,7 @@ def load_instance(source, fmt: Optional[str] = None) -> Instance:
     if fmt is None:
         fmt = _guess_format(source, text)
     if fmt not in FORMATS:
-        raise InstanceError(f"unknown instance format {fmt!r}, expected one of {FORMATS}")
+        raise InstanceError(f"unknown instance format {shown(fmt)}, expected one of {FORMATS}")
     if fmt == "matrix":
         return _parse_matrix(text)
     if fmt == "csv":
@@ -330,7 +282,7 @@ def emit_instance(inst: Instance, fmt: str = "json") -> str:
         if inst.coords is not None:
             obj["coords"] = [[float(x), float(y)] for x, y in inst.coords]
         return json.dumps(obj, indent=2) + "\n"
-    raise InstanceError(f"unknown instance format {fmt!r}, expected one of {FORMATS}")
+    raise InstanceError(f"unknown instance format {shown(fmt)}, expected one of {FORMATS}")
 
 
 def _csv_header(names: tuple[str, ...]) -> str:
@@ -341,16 +293,16 @@ def _csv_header(names: tuple[str, ...]) -> str:
     be taken for json)."""
     for name in names:
         if "," in name or len(name.splitlines()) > 1 or name != name.strip():
-            raise InstanceError(f"team name {name!r} cannot be written to csv: it holds "
+            raise InstanceError(f"team name {shown(name)} cannot be written to csv: it holds "
                                 "a comma or a line break, or starts or ends with whitespace")
     if names[0].startswith("{"):
-        raise InstanceError(f"team name {names[0]!r} cannot be the first csv name: "
+        raise InstanceError(f"team name {shown(names[0])} cannot be the first csv name: "
                             "it starts with '{', so the text reads as json")
     try:
         float(names[0])
     except ValueError:
         return ",".join(names)
-    raise InstanceError(f"team name {names[0]!r} cannot be the first csv name: "
+    raise InstanceError(f"team name {shown(names[0])} cannot be the first csv name: "
                         "it reads as a number")
 
 
@@ -369,12 +321,17 @@ def generate_instance(n: int, kind: str = "euclidean", seed: int = 0) -> Instanc
     ``random_metric``: perturbed Euclidean distances repaired to a metric
     by shortest-path closure.
     """
-    if not _is_integer(n) or n < 2 or n % 2 != 0:
-        raise InstanceError(f"generator needs an even integer n >= 2, got {n!r}")
+    refusal = "generator needs an even integer n >= 2, got {value}"
+    n = team_count(n, InstanceError, refusal)   # before anything of its size is allocated
+    if n < 2 or n % 2 != 0:
+        raise InstanceError(refusal.format(value=shown(n)))
     if kind not in GENERATOR_KINDS:
-        raise InstanceError(f"unknown generator kind {kind!r}, expected one of {GENERATOR_KINDS}")
-    if not _is_integer(seed) or seed < 0:
-        raise InstanceError(f"seed must be a non-negative integer, got {seed!r}")
+        raise InstanceError(f"unknown generator kind {shown(kind)}, "
+                            f"expected one of {GENERATOR_KINDS}")
+    refusal = "seed must be a non-negative integer, got {value}"
+    seed = integer(seed, "seed", InstanceError, refusal)
+    if seed < 0:
+        raise InstanceError(refusal.format(value=shown(seed)))
     rng = np.random.default_rng(seed)
     if kind == "unit":
         dist = np.ones((n, n)) - np.eye(n)

@@ -30,11 +30,11 @@ from typing import Optional
 
 from .analysis import flip_budget
 from .blocks import Fixture, SuperMatch, _fixtures, expand_block
-from .errors import SchedulingError, ValidationError, overlong_integer
+from .errors import SchedulingError, ValidationError, integer, load_json, shown, team_count
 from .instance import Instance
 from .matching import (SIZE_MAX, PairMatching, build_super_graph,
                        min_weight_perfect_matching, super_pair_matching)
-from .validator import Violation, ViolationReport, _integer, _read, _read_n, _validate
+from .validator import Violation, ViolationReport, _read, _validate
 
 S_BLOCK_TYPE = "structural_block_type"
 
@@ -72,7 +72,7 @@ class Schedule:
     def __post_init__(self) -> None:
         if self.n is None:
             raise ValidationError("a Schedule needs its team count n, got None")
-        n = _read_n(self.n)
+        n = team_count(self.n, ValidationError)
         _check_plan(n, self.levels, self.team_pairs, self.super_pairs)
         days, g = _read(self.days, n)
         object.__setattr__(self, "n", n)
@@ -103,7 +103,7 @@ def _check_plan(n: int, levels, team_pairs: Optional[PairMatching],
     each of n/4 blocks naming every pair 0..n/2 - 1 once, or super-pairs
     other than the pairs of the last level."""
     if team_pairs is not None and not team_pairs.covers(n):
-        raise ValidationError(f"stored team_pairs {[list(p) for p in team_pairs.pairs]} are "
+        raise ValidationError(f"stored team_pairs {shown([list(p) for p in team_pairs.pairs])} are "
                               f"not a perfect matching of the teams 0..{n - 1}")
     if not levels:
         return
@@ -113,20 +113,20 @@ def _check_plan(n: int, levels, team_pairs: Optional[PairMatching],
     pairs = list(range(n // 2))
     for k, (lp, (r, l)) in enumerate(zip(levels, _round_labels(n))):
         if (lp.round, lp.level) != (r, l):
-            raise ValidationError(f"stored levels: level {k + 1} is labeled round {lp.round} "
-                                  f"level {lp.level}, expected round {r} level {l}")
+            raise ValidationError(f"stored levels: level {k + 1} is labeled round {shown(lp.round)}"
+                                  f" level {shown(lp.level)}, expected round {r} level {l}")
         if 4 * len(lp.super_matches) != n:
             raise ValidationError(f"stored levels: level {k + 1} holds {len(lp.super_matches)} "
                                   f"blocks, expected n/4 = {n / 4:g}")
         ends = map(attrgetter("a_pair", "b_pair"), lp.super_matches)
         named = sorted(itertools.chain.from_iterable(ends))
         if named != pairs:
-            raise ValidationError(f"stored levels: level {k + 1} names pairs {named}, "
+            raise ValidationError(f"stored levels: level {k + 1} names pairs {shown(named)}, "
                                   f"expected each of 0..{len(pairs) - 1} once")
     last = sorted(sm.key for sm in levels[-1].super_matches)
     if super_pairs is not None and sorted(tuple(sorted(p)) for p in super_pairs.pairs) != last:
-        raise ValidationError(f"stored super_pairs {list(super_pairs.pairs)} differ from "
-                              f"the pairs {last} of the last level")
+        raise ValidationError(f"stored super_pairs {shown(list(super_pairs.pairs))} differ "
+                              f"from the pairs {shown(last)} of the last level")
 
 
 def _block_type_violations(sched: Schedule) -> tuple[Violation, ...]:
@@ -301,17 +301,17 @@ def _relabel_level(lp: LevelPlan, sigma: dict[int, int]) -> LevelPlan:
         SuperMatch(a_pair=a, b_pair=b, block_type=btype) for _, a, b, btype in rows))
 
 
-def check_team_count(n: int) -> None:
-    """Refuse team counts ``build_schedule`` does not support: multiples of
-    4 from 8 up to the team matching's vertex limit."""
+def check_team_count(n: int, error: type = SchedulingError) -> None:
+    """Refuse, with ``error``, team counts ``build_schedule`` does not
+    support: multiples of 4 from 8 up to the team matching's vertex limit."""
     if n % 4 != 0:
-        raise SchedulingError(f"n must be divisible by 4, got {n}")
+        raise error(f"n must be divisible by 4, got {shown(n)}")
     if n < 8:
-        raise SchedulingError(f"n must be at least 8, got {n}")
+        raise error(f"n must be at least 8, got {shown(n)}")
     if n > SIZE_MAX:
-        raise SchedulingError(
+        raise error(
             f"n must be at most {SIZE_MAX} "
-            f"(supported: multiples of 4 from 8 to {SIZE_MAX}), got {n}")
+            f"(supported: multiples of 4 from 8 to {SIZE_MAX}), got {shown(n)}")
 
 
 def build_schedule(inst: Instance) -> Schedule:
@@ -364,9 +364,9 @@ _HOME = itemgetter("home")
 def _pair_from_dict(p) -> tuple[int, int]:
     try:
         a, b = p
-        return _integer(a, "team"), _integer(b, "team")
+        return integer(a, "team"), integer(b, "team")
     except (TypeError, ValueError) as exc:
-        raise ValidationError(f"pair {p!r}: {exc}") from None
+        raise ValidationError(f"pair {shown(p)}: {exc}") from None
 
 
 def _stored_weight(x) -> float:
@@ -377,7 +377,7 @@ def _stored_weight(x) -> float:
             return float(x)
         except OverflowError:   # an int past the float range
             pass
-    raise ValueError(f"invalid literal for weight: {x!r} is not a finite non-negative number")
+    raise ValueError(f"invalid literal for weight: {shown(x)} is not a finite non-negative number")
 
 
 def _pairs_from_dict(obj) -> Optional[PairMatching]:
@@ -395,16 +395,16 @@ def _block_from_dict(b) -> SuperMatch:
     try:
         values = _BLOCK_VALUES(b)
         if not type(values[0]) is type(values[1]) is type(values[2]) is int:
-            values = map(_integer, values, _BLOCK_FIELDS)
+            values = map(integer, values, _BLOCK_FIELDS)
         return SuperMatch(*values)
     except (TypeError, ValueError, SchedulingError) as exc:
-        raise ValidationError(f"block {b!r}: {exc}") from None
+        raise ValidationError(f"block {shown(b)}: {exc}") from None
 
 
 def schedule_from_dict(obj: dict) -> Schedule:
     """Schedule from its ``schedule_to_dict`` form, the one reader of that
     form; raises ValidationError when the input cannot be read as one, when
-    ``validator._integer`` refuses a number it needs as an integer, or when
+    ``errors.integer`` refuses a number it needs as an integer, or when
     a stored ``"flips"`` differs from the levels' Type-2 count.  The
     ``Schedule`` it makes refuses the rest in the same way: a stored plan
     that contradicts itself (``_check_plan``), then a team that plays
@@ -412,27 +412,27 @@ def schedule_from_dict(obj: dict) -> Schedule:
 
     The stored games are read in one flat pass: every ``"away"``, then
     every ``"home"``, then, unless all are plain ints, each through
-    ``_integer`` in game order; the ``Fixture`` values are cut into days by
+    ``integer`` in game order; the ``Fixture`` values are cut into days by
     each stored day's length.  Of two faults in one file, a missing field
     is named before a number it refuses, and a missing ``"away"`` before a
     missing ``"home"``."""
     try:
-        n = _integer(obj["n"], "n")
+        n = integer(obj["n"], "n")
         stored = list(map(list, obj["days"]))
         games = list(itertools.chain.from_iterable(stored))
         away = list(map(_AWAY, games))
         home = list(map(_HOME, games))
         pairs = zip(away, home)
         if not set(map(type, away)) | set(map(type, home)) <= {int}:
-            pairs = [(_integer(a, "away"), _integer(h, "home")) for a, h in pairs]
+            pairs = [(integer(a, "away"), integer(h, "home")) for a, h in pairs]
         fixtures = _fixtures(pairs)
         days = tuple(tuple(itertools.islice(fixtures, len(day))) for day in stored)
         levels = tuple(
-            LevelPlan(round=_integer(lv["round"], "round"),
-                      level=_integer(lv["level"], "level"),
+            LevelPlan(round=integer(lv["round"], "round"),
+                      level=integer(lv["level"], "level"),
                       super_matches=tuple(map(_block_from_dict, lv["blocks"])))
             for lv in obj.get("levels", []))
-        stored_flips = _integer(obj["flips"], "flips") if "flips" in obj else None
+        stored_flips = integer(obj["flips"], "flips") if "flips" in obj else None
         team_pairs = _pairs_from_dict(obj.get("team_pairs"))
         super_pairs = _pairs_from_dict(obj.get("super_pairs"))
     except (KeyError, TypeError, ValueError, SchedulingError) as exc:
@@ -440,22 +440,14 @@ def schedule_from_dict(obj: dict) -> Schedule:
             raise ValidationError(f"malformed schedule JSON: missing field {exc}") from None
         raise ValidationError(f"malformed schedule JSON: {exc}") from None
     if stored_flips is not None and stored_flips != _flip_count(levels):
-        raise ValidationError(f"stored flips {stored_flips} differ from the "
+        raise ValidationError(f"stored flips {shown(stored_flips)} differ from the "
                               f"{_flip_count(levels)} Type-2 blocks in the levels")
     return Schedule(n=n, days=days, levels=levels, team_pairs=team_pairs,
                     super_pairs=super_pairs)
 
 
 def schedule_from_json(text: str) -> Schedule:
-    try:
-        obj = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ValidationError(f"invalid schedule JSON: {exc}") from None
-    except ValueError:   # an integer past int's digit limit
-        raise ValidationError(f"invalid schedule JSON: integer {overlong_integer(text)}") from None
-    except RecursionError:   # arrays or objects nested past the recursion limit
-        raise ValidationError("invalid schedule JSON: nested too deeply to read") from None
-    return schedule_from_dict(obj)
+    return schedule_from_dict(load_json(text, ValidationError, "invalid schedule JSON"))
 
 
 def format_level_table(sched: Schedule) -> str:

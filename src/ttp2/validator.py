@@ -13,24 +13,17 @@ plan they were expanded from, is ``scheduler``'s to check.  All violations
 are reported, not just the first.  Travel evaluation in ``analysis`` reads
 the same normal form.
 
-Every integer a schedule carries, in memory or stored, is read by one rule
-(``_integer``): a numpy integer or an integral float is read; text, bytes,
-a bool, or a number with a fractional part is refused.  A team count,
-given or inferred from day-list text, is at most ``TEAMS_MAX``.  A fixture
+Every integer a schedule carries, in memory or stored, is read by
+``errors.integer``, the one rule, and a team count, given or inferred from
+day-list text, is at most ``TEAMS_MAX``, as instances are.  A fixture
 is an ordered ``(away, home)`` pair (a set, a dict or a string is
 refused), and day-list text writes teams in ASCII digits only, of no more
-digits than ``int`` reads.  ``parse_day_list`` checks its text line by
-line, then reads all its teams in one pass and cuts the fixtures into
-days.  ``Fixture`` days of plain ints, which ``build_schedule``,
-``schedule_from_dict`` and ``parse_day_list`` produce, are read without a
-per-fixture Python call, other forms fixture by fixture with the same
-result; each team's day is set by its first fixture without a sort.  This
-module sets no attribute on anything it is given.
+digits than ``int`` reads.  This module sets no attribute on anything it
+is given.
 """
 
 from __future__ import annotations
 
-import numbers
 import re
 from dataclasses import dataclass, fields
 from itertools import chain, islice
@@ -39,7 +32,7 @@ from typing import TYPE_CHECKING, Optional
 import numpy as np
 
 from .blocks import Fixture, _fixtures
-from .errors import ValidationError, overlong_integer
+from .errors import TEAMS_MAX, ValidationError, integer, overlong_integer, shown
 
 if TYPE_CHECKING:
     from .scheduler import Schedule
@@ -98,50 +91,15 @@ class ScheduleArray:
         return ScheduleArray, tuple(getattr(self, f.name) for f in fields(self))
 
 
-def _integer(x, field: str) -> int:
-    """``x`` as an int, the one rule for every integer a schedule carries:
-    a plain int as is, another number if it has no fractional part (2.5,
-    nan and infinity are refused, not truncated).  Text, bytes, a bool or
-    anything else is refused with ValueError naming ``field``."""
-    if type(x) is int:
-        return x
-    if isinstance(x, bool) or not isinstance(x, numbers.Number):
-        raise ValueError(f"invalid literal for {field}: {x!r} is not a number")
-    try:
-        v = int(x)
-    except OverflowError:
-        raise ValueError(f"{x!r} is not an integer") from None
-    if v != x:
-        raise ValueError(f"{x!r} is not an integer")
-    return v
-
-
-# the most teams a schedule may have: far past what a build makes, and far
-# below a count whose days x teams arrays could not be allocated
-TEAMS_MAX = 2048
-
-
-def _read_n(v) -> int:
-    """A team count read by ``_integer`` and at most TEAMS_MAX;
-    ValidationError if not."""
-    try:
-        n = _integer(v, "n")
-    except (TypeError, ValueError) as exc:
-        raise ValidationError(f"malformed team count: {exc}") from None
-    if n > TEAMS_MAX:
-        raise ValidationError(f"team count {n} exceeds the supported maximum {TEAMS_MAX}")
-    return n
-
-
 def _fixture_ends(fx) -> tuple[int, int]:
     try:
         # characters, keys or set members (in hash order) are no ordered pair
         if isinstance(fx, (str, bytes, dict, set, frozenset)):
             raise TypeError
         away, home = fx
-        return _integer(away, "away"), _integer(home, "home")
+        return integer(away, "away"), integer(home, "home")
     except (TypeError, ValueError):
-        raise ValidationError(f"malformed fixture {fx!r}") from None
+        raise ValidationError(f"malformed fixture {shown(fx)}") from None
 
 
 def _items(seq, what: str):
@@ -150,7 +108,7 @@ def _items(seq, what: str):
     try:
         return iter(seq)
     except TypeError:
-        raise ValidationError(f"malformed {what} {seq!r}: not a sequence") from None
+        raise ValidationError(f"malformed {what} {shown(seq)}: not a sequence") from None
 
 
 def _fixture_teams(days) -> tuple[tuple[tuple[Fixture, ...], ...], list[int], list[int]]:
@@ -180,7 +138,7 @@ def _fixture_teams(days) -> tuple[tuple[tuple[Fixture, ...], ...], list[int], li
 
 def _read(days, n: int) -> tuple[tuple, ScheduleArray]:
     """``days`` as ``_fixture_teams`` keeps them, and their normal form on
-    ``n`` teams, a count ``_read_n`` has read; ``Schedule.__post_init__``
+    ``n`` teams, a count ``errors.team_count`` has read; ``Schedule.__post_init__``
     is the one caller.  Raises ValidationError for a malformed fixture,
     n < 2, or a fixture whose team plays itself or lies outside 0..n-1."""
     days, teams, counts = _fixture_teams(days)
@@ -191,7 +149,7 @@ def _read(days, n: int) -> tuple[tuple, ScheduleArray]:
     num_days = len(counts)
     day = np.repeat(np.arange(num_days), counts)
     if n < 2:
-        raise ValidationError(f"team count must be at least 2, got {n}")
+        raise ValidationError(f"team count must be at least 2, got {shown(n)}")
     away, home = flat[:, 0], flat[:, 1]
     bad = (away == home) | (np.minimum(away, home) < 0) | (np.maximum(away, home) >= n)
     if bad.any():
@@ -218,7 +176,7 @@ def _read(days, n: int) -> tuple[tuple, ScheduleArray]:
 
 
 # a day's games: away@home tokens of ASCII digits, separated by whitespace
-_GAMES = re.compile(r"\s*(?:[0-9]+@[0-9]+(?:\s+|\Z))*")
+_GAMES = re.compile(r"\s*+(?:[0-9]++@[0-9]++(?:\s++|\Z))*+")
 
 
 def parse_day_list(text: str, n: Optional[int] = None) -> Schedule:
@@ -243,11 +201,11 @@ def parse_day_list(text: str, n: Optional[int] = None) -> Schedule:
         if ":" in line:
             prefix, line = line.split(":", 1)
             if not prefix.strip().lower().startswith("day"):
-                raise ValidationError(f"unrecognized day prefix {prefix!r}")
+                raise ValidationError(f"unrecognized day prefix {shown(prefix)}")
         if not _GAMES.fullmatch(line):
             bad = next(token for token in line.split() if not _GAMES.fullmatch(token))
-            raise ValidationError(f"non-integer team in token {bad!r}" if "@" in bad else
-                                  f"malformed game token {bad!r} (expected away@home)")
+            raise ValidationError(f"non-integer team in token {shown(bad)}" if "@" in bad else
+                                  f"malformed game token {shown(bad)} (expected away@home)")
         lines.append(line)
     games = " ".join(lines)
     tokens = games.replace("@", " ").split()

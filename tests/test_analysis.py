@@ -76,8 +76,27 @@ def test_itinerary_team_range_check():
 
 @pytest.mark.parametrize("team", [True, 1.0, "1", None], ids=repr)
 def test_itinerary_refuses_a_team_that_is_not_an_integer(team):
+    if team == 1.0 and type(team) is float:   # an integral float is an integer
+        assert team_itinerary(_t3_block(), UNIT4, team) == team_itinerary(_t3_block(), UNIT4, 1)
+        return
     with pytest.raises(ValidationError, match="team must be an integer"):
         team_itinerary(_t3_block(), UNIT4, team)
+
+
+@pytest.mark.parametrize("call", [
+    lambda: Schedule(n=10 ** 5000, days=()),
+    lambda: Schedule(n=-10 ** 5000, days=()),
+    lambda: Instance(n=10 ** 5000, dist=[[0]]),
+    lambda: team_itinerary(Schedule(n=4, days=()), UNIT4, 10 ** 5000),
+    lambda: generate_instance(10 ** 5000),
+    lambda: flip_budget(4 * 10 ** 5000),
+    lambda: factors_exact(4 * 10 ** 5000 + 1),
+], ids=["Schedule", "Schedule-negative", "Instance", "team_itinerary", "generate_instance",
+        "flip_budget", "factors_exact"])
+def test_an_integer_past_the_digit_limit_raises_this_packages_error(call):
+    # its message names it by its digit count: int cannot write it out
+    with pytest.raises(TTP2Error, match="<an integer of 5001 digits>"):
+        call()
 
 
 def test_itinerary_takes_a_numpy_integer_team():
@@ -268,9 +287,12 @@ def test_factors_reject_bad_n():
 @pytest.mark.parametrize("n", [8.0, "8", True, None, Fraction(8)], ids=repr)
 @pytest.mark.parametrize("figure", [flip_budget, factors_exact, factor_ours, factor_xiao_kou])
 def test_budget_and_factors_refuse_a_non_integer_n(figure, n):
-    # a report on n=8 fills the per-size figures first; 8.0 == 8 must not hit them
+    # a report on n=8 fills the per-size figures first; "8" and True must not hit them
     evaluation_report(build_schedule(generate_instance(8, kind="euclidean", seed=0)),
                       generate_instance(8, kind="euclidean", seed=0))
+    if type(n) in (float, Fraction):   # an integral number is an integer
+        assert figure(n) == figure(8)
+        return
     with pytest.raises(TTP2Error, match="n must be an integer"):
         figure(n)
 

@@ -410,6 +410,40 @@ def test_an_instance_with_an_overlong_integer_exits_1(tmp_path, capsys, command,
                                 "past the 4300-digit limit for integers"]
 
 
+# an outside value far longer than a message line: 300 nested arrays
+_NESTED = "[" * 300 + "]" * 300
+
+
+@pytest.mark.parametrize("command,text,message", [
+    ("schedule", _LONG + " 0\n",
+     "matrix input must start with the team count, got "
+     "'111111111111111111111111111...1111111111111111111111111111'"),
+    ("schedule", "1" * 3000 + " 0\n",   # its square has more digits than int writes
+     "team count 1111111111111111111111111111...11111111111111111111111111111 exceeds the "
+     "supported maximum 2048"),
+    ("schedule", '{"n": ' + _NESTED + ', "dist": []}',
+     "'n' must be an integer, got [[[[[[[[[[[[[[[[[[[[[[[[[[[[...]]]]]]]]]]]]]]]]]]]]]]]]]]]]]"),
+    ("validate", '{"n": ' + _NESTED + ', "days": []}',
+     "malformed schedule JSON: invalid literal for n: "
+     "[[[[[[[[[[[[[[[[[[[[[[[[[[[[...]]]]]]]]]]]]]]]]]]]]]]]]]]]]] is not a number"),
+], ids=["matrix-count", "matrix-count-squared", "instance-n", "schedule-n"])
+def test_a_message_caps_the_outside_value_it_shows(tmp_path, capsys, command, text, message):
+    path = tmp_path / ("input.json" if text.startswith("{") else "input.txt")
+    path.write_text(text)
+    code, out, err = run(capsys, command, "-i", str(path))
+    assert code == 1
+    assert out == ""
+    assert err.splitlines() == [f"error: {message}"]
+
+
+def test_gen_refuses_a_team_count_past_the_bound(tmp_path, capsys):
+    code, out, err = run(capsys, "gen", "--n", "2050", "-o", str(tmp_path / "inst.json"))
+    assert code == 1
+    assert out == ""
+    assert err.splitlines() == ["error: team count 2050 exceeds the supported maximum 2048"]
+    assert not (tmp_path / "inst.json").exists()
+
+
 def _with_block_type(text, block_type):
     obj = json.loads(text)
     obj["levels"][0]["blocks"][0]["type"] = block_type
@@ -681,8 +715,11 @@ def test_bench_rejects_bad_n(capsys):
     (["--n-set", "8,1_2"], "argument --n-set: expected comma-separated integers, got '8,1_2'"),
     (["--n-set", "\u0668"], "argument --n-set: expected comma-separated integers, got '\u0668'"),
     (["--seed", "1_0"], "argument --seed: expected an integer in ASCII digits, got '1_0'"),
+    (["--n-set", ""], "argument --n-set: expected comma-separated integers, got ''"),
+    (["--n-set", ",,,"], "argument --n-set: expected comma-separated integers, got ',,,'"),
 ], ids=["trials-0", "trials-negative", "n-set-not-integer", "trials-underscore",
-        "n-set-underscore", "n-set-arabic-indic", "seed-underscore"])
+        "n-set-underscore", "n-set-arabic-indic", "seed-underscore", "n-set-empty",
+        "n-set-commas"])
 def test_bench_rejects_bad_arguments(capsys, argv, message):
     code, out, err = run(capsys, "bench", *argv)
     assert code == 1

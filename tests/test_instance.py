@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from ttp2 import (Instance, InstanceError, build_schedule, check_metric, emit_instance,
                   generate_instance, load_instance, save_instance)
 from ttp2 import instance as instance_module
+from ttp2.errors import TEAMS_MAX
 from ttp2.instance import EXTENSION_FORMATS, FORMATS, TRIANGLE_TOL, MetricReport
 
 
@@ -36,6 +37,10 @@ def test_instance_rejects_odd_n():
 
 @pytest.mark.parametrize("n", [8.0, True, "8", None], ids=repr)
 def test_instance_refuses_a_team_count_that_is_not_an_integer(n):
+    if type(n) is float:   # an integral float is an integer
+        inst = Instance(n=n, dist=np.ones((8, 8)) - np.eye(8))
+        assert type(inst.n) is int and inst == Instance(n=8, dist=inst.dist)
+        return
     with pytest.raises(InstanceError, match="team count must be an integer"):
         Instance(n=n, dist=np.ones((8, 8)) - np.eye(8))
 
@@ -52,9 +57,41 @@ def test_numpy_integers_are_read_as_ints():
 @pytest.mark.parametrize("n,seed", [(8.0, 0), (True, 0), ("8", 0), (8, 1.5), (8, True), (8, "1")],
                          ids=repr)
 def test_generate_refuses_a_non_integer_n_or_seed(n, seed):
+    if type(n) is float:   # an integral float is an integer, and so is a seed of 0.0
+        generated = generate_instance(n, "euclidean", float(seed))
+        assert type(generated.n) is int and generated == generate_instance(8, "euclidean", 0)
+        return
     match = "seed must be a non-negative integer" if type(n) is int else "needs an even integer n"
     with pytest.raises(InstanceError, match=match):
         generate_instance(n, "euclidean", seed)
+
+
+def test_a_team_count_past_the_bound_is_refused_before_allocating():
+    # every reader of an instance, before it sizes an array from the count
+    n = TEAMS_MAX + 2
+    makes = [lambda kind=kind: generate_instance(n, kind)
+             for kind in ("euclidean", "unit", "random_metric")]
+    makes += [lambda: Instance(n=n, dist=[[0.0]]),
+              lambda: load_instance(json.dumps({"n": n, "coords": [[0.0, 0.0]] * n})),
+              lambda: load_instance(f"{n}\n0\n", fmt="matrix"),
+              lambda: load_instance("0\n" * n, fmt="csv")]
+    tracemalloc.start()
+    try:
+        for make in makes:
+            with pytest.raises(InstanceError, match=f"team count {n} exceeds the supported "
+                                                    f"maximum {TEAMS_MAX}"):
+                make()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2 ** 20
+    assert generate_instance(TEAMS_MAX, "unit").n == TEAMS_MAX
+
+
+def test_an_integral_float_team_count_is_read_in_json():
+    text = emit_instance(generate_instance(8, "euclidean", 0)).replace('"n": 8', '"n": 8.0', 1)
+    inst = load_instance(text)
+    assert type(inst.n) is int and inst == generate_instance(8, "euclidean", 0)
 
 
 def test_instance_rejects_shape_mismatch():
@@ -140,6 +177,11 @@ def test_load_from_file_object_and_bytes():
     text = emit_instance(inst, fmt="matrix")
     assert np.array_equal(load_instance(io.StringIO(text)).dist, inst.dist)
     assert np.array_equal(load_instance(text.encode()).dist, inst.dist)
+    assert np.array_equal(load_instance(io.BytesIO(text.encode())).dist, inst.dist)
+    # a source that is neither text nor bytes, or whose read() returns neither
+    for source in (42, type("Reader", (), {"read": lambda self: None})()):
+        with pytest.raises(InstanceError, match="unreadable instance source"):
+            load_instance(source)
 
 
 def test_csv_names_header():

@@ -1,11 +1,13 @@
 """Feasibility checker: clean passes, surgical mutations, input formats."""
 
 import copy
+import hashlib
 import itertools
 import json
 import pickle
 import re
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -21,6 +23,7 @@ from ttp2 import (
     evaluation_report,
     generate_instance,
     parse_day_list,
+    report_to_json,
     schedule_from_dict,
     schedule_from_json,
     schedule_to_dict,
@@ -30,10 +33,11 @@ from ttp2 import (
     validate_schedule,
 )
 from ttp2 import scheduler, validator
+from ttp2.errors import SHOWN_MAX, shown
 from ttp2.scheduler import S_BLOCK_TYPE
 from ttp2.validator import C1, C2, C4, S_DAY_COUNT, S_ONE_GAME, TEAMS_MAX
 
-from helpers import day_list_text, lattice_weights
+from helpers import day_list_text, lattice_weights, pair_cluster_instance
 
 from reference import (brute_force_optimal, c2_repeats, first_seen, parse_day_list_per_line,
                        sample_valid_schedules)
@@ -426,6 +430,41 @@ def test_malformed_fixture_raises():
             Schedule(n=4, days=[[fixture]])
 
 
+_JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=80),
+    lambda inner: st.lists(inner, max_size=25) | st.dictionaries(st.text(max_size=5), inner,
+                                                                  max_size=25),
+    max_leaves=30)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_JSON_VALUES)
+def test_a_message_shows_a_short_value_whole_and_cuts_a_long_one(value):
+    # dict keys keep their order, which reprlib's own rendering sorts
+    full = repr(value)
+    if len(full) <= SHOWN_MAX:
+        assert shown(value) == full
+    else:
+        assert len(shown(value)) == SHOWN_MAX and "..." in shown(value)
+
+
+def test_a_message_shows_any_value_without_raising():
+    class Broken:
+        def __repr__(self):
+            raise RuntimeError("no repr")
+
+    deep, cycle = [], []
+    for _ in range(100_000):
+        deep = [deep]
+    cycle.append(cycle)
+    assert shown({"b": 1, "a": {3, 1}}) == "{'b': 1, 'a': {1, 3}}"
+    assert shown([10 ** 5000, "a"]) == "[<an integer of 5001 digits>, 'a']"
+    assert shown(-10 ** 4300) == "<an integer of 4301 digits>"
+    assert shown(10 ** 4299) == repr(10 ** 4299)[:28] + "..." + repr(10 ** 4299)[-29:]
+    for value in (deep, cycle, Broken(), {"b": Broken(), "a": deep}, list(range(10 ** 6))):
+        assert len(shown(value)) <= SHOWN_MAX
+
+
 @pytest.mark.parametrize("sched, match", [
     ({"n": 8, "days": [5]}, "malformed schedule JSON: 'int' object is not iterable"),
     ({"n": 8, "days": None}, "malformed schedule JSON: 'NoneType' object is not iterable"),
@@ -797,24 +836,53 @@ def test_stored_levels_are_checked(level, field, value, expected):
 
 
 def _seed0_benchmark_instances():
-    """The 624 seed-0 ``sweep`` and ``ties`` inputs of ``perfbench`` at
-    ``--seconds 25``."""
+    """The group and instance of each golden worked example (n=12 and 16),
+    then of the 624 seed-0 ``sweep`` and ``ties`` inputs of ``perfbench``
+    at ``--seconds 25``; a group is a source, a size and a kind."""
+    yield "golden n=12", pair_cluster_instance(12, [(1, 2), (0, 4), (3, 5)])
+    yield "golden n=16", pair_cluster_instance(16, [(0, 4), (1, 5), (2, 6), (3, 7)])
+
     def subseed(*parts):
         return int(np.random.SeedSequence([0, *parts]).generate_state(1)[0])
     for k in range(16):
         for n in (8, 12, 16, 20, 24, 28, 32):
             for kind_index, kind in enumerate(("euclidean", "random_metric")):
-                yield generate_instance(n, kind, subseed(n, kind_index, k))
+                yield f"sweep n={n} {kind}", generate_instance(n, kind, subseed(n, kind_index, k))
     for k in range(100):
         for n in (20, 24, 28, 32):
-            yield Instance(n=n, dist=lattice_weights(n, subseed(n, k)))
+            yield f"ties n={n} lattice", Instance(n=n, dist=lattice_weights(n, subseed(n, k)))
 
 
-def test_built_schedules_have_no_block_type_violation():
-    count = 0
-    for inst in _seed0_benchmark_instances():
+# the sha256 of each group's outputs; regenerate with
+#   PYTHONPATH=src python tests/test_validator.py
+DIGESTS = Path(__file__).with_name("digests.json")
+
+
+def _built_digests() -> tuple[int, dict[str, str]]:
+    """Build and check a schedule for each input of
+    ``_seed0_benchmark_instances``; the count of benchmark inputs, and the
+    sha256 of each group's outputs in input order: the schedule JSON
+    exactly, then the evaluation report's JSON with every float rounded to
+    12 significant digits."""
+    count, digests = 0, {}
+    for group, inst in _seed0_benchmark_instances():
         s = build_schedule(inst)
         assert validate_schedule(s).ok
         assert validate_schedule(schedule_from_dict(schedule_to_dict(s))).ok
-        count += 1
+        count += not group.startswith("golden")
+        report = json.loads(report_to_json(evaluation_report(s, inst)),
+                            parse_float=lambda text: float(f"{float(text):.12g}"))
+        output = schedule_to_json(s) + json.dumps(report)
+        digests.setdefault(group, hashlib.sha256()).update(output.encode())
+    return count, {group: h.hexdigest() for group, h in digests.items()}
+
+
+def test_built_schedules_have_no_block_type_violation():
+    # and build, byte for byte, what they built when the digests were taken
+    count, digests = _built_digests()
     assert count == 624
+    assert digests == json.loads(DIGESTS.read_text())
+
+
+if __name__ == "__main__":
+    DIGESTS.write_text(json.dumps(_built_digests()[1], indent=2) + "\n")
