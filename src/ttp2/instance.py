@@ -49,7 +49,7 @@ class Instance:
     def __post_init__(self) -> None:
         object.__setattr__(self, "n", team_count(
             self.n, InstanceError, "team count must be an integer, got {value}"))
-        dist = np.asarray(self.dist, dtype=float)
+        dist = _number_array(self.dist, "dist")
         if dist.ndim != 2 or dist.shape[0] != dist.shape[1]:
             raise InstanceError(f"distance matrix must be square, got shape {dist.shape}")
         if dist.shape[0] != self.n:
@@ -82,7 +82,7 @@ class Instance:
                 raise InstanceError(f"expected {self.n} names, got {len(names)}")
             object.__setattr__(self, "names", names)
         if self.coords is not None:
-            coords = np.asarray(self.coords, dtype=float)
+            coords = _number_array(self.coords, "coords")
             if coords.shape != (self.n, 2):
                 raise InstanceError(f"coords must have shape ({self.n}, 2), got {coords.shape}")
             coords.flags.writeable = False
@@ -142,6 +142,8 @@ def _number_array(value, field: str) -> np.ndarray:
         return np.asarray(value, dtype=float)
     except (TypeError, ValueError):
         raise InstanceError(f"'{field}' must be a rectangular array of numbers") from None
+    except OverflowError:   # an int past the float range
+        raise InstanceError(f"'{field}' holds a number past the float range") from None
 
 
 def _parse_matrix(text: str) -> Instance:
@@ -194,7 +196,7 @@ def _parse_json(text: str) -> Instance:
     if rounding not in ("exact", "nearest_int"):
         raise InstanceError(f"unknown rounding mode {shown(rounding)}")
     if "dist" in obj:
-        dist = _number_array(obj["dist"], "dist")
+        dist = obj["dist"]
     elif coords is not None:
         dist = _euclidean_matrix(coords, rounding)
     else:

@@ -59,7 +59,7 @@ import numpy as np
 from .errors import MatchingError
 from .instance import SYMMETRY_TOL, Instance
 
-SIZE_MAX = 32
+SIZE_MAX = 256   # vertices of one solve, and so the most teams a build serves
 MEMO_SIZE = 64   # distinct weight matrices whose matchings are kept
 
 
@@ -140,7 +140,7 @@ def build_super_graph(inst: Instance, teams: PairMatching) -> np.ndarray:
 
 
 def super_pair_matching(weights) -> PairMatching:
-    """Minimum-weight perfect matching on the super graph (m = n/2 <= 16)."""
+    """Minimum-weight perfect matching on the super graph of the n/2 team pairs."""
     return min_weight_perfect_matching(weights)
 
 

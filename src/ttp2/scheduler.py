@@ -10,8 +10,8 @@ Construction outline for n teams (4 | n, n >= 8), m = n/2 pairs:
 3. 2-color the pairs A/B per level.  Every super-match must pair an A with
    a B; a Type-2 block swaps both participants' colors for the next level.
    An explicit per-group rule, applied as the levels are planned, picks the
-   flip set of each level; it stays within ceil(F_n) flips for every
-   supported n.
+   flip set of each level.  A size whose plan needs more than ceil(F_n)
+   flips is not served (``check_team_count``).
 4. Expand levels to fixtures: level k starts on day 4k; non-final levels
    are 4-day blocks, the final level is the 6-day block with the intra-pair
    games.  Day count is 4(m-2) + 6 = 2n-2.
@@ -303,15 +303,19 @@ def _relabel_level(lp: LevelPlan, sigma: dict[int, int]) -> LevelPlan:
 
 def check_team_count(n: int, error: type = SchedulingError) -> None:
     """Refuse, with ``error``, team counts ``build_schedule`` does not
-    support: multiples of 4 from 8 up to the team matching's vertex limit."""
+    serve: n must be a multiple of 4 from 8 up to the team matching's
+    vertex limit, and its flip plan must stay within ceil(F_n), which
+    ``_template``, the one flip count, decides."""
     if n % 4 != 0:
         raise error(f"n must be divisible by 4, got {shown(n)}")
     if n < 8:
         raise error(f"n must be at least 8, got {shown(n)}")
     if n > SIZE_MAX:
-        raise error(
-            f"n must be at most {SIZE_MAX} "
-            f"(supported: multiples of 4 from 8 to {SIZE_MAX}), got {shown(n)}")
+        raise error(f"n must be at most {SIZE_MAX}, got {shown(n)}")
+    try:
+        _template(n // 2)
+    except SchedulingError as exc:
+        raise error(str(exc)) from None
 
 
 def build_schedule(inst: Instance) -> Schedule:

@@ -1,8 +1,9 @@
-"""Shared instance builders for the test suite."""
+"""Shared instance builders and size probes for the test suite."""
 
 import numpy as np
 
-from ttp2 import Instance
+from ttp2 import Instance, SchedulingError
+from ttp2.scheduler import check_team_count
 
 
 def euclid_weights(m, seed, scale=1000.0):
@@ -52,3 +53,14 @@ def day_list_text(days):
     """Day-list text of a schedule's days (fixtures or (away, home) pairs)."""
     return "".join(f"day {d + 1}: " + " ".join("%d@%d" % tuple(f) for f in day) + "\n"
                    for d, day in enumerate(days))
+
+
+def refused_team_counts(ns):
+    """{n: message} for each n of ``ns`` that ``check_team_count`` refuses."""
+    refused = {}
+    for n in ns:
+        try:
+            check_team_count(n)
+        except SchedulingError as exc:
+            refused[n] = str(exc)
+    return refused

@@ -11,10 +11,12 @@ reads day-list text line by line, each line into its day at once, and
 loop; the package reads both in flat passes.  The flip DP
 (``min_flip_plan``) searches every A/B coloring of a level sequence for the
 fewest flips; the scheduler's explicit per-group flip rule is compared
-against it.  ``expand_block_sorted`` and ``exact_integers_frexp`` do what
-``blocks.expand_block`` and ``matching._exact_integers`` do, by sorting a
-copy of each pair and by decomposing every weight with ``np.frexp``, with
-no shortcut for integer weights; the first shares the block layouts.
+against it, and its flip count against the closed form
+``rule_flip_count``.  ``expand_block_sorted`` and ``exact_integers_frexp``
+do what ``blocks.expand_block`` and ``matching._exact_integers`` do, by
+sorting a copy of each pair and by decomposing every weight with
+``np.frexp``, with no shortcut for integer weights; the first shares the
+block layouts.
 """
 
 from __future__ import annotations
@@ -471,3 +473,15 @@ def min_flip_plan(levels: Sequence[tuple[tuple[int, int], ...]], c0: int,
     for flips in best_path:
         colorings.append(apply_flips(colorings[-1], flips))
     return best_path, colorings
+
+
+def rule_flip_count(q: int) -> int:
+    """C(q), the flips the scheduler's per-group rule spends on a group of
+    two sides of q slots each, in closed form: q/2 + 2·C(q/2) for even q,
+    2q − 3 for odd q > 1, and 0 for q = 1.  A build for n teams plans one
+    group of n/4 slots a side, so it needs C(n/4) flips."""
+    if q == 1:
+        return 0
+    if q % 2:
+        return 2 * q - 3
+    return q // 2 + 2 * rule_flip_count(q // 2)

@@ -17,6 +17,7 @@ from ttp2 import (
     Schedule,
     block_travel,
     build_schedule,
+    evaluation_report,
     expand_block,
     factors_exact,
     flip_budget,
@@ -35,6 +36,10 @@ from test_scheduler import GOLDEN_12, GOLDEN_16, _level_sets
 
 SWEEP_SIZES = (8, 12, 16, 20, 24, 28, 32)
 SWEEP_SEEDS = range(100)
+# every served n past the sweep up to 128 (56 and 112 are refused: their
+# flip plans pass ceil(F_n)), each kind at seed 0, then n=256 Euclidean
+LARGE_BUILDS = [(n, kind) for n in range(36, 129, 4) if n not in (56, 112)
+                for kind in ("euclidean", "random_metric", "unit")] + [(256, "euclidean")]
 
 
 @pytest.fixture(scope="module")
@@ -183,3 +188,19 @@ def test_criterion_8_smallest_size_structure(sweep):
     assert all(r["flips"] == 1 for r in rows)
     print(f"\nPASS criterion 8: all {len(rows)} n=8 builds have 14 days, "
           f"exactly one flipped block, and no constraint violations")
+
+
+def test_criterion_9_served_sizes_past_32():
+    t0 = time.perf_counter()
+    bad = []
+    for n, kind in LARGE_BUILDS:
+        inst = generate_instance(n, kind=kind, seed=0)
+        s = build_schedule(inst)
+        rep = evaluation_report(s, inst)
+        if not (rep.valid and s.flips <= math.ceil(flip_budget(n)) and rep.bound_satisfied):
+            bad.append((n, kind, rep.valid, s.flips, rep.ratio, rep.factor_ours))
+    assert bad == []
+    elapsed = time.perf_counter() - t0
+    print(f"\nPASS criterion 9: {len(LARGE_BUILDS)} seed-0 builds at every served n "
+          f"from 36 to 128 and n=256 are valid, within ceil(F_n) flips and within "
+          f"factor_ours ({elapsed:.1f}s)")

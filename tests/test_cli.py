@@ -16,6 +16,7 @@ from ttp2 import (
     build_schedule,
     emit_instance,
     evaluation_report,
+    flip_budget,
     format_level_table,
     format_report,
     generate_instance,
@@ -27,8 +28,9 @@ from ttp2 import (
     validate_schedule,
 )
 from ttp2.cli import _build_parser, main
+from ttp2.matching import SIZE_MAX
 
-from helpers import day_list_text
+from helpers import day_list_text, refused_team_counts
 
 
 @pytest.fixture(autouse=True)
@@ -99,25 +101,45 @@ def test_schedule_rejects_bad_n(capsys):
 
 
 def test_schedule_names_the_supported_range(capsys):
-    code, _, err = run(capsys, "schedule", "--n", "36")
+    code, _, err = run(capsys, "schedule", "--n", "260")
     assert code == 1
-    assert "multiples of 4 from 8 to 32" in err
+    assert "n must be at most 256" in err
     assert "Traceback" not in err
 
 
-@pytest.mark.parametrize("n,message", [
-    ("100000", "n must be at most 32 (supported: multiples of 4 from 8 to 32), got 100000"),
-    ("7", "n must be divisible by 4, got 7"), ("0", "n must be at least 8, got 0")])
-def test_schedule_refuses_a_team_count_before_generating(monkeypatch, capsys, n, message):
+def test_schedule_serves_sizes_past_32(capsys):
+    code, out, _ = run(capsys, "schedule", "--n", "128", "--seed", "0")
+    assert code == 0
+    flips = int(out.splitlines()[0].removeprefix("flips: "))
+    assert flips <= math.ceil(flip_budget(128))
+
+
+@pytest.fixture
+def _no_generation(monkeypatch):
     # an instance of an unsupported size is never generated: at a large n
     # the generators alone would take seconds and gigabytes
     def generate(*args, **kwargs):
         raise AssertionError("generate_instance called")
     monkeypatch.setattr("ttp2.cli.generate_instance", generate)
+
+
+@pytest.mark.parametrize("n,message", [
+    ("100000", "n must be at most 256, got 100000"), ("260", "n must be at most 256, got 260"),
+    ("56", "n=56: the flip rule needs 29 flips, over the budget ceil(F_n) = 28"),
+    ("224", "n=224: the flip rule needs 172 flips, over the budget ceil(F_n) = 168"),
+    ("7", "n must be divisible by 4, got 7"), ("0", "n must be at least 8, got 0")])
+def test_schedule_refuses_a_team_count_before_generating(_no_generation, capsys, n, message):
     for argv in (["--n", n], ["--gen", "random_metric", "--n", n, "--seed", "3"]):
         code, out, err = run(capsys, "schedule", *argv)
         assert (code, out) == (1, "")
         assert err.splitlines() == [f"error: {message}"]
+
+
+def test_bench_refuses_a_size_over_its_flip_budget_before_generating(_no_generation, capsys):
+    code, out, err = run(capsys, "bench", "--n-set", "8,56", "--trials", "1")
+    assert (code, out) == (1, "")
+    assert err.splitlines() == [
+        "error: n=56: the flip rule needs 29 flips, over the budget ceil(F_n) = 28"]
 
 
 def test_schedule_missing_input_file(tmp_path, capsys):
@@ -835,6 +857,21 @@ def test_readme_lists_exactly_the_subcommands():
     listed = [line.split()[1] for line in block.splitlines() if line.startswith("ttp2 ")]
     subs = next(a for a in _build_parser()._actions if a.dest == "command")
     assert sorted(listed) == sorted(subs.choices)
+
+
+def test_readme_lists_exactly_the_refused_sizes():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme.split("### Served sizes\n", 1)[1].split("\n#", 1)[0]
+    listed = {int(n): (int(f), int(b)) for n, f, b in re.findall(
+        r"^- n = (\d+): (\d+) flips against (?:ceil\(F_n\) = )?(\d+)$", section, re.M)}
+    intro = re.search(r"a multiple of 4 from 8 to (\d+), except ([\d, and]+);", readme)
+    assert int(intro.group(1)) == SIZE_MAX
+    assert sorted(map(int, re.findall(r"\d+", intro.group(2)))) == sorted(listed)
+    assert f"at most {SIZE_MAX}\n(`matching.SIZE_MAX`" in section
+    refused = refused_team_counts(range(8, SIZE_MAX + 5, 4))
+    assert refused.pop(SIZE_MAX + 4) == f"n must be at most {SIZE_MAX}, got {SIZE_MAX + 4}"
+    rule = re.compile(r"needs (\d+) flips, over the budget ceil\(F_n\) = (\d+)$")
+    assert {n: tuple(map(int, rule.search(msg).groups())) for n, msg in refused.items()} == listed
 
 
 def test_no_command(capsys):

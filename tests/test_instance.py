@@ -99,6 +99,23 @@ def test_instance_rejects_shape_mismatch():
         Instance(n=4, dist=np.zeros((4, 5)))
 
 
+@pytest.mark.parametrize("fields,field", [
+    ({"dist": [[0, 1], [1]]}, "dist"), ({"dist": [[0, "a"], [1, 0]]}, "dist"),
+    ({"dist": [[0, 1], [1, 0]], "coords": [[0, 0], [1]]}, "coords")])
+def test_instance_refuses_an_array_it_cannot_read_naming_the_field(fields, field):
+    with pytest.raises(InstanceError, match=f"^'{field}' must be a rectangular array of numbers$"):
+        Instance(n=2, **fields)
+
+
+@pytest.mark.parametrize("text", [
+    '{"n": 2, "dist": [[0, 1%s], [1, 0]]}' % ("0" * 400),
+    '{"n": 2, "coords": [[0, 0], [1%s, 0]]}' % ("0" * 400)])
+def test_a_number_past_the_float_range_is_refused_naming_the_field(text):
+    field = "dist" if "dist" in text else "coords"
+    with pytest.raises(InstanceError, match=f"^'{field}' holds a number past the float range$"):
+        load_instance(text)
+
+
 def test_instance_rejects_negative():
     d = small_dist()
     d[0, 1] = d[1, 0] = -1.0

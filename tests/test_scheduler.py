@@ -2,6 +2,7 @@
 
 import json
 import math
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -19,10 +20,11 @@ from ttp2 import (
     schedule_to_json,
     validate_schedule,
 )
-from ttp2.scheduler import _template
+from ttp2.matching import SIZE_MAX
+from ttp2.scheduler import _template, check_team_count
 
-from helpers import pair_cluster_instance
-from reference import min_flip_plan
+from helpers import pair_cluster_instance, refused_team_counts
+from reference import min_flip_plan, rule_flip_count
 
 
 # --- worked examples, matched exactly ---------------------------------------
@@ -164,7 +166,7 @@ def test_template_flips_match_the_dp(m):
         assert all((coloring >> sm.a_pair) & 1 for sm in lp.super_matches)
 
 
-@pytest.mark.parametrize("m,flips,budget", [(28, 29, 28), (56, 72, 70)])
+@pytest.mark.parametrize("m,flips,budget", [(28, 29, 28), (56, 72, 70), (112, 172, 168)])
 def test_template_refuses_plans_over_budget(m, flips, budget):
     # where the recursion splits an even q into odd halves (28 -> 14 -> 7),
     # the rule overshoots ceil(F_n), and the DP finds no plan either
@@ -176,6 +178,35 @@ def test_template_refuses_plans_over_budget(m, flips, budget):
             _template(m)
     finally:
         _template.cache_clear()
+
+
+def _template_flips(n):
+    """The Type-2 count of the flip plan for n teams, read from ``_template``
+    or, where it refuses the plan, from its message."""
+    try:
+        return sum(sm.block_type == 2 for lp in _template(n // 2) for sm in lp.super_matches)
+    except SchedulingError as exc:
+        return int(re.search(r"needs (\d+) flips", str(exc)).group(1))
+
+
+def test_template_flips_follow_the_closed_form_up_to_the_size_limit():
+    for n in range(8, SIZE_MAX + 1, 4):
+        assert _template_flips(n) == rule_flip_count(n // 4), n
+
+
+def test_sizes_over_budget_up_to_a_million_are_28_times_powers_of_two():
+    over = [n for n in range(8, 10**6 + 1, 4)
+            if rule_flip_count(n // 4) > math.ceil(flip_budget(n))]
+    assert over == [28 * 2**j for j in range(1, 16)]
+
+
+def test_check_team_count_refuses_exactly_the_plans_over_budget():
+    refused = refused_team_counts(range(8, SIZE_MAX + 1, 4))
+    assert sorted(refused) == [56, 112, 224]
+    assert refused[224] == "n=224: the flip rule needs 172 flips, over the budget ceil(F_n) = 168"
+    with pytest.raises(SchedulingError,
+                       match=rf"^n must be at most {SIZE_MAX}, got {SIZE_MAX + 4}$"):
+        check_team_count(SIZE_MAX + 4)
 
 
 # --- full construction ---------------------------------------------------------
@@ -353,6 +384,8 @@ def test_format_level_table():
 
 
 def test_rejects_sizes_above_the_supported_range():
-    with pytest.raises(SchedulingError, match="multiples of 4 from 8 to 32") as ei:
-        build_schedule(generate_instance(36, kind="euclidean", seed=0))
-    assert "36" in str(ei.value)
+    with pytest.raises(SchedulingError, match=f"at most {SIZE_MAX}") as ei:
+        build_schedule(generate_instance(SIZE_MAX + 4, kind="euclidean", seed=0))
+    assert str(SIZE_MAX + 4) in str(ei.value)
+    with pytest.raises(SchedulingError, match=r"n=56: the flip rule needs 29 flips"):
+        build_schedule(generate_instance(56, kind="euclidean", seed=0))
