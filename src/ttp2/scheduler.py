@@ -275,32 +275,6 @@ def _template(m: int) -> tuple[LevelPlan, ...]:
     return tuple(plans)
 
 
-def _relabel_map(final: LevelPlan, actual_pairs) -> dict[int, int]:
-    """Slot -> pair-index bijection mapping the pairing of the template's
-    final level onto the actual super-pairs: k-th sorted pair to k-th sorted
-    pair, min to min."""
-    sp = sorted(sm.key for sm in final.super_matches)
-    ap = sorted(tuple(sorted(p)) for p in actual_pairs)
-    sigma: dict[int, int] = {}
-    for (s1, s2), (a1, a2) in zip(sp, ap):
-        sigma[s1] = a1
-        sigma[s2] = a2
-    return sigma
-
-
-def _relabel_level(lp: LevelPlan, sigma: dict[int, int]) -> LevelPlan:
-    """``lp`` with its slots relabeled to pair indices and its matches in
-    ``key`` order.  Each pair plays once per level, so sorting by the lower
-    pair alone gives that order."""
-    rows = []
-    for sm in lp.super_matches:
-        a, b = sigma[sm.a_pair], sigma[sm.b_pair]
-        rows.append((min(a, b), a, b, sm.block_type))
-    rows.sort()
-    return LevelPlan(round=lp.round, level=lp.level, super_matches=tuple(
-        SuperMatch(a_pair=a, b_pair=b, block_type=btype) for _, a, b, btype in rows))
-
-
 def check_team_count(n: int, error: type = SchedulingError) -> None:
     """Refuse, with ``error``, team counts ``build_schedule`` does not
     serve: n must be a multiple of 4 from 8 up to the team matching's
@@ -321,22 +295,32 @@ def check_team_count(n: int, error: type = SchedulingError) -> None:
 def build_schedule(inst: Instance) -> Schedule:
     """Full construction; deterministic for a given instance.
 
-    Stages: match teams and pairs, take the per-size typed template, relabel
-    its slots to pair indices, expand blocks to days.  Typing happens in
-    slot space, where the flip plan lives: re-deriving roles from pair
-    numbering after relabeling can cost extra flips.
+    Stages: match teams and pairs, then walk the per-size typed template
+    once.  Slot s is pair ``sigma[s]``: the template's last level and the
+    super-pairs, both ascending (lo, hi) pairs, meet k-th to k-th and lo to
+    lo.  Each level's blocks are relabeled, ordered by lower pair (each pair
+    plays once per level), kept as its plan and expanded into its days.
+    Typing happens in slot space, where the flip plan lives: re-deriving
+    roles from pair numbering after relabeling can cost extra flips.
     """
     check_team_count(inst.n)
     n = inst.n
     teams = min_weight_perfect_matching(inst.dist)
     super_pairs = super_pair_matching(build_super_graph(inst, teams))
     plans = _template(n // 2)
-    sigma = _relabel_map(plans[-1], super_pairs.pairs)
-    levels = tuple(_relabel_level(lp, sigma) for lp in plans)
-    days = tuple(tuple(itertools.chain.from_iterable(games))
-                 for lp in levels
-                 for games in zip(*(expand_block(sm, teams.pairs) for sm in lp.super_matches)))
-    return Schedule(n=n, days=days, levels=levels, team_pairs=teams, super_pairs=super_pairs)
+    sigma = [0] * (n // 2)
+    last = map(attrgetter("key"), plans[-1].super_matches)
+    for (s_lo, s_hi), pair in zip(last, super_pairs.pairs):
+        sigma[s_lo], sigma[s_hi] = pair
+    levels, days = [], []
+    for lp in plans:
+        blocks = sorted((SuperMatch(sigma[sm.a_pair], sigma[sm.b_pair], sm.block_type)
+                         for sm in lp.super_matches), key=attrgetter("key"))
+        levels.append(LevelPlan(round=lp.round, level=lp.level, super_matches=tuple(blocks)))
+        days += (tuple(itertools.chain.from_iterable(games))
+                 for games in zip(*(expand_block(sm, teams.pairs) for sm in blocks)))
+    return Schedule(n=n, days=tuple(days), levels=tuple(levels), team_pairs=teams,
+                    super_pairs=super_pairs)
 
 
 # --- serialization ----------------------------------------------------------
