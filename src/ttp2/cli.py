@@ -70,6 +70,18 @@ def _load_schedule_file(path: str):
     return schedule_from_json(text) if text.lstrip().startswith("{") else text
 
 
+def _print_report(report, file=None) -> None:
+    """The violations a report keeps, one a line, then '... and N more'
+    for each constraint whose list it cut, then the exact total."""
+    for v in report.violations:
+        print(f"{v.constraint}: day={v.day} teams={v.teams} {v.detail}", file=file)
+    for constraint, count in report.counts:
+        cut = count - len(report.by_constraint(constraint))
+        if cut:
+            print(f"... and {cut} more {constraint}", file=file)
+    print(f"{report.total} violation(s)", file=file)
+
+
 def cmd_gen(args) -> int:
     inst = generate_instance(args.n, args.kind, _resolve_seed(args.seed))
     if args.output:
@@ -87,9 +99,7 @@ def cmd_schedule(args) -> int:
     sched = build_schedule(inst)
     report = validate_schedule(sched)
     if not report.ok:
-        for v in report.violations:
-            print(f"violation: {v.constraint} day={v.day} teams={v.teams} {v.detail}",
-                  file=sys.stderr)
+        _print_report(report, sys.stderr)
         return 2
     if args.output:
         with open(args.output, "w", encoding="utf-8") as fh:
@@ -126,9 +136,7 @@ def cmd_validate(args) -> int:
     if report.ok:
         print("valid")
         return 0
-    for v in report.violations:
-        print(f"{v.constraint}: day={v.day} teams={v.teams} {v.detail}")
-    print(f"{len(report.violations)} violation(s)")
+    _print_report(report)
     return 3
 
 

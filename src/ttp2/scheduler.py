@@ -23,7 +23,7 @@ import itertools
 import json
 import math
 import numbers
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property, lru_cache
 from operator import attrgetter, itemgetter
 from typing import Optional
@@ -34,7 +34,7 @@ from .errors import SchedulingError, ValidationError, integer, load_json, shown,
 from .instance import Instance
 from .matching import (SIZE_MAX, PairMatching, build_super_graph,
                        min_weight_perfect_matching, super_pair_matching)
-from .validator import Violation, ViolationReport, _read, _validate
+from .validator import REPORT_LIMIT, Violation, ViolationReport, _read, _validate
 
 S_BLOCK_TYPE = "structural_block_type"
 
@@ -60,8 +60,9 @@ class Schedule:
     ``validator.parse_day_list``.  However it is made, it reads its team
     count, which may not be None, checks its plan (``_check_plan``), then
     reads its days once (``validator._read``), and keeps the count as the
-    int it read and the days as ``Fixture`` tuples with their normal form;
-    each step can raise ValidationError.  Once judged, it keeps its report too."""
+    int it read, the plan as tuples and the days as ``Fixture`` tuples with
+    their normal form; each step can raise ValidationError.  Once judged, it
+    keeps its report too."""
 
     n: int
     days: tuple[tuple[Fixture, ...], ...]
@@ -76,6 +77,9 @@ class Schedule:
         _check_plan(n, self.levels, self.team_pairs, self.super_pairs)
         days, g = _read(self.days, n)
         object.__setattr__(self, "n", n)
+        object.__setattr__(self, "levels", _frozen_levels(self.levels))
+        object.__setattr__(self, "team_pairs", _frozen_pairs(self.team_pairs))
+        object.__setattr__(self, "super_pairs", _frozen_pairs(self.super_pairs))
         object.__setattr__(self, "days", days)
         object.__setattr__(self, "_array", g)
 
@@ -83,12 +87,31 @@ class Schedule:
     def _report(self) -> ViolationReport:
         """The days' violations, then the stored block types that contradict
         their level or the days, given once."""
-        return ViolationReport(_validate(self._array).violations + _block_type_violations(self))
+        days = _validate(self._array)
+        kept, count = _block_type_violations(self)
+        if not count:
+            return days
+        return ViolationReport(days.violations + kept, days.counts + ((S_BLOCK_TYPE, count),))
 
     @property
     def flips(self) -> int:
         """The number of Type-2 blocks in ``levels``."""
         return _flip_count(self.levels)
+
+
+def _frozen_levels(levels) -> tuple[LevelPlan, ...]:
+    """``levels`` as a tuple of levels whose blocks are tuples, itself when
+    it is one already, as a built or loaded plan is."""
+    if type(levels) is tuple and all(type(lp.super_matches) is tuple for lp in levels):
+        return levels
+    return tuple(replace(lp, super_matches=tuple(lp.super_matches)) for lp in levels)
+
+
+def _frozen_pairs(pm: Optional[PairMatching]) -> Optional[PairMatching]:
+    """``pm`` with its pairs as a tuple of tuples, itself when they are."""
+    if pm is None or type(pm.pairs) is tuple and all(type(p) is tuple for p in pm.pairs):
+        return pm
+    return replace(pm, pairs=tuple(map(tuple, pm.pairs)))
 
 
 def _flip_count(levels) -> int:
@@ -129,8 +152,9 @@ def _check_plan(n: int, levels, team_pairs: Optional[PairMatching],
                               f"from the pairs {shown(last)} of the last level")
 
 
-def _block_type_violations(sched: Schedule) -> tuple[Violation, ...]:
-    """Stored block types of ``sched`` that contradict their level or its days.
+def _block_type_violations(sched: Schedule) -> tuple[tuple[Violation, ...], int]:
+    """The first ``REPORT_LIMIT`` stored block types of ``sched`` that
+    contradict their level or its days, and the count of all of them.
 
     Every level but the last holds Type-1 or Type-2 blocks, the last only
     Type-3.  Where team pairs are stored, the days are checked too: level k
@@ -139,7 +163,7 @@ def _block_type_violations(sched: Schedule) -> tuple[Violation, ...]:
     (``blocks._LAYOUT``).  Levels past the last day are not checked against
     days; the day count check reports those schedules.
     """
-    out, g, levels = [], sched._array, sched.levels
+    out, count, g, levels = [], 0, sched._array, sched.levels
     lower = None if sched.team_pairs is None else [min(p) for p in sched.team_pairs.pairs]
     last = len(levels) - 1
     for k, lp in enumerate(levels):
@@ -150,18 +174,23 @@ def _block_type_violations(sched: Schedule) -> tuple[Violation, ...]:
                 if lower is not None and k < last and d < len(g.at_home) else None)
         for sm in lp.super_matches:
             a, b, btype = sm.a_pair, sm.b_pair, sm.block_type
+            if btype in allowed and (home is None or home[lower[a]] == (btype == 2)):
+                continue
+            count += 1
+            if len(out) == REPORT_LIMIT:
+                continue
             if btype not in allowed:
                 out.append(Violation(
                     constraint=S_BLOCK_TYPE, day=None, teams=(),
                     detail=f"level {k + 1} block of pairs {a} and {b} has type {btype}, "
                            f"expected {' or '.join(map(str, allowed))}"))
-            elif home is not None and home[lower[a]] != (btype == 2):
+            else:
                 t = lower[a]
                 out.append(Violation(
                     constraint=S_BLOCK_TYPE, day=d, teams=(t,),
                     detail=f"team {t} of A pair {a} plays {'at home' if home[t] else 'away'} "
                            f"on day {d}, but its level-{k + 1} block is stored as Type-{btype}"))
-    return tuple(out)
+    return tuple(out), count
 
 
 # --- level template on "slots" ---------------------------------------------

@@ -8,10 +8,12 @@ text with ``parse_day_list`` and a stored schedule dict with
 ``schedule_from_dict``.  A ``Schedule`` reads its days once, when it is
 made, through ``_read`` (nothing else calls it), into one normal form
 (``ScheduleArray``), and keeps the verdict on them once judged; every
-verdict is re-derived from the fixtures alone.  What a ``Schedule`` stores besides its days, the
-plan they were expanded from, is ``scheduler``'s to check.  All violations
-are reported, not just the first.  Travel evaluation in ``analysis`` reads
-the same normal form.
+verdict is re-derived from the fixtures alone.  What a ``Schedule`` stores
+besides its days, the plan they were expanded from, is ``scheduler``'s to
+check.  Every violation is counted, exactly, but a report keeps only the
+first ``REPORT_LIMIT`` of each constraint, in order, so that its size does
+not grow as n squared.  Travel evaluation in ``analysis`` reads the same
+normal form.
 
 Every integer a schedule carries, in memory or stored, is read by
 ``errors.integer``, the one rule, and a team count, given or inferred from
@@ -52,13 +54,26 @@ class Violation:
     detail: str
 
 
+# violations kept per constraint in a report; each constraint's count stays exact
+REPORT_LIMIT = 100
+
+
 @dataclass(frozen=True)
 class ViolationReport:
+    """``counts`` holds each violated constraint with its exact number of
+    violations, in report order; ``violations`` keeps the first
+    ``REPORT_LIMIT`` of each."""
+
     violations: tuple[Violation, ...]
+    counts: tuple[tuple[str, int], ...]
 
     @property
     def ok(self) -> bool:
-        return not self.violations
+        return not self.counts
+
+    @property
+    def total(self) -> int:
+        return sum(count for _, count in self.counts)
 
     def by_constraint(self, constraint: str) -> list[Violation]:
         return [v for v in self.violations if v.constraint == constraint]
@@ -251,28 +266,38 @@ def validate_schedule(sched) -> ViolationReport:
 
 
 def _validate(g: ScheduleArray) -> ViolationReport:
-    """``validate_schedule`` on ``g``, a schedule already read."""
+    """``validate_schedule`` on ``g``, a schedule already read: every
+    constraint's violations are counted, and the first ``REPORT_LIMIT`` of
+    each are made ``Violation`` values."""
     n = g.n
     num_days = g.games.shape[0]
     violations: list[Violation] = []
+    counts: dict[str, int] = {}
     expected_days = 2 * n - 2
     if num_days != expected_days:
+        counts[S_DAY_COUNT] = 1
         violations.append(Violation(
             constraint=S_DAY_COUNT, day=None, teams=(),
             detail=f"{num_days} days, expected {expected_days}"))
 
     # one game per team per day
-    for d, t in np.argwhere(g.games != 1).tolist():
+    found = np.argwhere(g.games != 1)
+    counts[S_ONE_GAME] = len(found)
+    for d, t in found[:REPORT_LIMIT].tolist():
         c = int(g.games[d, t])
         violations.append(Violation(
             constraint=S_ONE_GAME, day=d, teams=(t,),
             detail=f"team {t} plays {c} games on day {d}"))
 
-    # C1: each ordered (away, home) pair exactly once
-    seen = np.bincount(g.away * n + g.home, minlength=n * n).reshape(n, n)
-    np.fill_diagonal(seen, 1)
-    for i, j in np.argwhere(seen != 1).tolist():
-        c = int(seen[i, j])
+    # C1: each ordered (away, home) pair exactly once; ``seen`` is flat,
+    # pair (i, j) at i * n + j
+    seen = np.bincount(g.away * n + g.home, minlength=n * n)
+    seen[::n + 1] = 1
+    found = np.flatnonzero(seen != 1)
+    counts[C1] = len(found)
+    for code in found[:REPORT_LIMIT].tolist():
+        i, j = divmod(code, n)
+        c = int(seen[code])
         violations.append(Violation(
             constraint=C1, day=None, teams=(i, j),
             detail=f"{i}@{j} occurs {c} times (expected 1)"))
@@ -285,7 +310,9 @@ def _validate(g: ScheduleArray) -> ViolationReport:
     before = met - n * n
     repeat = met[np.searchsorted(met, before)] == before
     repeat[1:] &= met[1:] != met[:-1]
-    for code in met[repeat].tolist():
+    found = met[repeat]
+    counts[C2] = len(found)
+    for code in found[:REPORT_LIMIT].tolist():
         d, pair = code // (n * n), divmod(code % (n * n), n)
         violations.append(Violation(
             constraint=C2, day=d, teams=pair,
@@ -296,9 +323,12 @@ def _validate(g: ScheduleArray) -> ViolationReport:
     sym = np.where(g.opponent < 0, 0, np.where(g.at_home, 2, 1))
     third = (sym[2:] != 0) & (sym[2:] == sym[1:-1]) & (sym[2:] == sym[:-2])
     third[1:] &= sym[3:] != sym[:-3]
-    for t, k in np.argwhere(third.T).tolist():
+    found = np.argwhere(third.T)
+    counts[C4] = len(found)
+    for t, k in found[:REPORT_LIMIT].tolist():
         kind = "away" if sym[k + 2, t] == 1 else "home"
         violations.append(Violation(
             constraint=C4, day=k + 2, teams=(t,),
             detail=f"team {t} has 3 consecutive {kind} games ending day {k + 2}"))
-    return ViolationReport(violations=tuple(violations))
+    return ViolationReport(violations=tuple(violations),
+                           counts=tuple((c, k) for c, k in counts.items() if k))

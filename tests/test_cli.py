@@ -85,6 +85,20 @@ def test_schedule_prints_summary(capsys):
     assert re.search(r"ratio: \d+\.\d{6}", out)
 
 
+def test_schedule_gen_without_n_is_refused(capsys):
+    code, out, err = run(capsys, "schedule", "--gen", "unit")
+    assert (code, out, err) == (1, "", "error: --gen requires --n\n")
+
+
+def test_schedule_shows_no_ratio_on_a_zero_lower_bound(tmp_path, capsys):
+    path = tmp_path / "zero.json"
+    path.write_text(json.dumps({"n": 8, "dist": [[0] * 8] * 8}))
+    code, out, _ = run(capsys, "schedule", "-i", str(path))
+    assert code == 0
+    assert out.splitlines()[1:] == ["lower bound: 0.000000", "total travel: 0.000000",
+                                    "ratio: n/a"]
+
+
 def test_schedule_n_alone_implies_generation(capsys):
     code, out, _ = run(capsys, "schedule", "--n", "8")
     assert code == 0
@@ -584,6 +598,41 @@ def test_stored_block_types_must_match_the_days(sched_12_and_inst, capsys, comma
         lines = out.splitlines()
         assert sum(line.startswith("structural_block_type:") for line in lines) == 3
         assert lines[-1] == "3 violation(s)"
+
+
+@pytest.fixture()
+def declared_at_64(sched_12_and_inst):
+    """The n=12 schedule's days stored without a plan at n=64: its report
+    runs past the kept violations of two constraints."""
+    obj, sched_path, inst_path = sched_12_and_inst
+    for key in ("levels", "flips", "team_pairs", "super_pairs"):
+        del obj[key]
+    obj["n"] = 64
+    sched_path.write_text(json.dumps(obj))
+    return sched_path, inst_path
+
+
+def test_validate_cuts_each_long_list_and_prints_the_exact_total(declared_at_64, capsys):
+    code, out, _ = run(capsys, "validate", "-i", str(declared_at_64[0]))
+    lines = out.splitlines()
+    assert code == 3
+    assert lines[0] == "structural_day_count: day=None teams=() 22 days, expected 126"
+    assert sum(line.startswith("structural_one_game_per_day:") for line in lines) == 100
+    assert sum(line.startswith("C1_double_round_robin:") for line in lines) == 100
+    # 22 days of 52 teams without a game, and 64 * 63 - 132 pairs that never meet
+    assert lines[201:] == ["... and 1044 more structural_one_game_per_day",
+                           "... and 3800 more C1_double_round_robin",
+                           "5045 violation(s)"]
+
+
+def test_schedule_prints_a_failed_self_check_as_validate_does(declared_at_64, monkeypatch,
+                                                              capsys):
+    sched_path, inst_path = declared_at_64
+    _, report, _ = run(capsys, "validate", "-i", str(sched_path))
+    bad = schedule_from_json(sched_path.read_text())
+    monkeypatch.setattr("ttp2.cli.build_schedule", lambda inst: bad)
+    code, out, err = run(capsys, "schedule", "-i", str(inst_path))
+    assert (code, out, err) == (2, "", report)
 
 
 def test_flips_are_counted_from_the_levels(sched_12_and_inst, capsys):

@@ -416,3 +416,84 @@ def test_metric_scan_memory_stays_bounded_at_n_256():
     i, j, k, worst = rep.worst_violation
     d = inst.dist
     assert worst == d[i, k] - d[i, j] - d[j, k] == 47.0
+
+
+# --- refusals, one per path ------------------------------------------------------
+
+
+def test_instance_refuses_a_matrix_of_another_order():
+    with pytest.raises(InstanceError, match="^n=4 does not match matrix of order 6$"):
+        Instance(n=4, dist=np.zeros((6, 6)))
+
+
+@pytest.mark.parametrize("value", [np.inf, np.nan], ids=repr)
+def test_instance_refuses_non_finite_distances(value):
+    d = small_dist()
+    d[0, 1] = d[1, 0] = value
+    with pytest.raises(InstanceError, match="^distance matrix contains non-finite entries$"):
+        Instance(n=4, dist=d)
+
+
+def test_instance_refuses_coords_of_another_shape():
+    with pytest.raises(InstanceError, match=re.escape("coords must have shape (4, 2), got (4, 3)")):
+        Instance(n=4, dist=small_dist(), coords=np.zeros((4, 3)))
+
+
+def test_matrix_refuses_a_malformed_number():
+    with pytest.raises(InstanceError, match="^malformed number 'x' at entry 1$"):
+        load_instance("2\n0 x\n1 0\n", fmt="matrix")
+
+
+@pytest.mark.parametrize("fmt,message", [
+    ("matrix", "^empty matrix input$"), ("csv", "^empty csv input$")])
+def test_empty_text_is_refused(fmt, message):
+    with pytest.raises(InstanceError, match=message):
+        load_instance(" \n\n", fmt=fmt)
+
+
+def test_csv_refuses_a_header_without_data_rows():
+    with pytest.raises(InstanceError, match="^csv input has a header but no data rows$"):
+        load_instance("a,b\n", fmt="csv")
+
+
+@pytest.mark.parametrize("text", ['{"dist": [[0, 1], [1, 0]]}', "[2]\n"])
+def test_json_without_n_is_refused(text):
+    with pytest.raises(InstanceError, match="^json instance must be an object with an 'n' key$"):
+        load_instance(text, fmt="json")
+
+
+def test_json_without_dist_or_coords_is_refused():
+    with pytest.raises(InstanceError, match="^json instance needs 'dist' or 'coords'$"):
+        load_instance('{"n": 2}')
+
+
+def test_an_unknown_format_is_refused_on_load_and_emit():
+    message = re.escape(f"unknown instance format 'xml', expected one of {FORMATS}")
+    with pytest.raises(InstanceError, match=message):
+        load_instance("2\n0 1\n1 0\n", fmt="xml")
+    with pytest.raises(InstanceError, match=message):
+        emit_instance(Instance(n=4, dist=small_dist()), fmt="xml")
+
+
+@pytest.mark.parametrize("n", [7, 0, -2])
+def test_generate_refuses_an_odd_or_small_n(n):
+    with pytest.raises(InstanceError, match=f"^generator needs an even integer n >= 2, got {n}$"):
+        generate_instance(n)
+
+
+def test_instances_differ_in_each_field_and_equal_ones_hash_alike():
+    coords = generate_instance(4, "euclidean", 0).coords
+    base = Instance(n=4, dist=small_dist(), names=("a", "b", "c", "d"), coords=coords)
+    same = Instance(n=4, dist=small_dist(), names=("a", "b", "c", "d"), coords=coords.copy())
+    assert base == same and hash(base) == hash(same)
+    assert base.__eq__(small_dist()) is NotImplemented and base != "an instance"
+    moved = coords.copy()
+    moved[0, 0] += 1.0
+    other = small_dist()
+    other[0, 1] = other[1, 0] = 9.0
+    for differ in (Instance(n=2, dist=np.ones((2, 2)) - np.eye(2)),
+                   Instance(n=4, dist=small_dist(), coords=coords),
+                   Instance(n=4, dist=small_dist(), names=("a", "b", "c", "d")),
+                   Instance(n=4, dist=small_dist(), names=("a", "b", "c", "d"), coords=moved),
+                   Instance(n=4, dist=other, names=("a", "b", "c", "d"), coords=coords)):
+        assert base != differ and differ != base

@@ -366,6 +366,28 @@ def test_a_schedule_keeps_the_team_count_it_read(n):
     assert schedule_to_json(t) == schedule_to_json(s)
 
 
+def test_a_schedule_keeps_its_plan_from_later_edits_of_the_lists_it_was_given():
+    s = build_schedule(generate_instance(8, "euclidean", 0))
+    levels = [replace(lp, super_matches=list(lp.super_matches)) for lp in s.levels]
+    team_pairs = replace(s.team_pairs, pairs=[list(p) for p in s.team_pairs.pairs])
+    super_pairs = replace(s.super_pairs, pairs=[list(p) for p in s.super_pairs.pairs])
+    t = Schedule(n=8, days=s.days, levels=levels, team_pairs=team_pairs,
+                 super_pairs=super_pairs)
+    levels[-1].super_matches.reverse()
+    levels[0] = replace(levels[0], round=9)
+    team_pairs.pairs[0][0] = 99
+    team_pairs.pairs.pop()
+    super_pairs.pairs[0].reverse()
+    super_pairs.pairs.append([0, 1])
+    assert t == s
+    assert schedule_from_json(schedule_to_json(t)) == s
+    # a built or loaded plan, tuples already, is kept as it is
+    u = replace(s)
+    assert (u.levels, u.team_pairs, u.super_pairs) == (s.levels, s.team_pairs, s.super_pairs)
+    assert u.levels is s.levels and u.team_pairs is s.team_pairs
+    assert u.super_pairs is s.super_pairs
+
+
 def test_fixture_validation():
     obj = json.loads(schedule_to_json(build_schedule(generate_instance(8, "unit"))))
     fixture = obj["days"][5][2]

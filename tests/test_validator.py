@@ -35,7 +35,7 @@ from ttp2 import (
 from ttp2 import scheduler, validator
 from ttp2.errors import SHOWN_MAX, shown
 from ttp2.scheduler import S_BLOCK_TYPE
-from ttp2.validator import C1, C2, C4, S_DAY_COUNT, S_ONE_GAME, TEAMS_MAX
+from ttp2.validator import C1, C2, C4, S_DAY_COUNT, S_ONE_GAME, TEAMS_MAX, ViolationReport
 
 from helpers import day_list_text, lattice_weights, pair_cluster_instance
 
@@ -833,6 +833,63 @@ def test_stored_levels_are_checked(level, field, value, expected):
         report = validate_schedule(schedule_from_dict(obj))
         details = [v.detail for v in report.by_constraint(S_BLOCK_TYPE)]
         assert details == [expected]
+
+
+# --- a report keeps the first REPORT_LIMIT violations of each constraint ------------
+
+
+def _first_of_each(violations, limit):
+    """The first ``limit`` violations of each constraint, in order, and each
+    constraint's count, in the order the constraints first appear."""
+    counts, kept = {}, []
+    for v in violations:
+        counts[v.constraint] = counts.get(v.constraint, 0) + 1
+        if counts[v.constraint] <= limit:
+            kept.append(v)
+    return tuple(kept), tuple(counts.items())
+
+
+def _declared_at_64():
+    # day count, one game per day and C1 past the limit
+    return Schedule(n=64, days=build_schedule(generate_instance(8, kind="euclidean", seed=0)).days)
+
+
+def _triplets():
+    # one slate at n=32 played three days running, then reversed for three:
+    # C1, C2 and C4 past the limit
+    day = build_schedule(generate_instance(32, kind="euclidean", seed=0)).days[0]
+    back = [f[::-1] for f in day]
+    return Schedule(n=32, days=([day] * 3 + [back] * 3) * 10)
+
+
+def _retyped():
+    # every block of a built n=32 plan stored as Type-3: 14 levels of 8
+    # blocks past the limit
+    s = build_schedule(generate_instance(32, kind="euclidean", seed=0))
+    levels = tuple(replace(lp, super_matches=tuple(replace(sm, block_type=3)
+                                                   for sm in lp.super_matches))
+                   for lp in s.levels)
+    return replace(s, levels=levels)
+
+
+@pytest.mark.parametrize("make", [_declared_at_64, _triplets, _retyped])
+def test_a_report_keeps_the_first_of_each_constraint_and_counts_them_all(monkeypatch, make):
+    with monkeypatch.context() as m:
+        for module in (validator, scheduler):
+            m.setattr(module, "REPORT_LIMIT", 10 ** 9)
+        full = validate_schedule(make())
+    report = validate_schedule(make())
+    kept, counts = _first_of_each(full.violations, validator.REPORT_LIMIT)
+    assert max(count for _, count in counts) > validator.REPORT_LIMIT
+    assert report.violations == kept
+    assert report.counts == full.counts == counts
+    assert report.total == len(full.violations) > len(report.violations)
+    assert not report.ok
+
+
+def test_a_report_is_ok_only_without_counts():
+    assert ViolationReport(violations=(), counts=()).ok
+    assert not ViolationReport(violations=(), counts=((C1, 1),)).ok
 
 
 def _seed0_benchmark_instances():
