@@ -29,12 +29,13 @@ from operator import attrgetter, itemgetter
 from typing import Optional
 
 from .analysis import flip_budget
-from .blocks import Fixture, SuperMatch, _fixtures, expand_block
+from .blocks import Fixture, SuperMatch, expand_block
 from .errors import SchedulingError, ValidationError, integer, load_json, shown, team_count
 from .instance import Instance
 from .matching import (SIZE_MAX, PairMatching, build_super_graph,
                        min_weight_perfect_matching, super_pair_matching)
-from .validator import REPORT_LIMIT, Violation, ViolationReport, _read, _validate
+from .validator import (REPORT_LIMIT, Violation, ViolationReport, _fixture_days,
+                        _fixture_teams, _normal_form, _validate)
 
 S_BLOCK_TYPE = "structural_block_type"
 
@@ -59,10 +60,14 @@ class Schedule:
     day lists become one with ``Schedule(n, days)``, day-list text with
     ``validator.parse_day_list``.  However it is made, it reads its team
     count, which may not be None, checks its plan (``_check_plan``), then
-    reads its days once (``validator._read``), and keeps the count as the
-    int it read, the plan as tuples and the days as ``Fixture`` tuples with
-    their normal form; each step can raise ValidationError.  Once judged, it
-    keeps its report too."""
+    reads its days once, into their normal form (``validator._normal_form``),
+    and keeps the count as the int it read, the plan as tuples and the
+    normal form; each step can raise ValidationError.  ``Schedule(n, days)``
+    keeps its days as a tuple of ``Fixture`` tuples too.  A stored schedule
+    (``schedule_from_dict``, ``parse_day_list``) is read from its checked
+    team integers straight into the normal form, and makes those same days
+    from it the first time they are read; the readers work from the normal
+    form alone.  Once judged, a schedule keeps its report too."""
 
     n: int
     days: tuple[tuple[Fixture, ...], ...]
@@ -71,17 +76,46 @@ class Schedule:
     super_pairs: Optional[PairMatching] = None
 
     def __post_init__(self) -> None:
+        n = self._read_plan()
+        days, teams, counts = _fixture_teams(self.days)
+        object.__setattr__(self, "days", days)
+        object.__setattr__(self, "_array", _normal_form(teams, counts, n))
+
+    @classmethod
+    def _from_teams(cls, n, teams: list[int], counts: list[int], levels=(),
+                    team_pairs: Optional[PairMatching] = None,
+                    super_pairs: Optional[PairMatching] = None) -> Schedule:
+        """The schedule of the games whose teams ``teams`` lists, away
+        first, flattened, with ``counts[d]`` games on day d: integers a
+        stored form has checked.  It refuses what ``Schedule(n, days)`` of
+        the same games refuses, in the same order, and makes its ``days``
+        when they are first read."""
+        sched = cls.__new__(cls)
+        vars(sched).update(n=n, levels=levels, team_pairs=team_pairs, super_pairs=super_pairs)
+        n = sched._read_plan()
+        object.__setattr__(sched, "_array", _normal_form(teams, counts, n))
+        return sched
+
+    def _read_plan(self) -> int:
+        """Read the team count, check the plan against it, keep both as
+        read, and return the count."""
         if self.n is None:
             raise ValidationError("a Schedule needs its team count n, got None")
         n = team_count(self.n, ValidationError)
         _check_plan(n, self.levels, self.team_pairs, self.super_pairs)
-        days, g = _read(self.days, n)
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "levels", _frozen_levels(self.levels))
         object.__setattr__(self, "team_pairs", _frozen_pairs(self.team_pairs))
         object.__setattr__(self, "super_pairs", _frozen_pairs(self.super_pairs))
+        return n
+
+    def __getattr__(self, name: str):
+        # only a stored schedule's ``days``, not made yet, are looked up here
+        if name != "days" or "_array" not in vars(self):
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        days = _fixture_days(self._array)
         object.__setattr__(self, "days", days)
-        object.__setattr__(self, "_array", g)
+        return days
 
     @cached_property
     def _report(self) -> ViolationReport:
@@ -429,21 +463,20 @@ def schedule_from_dict(obj: dict) -> Schedule:
 
     The stored games are read in one flat pass: every ``"away"``, then
     every ``"home"``, then, unless all are plain ints, each through
-    ``integer`` in game order; the ``Fixture`` values are cut into days by
-    each stored day's length.  Of two faults in one file, a missing field
-    is named before a number it refuses, and a missing ``"away"`` before a
-    missing ``"home"``."""
+    ``integer`` in game order.  Those teams and each stored day's length
+    go straight into the normal form: the schedule makes its ``Fixture``
+    days from that form when they are first read.  Of two faults in one
+    file, a missing field is named before a number it refuses, and a
+    missing ``"away"`` before a missing ``"home"``."""
     try:
         n = integer(obj["n"], "n")
         stored = list(map(list, obj["days"]))
         games = list(itertools.chain.from_iterable(stored))
         away = list(map(_AWAY, games))
         home = list(map(_HOME, games))
-        pairs = zip(away, home)
-        if not set(map(type, away)) | set(map(type, home)) <= {int}:
-            pairs = [(integer(a, "away"), integer(h, "home")) for a, h in pairs]
-        fixtures = _fixtures(pairs)
-        days = tuple(tuple(itertools.islice(fixtures, len(day))) for day in stored)
+        teams = list(itertools.chain.from_iterable(zip(away, home)))
+        if not set(map(type, teams)) <= {int}:
+            teams = list(map(integer, teams, itertools.cycle(("away", "home"))))
         levels = tuple(
             LevelPlan(round=integer(lv["round"], "round"),
                       level=integer(lv["level"], "level"),
@@ -459,8 +492,8 @@ def schedule_from_dict(obj: dict) -> Schedule:
     if stored_flips is not None and stored_flips != _flip_count(levels):
         raise ValidationError(f"stored flips {shown(stored_flips)} differ from the "
                               f"{_flip_count(levels)} Type-2 blocks in the levels")
-    return Schedule(n=n, days=days, levels=levels, team_pairs=team_pairs,
-                    super_pairs=super_pairs)
+    return Schedule._from_teams(n, teams, list(map(len, stored)), levels, team_pairs,
+                                super_pairs)
 
 
 def schedule_from_json(text: str) -> Schedule:

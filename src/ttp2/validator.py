@@ -6,9 +6,13 @@ construction code.  It takes one input, a ``Schedule``: every other form
 is made into one first, raw day lists with ``Schedule(n, days)``, day-list
 text with ``parse_day_list`` and a stored schedule dict with
 ``schedule_from_dict``.  A ``Schedule`` reads its days once, when it is
-made, through ``_read`` (nothing else calls it), into one normal form
-(``ScheduleArray``), and keeps the verdict on them once judged; every
-verdict is re-derived from the fixtures alone.  What a ``Schedule`` stores
+made, into one normal form (``ScheduleArray``) through ``_normal_form``,
+which nothing but ``Schedule`` calls, and keeps the verdict once judged;
+every verdict is re-derived from the fixtures alone.  ``Schedule(n,
+days)`` reads its days through ``_fixture_teams`` first; the two stored
+forms hand their checked team integers to ``_normal_form`` directly, and
+such a schedule makes its ``Fixture`` days from the normal form
+(``_fixture_days``) when they are first read.  What a ``Schedule`` stores
 besides its days, the plan they were expanded from, is ``scheduler``'s to
 check.  Every violation is counted, exactly, but a report keeps only the
 first ``REPORT_LIMIT`` of each constraint, in order, so that its size does
@@ -151,12 +155,12 @@ def _fixture_teams(days) -> tuple[tuple[tuple[Fixture, ...], ...], list[int], li
     return read, list(chain.from_iterable(chain.from_iterable(read))), list(map(len, read))
 
 
-def _read(days, n: int) -> tuple[tuple, ScheduleArray]:
-    """``days`` as ``_fixture_teams`` keeps them, and their normal form on
-    ``n`` teams, a count ``errors.team_count`` has read; ``Schedule.__post_init__``
-    is the one caller.  Raises ValidationError for a malformed fixture,
-    n < 2, or a fixture whose team plays itself or lies outside 0..n-1."""
-    days, teams, counts = _fixture_teams(days)
+def _normal_form(teams: list[int], counts: list[int], n: int) -> ScheduleArray:
+    """The normal form on ``n`` teams, a count ``errors.team_count`` has
+    read, of the games whose teams ``teams`` lists, away first, flattened
+    in input order, with ``counts[d]`` games on day d; every ``Schedule``
+    is read through here once, when it is made.  Raises ValidationError
+    for n < 2, or a team that plays itself or lies outside 0..n-1."""
     try:
         flat = np.fromiter(teams, np.int64, len(teams)).reshape(-1, 2)
     except OverflowError:
@@ -184,10 +188,18 @@ def _read(days, n: int) -> tuple[tuple, ScheduleArray]:
     np.minimum.at(first, key, np.arange(key.size))
     opponent = np.append(flat[:, ::-1].ravel(), -1)[first]
     shape = (num_days, n)
-    return days, ScheduleArray(n=n, day=day, away=away, home=home,
-                               opponent=opponent.reshape(shape),
-                               at_home=(first % 2 == 1).reshape(shape),
-                               games=np.bincount(key, minlength=size).reshape(shape))
+    return ScheduleArray(n=n, day=day, away=away, home=home,
+                         opponent=opponent.reshape(shape),
+                         at_home=(first % 2 == 1).reshape(shape),
+                         games=np.bincount(key, minlength=size).reshape(shape))
+
+
+def _fixture_days(g: ScheduleArray) -> tuple[tuple[Fixture, ...], ...]:
+    """The days of ``g`` as ``_fixture_teams`` keeps them: a tuple of day
+    tuples of ``Fixture`` values of plain ints, empty days kept."""
+    fixtures = _fixtures(zip(g.away.tolist(), g.home.tolist()))
+    counts = np.bincount(g.day, minlength=len(g.games)).tolist()
+    return tuple(tuple(islice(fixtures, count)) for count in counts)
 
 
 # a day's games: away@home tokens of ASCII digits, separated by whitespace
@@ -202,10 +214,12 @@ def parse_day_list(text: str, n: Optional[int] = None) -> Schedule:
     are 0-based integers in ASCII digits); blank lines and lines starting
     with '#' are skipped.  Every line is checked first, in order; then the
     teams of the whole text are read in one pass, converting each distinct
-    token once, and paired into ``Fixture`` values in another, which are
-    cut into days by each line's game count.  ValidationError for a line it cannot read, for a team of
-    more digits than ``int`` reads, for text naming no team without ``n``,
-    and for what ``Schedule`` refuses.
+    token once, and go, with each line's game count, straight into the
+    normal form: the schedule makes its ``Fixture`` days from that form
+    when they are first read.  ValidationError for a line it cannot read,
+    for a team of more digits than ``int`` reads, for text naming no team
+    without ``n``, and for what ``Schedule(n, days)`` of the same games
+    refuses, in the same order.
     """
     from .scheduler import Schedule   # scheduler imports this module
     lines = []
@@ -230,14 +244,11 @@ def parse_day_list(text: str, n: Optional[int] = None) -> Schedule:
     except ValueError:   # only a team past int's digit limit gets here
         raise ValidationError(f"team {overlong_integer(games)}") from None
     teams = list(map(value.__getitem__, tokens))
-    pairs = iter(teams)
-    fixtures = _fixtures(zip(pairs, pairs))   # consecutive teams pair up
-    days = tuple(tuple(islice(fixtures, line.count("@"))) for line in lines)
     if n is None:
         if not value:
             raise ValidationError("cannot infer team count from an empty schedule")
         n = max(value.values()) + 1
-    return Schedule(n=n, days=days)
+    return Schedule._from_teams(n, teams, [line.count("@") for line in lines])
 
 
 def _schedule(sched, n: Optional[int] = None) -> Schedule:

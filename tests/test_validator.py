@@ -24,6 +24,7 @@ from ttp2 import (
     generate_instance,
     parse_day_list,
     report_to_json,
+    save_instance,
     schedule_from_dict,
     schedule_from_json,
     schedule_to_dict,
@@ -33,6 +34,7 @@ from ttp2 import (
     validate_schedule,
 )
 from ttp2 import scheduler, validator
+from ttp2.cli import main
 from ttp2.errors import SHOWN_MAX, shown
 from ttp2.scheduler import S_BLOCK_TYPE
 from ttp2.validator import C1, C2, C4, S_DAY_COUNT, S_ONE_GAME, TEAMS_MAX, ViolationReport
@@ -610,20 +612,23 @@ def test_fixture_days_skip_the_per_fixture_reader(clean8, monkeypatch):
 
 
 def _count_reads(monkeypatch):
-    """The day sequences ``_fixture_teams`` is called on, in call order."""
+    """The normal forms ``_normal_form`` builds, in call order: every
+    ``Schedule``, however it is made, reads its games through it."""
     read = []
-    fixture_teams = validator._fixture_teams
+    normal_form = validator._normal_form
 
-    def counted(days):
-        read.append(days)
-        return fixture_teams(days)
+    def counted(teams, counts, n):
+        read.append(normal_form(teams, counts, n))
+        return read[-1]
 
-    monkeypatch.setattr(validator, "_fixture_teams", counted)
+    # ``Schedule`` reads through the binding in ``scheduler``
+    for module in (validator, scheduler):
+        monkeypatch.setattr(module, "_normal_form", counted)
     return read
 
 
-def _reads_of(read, days):
-    return sum(r is days for r in read)
+def _reads_of(read, sched):
+    return sum(g is sched._array for g in read)
 
 
 def test_a_built_schedule_is_read_once(monkeypatch):
@@ -631,12 +636,12 @@ def test_a_built_schedule_is_read_once(monkeypatch):
     read = _count_reads(monkeypatch)
     s = build_schedule(inst)
     other = build_schedule(generate_instance(8, kind="euclidean", seed=0))
-    assert read == [s.days, other.days]
+    assert read == [s._array, other._array]
     assert validate_schedule(s).ok
     assert validate_schedule(other).ok
     rep = evaluation_report(s, inst)
     assert total_travel(s, inst) == rep.total_travel
-    assert _reads_of(read, s.days) == 1 and _reads_of(read, other.days) == 1
+    assert read == [s._array, other._array]
     g = s._array
     for arr in (g.day, g.away, g.home, g.opponent, g.at_home, g.games):
         assert not arr.flags.writeable
@@ -652,13 +657,181 @@ def test_a_loaded_schedule_is_read_once(monkeypatch):
     s = schedule_from_json(text)
     other = schedule_from_json(schedule_to_json(build_schedule(
         generate_instance(8, kind="euclidean", seed=0))))
-    assert _reads_of(read, s.days) == 1
+    assert _reads_of(read, s) == 1
     assert validate_schedule(s).ok
     assert validate_schedule(other).ok
     assert total_travel(s, inst) == total_travel(built, inst)
-    assert _reads_of(read, s.days) == 1 and _reads_of(read, other.days) == 1
+    assert s.days == built.days
+    assert _reads_of(read, s) == 1 and _reads_of(read, other) == 1
+    assert len(read) == 3   # s, then other as built and as loaded
     assert s._array is not built._array
     assert _read(s) == _read(built)
+
+
+# --- a stored schedule makes its Fixture days when they are first read ------------
+
+
+def _count_day_makes(monkeypatch):
+    """The normal forms ``_fixture_days`` makes days from, in call order."""
+    made = []
+    fixture_days = validator._fixture_days
+
+    def counted(g):
+        made.append(g)
+        return fixture_days(g)
+
+    # ``Schedule`` makes its days through the binding in ``scheduler``
+    for module in (validator, scheduler):
+        monkeypatch.setattr(module, "_fixture_days", counted)
+    return made
+
+
+def _built8():
+    return build_schedule(generate_instance(8, kind="euclidean", seed=0))
+
+
+def _json_with_an_empty_day():
+    """A stored 8-team schedule without a plan, with an empty fourth day
+    and its first two days' away teams stored as floats, as ``_STORED``
+    gives it."""
+    obj = schedule_to_dict(_built8())
+    obj.update(levels=[], flips=0, team_pairs=None, super_pairs=None)
+    obj["days"].insert(3, [])
+    for day in obj["days"][:2]:   # numbers that ``errors.integer`` reads as ints
+        for game in day:
+            game["away"] = float(game["away"])
+    pairs = [[(int(g["away"]), g["home"]) for g in day] for day in obj["days"]]
+    return schedule_from_dict(obj), 8, pairs
+
+
+# a stored schedule of each form, as (schedule, n, its games as days of pairs)
+_STORED = {
+    "json": lambda: (schedule_from_json(schedule_to_json(_built8())), 8, _raw_days(_built8())),
+    "json-empty-day": _json_with_an_empty_day,
+    "day-list-empty-days": lambda: (parse_day_list("day 1: 0@1 2@3\nday 2:\n# a comment\n"
+                                                   "day 3: 1@0 3@2\nday 4:\n"),
+                                    4, [[(0, 1), (2, 3)], [], [(1, 0), (3, 2)], []]),
+    "day-list-n": lambda: (parse_day_list(day_list_text(_built8().days), 12), 12,
+                           _raw_days(_built8())),
+    "no-game-given-n": lambda: (parse_day_list("# no game\n", 8), 8, []),
+    "empty-day-given-n": lambda: (parse_day_list("day 1:\n", 8), 8, [[]]),
+}
+
+
+@pytest.mark.parametrize("form", list(_STORED))
+def test_a_stored_schedule_makes_its_days_once_when_first_read(monkeypatch, form):
+    made = _count_day_makes(monkeypatch)
+    sched, n, pairs = _STORED[form]()
+    assert made == [] and "days" not in vars(sched)
+    days = sched.days
+    assert made == [sched._array]
+    assert days == Schedule(n=n, days=pairs).days
+    assert type(days) is tuple and {type(day) for day in days} <= {tuple}
+    assert {type(fx) for day in days for fx in day} <= {Fixture}
+    assert {type(t) for day in days for fx in day for t in fx} <= {int}
+    assert sched.days is days and made == [sched._array]
+    assert validate_schedule(sched) == validate_schedule(Schedule(n=n, days=pairs))
+
+
+def test_the_readers_leave_a_stored_schedule_s_days_unmade(monkeypatch, tmp_path, capsys):
+    inst = generate_instance(12, kind="euclidean", seed=0)
+    built = build_schedule(inst)
+    inst_path, json_path, text_path = (tmp_path / "inst.json", tmp_path / "s.json",
+                                       tmp_path / "s.txt")
+    save_instance(inst, str(inst_path))
+    json_path.write_text(schedule_to_json(built))
+    text_path.write_text(day_list_text(built.days))
+    made = _count_day_makes(monkeypatch)
+    for sched in (schedule_from_json(schedule_to_json(built)),
+                  parse_day_list(day_list_text(built.days))):
+        assert validate_schedule(sched).ok
+        assert evaluation_report(sched, inst).valid
+        assert total_travel(sched, inst) == total_travel(built, inst)
+        assert team_itinerary(sched, inst, 3) == team_itinerary(built, inst, 3)
+        assert "days" not in vars(sched)
+    for path in (json_path, text_path):
+        assert main(["validate", "-i", str(path), "-d", str(inst_path)]) == 0
+        assert main(["evaluate", "-i", str(path), "-d", str(inst_path), "--json"]) == 0
+    capsys.readouterr()
+    assert made == []
+
+
+_PAIRS4 = [[(0, 1), (2, 3)], [], [(1, 0), (3, 2)]]
+# what is compared between a stored schedule whose days are not made and the
+# same schedule made with its days, and how a stored one is copied
+_VIEWS = {"replace": lambda s: replace(s, levels=()), "eq": lambda s: s, "hash": hash,
+          "repr": repr}
+_COPIES = {"copy": copy.copy, "deepcopy": copy.deepcopy,
+           "pickle": lambda s: pickle.loads(pickle.dumps(s))}
+
+
+@pytest.mark.parametrize("op", list(_VIEWS) + list(_COPIES))
+@pytest.mark.parametrize("form", ["json", "day-list"])
+def test_a_schedule_whose_days_are_not_made_is_a_plain_value(op, form):
+    if form == "json":
+        made = _built8()
+        sched = schedule_from_json(schedule_to_json(made))
+    else:
+        made = Schedule(n=4, days=_PAIRS4)
+        sched = parse_day_list(day_list_text(_PAIRS4))
+    assert "days" not in vars(sched)
+    if op in _COPIES:
+        c = _COPIES[op](sched)
+        assert "days" not in vars(c) and c.days == made.days
+        assert validate_schedule(c) == validate_schedule(made)
+    else:
+        assert _VIEWS[op](sched) == _VIEWS[op](made)
+    assert sched.days == made.days
+    with pytest.raises(AttributeError, match="no attribute 'weeks'"):
+        sched.weeks
+
+
+def _self_play(game):
+    game["home"] = game["away"]
+
+
+# two faults in the stored form of a built 8-team schedule, and the one it is
+# refused for: the team count, then the plan, then the games in game order
+_TWO_FAULTS = {
+    "plan-and-self-play": (lambda obj: (obj.update(levels=obj["levels"][-1:], flips=0),
+                                        _self_play(obj["days"][0][0])),
+                           "stored levels: 1 level"),
+    "team-pairs-and-range": (lambda obj: (obj["team_pairs"].update(pairs=[[0, 0]]),
+                                          obj["days"][0][0].update(away=99)),
+                             "stored team_pairs"),
+    "count-and-range": (lambda obj: (obj.update(n=TEAMS_MAX + 1),
+                                     obj["days"][0][0].update(away=-1)),
+                        "exceeds the supported maximum"),
+    "fraction-and-self-play": (lambda obj: (_self_play(obj["days"][0][0]),
+                                            obj["days"][2][1].update(away=2.5)),
+                               "2.5 is not an integer"),
+    "self-play-then-range": (lambda obj: (_self_play(obj["days"][1][0]),
+                                          obj["days"][1][1].update(away=8)),
+                             "team \\d+ plays itself on day 1"),
+}
+
+
+@pytest.mark.parametrize("fault", list(_TWO_FAULTS))
+def test_a_stored_schedule_with_two_faults_is_refused_for_the_first(fault):
+    edit, match = _TWO_FAULTS[fault]
+    obj = schedule_to_dict(_built8())
+    edit(obj)
+    with pytest.raises(ValidationError, match=match):
+        schedule_from_dict(obj)
+
+
+@pytest.mark.parametrize("text, n, match", [
+    ("day 1: 0@0\n", TEAMS_MAX + 1, "exceeds the supported maximum"),
+    ("day 1: 0@0\n", 1, "team count must be at least 2"),
+    (f"day 1: {2 ** 70}@0 0@0\n", 1, "team index out of range"),
+    ("day 1: 0@9 1@1\n", 8, "team 9 out of range on day 0"),
+])
+def test_a_day_list_with_two_faults_is_refused_as_its_days_are(text, n, match):
+    with pytest.raises(ValidationError, match=match):
+        parse_day_list(text, n)
+    days = [[tuple(map(int, game.split("@"))) for game in text.split(":")[1].split()]]
+    with pytest.raises(ValidationError, match=match):
+        Schedule(n=n, days=days)
 
 
 @pytest.mark.parametrize("copy_of", [lambda s: pickle.loads(pickle.dumps(s)), copy.deepcopy],
