@@ -60,14 +60,12 @@ class Schedule:
     day lists become one with ``Schedule(n, days)``, day-list text with
     ``validator.parse_day_list``.  However it is made, it reads its team
     count, which may not be None, checks its plan (``_check_plan``), then
-    reads its days once, into their normal form (``validator._normal_form``),
+    reads its games once, into their normal form (``validator._normal_form``),
     and keeps the count as the int it read, the plan as tuples and the
-    normal form; each step can raise ValidationError.  ``Schedule(n, days)``
-    keeps its days as a tuple of ``Fixture`` tuples too.  A stored schedule
-    (``schedule_from_dict``, ``parse_day_list``) is read from its checked
-    team integers straight into the normal form, and makes those same days
-    from it the first time they are read; the readers work from the normal
-    form alone.  Once judged, a schedule keeps its report too."""
+    normal form alone; each step can raise ValidationError.  Every schedule
+    makes its ``days``, a tuple of ``Fixture`` tuples, from the normal form
+    the first time they are read; the readers work from the normal form
+    alone.  Once judged, a schedule keeps its report too."""
 
     n: int
     days: tuple[tuple[Fixture, ...], ...]
@@ -77,8 +75,8 @@ class Schedule:
 
     def __post_init__(self) -> None:
         n = self._read_plan()
-        days, teams, counts = _fixture_teams(self.days)
-        object.__setattr__(self, "days", days)
+        teams, counts = _fixture_teams(self.days)
+        object.__delattr__(self, "days")
         object.__setattr__(self, "_array", _normal_form(teams, counts, n))
 
     @classmethod
@@ -86,10 +84,10 @@ class Schedule:
                     team_pairs: Optional[PairMatching] = None,
                     super_pairs: Optional[PairMatching] = None) -> Schedule:
         """The schedule of the games whose teams ``teams`` lists, away
-        first, flattened, with ``counts[d]`` games on day d: integers a
-        stored form has checked.  It refuses what ``Schedule(n, days)`` of
-        the same games refuses, in the same order, and makes its ``days``
-        when they are first read."""
+        first, flattened, with ``counts[d]`` games on day d: plain ints, as
+        a build or a stored form's reader makes them.  It refuses what
+        ``Schedule(n, days)`` of the same games refuses, in the same
+        order."""
         sched = cls.__new__(cls)
         vars(sched).update(n=n, levels=levels, team_pairs=team_pairs, super_pairs=super_pairs)
         n = sched._read_plan()
@@ -110,7 +108,7 @@ class Schedule:
         return n
 
     def __getattr__(self, name: str):
-        # only a stored schedule's ``days``, not made yet, are looked up here
+        # only ``days``, until first read, is looked up here
         if name != "days" or "_array" not in vars(self):
             raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
         days = _fixture_days(self._array)
@@ -281,20 +279,10 @@ def _group_levels(X: list[int], Y: list[int]
 
 @lru_cache(maxsize=None)
 def _round_labels(n: int) -> tuple[tuple[int, int], ...]:
-    """(round, level) per level, 1-based: round i has ceil((n/2^i - 1)/2)
-    of the m-1 levels."""
-    m = n // 2
-    labels: list[tuple[int, int]] = []
-    i = 1
-    while len(labels) < m - 1:
-        numer = n - (1 << i)
-        if numer <= 0:
-            break
-        labels.extend((i, l) for l in range(1, -(-numer // (1 << (i + 1))) + 1))
-        i += 1
-    if len(labels) != m - 1:
-        raise SchedulingError(f"internal: round labels {labels} do not cover {m - 1} levels")
-    return tuple(labels)
+    """(round, level) per level, 1-based: round i, for each 2^i < n, has
+    ceil((n/2^i - 1)/2) = ceil((n - 2^i) / 2^(i+1)) of the m-1 levels."""
+    return tuple((i, l) for i in range(1, n.bit_length())
+                 for l in range(1, -(-(n - (1 << i)) // (1 << (i + 1))) + 1))
 
 
 def _canon_level(level) -> tuple[tuple[int, int], ...]:
@@ -362,28 +350,32 @@ def build_schedule(inst: Instance) -> Schedule:
     once.  Slot s is pair ``sigma[s]``: the template's last level and the
     super-pairs, both ascending (lo, hi) pairs, meet k-th to k-th and lo to
     lo.  Each level's blocks are relabeled, ordered by lower pair (each pair
-    plays once per level), kept as its plan and expanded into its days.
+    plays once per level), kept as its plan and expanded; the teams of the
+    expanded days go, day by day, straight into the schedule's normal form.
     Typing happens in slot space, where the flip plan lives: re-deriving
     roles from pair numbering after relabeling can cost extra flips.
     """
     check_team_count(inst.n)
     n = inst.n
-    teams = min_weight_perfect_matching(inst.dist)
-    super_pairs = super_pair_matching(build_super_graph(inst, teams))
+    team_pairs = min_weight_perfect_matching(inst.dist)
+    super_pairs = super_pair_matching(build_super_graph(inst, team_pairs))
     plans = _template(n // 2)
     sigma = [0] * (n // 2)
     last = map(attrgetter("key"), plans[-1].super_matches)
     for (s_lo, s_hi), pair in zip(last, super_pairs.pairs):
         sigma[s_lo], sigma[s_hi] = pair
-    levels, days = [], []
+    flat = itertools.chain.from_iterable
+    levels, teams = [], []
     for lp in plans:
         blocks = sorted((SuperMatch(sigma[sm.a_pair], sigma[sm.b_pair], sm.block_type)
                          for sm in lp.super_matches), key=attrgetter("key"))
         levels.append(LevelPlan(round=lp.round, level=lp.level, super_matches=tuple(blocks)))
-        days += (tuple(itertools.chain.from_iterable(games))
-                 for games in zip(*(expand_block(sm, teams.pairs) for sm in blocks)))
-    return Schedule(n=n, days=tuple(days), levels=tuple(levels), team_pairs=teams,
-                    super_pairs=super_pairs)
+        # day by day, block by block, fixture by fixture, away first
+        days = zip(*(expand_block(sm, team_pairs.pairs) for sm in blocks))
+        teams += flat(flat(flat(days)))
+    # every day holds n/2 games, n teams
+    return Schedule._from_teams(n, teams, [n // 2] * (len(teams) // n), tuple(levels),
+                                team_pairs, super_pairs)
 
 
 # --- serialization ----------------------------------------------------------

@@ -5,19 +5,19 @@ The checker judges days only, and is deliberately independent of the
 construction code.  It takes one input, a ``Schedule``: every other form
 is made into one first, raw day lists with ``Schedule(n, days)``, day-list
 text with ``parse_day_list`` and a stored schedule dict with
-``schedule_from_dict``.  A ``Schedule`` reads its days once, when it is
+``schedule_from_dict``.  A ``Schedule`` reads its games once, when it is
 made, into one normal form (``ScheduleArray``) through ``_normal_form``,
 which nothing but ``Schedule`` calls, and keeps the verdict once judged;
 every verdict is re-derived from the fixtures alone.  ``Schedule(n,
-days)`` reads its days through ``_fixture_teams`` first; the two stored
-forms hand their checked team integers to ``_normal_form`` directly, and
-such a schedule makes its ``Fixture`` days from the normal form
-(``_fixture_days``) when they are first read.  What a ``Schedule`` stores
-besides its days, the plan they were expanded from, is ``scheduler``'s to
-check.  Every violation is counted, exactly, but a report keeps only the
-first ``REPORT_LIMIT`` of each constraint, in order, so that its size does
-not grow as n squared.  Travel evaluation in ``analysis`` reads the same
-normal form.
+days)`` reads its days through ``_fixture_teams`` first; a build and the
+two stored forms hand their team integers to ``_normal_form`` directly.
+Every schedule holds only its normal form, and makes its ``Fixture`` days
+from it (``_fixture_days``) when they are first read.  What a ``Schedule``
+stores besides its days, the plan they were expanded from, is
+``scheduler``'s to check.  Every violation is counted, exactly, but a
+report keeps only the first ``REPORT_LIMIT`` of each constraint, in order,
+so that its size does not grow as n squared.  Travel evaluation in
+``analysis`` reads the same normal form.
 
 Every integer a schedule carries, in memory or stored, is read by
 ``errors.integer``, the one rule, and a team count, given or inferred from
@@ -130,29 +130,17 @@ def _items(seq, what: str):
         raise ValidationError(f"malformed {what} {shown(seq)}: not a sequence") from None
 
 
-def _fixture_teams(days) -> tuple[tuple[tuple[Fixture, ...], ...], list[int], list[int]]:
-    """``days`` as a tuple of day tuples of ``Fixture`` values of plain
-    ints, both teams of every fixture, away first, flattened in input order,
-    and the number of fixtures on each day.
-
-    A list or tuple of list or tuple days whose fixtures are all ``Fixture``
-    values of plain ints is flattened by C-level iteration, and kept as it
-    is when it is a tuple of tuples.  Anything else, a generator of days
-    included, is read once, fixture by fixture, through ``_fixture_ends``,
-    into new ``Fixture`` values.
-    """
-    kinds = set(map(type, days)) if type(days) in (list, tuple) else {None}
-    if kinds <= {list, tuple}:
-        fixtures = list(chain.from_iterable(days))
-        if set(map(type, fixtures)) <= {Fixture}:
-            teams = list(chain.from_iterable(fixtures))
-            if set(map(type, teams)) <= {int}:
-                if type(days) is not tuple or list in kinds:
-                    days = tuple(map(tuple, days))
-                return days, teams, list(map(len, days))
-    read = tuple(tuple(_fixtures(map(_fixture_ends, _items(day, "day"))))
-                 for day in _items(days, "days"))
-    return read, list(chain.from_iterable(chain.from_iterable(read))), list(map(len, read))
+def _fixture_teams(days) -> tuple[list[int], list[int]]:
+    """Both teams of every fixture of ``days``, away first, flattened in
+    input order, and the number of fixtures on each day.  ``days``, a
+    generator of days included, is read once, fixture by fixture, through
+    ``_fixture_ends``."""
+    teams, counts = [], []
+    for day in _items(days, "days"):
+        ends = list(map(_fixture_ends, _items(day, "day")))
+        teams += chain.from_iterable(ends)
+        counts.append(len(ends))
+    return teams, counts
 
 
 def _normal_form(teams: list[int], counts: list[int], n: int) -> ScheduleArray:
@@ -195,8 +183,8 @@ def _normal_form(teams: list[int], counts: list[int], n: int) -> ScheduleArray:
 
 
 def _fixture_days(g: ScheduleArray) -> tuple[tuple[Fixture, ...], ...]:
-    """The days of ``g`` as ``_fixture_teams`` keeps them: a tuple of day
-    tuples of ``Fixture`` values of plain ints, empty days kept."""
+    """The days of ``g``: a tuple of day tuples of ``Fixture`` values of
+    plain ints, empty days kept."""
     fixtures = _fixtures(zip(g.away.tolist(), g.home.tolist()))
     counts = np.bincount(g.day, minlength=len(g.games)).tolist()
     return tuple(tuple(islice(fixtures, count)) for count in counts)

@@ -6,6 +6,7 @@ import io
 import json
 import math
 import re
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -27,6 +28,8 @@ from ttp2 import (
     total_travel,
     validate_schedule,
 )
+from ttp2 import cli
+from ttp2.analysis import BOUND_SLACK
 from ttp2.cli import _build_parser, main
 from ttp2.matching import SIZE_MAX
 
@@ -760,6 +763,39 @@ def test_bench_csv_shape(capsys):
     for r in summary:
         assert float(r[4]) <= float(r[7]) + 1e-9
         assert r[9] == "true"
+
+
+BUDGET_8 = math.ceil(flip_budget(8))
+# what makes the second of three n=8 trials break a promise ``bench`` checks,
+# and the exit code it then gives: 3 for an invalid trial, else 2
+_BROKEN_TRIAL = {
+    "flips": (lambda rep: replace(rep, flips=BUDGET_8 + 1), 2),
+    "factor": (lambda rep: replace(rep, ratio=rep.factor_ours + 1e-6), 2),
+    "invalid": (lambda rep: replace(rep, valid=False), 3),
+    "invalid-and-factor": (lambda rep: replace(rep, valid=False,
+                                               ratio=rep.factor_ours + 1e-6), 3),
+}
+
+
+@pytest.mark.parametrize("broken", list(_BROKEN_TRIAL))
+def test_bench_exits_2_over_a_bound_and_3_on_an_invalid_trial(monkeypatch, capsys, broken):
+    breaks, expected = _BROKEN_TRIAL[broken]
+    report, second = cli.evaluation_report, generate_instance(8, "euclidean", 1)
+
+    def evaluated(sched, inst):
+        rep = report(sched, inst)
+        return breaks(rep) if inst == second else rep
+
+    monkeypatch.setattr(cli, "evaluation_report", evaluated)
+    code, out, _ = run(capsys, "bench", "--n-set", "8", "--trials", "3", "--seed", "0")
+    assert code == expected
+    *trials, top = list(csv.reader(out.splitlines()))[1:]
+    assert [r[1] for r in trials] == ["0", "1", "2"] and top[:2] == ["8", "max"]
+    assert trials[1][5] == str(BUDGET_8 + 1 if broken == "flips" else trials[0][5])
+    assert top[4] == max((r[4] for r in trials), key=float)
+    assert (float(top[4]) > float(top[7]) + BOUND_SLACK) == ("factor" in broken)
+    assert [r[9] for r in trials] == ["true", "false" if "invalid" in broken else "true", "true"]
+    assert top[9] == ("false" if "invalid" in broken else "true")
 
 
 def test_bench_output_file(tmp_path, capsys):

@@ -23,6 +23,7 @@ from ttp2 import (
     validate_schedule,
 )
 from ttp2 import matching
+from ttp2.instance import SYMMETRY_TOL
 from ttp2.matching import _solve_by_content
 
 from helpers import euclid_weights, lattice_weights, unit_weights
@@ -332,6 +333,26 @@ def test_rejects_asymmetric():
     w[0, 1] = 2.0
     with pytest.raises(MatchingError, match="symmetric"):
         min_weight_perfect_matching(w)
+
+
+@pytest.mark.parametrize("transposed", [False, True])
+def test_reads_a_matrix_asymmetric_within_tolerance_as_its_mean(transposed):
+    # the upper triangle alone picks {0-1, 2-3}, the lower alone and the mean
+    # {0-2, 1-3}; the transpose has the same mean, and so the same answer
+    small = np.ones((4, 4)) - np.eye(4)
+    small[0, 1] = 1 - 6e-10
+    small[0, 2] = small[2, 0] = 1 - 4e-10
+    rng = np.random.default_rng(0)
+    euclid = euclid_weights(12, seed=3) + np.triu(rng.uniform(-4e-10, 4e-10, (12, 12)), 1)
+    got = {}
+    for name, w in (("small", small), ("euclid", euclid)):
+        w = w.T if transposed else w
+        assert 0 < np.abs(w - w.T).max() < SYMMETRY_TOL
+        mean = w / 2 + w.T / 2
+        got[name] = min_weight_perfect_matching(w)
+        assert got[name].pairs == min_weight_perfect_matching(mean).pairs
+        assert got[name].weight == math.fsum(mean[i, j] for i, j in got[name].pairs)
+    assert got["small"].pairs == ((0, 2), (1, 3))
 
 
 def test_rejects_nonfinite():

@@ -21,7 +21,7 @@ from ttp2 import (
     validate_schedule,
 )
 from ttp2.matching import SIZE_MAX
-from ttp2.scheduler import _template, check_team_count
+from ttp2.scheduler import _round_labels, _template, check_team_count
 
 from helpers import pair_cluster_instance, refused_team_counts
 from reference import min_flip_plan, rule_flip_count
@@ -100,6 +100,18 @@ def test_plan_levels_is_single_round_robin(n):
 def test_plan_levels_round_labels():
     labels = [(lp.round, lp.level) for lp in _built(16).levels]
     assert labels == [(1, 1), (1, 2), (1, 3), (1, 4), (2, 1), (2, 2), (3, 1)]
+
+
+def test_round_labels_give_each_round_its_share_of_the_levels():
+    # the refused sizes too: _check_plan reads the labels of any stored n
+    for n in range(8, SIZE_MAX + 1, 4):
+        labels = _round_labels(n)
+        assert len(labels) == n // 2 - 1
+        expected, i = [], 1
+        while 2 ** i < n:   # round i holds ceil((n/2^i - 1)/2) levels
+            expected += [(i, l) for l in range(1, math.ceil((n / 2 ** i - 1) / 2) + 1)]
+            i += 1
+        assert labels == tuple(expected), n
 
 
 # --- flip assignment ----------------------------------------------------------

@@ -486,9 +486,9 @@ def test_non_iterable_days_raise(sched, match):
 
 # --- one reading for every form -------------------------------------------------
 #
-# A Schedule reads lists and tuples of Fixture days holding plain ints
-# without a per-fixture call, and every other form of days fixture by
-# fixture.  Both readings must give the same normal form and the same errors.
+# A Schedule reads every form of days fixture by fixture; a build and the
+# stored forms hand their teams to the normal form without that reader.  All
+# of them must give the same normal form and the same errors.
 
 
 def _read(sched, n=8):
@@ -592,20 +592,17 @@ def test_odd_team_entries_read_as_int_reads_them(clean8, entry, read_as, make):
 
 
 def test_fixture_days_skip_the_per_fixture_reader(clean8, monkeypatch):
-    s = build_schedule(generate_instance(8, kind="euclidean", seed=0))
-    forms = [s, s.days, schedule_from_dict(schedule_to_dict(s)),
-             parse_day_list(day_list_text(s.days))]
+    inst = generate_instance(8, kind="euclidean", seed=0)
+    s = build_schedule(inst)
+    obj, text = schedule_to_dict(s), day_list_text(s.days)
     expected = _read(clean8)
-    bad = _mutated(clean8, "self_play")
-    bad_fixtures = [[Fixture(a, h) for a, h in day] for day in bad]
-    bad_expected = _read(bad)
 
     def per_fixture(fx):
         raise AssertionError(f"per-fixture reader called on {fx!r}")
 
     monkeypatch.setattr(validator, "_fixture_ends", per_fixture)
+    forms = [build_schedule(inst), schedule_from_dict(obj), parse_day_list(text)]
     assert all(_read(form) == expected for form in forms)
-    assert _read(bad_fixtures) == bad_expected
 
 
 # --- a built or loaded schedule is read once ---------------------------------------
@@ -627,8 +624,9 @@ def _count_reads(monkeypatch):
     return read
 
 
-def _reads_of(read, sched):
-    return sum(g is sched._array for g in read)
+def _own(forms, sched):
+    """How many of the normal forms ``forms`` are ``sched``'s own."""
+    return sum(g is sched._array for g in forms)
 
 
 def test_a_built_schedule_is_read_once(monkeypatch):
@@ -657,18 +655,18 @@ def test_a_loaded_schedule_is_read_once(monkeypatch):
     s = schedule_from_json(text)
     other = schedule_from_json(schedule_to_json(build_schedule(
         generate_instance(8, kind="euclidean", seed=0))))
-    assert _reads_of(read, s) == 1
+    assert _own(read, s) == 1
     assert validate_schedule(s).ok
     assert validate_schedule(other).ok
     assert total_travel(s, inst) == total_travel(built, inst)
     assert s.days == built.days
-    assert _reads_of(read, s) == 1 and _reads_of(read, other) == 1
+    assert _own(read, s) == 1 and _own(read, other) == 1
     assert len(read) == 3   # s, then other as built and as loaded
     assert s._array is not built._array
     assert _read(s) == _read(built)
 
 
-# --- a stored schedule makes its Fixture days when they are first read ------------
+# --- every schedule makes its Fixture days when they are first read ---------------
 
 
 def _count_day_makes(monkeypatch):
@@ -704,8 +702,12 @@ def _json_with_an_empty_day():
     return schedule_from_dict(obj), 8, pairs
 
 
-# a stored schedule of each form, as (schedule, n, its games as days of pairs)
+_PAIRS4 = [[(0, 1), (2, 3)], [], [(1, 0), (3, 2)]]
+# a schedule of each form, built, hand-made or stored, as (schedule, n, its
+# games as days of pairs)
 _STORED = {
+    "built": lambda: (_built8(), 8, _raw_days(_built8())),
+    "hand-made-empty-day": lambda: (Schedule(n=4, days=_PAIRS4), 4, _PAIRS4),
     "json": lambda: (schedule_from_json(schedule_to_json(_built8())), 8, _raw_days(_built8())),
     "json-empty-day": _json_with_an_empty_day,
     "day-list-empty-days": lambda: (parse_day_list("day 1: 0@1 2@3\nday 2:\n# a comment\n"
@@ -722,14 +724,14 @@ _STORED = {
 def test_a_stored_schedule_makes_its_days_once_when_first_read(monkeypatch, form):
     made = _count_day_makes(monkeypatch)
     sched, n, pairs = _STORED[form]()
-    assert made == [] and "days" not in vars(sched)
+    assert _own(made, sched) == 0 and "days" not in vars(sched)
     days = sched.days
-    assert made == [sched._array]
+    assert _own(made, sched) == 1
     assert days == Schedule(n=n, days=pairs).days
     assert type(days) is tuple and {type(day) for day in days} <= {tuple}
     assert {type(fx) for day in days for fx in day} <= {Fixture}
     assert {type(t) for day in days for fx in day for t in fx} <= {int}
-    assert sched.days is days and made == [sched._array]
+    assert sched.days is days and _own(made, sched) == 1
     assert validate_schedule(sched) == validate_schedule(Schedule(n=n, days=pairs))
 
 
@@ -742,8 +744,8 @@ def test_the_readers_leave_a_stored_schedule_s_days_unmade(monkeypatch, tmp_path
     json_path.write_text(schedule_to_json(built))
     text_path.write_text(day_list_text(built.days))
     made = _count_day_makes(monkeypatch)
-    for sched in (schedule_from_json(schedule_to_json(built)),
-                  parse_day_list(day_list_text(built.days))):
+    for sched in (build_schedule(inst), schedule_from_json(json_path.read_text()),
+                  parse_day_list(text_path.read_text())):
         assert validate_schedule(sched).ok
         assert evaluation_report(sched, inst).valid
         assert total_travel(sched, inst) == total_travel(built, inst)
@@ -752,13 +754,13 @@ def test_the_readers_leave_a_stored_schedule_s_days_unmade(monkeypatch, tmp_path
     for path in (json_path, text_path):
         assert main(["validate", "-i", str(path), "-d", str(inst_path)]) == 0
         assert main(["evaluate", "-i", str(path), "-d", str(inst_path), "--json"]) == 0
+    assert main(["schedule", "-i", str(inst_path), "--table"]) == 0
     capsys.readouterr()
     assert made == []
 
 
-_PAIRS4 = [[(0, 1), (2, 3)], [], [(1, 0), (3, 2)]]
-# what is compared between a stored schedule whose days are not made and the
-# same schedule made with its days, and how a stored one is copied
+# what is compared between a schedule whose days are not made and the same
+# schedule made with its days, and how one whose days are not made is copied
 _VIEWS = {"replace": lambda s: replace(s, levels=()), "eq": lambda s: s, "hash": hash,
           "repr": repr}
 _COPIES = {"copy": copy.copy, "deepcopy": copy.deepcopy,
@@ -766,15 +768,15 @@ _COPIES = {"copy": copy.copy, "deepcopy": copy.deepcopy,
 
 
 @pytest.mark.parametrize("op", list(_VIEWS) + list(_COPIES))
-@pytest.mark.parametrize("form", ["json", "day-list"])
+@pytest.mark.parametrize("form", ["built", "json", "day-list"])
 def test_a_schedule_whose_days_are_not_made_is_a_plain_value(op, form):
-    if form == "json":
-        made = _built8()
-        sched = schedule_from_json(schedule_to_json(made))
-    else:
+    if form == "day-list":
         made = Schedule(n=4, days=_PAIRS4)
         sched = parse_day_list(day_list_text(_PAIRS4))
-    assert "days" not in vars(sched)
+    else:
+        made = _built8()
+        sched = _built8() if form == "built" else schedule_from_json(schedule_to_json(made))
+    assert made.days and "days" in vars(made) and "days" not in vars(sched)
     if op in _COPIES:
         c = _COPIES[op](sched)
         assert "days" not in vars(c) and c.days == made.days
