@@ -449,9 +449,10 @@ def _blossom(a2: list[list[int]], n: int) -> list[int]:
         while True:
             while queue:
                 u = queue.popleft()
+                # su is S (label 0): u was pushed when its top blossom became
+                # S, an S blossom only joins a new S blossom, and within a
+                # stage only T blossoms are expanded
                 su = st[u]
-                if label[su] == 1:
-                    continue
                 lu, row = lab[u], a2[u]
                 for v in range(n):
                     x = st[v]

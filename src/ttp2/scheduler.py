@@ -14,7 +14,10 @@ Construction outline for n teams (4 | n, n >= 8), m = n/2 pairs:
    flips is not served (``check_team_count``).
 4. Expand levels to fixtures: level k starts on day 4k; non-final levels
    are 4-day blocks, the final level is the 6-day block with the intra-pair
-   games.  Day count is 4(m-2) + 6 = 2n-2.
+   games.  Day count is 4(m-2) + 6 = 2n-2.  The blocks are expanded as the
+   per-size template holds them, on slots, each slot standing for its pair;
+   a built schedule keeps that plan and names its levels in pairs only
+   when they are first read.
 """
 
 from __future__ import annotations
@@ -23,10 +26,10 @@ import itertools
 import json
 import math
 import numbers
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from functools import cached_property, lru_cache
 from operator import attrgetter, itemgetter
-from typing import Optional
+from typing import ClassVar, Optional
 
 from .analysis import flip_budget
 from .blocks import Fixture, SuperMatch, expand_block
@@ -58,20 +61,30 @@ class Schedule:
     A schedule is the one input the readers (``validate_schedule``,
     ``total_travel``, ``team_itinerary``, ``evaluation_report``) take: raw
     day lists become one with ``Schedule(n, days)``, day-list text with
-    ``validator.parse_day_list``.  However it is made, it reads its team
-    count, which may not be None, checks its plan (``_check_plan``), then
-    reads its games once, into their normal form (``validator._normal_form``),
-    and keeps the count as the int it read, the plan as tuples and the
-    normal form alone; each step can raise ValidationError.  Every schedule
-    makes its ``days``, a tuple of ``Fixture`` tuples, from the normal form
-    the first time they are read; the readers work from the normal form
-    alone.  Once judged, a schedule keeps its report too."""
+    ``validator.parse_day_list``.  Made by hand or loaded, it reads its
+    team count, which may not be None, checks its plan (``_check_plan``),
+    then reads its games once, into their normal form
+    (``validator._normal_form``), and keeps the count as the int it read,
+    the plan as tuples and the normal form alone; each step can raise
+    ValidationError.  A built schedule keeps its plan as the build walked
+    it, the per-size template's blocks on slots and sigma, the slot → pair
+    map, and makes its ``levels`` from them the first time they are read.
+    Every schedule makes its ``days``, a tuple of ``Fixture`` tuples, from
+    the normal form the first time they are read; the readers work from the
+    normal form alone.  Once judged, a schedule keeps its report too."""
 
     n: int
     days: tuple[tuple[Fixture, ...], ...]
-    levels: tuple[LevelPlan, ...] = ()
+    # a factory, not a class-level default, which would hide a built
+    # schedule's ``levels`` from ``__getattr__``
+    levels: tuple[LevelPlan, ...] = field(default_factory=tuple)
     team_pairs: Optional[PairMatching] = None
     super_pairs: Optional[PairMatching] = None
+
+    # a built schedule's plan: slot s is pair ``_sigma[s]``, and
+    # ``_blocks[k]`` holds the template's level-k blocks, on slots, in the
+    # order of their lower pair; other schedules hold their ``levels``
+    _sigma: ClassVar[Optional[tuple[int, ...]]] = None
 
     def __post_init__(self) -> None:
         n = self._read_plan()
@@ -85,7 +98,7 @@ class Schedule:
                     super_pairs: Optional[PairMatching] = None) -> Schedule:
         """The schedule of the games whose teams ``teams`` lists, away
         first, flattened, with ``counts[d]`` games on day d: plain ints, as
-        a build or a stored form's reader makes them.  It refuses what
+        a stored form's reader makes them.  It refuses what
         ``Schedule(n, days)`` of the same games refuses, in the same
         order."""
         sched = cls.__new__(cls)
@@ -108,12 +121,16 @@ class Schedule:
         return n
 
     def __getattr__(self, name: str):
-        # only ``days``, until first read, is looked up here
-        if name != "days" or "_array" not in vars(self):
+        # only ``days``, and a built schedule's ``levels``, are looked up
+        # here, until they are first read
+        if name == "days" and "_array" in vars(self):
+            value = _fixture_days(self._array)
+        elif name == "levels" and self._sigma is not None:
+            value = _pair_levels(self.n, self._blocks, self._sigma)
+        else:
             raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
-        days = _fixture_days(self._array)
-        object.__setattr__(self, "days", days)
-        return days
+        object.__setattr__(self, name, value)
+        return value
 
     @cached_property
     def _report(self) -> ViolationReport:
@@ -126,14 +143,22 @@ class Schedule:
         return ViolationReport(days.violations + kept, days.counts + ((S_BLOCK_TYPE, count),))
 
     @property
+    def _has_plan(self) -> bool:
+        """Whether the schedule holds typed levels; a built one does, and
+        is not made to name them."""
+        return self._sigma is not None or bool(self.levels)
+
+    @property
     def flips(self) -> int:
         """The number of Type-2 blocks in ``levels``."""
-        return _flip_count(self.levels)
+        if self._sigma is not None:
+            return _flip_count(self._blocks)
+        return _flip_count(lp.super_matches for lp in self.levels)
 
 
 def _frozen_levels(levels) -> tuple[LevelPlan, ...]:
     """``levels`` as a tuple of levels whose blocks are tuples, itself when
-    it is one already, as a built or loaded plan is."""
+    it is one already, as a loaded plan is."""
     if type(levels) is tuple and all(type(lp.super_matches) is tuple for lp in levels):
         return levels
     return tuple(replace(lp, super_matches=tuple(lp.super_matches)) for lp in levels)
@@ -147,7 +172,17 @@ def _frozen_pairs(pm: Optional[PairMatching]) -> Optional[PairMatching]:
 
 
 def _flip_count(levels) -> int:
-    return sum(sm.block_type == 2 for lp in levels for sm in lp.super_matches)
+    """The Type-2 count of ``levels``, each an iterable of blocks."""
+    return sum(sm.block_type == 2 for blocks in levels for sm in blocks)
+
+
+def _pair_levels(n: int, blocks, sigma) -> tuple[LevelPlan, ...]:
+    """A build's plan in pairs: level k's slot blocks ``blocks[k]``, each
+    renamed through ``sigma``, in the order they are given."""
+    return tuple(
+        LevelPlan(round=r, level=l, super_matches=tuple(
+            SuperMatch(sigma[sm.a_pair], sigma[sm.b_pair], sm.block_type) for sm in level))
+        for (r, l), level in zip(_round_labels(n), blocks))
 
 
 def _check_plan(n: int, levels, team_pairs: Optional[PairMatching],
@@ -193,18 +228,25 @@ def _block_type_violations(sched: Schedule) -> tuple[tuple[Violation, ...], int]
     starts on day 4k, and on its second day, 4k+1, the A pair's lower team
     plays away in a Type-1 block and at home in a Type-2 block
     (``blocks._LAYOUT``).  Levels past the last day are not checked against
-    days; the day count check reports those schedules.
+    days; the day count check reports those schedules.  A built schedule is
+    checked on the slots of its plan, each named by its pair, so its
+    ``levels`` are not made.
     """
-    out, count, g, levels = [], 0, sched._array, sched.levels
-    lower = None if sched.team_pairs is None else [min(p) for p in sched.team_pairs.pairs]
+    out, count, g = [], 0, sched._array
+    if sched._sigma is None:
+        levels, pair = [lp.super_matches for lp in sched.levels], range(sched.n // 2)
+    else:
+        levels, pair = sched._blocks, sched._sigma
+    lower = (None if sched.team_pairs is None
+             else [min(sched.team_pairs.pairs[p]) for p in pair])
     last = len(levels) - 1
-    for k, lp in enumerate(levels):
+    for k, blocks in enumerate(levels):
         allowed = (3,) if k == last else (1, 2)
         d = 4 * k + 1
         # who is at home on the level's second day, for non-final levels
         home = (g.at_home[d].tolist()
                 if lower is not None and k < last and d < len(g.at_home) else None)
-        for sm in lp.super_matches:
+        for sm in blocks:
             a, b, btype = sm.a_pair, sm.b_pair, sm.block_type
             if btype in allowed and (home is None or home[lower[a]] == (btype == 2)):
                 continue
@@ -214,22 +256,23 @@ def _block_type_violations(sched: Schedule) -> tuple[tuple[Violation, ...], int]
             if btype not in allowed:
                 out.append(Violation(
                     constraint=S_BLOCK_TYPE, day=None, teams=(),
-                    detail=f"level {k + 1} block of pairs {a} and {b} has type {btype}, "
-                           f"expected {' or '.join(map(str, allowed))}"))
+                    detail=f"level {k + 1} block of pairs {pair[a]} and {pair[b]} has type "
+                           f"{btype}, expected {' or '.join(map(str, allowed))}"))
             else:
                 t = lower[a]
                 out.append(Violation(
                     constraint=S_BLOCK_TYPE, day=d, teams=(t,),
-                    detail=f"team {t} of A pair {a} plays {'at home' if home[t] else 'away'} "
+                    detail=f"team {t} of A pair {pair[a]} plays {'at home' if home[t] else 'away'} "
                            f"on day {d}, but its level-{k + 1} block is stored as Type-{btype}"))
     return tuple(out), count
 
 
 # --- level template on "slots" ---------------------------------------------
 #
-# Levels are planned on abstract slots 0..m-1 and only relabeled to the
-# actual pair indices at the end.  The generator recursively schedules a
-# group (X, Y) of two ordered slot lists of equal size q:
+# Levels are planned on abstract slots 0..m-1; a build maps each slot to a
+# pair (sigma) and names its levels in pairs only when they are read.  The
+# generator recursively schedules a group (X, Y) of two ordered slot lists
+# of equal size q:
 #
 # * q even: q complete-bipartite levels (shift 0..q-1), then the group
 #   splits in two: X's even positions against X's odd positions, and their
@@ -297,10 +340,10 @@ def _template(m: int) -> tuple[LevelPlan, ...]:
     as A, and each level's flips swap the roles of their two slots for the
     next level: a match is oriented A first, a flipped match is Type-2, the
     last level is Type-3, and every other match is Type-1.  Raises
-    SchedulingError when the flips exceed ceil(F_n)."""
+    SchedulingError when the flips exceed ceil(F_n).  The plan is checked
+    once, here, as a stored one is (``_check_plan``, slots for pairs), so a
+    build checks only what it adds: its super-pairs."""
     levels = _group_levels(list(range(0, m, 2)), list(range(1, m, 2)))
-    if len(levels) != m - 1:
-        raise SchedulingError(f"internal: produced {len(levels)} levels for m={m}")
     n = 2 * m
     total = sum(len(flipped) for _, flipped in levels)
     budget = math.ceil(flip_budget(n))
@@ -323,7 +366,9 @@ def _template(m: int) -> tuple[LevelPlan, ...]:
         for i, j in flipped:
             is_a[i], is_a[j] = is_a[j], is_a[i]
         plans.append(LevelPlan(round=r, level=l, super_matches=tuple(matches)))
-    return tuple(plans)
+    plans = tuple(plans)
+    _check_plan(n, plans, None, None)
+    return plans
 
 
 def check_team_count(n: int, error: type = SchedulingError) -> None:
@@ -349,33 +394,46 @@ def build_schedule(inst: Instance) -> Schedule:
     Stages: match teams and pairs, then walk the per-size typed template
     once.  Slot s is pair ``sigma[s]``: the template's last level and the
     super-pairs, both ascending (lo, hi) pairs, meet k-th to k-th and lo to
-    lo.  Each level's blocks are relabeled, ordered by lower pair (each pair
-    plays once per level), kept as its plan and expanded; the teams of the
-    expanded days go, day by day, straight into the schedule's normal form.
-    Typing happens in slot space, where the flip plan lives: re-deriving
-    roles from pair numbering after relabeling can cost extra flips.
+    lo.  Each template block is expanded as it stands, on the team pairs of
+    its slots, and each level's blocks in the order of their lower pair
+    (each pair plays once per level); the teams of the expanded days go,
+    day by day, straight into the schedule's normal form.  The schedule
+    keeps the slot blocks in that order and sigma as its plan, and names
+    its levels in pairs only when they are read.  Typing happens in slot
+    space, where the flip plan lives: re-deriving roles from pair numbering
+    after relabeling can cost extra flips.  The template was checked once
+    for its size, and ``build_super_graph`` refuses team pairs that do not
+    cover the teams; the super-pairs are checked here, a perfect matching of
+    the pairs, so that sigma is a bijection onto them.
     """
     check_team_count(inst.n)
-    n = inst.n
+    n, m = inst.n, inst.n // 2
     team_pairs = min_weight_perfect_matching(inst.dist)
     super_pairs = super_pair_matching(build_super_graph(inst, team_pairs))
-    plans = _template(n // 2)
-    sigma = [0] * (n // 2)
+    if not super_pairs.covers(m):
+        raise SchedulingError(f"super-pairs {shown([list(p) for p in super_pairs.pairs])} "
+                              f"are not a perfect matching of the pairs 0..{m - 1}")
+    plans = _template(m)
+    sigma = [0] * m
     last = map(attrgetter("key"), plans[-1].super_matches)
     for (s_lo, s_hi), pair in zip(last, super_pairs.pairs):
         sigma[s_lo], sigma[s_hi] = pair
+    slot_pairs = [team_pairs.pairs[p] for p in sigma]
     flat = itertools.chain.from_iterable
-    levels, teams = [], []
+    blocks, teams = [], []
     for lp in plans:
-        blocks = sorted((SuperMatch(sigma[sm.a_pair], sigma[sm.b_pair], sm.block_type)
-                         for sm in lp.super_matches), key=attrgetter("key"))
-        levels.append(LevelPlan(round=lp.round, level=lp.level, super_matches=tuple(blocks)))
+        level = tuple(sorted(lp.super_matches,
+                             key=lambda sm: min(sigma[sm.a_pair], sigma[sm.b_pair])))
+        blocks.append(level)
         # day by day, block by block, fixture by fixture, away first
-        days = zip(*(expand_block(sm, team_pairs.pairs) for sm in blocks))
+        days = zip(*(expand_block(sm, slot_pairs) for sm in level))
         teams += flat(flat(flat(days)))
+    sched = Schedule.__new__(Schedule)
     # every day holds n/2 games, n teams
-    return Schedule._from_teams(n, teams, [n // 2] * (len(teams) // n), tuple(levels),
-                                team_pairs, super_pairs)
+    vars(sched).update(n=n, team_pairs=team_pairs, super_pairs=super_pairs,
+                       _sigma=tuple(sigma), _blocks=tuple(blocks),
+                       _array=_normal_form(teams, [n // 2] * (len(teams) // n), n))
+    return sched
 
 
 # --- serialization ----------------------------------------------------------
@@ -481,9 +539,10 @@ def schedule_from_dict(obj: dict) -> Schedule:
         if isinstance(exc, KeyError):
             raise ValidationError(f"malformed schedule JSON: missing field {exc}") from None
         raise ValidationError(f"malformed schedule JSON: {exc}") from None
-    if stored_flips is not None and stored_flips != _flip_count(levels):
+    flips = _flip_count(lp.super_matches for lp in levels)
+    if stored_flips is not None and stored_flips != flips:
         raise ValidationError(f"stored flips {shown(stored_flips)} differ from the "
-                              f"{_flip_count(levels)} Type-2 blocks in the levels")
+                              f"{flips} Type-2 blocks in the levels")
     return Schedule._from_teams(n, teams, list(map(len, stored)), levels, team_pairs,
                                 super_pairs)
 

@@ -32,7 +32,7 @@ from ttp2.blocks import SuperMatch
 
 from helpers import euclid_weights, pair_cluster_instance
 from reference import brute_force_matching, brute_force_optimal, dp_matching
-from test_scheduler import GOLDEN_12, GOLDEN_16, _level_sets
+from test_scheduler import GOLDEN_12, GOLDEN_16, _eager_levels, _level_sets
 
 SWEEP_SIZES = (8, 12, 16, 20, 24, 28, 32)
 SWEEP_SEEDS = range(100)
@@ -63,6 +63,7 @@ def sweep():
                     and all(sm.block_type == 3 for sm in final.super_matches)
                     and sorted(sm.key for sm in final.super_matches)
                     == sorted(s.super_pairs.pairs)),
+                "levels_ok": s.levels == _eager_levels(s),
                 "flips": s.flips,
                 "budget": budget,
                 "ratio": total_travel(s, inst) / lower_bound(inst, s.team_pairs),
@@ -89,13 +90,14 @@ def test_criterion_2_seeded_sweep_feasibility(sweep):
     rows, elapsed = sweep["rows"], sweep["elapsed"]
     assert len(rows) == len(SWEEP_SIZES) * len(SWEEP_SEEDS)
     bad = [r for r in rows if not (r["valid"] and r["days_ok"]
-                                   and r["final_t3_ok"]
+                                   and r["final_t3_ok"] and r["levels_ok"]
                                    and r["flips"] <= r["budget"])]
     assert bad == [], bad[:5]
     assert elapsed < 60.0
     print(f"\nPASS criterion 2: {len(rows)}/{len(rows)} seeded builds are "
           f"constraint-clean with 2n-2 days, an n/4-block final level on the "
-          f"super pairing, and flips within ceil(F_n) ({elapsed:.1f}s < 60s)")
+          f"super pairing, levels equal to the template renamed through sigma, "
+          f"and flips within ceil(F_n) ({elapsed:.1f}s < 60s)")
 
 
 def test_criterion_3_ratio_within_factor(sweep):

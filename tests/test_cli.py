@@ -14,6 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ttp2 import (
+    SchedulingError,
     build_schedule,
     emit_instance,
     evaluation_report,
@@ -157,6 +158,17 @@ def test_bench_refuses_a_size_over_its_flip_budget_before_generating(_no_generat
     assert (code, out) == (1, "")
     assert err.splitlines() == [
         "error: n=56: the flip rule needs 29 flips, over the budget ceil(F_n) = 28"]
+
+
+def test_a_scheduling_error_in_the_build_exits_2_without_a_traceback(monkeypatch, capsys):
+    # check_team_count re-raises as InstanceError (exit 1), so only a fault
+    # inside the build itself reaches main as a SchedulingError
+    def build(inst):
+        raise SchedulingError("super-pairs [[0, 1], [0, 1]] are not a perfect matching")
+    monkeypatch.setattr(cli, "build_schedule", build)
+    code, out, err = run(capsys, "schedule", "--n", "8", "--seed", "0")
+    assert (code, out) == (2, "")
+    assert err == "error: super-pairs [[0, 1], [0, 1]] are not a perfect matching\n"
 
 
 def test_schedule_missing_input_file(tmp_path, capsys):

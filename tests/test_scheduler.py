@@ -1,7 +1,10 @@
 """Construction pipeline: level plans, flip assignment, full builds."""
 
+import collections
+import copy
 import json
 import math
+import pickle
 import re
 from dataclasses import replace
 
@@ -9,19 +12,26 @@ import numpy as np
 import pytest
 
 from ttp2 import (
+    LevelPlan,
+    PairMatching,
     Schedule,
     SchedulingError,
+    SuperMatch,
     ValidationError,
     build_schedule,
+    evaluation_report,
     flip_budget,
     format_level_table,
     generate_instance,
     schedule_from_json,
     schedule_to_json,
+    total_travel,
     validate_schedule,
 )
+from ttp2 import scheduler
 from ttp2.matching import SIZE_MAX
-from ttp2.scheduler import _round_labels, _template, check_team_count
+from ttp2.scheduler import (_block_type_violations, _round_labels, _template,
+                            check_team_count)
 
 from helpers import pair_cluster_instance, refused_team_counts
 from reference import min_flip_plan, rule_flip_count
@@ -57,6 +67,22 @@ def _level_sets(sched):
             for lp in sched.levels}
 
 
+def _eager_levels(s):
+    """The plan of a build renamed to pairs all at once: each template
+    block through sigma, each level's blocks in ``key`` order.  Sigma pairs
+    the template's last level with the super-pairs, k-th to k-th, lo to lo."""
+    plans = _template(s.n // 2)
+    sigma = {}
+    last = sorted(sm.key for sm in plans[-1].super_matches)
+    for (lo, hi), pair in zip(last, s.super_pairs.pairs):
+        sigma[lo], sigma[hi] = pair
+    return tuple(
+        LevelPlan(lp.round, lp.level, tuple(sorted(
+            (SuperMatch(sigma[sm.a_pair], sigma[sm.b_pair], sm.block_type)
+             for sm in lp.super_matches), key=lambda sm: sm.key)))
+        for lp in plans)
+
+
 @pytest.mark.parametrize("n,couples,golden,flips", [
     (12, [(1, 2), (0, 4), (3, 5)], GOLDEN_12, 3),
     (16, [(0, 4), (1, 5), (2, 6), (3, 7)], GOLDEN_16, 4),
@@ -66,8 +92,10 @@ def test_worked_example(n, couples, golden, flips):
     s = build_schedule(inst)
     assert s.team_pairs.pairs == tuple((2 * i, 2 * i + 1) for i in range(n // 2))
     assert set(s.super_pairs.pairs) == {tuple(sorted(c)) for c in couples}
-    assert _level_sets(s) == golden
     assert s.flips == flips
+    assert "levels" not in vars(s)   # made on first read, from the template and sigma
+    assert _level_sets(s) == golden
+    assert s.levels == _eager_levels(s)
 
 
 # --- level plans (Schedule.levels), checked on built schedules --------------
@@ -273,6 +301,100 @@ def test_rejects_bad_sizes():
         build_schedule(generate_instance(10, kind="euclidean", seed=0))
     with pytest.raises(SchedulingError, match="at least 8"):
         build_schedule(generate_instance(4, kind="euclidean", seed=0))
+
+
+# --- a built schedule's plan: the cached template and sigma ----------------------
+
+
+def test_readers_of_a_built_schedule_do_not_make_its_levels():
+    inst = generate_instance(16, "euclidean", 0)
+    s = build_schedule(inst)
+    flips, report = s.flips, validate_schedule(s)
+    total, ev = total_travel(s, inst), evaluation_report(s, inst)
+    assert "levels" not in vars(s)
+    assert report.ok and (ev.valid, ev.flips, ev.total_travel) == (True, flips, total)
+    text = schedule_to_json(s)
+    assert "levels" in vars(s)
+    assert s.levels == _eager_levels(s)
+    assert flips == sum(sm.block_type == 2 for lp in s.levels for sm in lp.super_matches) == 4
+    assert text == schedule_to_json(schedule_from_json(text))
+
+
+def test_a_build_makes_no_block_or_level_until_its_levels_are_read(monkeypatch):
+    inst = generate_instance(16, "euclidean", 0)
+    build_schedule(inst)   # the size's template is cached
+    made = collections.Counter()
+
+    def counted(make):
+        def call(*args, **kwargs):
+            made[make.__name__] += 1
+            return make(*args, **kwargs)
+        return call
+
+    for make in (SuperMatch, LevelPlan, scheduler.expand_block):
+        monkeypatch.setattr(scheduler, make.__name__, counted(make))
+    s = build_schedule(inst)
+    validate_schedule(s)
+    evaluation_report(s, inst)
+    assert made == {"expand_block": 8 * 7 // 2}   # one call per block
+    levels = s.levels
+    assert made == {"expand_block": 28, "SuperMatch": 28, "LevelPlan": 7}
+    assert s.levels is levels and made["LevelPlan"] == 7   # made once
+
+
+@pytest.mark.parametrize("how", ["pickle", "deepcopy", "replace", "==", "repr"])
+def test_a_fresh_built_schedule_copies_compares_and_shows_its_plan(how):
+    inst = generate_instance(12, "euclidean", 0)
+    s, made = build_schedule(inst), build_schedule(inst)
+    remade = Schedule(12, made.days, made.levels, made.team_pairs, made.super_pairs)
+    if how == "==":
+        assert s == remade and remade == build_schedule(inst)
+        assert s != build_schedule(generate_instance(12, "euclidean", 1))
+        return
+    if how == "repr":
+        assert repr(s) == repr(remade) and "levels=(LevelPlan(round=1, level=1" in repr(s)
+        return
+    t = {"pickle": lambda: pickle.loads(pickle.dumps(s)), "deepcopy": lambda: copy.deepcopy(s),
+         "replace": lambda: replace(s)}[how]()
+    assert t is not s and ("levels" in vars(t)) == (how == "replace")
+    assert t == remade and t.levels == remade.levels
+    assert t.flips == remade.flips == 3 and validate_schedule(t).ok
+    assert schedule_to_json(t) == schedule_to_json(remade)
+
+
+def test_a_built_schedule_checks_its_block_types_on_slots_as_a_stored_plan_is_checked():
+    # days of another build, declared under this build's plan: both
+    # schedules report the same contradicting blocks, in the same order
+    # (here 10, on slots that sigma moves, several in one level)
+    s = build_schedule(generate_instance(16, "euclidean", 1))
+    other = build_schedule(generate_instance(16, "euclidean", 2))
+    built = copy.copy(s)
+    object.__setattr__(built, "_array", other._array)
+    stored = Schedule(16, other.days, s.levels, s.team_pairs, s.super_pairs)
+    kept, count = _block_type_violations(built)
+    assert (kept, count) == _block_type_violations(stored) and count == 10
+    assert validate_schedule(built) == validate_schedule(stored)
+    assert "levels" in vars(s) and "levels" not in vars(built)
+
+
+def test_a_build_refuses_super_pairs_that_are_no_perfect_matching(monkeypatch):
+    # a team matching that is none is refused by build_super_graph
+    monkeypatch.setattr(scheduler, "super_pair_matching",
+                        lambda sg: PairMatching(pairs=((0, 1), (0, 1)), weight=0.0))
+    with pytest.raises(SchedulingError, match=r"^super-pairs \[\[0, 1\], \[0, 1\]\] are not "
+                                              r"a perfect matching of the pairs 0\.\.3$"):
+        build_schedule(generate_instance(8, "euclidean", 0))
+
+
+def test_template_refuses_a_level_that_pairs_two_slots_of_one_side(monkeypatch):
+    monkeypatch.setattr(scheduler, "_group_levels", lambda X, Y: [([(0, 2), (1, 3)], [])] * 3)
+    _template.cache_clear()
+    try:
+        with pytest.raises(SchedulingError,
+                           match="internal: level 1 pairs slots 0 and 2 on the same side"):
+            _template(4)
+    finally:
+        _template.cache_clear()
 
 
 # --- serialization and display --------------------------------------------------
