@@ -29,7 +29,7 @@ import numbers
 from dataclasses import dataclass, field, replace
 from functools import cached_property, lru_cache
 from operator import attrgetter, itemgetter
-from typing import ClassVar, Optional
+from typing import Optional
 
 from .analysis import flip_budget
 from .blocks import Fixture, SuperMatch, expand_block
@@ -66,9 +66,10 @@ class Schedule:
     then reads its games once, into their normal form
     (``validator._normal_form``), and keeps the count as the int it read,
     the plan as tuples and the normal form alone; each step can raise
-    ValidationError.  A built schedule keeps its plan as the build walked
-    it, the per-size template's blocks on slots and sigma, the slot → pair
-    map, and makes its ``levels`` from them the first time they are read.
+    ValidationError.  Every schedule holds its plan as blocks on slots and
+    sigma, the slot → pair map: a built one keeps the per-size template's
+    blocks as the build walked them and makes its ``levels`` from them the
+    first time they are read; for any other, slot s is pair s.
     Every schedule makes its ``days``, a tuple of ``Fixture`` tuples, from
     the normal form the first time they are read; the readers work from the
     normal form alone.  Once judged, a schedule keeps its report too."""
@@ -81,10 +82,9 @@ class Schedule:
     team_pairs: Optional[PairMatching] = None
     super_pairs: Optional[PairMatching] = None
 
-    # a built schedule's plan: slot s is pair ``_sigma[s]``, and
-    # ``_blocks[k]`` holds the template's level-k blocks, on slots, in the
-    # order of their lower pair; other schedules hold their ``levels``
-    _sigma: ClassVar[Optional[tuple[int, ...]]] = None
+    # the plan on slots: slot s is pair ``_sigma[s]``, and ``_blocks[k]``
+    # holds level k's blocks on slots (a build's in the order of their
+    # lower pair)
 
     def __post_init__(self) -> None:
         n = self._read_plan()
@@ -109,13 +109,17 @@ class Schedule:
 
     def _read_plan(self) -> int:
         """Read the team count, check the plan against it, keep both as
-        read, and return the count."""
+        read, the levels also as blocks on slots that are their pairs, and
+        return the count."""
         if self.n is None:
             raise ValidationError("a Schedule needs its team count n, got None")
         n = team_count(self.n, ValidationError)
         _check_plan(n, self.levels, self.team_pairs, self.super_pairs)
+        levels = _frozen_levels(self.levels)
         object.__setattr__(self, "n", n)
-        object.__setattr__(self, "levels", _frozen_levels(self.levels))
+        object.__setattr__(self, "levels", levels)
+        object.__setattr__(self, "_blocks", tuple(lp.super_matches for lp in levels))
+        object.__setattr__(self, "_sigma", range(n // 2))
         object.__setattr__(self, "team_pairs", _frozen_pairs(self.team_pairs))
         object.__setattr__(self, "super_pairs", _frozen_pairs(self.super_pairs))
         return n
@@ -125,7 +129,7 @@ class Schedule:
         # here, until they are first read
         if name == "days" and "_array" in vars(self):
             value = _fixture_days(self._array)
-        elif name == "levels" and self._sigma is not None:
+        elif name == "levels" and "_blocks" in vars(self):
             value = _pair_levels(self.n, self._blocks, self._sigma)
         else:
             raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
@@ -143,17 +147,9 @@ class Schedule:
         return ViolationReport(days.violations + kept, days.counts + ((S_BLOCK_TYPE, count),))
 
     @property
-    def _has_plan(self) -> bool:
-        """Whether the schedule holds typed levels; a built one does, and
-        is not made to name them."""
-        return self._sigma is not None or bool(self.levels)
-
-    @property
     def flips(self) -> int:
         """The number of Type-2 blocks in ``levels``."""
-        if self._sigma is not None:
-            return _flip_count(self._blocks)
-        return _flip_count(lp.super_matches for lp in self.levels)
+        return _flip_count(self._blocks)
 
 
 def _frozen_levels(levels) -> tuple[LevelPlan, ...]:
@@ -228,15 +224,12 @@ def _block_type_violations(sched: Schedule) -> tuple[tuple[Violation, ...], int]
     starts on day 4k, and on its second day, 4k+1, the A pair's lower team
     plays away in a Type-1 block and at home in a Type-2 block
     (``blocks._LAYOUT``).  Levels past the last day are not checked against
-    days; the day count check reports those schedules.  A built schedule is
-    checked on the slots of its plan, each named by its pair, so its
+    days; the day count check reports those schedules.  The check runs on
+    the slots of the plan, each named by its pair, so a built schedule's
     ``levels`` are not made.
     """
     out, count, g = [], 0, sched._array
-    if sched._sigma is None:
-        levels, pair = [lp.super_matches for lp in sched.levels], range(sched.n // 2)
-    else:
-        levels, pair = sched._blocks, sched._sigma
+    levels, pair = sched._blocks, sched._sigma
     lower = (None if sched.team_pairs is None
              else [min(sched.team_pairs.pairs[p]) for p in pair])
     last = len(levels) - 1
@@ -342,7 +335,8 @@ def _template(m: int) -> tuple[LevelPlan, ...]:
     last level is Type-3, and every other match is Type-1.  Raises
     SchedulingError when the flips exceed ceil(F_n).  The plan is checked
     once, here, as a stored one is (``_check_plan``, slots for pairs), so a
-    build checks only what it adds: its super-pairs."""
+    build checks only what it adds: its super-pairs.  A refusal here is a
+    fault of the planner, raised as an internal SchedulingError."""
     levels = _group_levels(list(range(0, m, 2)), list(range(1, m, 2)))
     n = 2 * m
     total = sum(len(flipped) for _, flipped in levels)
@@ -367,7 +361,10 @@ def _template(m: int) -> tuple[LevelPlan, ...]:
             is_a[i], is_a[j] = is_a[j], is_a[i]
         plans.append(LevelPlan(round=r, level=l, super_matches=tuple(matches)))
     plans = tuple(plans)
-    _check_plan(n, plans, None, None)
+    try:
+        _check_plan(n, plans, None, None)
+    except ValidationError as exc:
+        raise SchedulingError(f"internal: {exc}") from None
     return plans
 
 

@@ -397,6 +397,19 @@ def test_template_refuses_a_level_that_pairs_two_slots_of_one_side(monkeypatch):
         _template.cache_clear()
 
 
+def test_template_refuses_a_plan_its_check_refuses_as_an_internal_fault(monkeypatch):
+    # two levels for four slots: the plan check's refusal is the planner's
+    # fault, a SchedulingError, which check_team_count passes on
+    monkeypatch.setattr(scheduler, "_group_levels", lambda X, Y: [([(0, 1), (2, 3)], [])] * 2)
+    _template.cache_clear()
+    try:
+        with pytest.raises(SchedulingError, match=r"^internal: stored levels: 2 level\(s\), "
+                                                  r"expected n/2 - 1 = 3$"):
+            check_team_count(8)
+    finally:
+        _template.cache_clear()
+
+
 # --- serialization and display --------------------------------------------------
 
 
