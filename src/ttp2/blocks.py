@@ -22,7 +22,7 @@ from itertools import repeat
 from operator import itemgetter
 from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
-from .errors import SchedulingError, shown
+from .errors import SchedulingError, integer, shown
 
 BLOCK_TYPES = (1, 2, 3)
 
@@ -55,13 +55,19 @@ _LAYOUT = {
 @dataclass(frozen=True)
 class SuperMatch:
     """One block: pair ``a_pair`` takes the away-first A role against
-    ``b_pair`` in a block of type ``block_type`` (1, 2 or 3)."""
+    ``b_pair`` in a block of type ``block_type`` (1, 2 or 3).  Each field
+    is read by ``errors.integer``; anything else raises SchedulingError."""
 
     a_pair: int
     b_pair: int
     block_type: int
 
     def __post_init__(self) -> None:
+        if not type(self.a_pair) is type(self.b_pair) is type(self.block_type) is int:
+            object.__setattr__(self, "a_pair", integer(self.a_pair, "a_pair", SchedulingError))
+            object.__setattr__(self, "b_pair", integer(self.b_pair, "b_pair", SchedulingError))
+            object.__setattr__(self, "block_type", integer(
+                self.block_type, "type", SchedulingError, "unknown block type {value}: {reason}"))
         if self.a_pair == self.b_pair:
             raise SchedulingError(f"super-match pairs a pair with itself: {shown(self.a_pair)}")
         if self.block_type not in BLOCK_TYPES:

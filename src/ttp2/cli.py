@@ -101,11 +101,12 @@ def cmd_schedule(args) -> int:
     if not report.ok:
         _print_report(report, sys.stderr)
         return 2
+    text = schedule_to_json(sched) if args.output or args.json else None
     if args.output:
         with open(args.output, "w", encoding="utf-8") as fh:
-            fh.write(schedule_to_json(sched))
+            fh.write(text)
     if args.json:
-        sys.stdout.write(schedule_to_json(sched))
+        sys.stdout.write(text)
         return 0
     if args.table:
         sys.stdout.write(format_level_table(sched))

@@ -49,6 +49,8 @@ land on whatever code happens to trigger it.
 from __future__ import annotations
 
 import math
+import numbers
+import sys
 from collections import deque
 from dataclasses import dataclass
 from functools import lru_cache
@@ -56,7 +58,7 @@ from operator import sub
 
 import numpy as np
 
-from .errors import MatchingError
+from .errors import MatchingError, integer, shown
 from .instance import SYMMETRY_TOL, Instance
 
 SIZE_MAX = 256   # vertices of one solve, and so the most teams a build serves
@@ -65,10 +67,24 @@ MEMO_SIZE = 64   # distinct weight matrices whose matchings are kept
 
 @dataclass(frozen=True)
 class PairMatching:
-    """A perfect matching: sorted (lo, hi) pairs, sorted by first member."""
+    """A perfect matching: sorted (lo, hi) pairs, sorted by first member, as
+    a solve returns it.  Its two-team pairs are read by ``errors.integer``
+    and its weight as a finite, non-negative float, else MatchingError."""
 
     pairs: tuple[tuple[int, int], ...]
     weight: float
+
+    def __post_init__(self) -> None:
+        try:
+            pairs = tuple(map(_team_pair, self.pairs))
+        except TypeError as exc:   # pairs that cannot be iterated
+            raise MatchingError(str(exc)) from None
+        w = self.weight   # at most the largest float: an int past it has no float
+        if type(w) is bool or not isinstance(w, numbers.Real) or not 0 <= w <= sys.float_info.max:
+            raise MatchingError(f"invalid literal for weight: {shown(w)} is not a finite "
+                                "non-negative number")
+        object.__setattr__(self, "pairs", pairs)
+        object.__setattr__(self, "weight", float(w))
 
     @property
     def size(self) -> int:
@@ -77,6 +93,14 @@ class PairMatching:
     def covers(self, m: int) -> bool:
         seen = sorted(v for pair in self.pairs for v in pair)
         return seen == list(range(m))
+
+
+def _team_pair(p) -> tuple[int, int]:
+    try:
+        a, b = p
+        return integer(a, "team"), integer(b, "team")
+    except (TypeError, ValueError) as exc:
+        raise MatchingError(f"pair {shown(p)}: {exc}") from None
 
 
 def _validated_weights(weights) -> np.ndarray:

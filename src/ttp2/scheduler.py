@@ -16,8 +16,8 @@ Construction outline for n teams (4 | n, n >= 8), m = n/2 pairs:
    are 4-day blocks, the final level is the 6-day block with the intra-pair
    games.  Day count is 4(m-2) + 6 = 2n-2.  The blocks are expanded as the
    per-size template holds them, on slots, each slot standing for its pair;
-   a built schedule keeps that plan and names its levels in pairs only
-   when they are first read.
+   a built schedule keeps that plan, and every schedule names its levels
+   in pairs only when they are first read.
 """
 
 from __future__ import annotations
@@ -25,8 +25,7 @@ from __future__ import annotations
 import itertools
 import json
 import math
-import numbers
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 from operator import attrgetter, itemgetter
 from typing import Optional
@@ -43,13 +42,32 @@ from .validator import (REPORT_LIMIT, Violation, ViolationReport, _fixture_days,
 S_BLOCK_TYPE = "structural_block_type"
 
 
+def _tuple_of(cls: type, values, what: str) -> tuple:
+    """``values``, read once, as a tuple of ``cls`` values, else ValidationError."""
+    try:
+        values = tuple(values)
+        if all(isinstance(v, cls) for v in values):
+            return values
+    except TypeError:   # not iterable
+        pass
+    raise ValidationError(f"{what} must be {cls.__name__} values, got {shown(values)}")
+
+
 @dataclass(frozen=True)
 class LevelPlan:
-    """One level: n/4 super-matches, labeled (round, level) 1-based."""
+    """One level: n/4 super-matches, labeled (round, level) 1-based.  It
+    reads its labels by ``errors.integer`` and its blocks once, into a
+    tuple of ``SuperMatch`` values; anything else raises ValidationError."""
 
     round: int
     level: int
     super_matches: tuple[SuperMatch, ...]
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "round", integer(self.round, "round", ValidationError))
+        object.__setattr__(self, "level", integer(self.level, "level", ValidationError))
+        object.__setattr__(self, "super_matches",
+                           _tuple_of(SuperMatch, self.super_matches, "super_matches"))
 
 
 @dataclass(frozen=True)
@@ -62,34 +80,30 @@ class Schedule:
     ``total_travel``, ``team_itinerary``, ``evaluation_report``) take: raw
     day lists become one with ``Schedule(n, days)``, day-list text with
     ``validator.parse_day_list``.  Made by hand or loaded, it reads its
-    team count, which may not be None, checks its plan (``_check_plan``),
+    team count, which may not be None, then ``levels`` once, each a
+    ``LevelPlan``, and each matching, a ``PairMatching`` or None: types
+    that read their own numbers.  It checks the plan (``_check_plan``),
     then reads its games once, into their normal form
-    (``validator._normal_form``), and keeps the count as the int it read,
-    the plan as tuples and the normal form alone; each step can raise
-    ValidationError.  Every schedule holds its plan as blocks on slots and
-    sigma, the slot → pair map: a built one keeps the per-size template's
-    blocks as the build walked them and makes its ``levels`` from them the
-    first time they are read; for any other, slot s is pair s.
-    Every schedule makes its ``days``, a tuple of ``Fixture`` tuples, from
-    the normal form the first time they are read; the readers work from the
-    normal form alone.  Once judged, a schedule keeps its report too."""
+    (``validator._normal_form``); each step can raise ValidationError.
+    Every schedule holds its plan only as ``_blocks``, level k's blocks on
+    slots (a build's template blocks, in the order of their lower pair),
+    and ``_sigma``, the slot → pair map (for a schedule not built, slot s
+    is pair s), and its days only as the normal form; it makes ``levels``
+    and ``days`` from them the first time they are read.  The readers work
+    from the normal form alone.  Once judged, a schedule keeps its report
+    too."""
 
     n: int
     days: tuple[tuple[Fixture, ...], ...]
-    # a factory, not a class-level default, which would hide a built
-    # schedule's ``levels`` from ``__getattr__``
+    # a factory, not a class-level default, which would hide ``levels``
+    # from ``__getattr__``
     levels: tuple[LevelPlan, ...] = field(default_factory=tuple)
     team_pairs: Optional[PairMatching] = None
     super_pairs: Optional[PairMatching] = None
 
-    # the plan on slots: slot s is pair ``_sigma[s]``, and ``_blocks[k]``
-    # holds level k's blocks on slots (a build's in the order of their
-    # lower pair)
-
     def __post_init__(self) -> None:
-        n = self._read_plan()
-        teams, counts = _fixture_teams(self.days)
-        object.__delattr__(self, "days")
+        n = self._read_plan(vars(self).pop("levels"))
+        teams, counts = _fixture_teams(vars(self).pop("days"))
         object.__setattr__(self, "_array", _normal_form(teams, counts, n))
 
     @classmethod
@@ -102,31 +116,27 @@ class Schedule:
         ``Schedule(n, days)`` of the same games refuses, in the same
         order."""
         sched = cls.__new__(cls)
-        vars(sched).update(n=n, levels=levels, team_pairs=team_pairs, super_pairs=super_pairs)
-        n = sched._read_plan()
+        vars(sched).update(n=n, team_pairs=team_pairs, super_pairs=super_pairs)
+        n = sched._read_plan(levels)
         object.__setattr__(sched, "_array", _normal_form(teams, counts, n))
         return sched
 
-    def _read_plan(self) -> int:
-        """Read the team count, check the plan against it, keep both as
-        read, the levels also as blocks on slots that are their pairs, and
-        return the count."""
+    def _read_plan(self, levels) -> int:
+        """Read the team count and the plan, check the plan against the
+        count, keep the count as read and ``levels`` as blocks on slots
+        that are their pairs, and return the count."""
         if self.n is None:
             raise ValidationError("a Schedule needs its team count n, got None")
         n = team_count(self.n, ValidationError)
-        _check_plan(n, self.levels, self.team_pairs, self.super_pairs)
-        levels = _frozen_levels(self.levels)
+        levels = _tuple_of(LevelPlan, levels, "levels")
+        _check_plan(n, levels, self.team_pairs, self.super_pairs)
         object.__setattr__(self, "n", n)
-        object.__setattr__(self, "levels", levels)
         object.__setattr__(self, "_blocks", tuple(lp.super_matches for lp in levels))
         object.__setattr__(self, "_sigma", range(n // 2))
-        object.__setattr__(self, "team_pairs", _frozen_pairs(self.team_pairs))
-        object.__setattr__(self, "super_pairs", _frozen_pairs(self.super_pairs))
         return n
 
     def __getattr__(self, name: str):
-        # only ``days``, and a built schedule's ``levels``, are looked up
-        # here, until they are first read
+        # only ``days`` and ``levels`` are looked up here, until first read
         if name == "days" and "_array" in vars(self):
             value = _fixture_days(self._array)
         elif name == "levels" and "_blocks" in vars(self):
@@ -152,29 +162,14 @@ class Schedule:
         return _flip_count(self._blocks)
 
 
-def _frozen_levels(levels) -> tuple[LevelPlan, ...]:
-    """``levels`` as a tuple of levels whose blocks are tuples, itself when
-    it is one already, as a loaded plan is."""
-    if type(levels) is tuple and all(type(lp.super_matches) is tuple for lp in levels):
-        return levels
-    return tuple(replace(lp, super_matches=tuple(lp.super_matches)) for lp in levels)
-
-
-def _frozen_pairs(pm: Optional[PairMatching]) -> Optional[PairMatching]:
-    """``pm`` with its pairs as a tuple of tuples, itself when they are."""
-    if pm is None or type(pm.pairs) is tuple and all(type(p) is tuple for p in pm.pairs):
-        return pm
-    return replace(pm, pairs=tuple(map(tuple, pm.pairs)))
-
-
 def _flip_count(levels) -> int:
     """The Type-2 count of ``levels``, each an iterable of blocks."""
     return sum(sm.block_type == 2 for blocks in levels for sm in blocks)
 
 
 def _pair_levels(n: int, blocks, sigma) -> tuple[LevelPlan, ...]:
-    """A build's plan in pairs: level k's slot blocks ``blocks[k]``, each
-    renamed through ``sigma``, in the order they are given."""
+    """A schedule's plan in pairs: level k's slot blocks ``blocks[k]``,
+    each renamed through ``sigma``, in the order they are given."""
     return tuple(
         LevelPlan(round=r, level=l, super_matches=tuple(
             SuperMatch(sigma[sm.a_pair], sigma[sm.b_pair], sm.block_type) for sm in level))
@@ -183,14 +178,18 @@ def _pair_levels(n: int, blocks, sigma) -> tuple[LevelPlan, ...]:
 
 def _check_plan(n: int, levels, team_pairs: Optional[PairMatching],
                 super_pairs: Optional[PairMatching]) -> None:
-    """Refuse a plan that contradicts itself with ValidationError: team
-    pairs that are no perfect matching of the teams 0..n-1, or, when levels
-    are stored, other than n/2 - 1 levels labeled by ``_round_labels(n)``,
-    each of n/4 blocks naming every pair 0..n/2 - 1 once, or super-pairs
-    other than the pairs of the last level."""
-    if team_pairs is not None and not team_pairs.covers(n):
-        raise ValidationError(f"stored team_pairs {shown([list(p) for p in team_pairs.pairs])} are "
-                              f"not a perfect matching of the teams 0..{n - 1}")
+    """Refuse with ValidationError a plan that contradicts itself: team
+    pairs or super-pairs that are no ``PairMatching`` of all the teams
+    0..n-1 or pairs 0..n/2 - 1, or, when levels are stored, other than
+    n/2 - 1 levels labeled by ``_round_labels(n)``, each of n/4 blocks
+    naming every pair 0..n/2 - 1 once, or super-pairs not the last level's."""
+    for key, pm, what, m in (("team_pairs", team_pairs, "teams", n),
+                             ("super_pairs", super_pairs, "pairs", n // 2)):
+        if pm is not None and not isinstance(pm, PairMatching):
+            raise ValidationError(f"{key} must be a PairMatching or None, got {shown(pm)}")
+        if pm is not None and not pm.covers(m):
+            raise ValidationError(f"stored {key} {shown([list(p) for p in pm.pairs])} are "
+                                  f"not a perfect matching of the {what} 0..{m - 1}")
     if not levels:
         return
     if 2 * (len(levels) + 1) != n:
@@ -459,61 +458,30 @@ _AWAY = itemgetter("away")
 _HOME = itemgetter("home")
 
 
-def _pair_from_dict(p) -> tuple[int, int]:
-    try:
-        a, b = p
-        return integer(a, "team"), integer(b, "team")
-    except (TypeError, ValueError) as exc:
-        raise ValidationError(f"pair {shown(p)}: {exc}") from None
-
-
-def _stored_weight(x) -> float:
-    """A stored matching weight as a float; text, a boolean, or a number
-    that is negative or not finite is refused with ValueError."""
-    if isinstance(x, numbers.Real) and not isinstance(x, bool) and 0 <= x < math.inf:
-        try:
-            return float(x)
-        except OverflowError:   # an int past the float range
-            pass
-    raise ValueError(f"invalid literal for weight: {shown(x)} is not a finite non-negative number")
-
-
-def _pairs_from_dict(obj) -> Optional[PairMatching]:
-    if obj is None:
-        return None
-    return PairMatching(pairs=tuple(map(_pair_from_dict, obj["pairs"])),
-                        weight=_stored_weight(obj["weight"]))
-
-
-_BLOCK_FIELDS = ("a_pair", "b_pair", "type")
-_BLOCK_VALUES = itemgetter(*_BLOCK_FIELDS)
-
-
 def _block_from_dict(b) -> SuperMatch:
     try:
-        values = _BLOCK_VALUES(b)
-        if not type(values[0]) is type(values[1]) is type(values[2]) is int:
-            values = map(integer, values, _BLOCK_FIELDS)
-        return SuperMatch(*values)
-    except (TypeError, ValueError, SchedulingError) as exc:
+        return SuperMatch(b["a_pair"], b["b_pair"], b["type"])
+    except (TypeError, SchedulingError) as exc:
         raise ValidationError(f"block {shown(b)}: {exc}") from None
 
 
 def schedule_from_dict(obj: dict) -> Schedule:
     """Schedule from its ``schedule_to_dict`` form, the one reader of that
-    form; raises ValidationError when the input cannot be read as one, when
-    ``errors.integer`` refuses a number it needs as an integer, or when
-    a stored ``"flips"`` differs from the levels' Type-2 count.  The
-    ``Schedule`` it makes refuses the rest in the same way: a stored plan
-    that contradicts itself (``_check_plan``), then a team that plays
-    itself or lies outside 0..n-1.
+    form.  It hands the stored plan's fields to ``LevelPlan``,
+    ``SuperMatch`` and ``PairMatching``, which read their own numbers, and
+    raises ValidationError, with the prefix ``malformed schedule JSON:``,
+    when a field is missing or a value is refused, by ``errors.integer``
+    or by those types; and when a stored ``"flips"`` differs from the
+    levels' Type-2 count.  The ``Schedule`` it makes refuses the rest in
+    the same way: a stored plan that contradicts itself (``_check_plan``),
+    then a team that plays itself or lies outside 0..n-1.
 
     The stored games are read in one flat pass: every ``"away"``, then
     every ``"home"``, then, unless all are plain ints, each through
     ``integer`` in game order.  Those teams and each stored day's length
     go straight into the normal form: the schedule makes its ``Fixture``
-    days from that form when they are first read.  Of two faults in one
-    file, a missing field is named before a number it refuses, and a
+    days from that form when they are first read.  Of two faults in the
+    games, a missing field is named before a team it refuses, and a
     missing ``"away"`` before a missing ``"home"``."""
     try:
         n = integer(obj["n"], "n")
@@ -524,15 +492,14 @@ def schedule_from_dict(obj: dict) -> Schedule:
         teams = list(itertools.chain.from_iterable(zip(away, home)))
         if not set(map(type, teams)) <= {int}:
             teams = list(map(integer, teams, itertools.cycle(("away", "home"))))
-        levels = tuple(
-            LevelPlan(round=integer(lv["round"], "round"),
-                      level=integer(lv["level"], "level"),
-                      super_matches=tuple(map(_block_from_dict, lv["blocks"])))
-            for lv in obj.get("levels", []))
+        levels = tuple(LevelPlan(round=lv["round"], level=lv["level"],
+                                 super_matches=map(_block_from_dict, lv["blocks"]))
+                       for lv in obj.get("levels", []))
         stored_flips = integer(obj["flips"], "flips") if "flips" in obj else None
-        team_pairs = _pairs_from_dict(obj.get("team_pairs"))
-        super_pairs = _pairs_from_dict(obj.get("super_pairs"))
-    except (KeyError, TypeError, ValueError, SchedulingError) as exc:
+        team_pairs, super_pairs = (
+            None if (pm := obj.get(key)) is None else PairMatching(pm["pairs"], pm["weight"])
+            for key in ("team_pairs", "super_pairs"))
+    except (KeyError, TypeError, ValueError) as exc:
         if isinstance(exc, KeyError):
             raise ValidationError(f"malformed schedule JSON: missing field {exc}") from None
         raise ValidationError(f"malformed schedule JSON: {exc}") from None

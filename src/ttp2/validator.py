@@ -13,8 +13,8 @@ days)`` reads its days through ``_fixture_teams`` first; a build and the
 two stored forms hand their team integers to ``_normal_form`` directly.
 Every schedule holds only its normal form, and makes its ``Fixture`` days
 from it (``_fixture_days``) when they are first read.  What a ``Schedule``
-stores besides its days, the plan they were expanded from, is
-``scheduler``'s to check.  Every violation is counted, exactly, but a
+stores besides its days, the plan they were expanded from, held once as
+blocks on slots and the slot → pair map, is ``scheduler``'s to check.  Every violation is counted, exactly, but a
 report keeps only the first ``REPORT_LIMIT`` of each constraint, in order,
 so that its size does not grow as n squared.  Travel evaluation in
 ``analysis`` reads the same normal form.

@@ -207,6 +207,23 @@ def test_schedule_json_flag(capsys):
     assert len(obj["days"]) == 14
 
 
+def test_schedule_encodes_its_json_once_for_both_the_file_and_stdout(tmp_path, capsys,
+                                                                     monkeypatch):
+    calls = []
+
+    def counted(sched):
+        calls.append(sched)
+        return schedule_to_json(sched)
+
+    monkeypatch.setattr(cli, "schedule_to_json", counted)
+    path = tmp_path / "sched.json"
+    code, out, _ = run(capsys, "schedule", "--gen", "euclidean", "--n", "8",
+                       "--seed", "0", "-o", str(path), "--json")
+    assert code == 0 and len(calls) == 1
+    assert path.read_bytes() == out.encode("utf-8")
+    assert out == schedule_to_json(build_schedule(generate_instance(8, kind="euclidean", seed=0)))
+
+
 def test_schedule_table(capsys):
     code, out, _ = run(capsys, "schedule", "--gen", "euclidean", "--n", "8",
                        "--seed", "0", "--table")

@@ -13,6 +13,7 @@ import pytest
 
 from ttp2 import (
     LevelPlan,
+    MatchingError,
     PairMatching,
     Schedule,
     SchedulingError,
@@ -325,14 +326,17 @@ def test_a_build_makes_no_block_or_level_until_its_levels_are_read(monkeypatch):
     build_schedule(inst)   # the size's template is cached
     made = collections.Counter()
 
-    def counted(make):
+    def counted(name, make):
         def call(*args, **kwargs):
-            made[make.__name__] += 1
+            made[name] += 1
             return make(*args, **kwargs)
         return call
 
-    for make in (SuperMatch, LevelPlan, scheduler.expand_block):
-        monkeypatch.setattr(scheduler, make.__name__, counted(make))
+    # a plan value is counted as it reads itself, so that its class stays
+    # the class that ``LevelPlan`` checks its blocks against
+    for cls in (SuperMatch, LevelPlan):
+        monkeypatch.setattr(cls, "__post_init__", counted(cls.__name__, cls.__post_init__))
+    monkeypatch.setattr(scheduler, "expand_block", counted("expand_block", scheduler.expand_block))
     s = build_schedule(inst)
     validate_schedule(s)
     evaluation_report(s, inst)
@@ -356,7 +360,7 @@ def test_a_fresh_built_schedule_copies_compares_and_shows_its_plan(how):
         return
     t = {"pickle": lambda: pickle.loads(pickle.dumps(s)), "deepcopy": lambda: copy.deepcopy(s),
          "replace": lambda: replace(s)}[how]()
-    assert t is not s and ("levels" in vars(t)) == (how == "replace")
+    assert t is not s and "levels" not in vars(t)
     assert t == remade and t.levels == remade.levels
     assert t.flips == remade.flips == 3 and validate_schedule(t).ok
     assert schedule_to_json(t) == schedule_to_json(remade)
@@ -494,6 +498,92 @@ def test_a_stored_plan_that_contradicts_itself_is_refused(damage, message):
             schedule_from_json(json.dumps(obj))
 
 
+def _remade(s, num=int, levels=tuple, team_pairs=None):
+    """``Schedule`` of ``s``'s days and of its plan made again by hand, each
+    team and label through ``num`` and each weight as a numpy float, and
+    the levels made; ``levels``
+    takes those levels to what is passed, and ``team_pairs``, if given,
+    takes ``s``'s to what is."""
+    def matching(pm):
+        return PairMatching([(num(a), num(b)) for a, b in pm.pairs], np.float64(pm.weight))
+
+    plan = [LevelPlan(num(lp.round), num(lp.level),
+                      [SuperMatch(num(sm.a_pair), num(sm.b_pair), num(sm.block_type))
+                       for sm in lp.super_matches])
+            for lp in s.levels]
+    pairs = matching(s.team_pairs) if team_pairs is None else team_pairs(s.team_pairs)
+    return Schedule(s.n, s.days, levels(plan), pairs, matching(s.super_pairs)), plan
+
+
+# the plan types read their own numbers, by the rules a stored plan is read
+# by: numpy and integral-float values are read as ints, and the schedule is
+# written as the plain build's; everything else is refused with this
+# package's error type, never a bare TypeError or AttributeError
+@pytest.mark.parametrize("make,refusal", [
+    (lambda s: _remade(s, np.int64), None),
+    (lambda s: _remade(s, float), None),
+    (lambda s: _remade(s, np.float64), None),
+    (lambda s: _remade(s, levels=lambda plan: (lp for lp in plan)), None),
+    (lambda s: PairMatching(((0, 1, 2), (3, 4), (5, 6), (7,)), 1.0),
+     (MatchingError, r"^pair \(0, 1, 2\): too many values to unpack")),
+    (lambda s: _remade(s, team_pairs=lambda pm: PairMatching(((0.5, 1),) + pm.pairs[1:],
+                                                              pm.weight)),
+     (MatchingError, r"^pair \(0\.5, 1\): 0\.5 is not an integer$")),
+    (lambda s: PairMatching(s.team_pairs.pairs, "x"),
+     (MatchingError, "^invalid literal for weight: 'x' is not a finite non-negative number$")),
+    (lambda s: PairMatching(s.team_pairs.pairs, -3.0),
+     (MatchingError, "^invalid literal for weight: -3.0 is not")),
+    (lambda s: PairMatching(5, 0.0), (MatchingError, "'int' object is not iterable")),
+    (lambda s: SuperMatch("0", 1, 1), (SchedulingError, "invalid literal for a_pair: '0'")),
+    (lambda s: SuperMatch(0, 1, 1.5), (SchedulingError, "^unknown block type 1.5: ")),
+    (lambda s: LevelPlan("1", 1, ()), (ValidationError, "invalid literal for round: '1'")),
+    (lambda s: LevelPlan(1, 1, [(0, 1, 1)]),
+     (ValidationError, r"^super_matches must be SuperMatch values, got \(\(0, 1, 1\),\)$")),
+    (lambda s: LevelPlan(1, 1, None), (ValidationError, "must be SuperMatch values, got None")),
+    (lambda s: Schedule(8, s.days, None), (ValidationError, "^levels must be LevelPlan values, "
+                                                            "got None$")),
+    (lambda s: Schedule(8, s.days, [5, 5, 5]), (ValidationError, r"got \(5, 5, 5\)$")),
+    (lambda s: Schedule(8, s.days, s.levels, [(0, 1)]),
+     (ValidationError, r"^team_pairs must be a PairMatching or None, got \[\(0, 1\)\]$")),
+    (lambda s: Schedule(8, s.days, s.levels, s.team_pairs, s.super_pairs.pairs),
+     (ValidationError, "^super_pairs must be a PairMatching or None")),
+], ids=["numpy-ints", "integral-floats", "numpy-floats", "generator-of-levels",
+        "three-team-pair", "fractional-team", "text-weight", "negative-weight",
+        "pairs-not-iterable", "text-block-pair", "fractional-block-type", "text-round",
+        "block-not-a-super-match", "blocks-none", "levels-none", "levels-of-ints",
+        "team-pairs-list", "super-pairs-tuple"])
+def test_a_hand_made_plan_is_read_by_the_rules_a_stored_one_is(make, refusal):
+    s = build_schedule(generate_instance(8, "euclidean", 0))
+    if refusal is not None:
+        error, message = refusal
+        with pytest.raises(error, match=message):
+            make(s)
+        return
+    t, plan = make(s)
+    assert "levels" not in vars(t)
+    labels = [v for lp in plan for v in (lp.round, lp.level)]
+    blocks = [v for level in t._blocks for sm in level
+              for v in (sm.a_pair, sm.b_pair, sm.block_type)]
+    pairs = [v for pm in (t.team_pairs, t.super_pairs) for p in pm.pairs for v in p]
+    assert {type(v) for v in labels + blocks + pairs} == {int}
+    assert [lp.super_matches for lp in plan] == list(t._blocks)
+    assert type(t.team_pairs.weight) is type(t.super_pairs.weight) is float
+    assert validate_schedule(t).ok and t == s
+    assert schedule_to_json(t) == schedule_to_json(s)
+
+
+def test_stored_super_pairs_are_a_perfect_matching_of_the_pairs_without_levels_too():
+    s = build_schedule(generate_instance(8, "euclidean", 0))
+    message = (r"^stored super_pairs \[\[0, 5\], \[9, 9\]\] are not a perfect matching of "
+               r"the pairs 0\.\.3$")
+    with pytest.raises(ValidationError, match=message):
+        Schedule(8, s.days, super_pairs=PairMatching(((0, 5), (9, 9)), 1.0))
+    obj = json.loads(schedule_to_json(s))
+    obj.update(levels=[], flips=0, super_pairs={"pairs": [[0, 5], [9, 9]], "weight": 1.0})
+    with pytest.raises(ValidationError, match=message):
+        schedule_from_json(json.dumps(obj))
+
+
 def test_a_schedule_reads_its_team_count_before_its_plan():
     s = build_schedule(generate_instance(12, "euclidean", 0))
     assert validate_schedule(replace(s, n=12.0)).ok   # an integral float is read as 12
@@ -514,25 +604,30 @@ def test_a_schedule_keeps_the_team_count_it_read(n):
 
 
 def test_a_schedule_keeps_its_plan_from_later_edits_of_the_lists_it_was_given():
+    # the plan types keep tuples of what they read, so the lists that are
+    # edited are the caller's own
     s = build_schedule(generate_instance(8, "euclidean", 0))
-    levels = [replace(lp, super_matches=list(lp.super_matches)) for lp in s.levels]
-    team_pairs = replace(s.team_pairs, pairs=[list(p) for p in s.team_pairs.pairs])
-    super_pairs = replace(s.super_pairs, pairs=[list(p) for p in s.super_pairs.pairs])
-    t = Schedule(n=8, days=s.days, levels=levels, team_pairs=team_pairs,
-                 super_pairs=super_pairs)
-    levels[-1].super_matches.reverse()
+    blocks = [list(lp.super_matches) for lp in s.levels]
+    levels = [replace(lp, super_matches=b) for lp, b in zip(s.levels, blocks)]
+    team_lists = [list(p) for p in s.team_pairs.pairs]
+    super_lists = [list(p) for p in s.super_pairs.pairs]
+    t = Schedule(n=8, days=s.days, levels=levels,
+                 team_pairs=replace(s.team_pairs, pairs=team_lists),
+                 super_pairs=replace(s.super_pairs, pairs=super_lists))
+    blocks[-1].reverse()
     levels[0] = replace(levels[0], round=9)
-    team_pairs.pairs[0][0] = 99
-    team_pairs.pairs.pop()
-    super_pairs.pairs[0].reverse()
-    super_pairs.pairs.append([0, 1])
+    team_lists[0][0] = 99
+    team_lists.pop()
+    super_lists[0].reverse()
+    super_lists.append([0, 1])
     assert t == s
     assert schedule_from_json(schedule_to_json(t)) == s
-    # a built or loaded plan, tuples already, is kept as it is
+    # a built or loaded plan's matchings, tuples already, are kept as they
+    # are; its levels are made again only when they are read
     u = replace(s)
+    assert "levels" not in vars(u)
     assert (u.levels, u.team_pairs, u.super_pairs) == (s.levels, s.team_pairs, s.super_pairs)
-    assert u.levels is s.levels and u.team_pairs is s.team_pairs
-    assert u.super_pairs is s.super_pairs
+    assert u.team_pairs is s.team_pairs and u.super_pairs is s.super_pairs
 
 
 def test_fixture_validation():
