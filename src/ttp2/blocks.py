@@ -22,7 +22,7 @@ from itertools import repeat
 from operator import itemgetter
 from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
-from .errors import SchedulingError, integer, shown
+from .errors import SchedulingError, ValidationError, integer, shown
 
 BLOCK_TYPES = (1, 2, 3)
 
@@ -56,7 +56,8 @@ _LAYOUT = {
 class SuperMatch:
     """One block: pair ``a_pair`` takes the away-first A role against
     ``b_pair`` in a block of type ``block_type`` (1, 2 or 3).  Each field
-    is read by ``errors.integer``; anything else raises SchedulingError."""
+    is read by ``errors.integer``; a field it refuses, a pair against itself
+    or another block type raises ValidationError, as ``LevelPlan`` does."""
 
     a_pair: int
     b_pair: int
@@ -64,14 +65,14 @@ class SuperMatch:
 
     def __post_init__(self) -> None:
         if not type(self.a_pair) is type(self.b_pair) is type(self.block_type) is int:
-            object.__setattr__(self, "a_pair", integer(self.a_pair, "a_pair", SchedulingError))
-            object.__setattr__(self, "b_pair", integer(self.b_pair, "b_pair", SchedulingError))
+            object.__setattr__(self, "a_pair", integer(self.a_pair, "a_pair", ValidationError))
+            object.__setattr__(self, "b_pair", integer(self.b_pair, "b_pair", ValidationError))
             object.__setattr__(self, "block_type", integer(
-                self.block_type, "type", SchedulingError, "unknown block type {value}: {reason}"))
+                self.block_type, "type", ValidationError, "unknown block type {value}: {reason}"))
         if self.a_pair == self.b_pair:
-            raise SchedulingError(f"super-match pairs a pair with itself: {shown(self.a_pair)}")
+            raise ValidationError(f"super-match pairs a pair with itself: {shown(self.a_pair)}")
         if self.block_type not in BLOCK_TYPES:
-            raise SchedulingError(f"unknown block type {shown(self.block_type)}")
+            raise ValidationError(f"unknown block type {shown(self.block_type)}")
 
     @property
     def key(self) -> tuple[int, int]:

@@ -93,9 +93,8 @@ def cmd_gen(args) -> int:
 
 def cmd_schedule(args) -> int:
     if not args.input and args.n is not None:   # before an instance of that size is made
-        check_team_count(args.n, InstanceError)
+        check_team_count(args.n)
     inst = _obtain_instance(args)
-    check_team_count(inst.n, InstanceError)
     sched = build_schedule(inst)
     report = validate_schedule(sched)
     if not report.ok:
@@ -155,7 +154,7 @@ def cmd_evaluate(args) -> int:
 
 def cmd_bench(args) -> int:
     for n in args.n_set:
-        check_team_count(n, InstanceError)
+        check_team_count(n)
     base_seed = _resolve_seed(args.seed)
     buf = io.StringIO()
     writer = csv.writer(buf)
@@ -276,10 +275,11 @@ def _build_parser() -> argparse.ArgumentParser:
     p = subs.add_parser("schedule", help="build a schedule")
     _add_gen_source(p)
     p.add_argument("-o", "--output", metavar="PATH", help="write schedule JSON")
-    p.add_argument("--table", action="store_true",
-                   help="print the round/level block table")
-    p.add_argument("--json", action="store_true",
-                   help="print schedule JSON to stdout")
+    shown_as = p.add_mutually_exclusive_group()
+    shown_as.add_argument("--table", action="store_true",
+                          help="print the round/level block table")
+    shown_as.add_argument("--json", action="store_true",
+                          help="print schedule JSON to stdout")
     p.set_defaults(func=cmd_schedule)
 
     p = subs.add_parser("validate", help="check a schedule against the constraints")

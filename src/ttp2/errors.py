@@ -15,7 +15,8 @@ class TTP2Error(Exception):
 
 
 class InstanceError(TTP2Error, ValueError):
-    """Malformed or inconsistent distance-matrix input."""
+    """Malformed or inconsistent distance-matrix input, or a team count the
+    build does not serve (``scheduler.check_team_count``)."""
 
 
 class MatchingError(TTP2Error, ValueError):
@@ -23,7 +24,9 @@ class MatchingError(TTP2Error, ValueError):
 
 
 class SchedulingError(TTP2Error, RuntimeError):
-    """Schedule construction failed an internal consistency check."""
+    """Schedule construction failed an internal consistency check, never an
+    input fault; only ``blocks.expand_block`` and ``block_travel`` also
+    raise it, for bad arguments."""
 
 
 class ValidationError(TTP2Error, ValueError):

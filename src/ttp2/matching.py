@@ -67,9 +67,11 @@ MEMO_SIZE = 64   # distinct weight matrices whose matchings are kept
 
 @dataclass(frozen=True)
 class PairMatching:
-    """A perfect matching: sorted (lo, hi) pairs, sorted by first member, as
-    a solve returns it.  Its two-team pairs are read by ``errors.integer``
-    and its weight as a finite, non-negative float, else MatchingError."""
+    """A perfect matching: a solve returns its pairs as (lo, hi), sorted by
+    first member; one made by hand keeps its pairs, and the teams in each,
+    in the order they were given.  Its two-team pairs are read by
+    ``errors.integer`` and its weight as a finite, non-negative float, else
+    MatchingError."""
 
     pairs: tuple[tuple[int, int], ...]
     weight: float
@@ -85,10 +87,6 @@ class PairMatching:
                                 "non-negative number")
         object.__setattr__(self, "pairs", pairs)
         object.__setattr__(self, "weight", float(w))
-
-    @property
-    def size(self) -> int:
-        return 2 * len(self.pairs)
 
     def covers(self, m: int) -> bool:
         seen = sorted(v for pair in self.pairs for v in pair)

@@ -32,7 +32,8 @@ from typing import Optional
 
 from .analysis import flip_budget
 from .blocks import Fixture, SuperMatch, expand_block
-from .errors import SchedulingError, ValidationError, integer, load_json, shown, team_count
+from .errors import (InstanceError, SchedulingError, ValidationError, integer, load_json,
+                     shown, team_count)
 from .instance import Instance
 from .matching import (SIZE_MAX, PairMatching, build_super_graph,
                        min_weight_perfect_matching, super_pair_matching)
@@ -181,8 +182,8 @@ def _check_plan(n: int, levels, team_pairs: Optional[PairMatching],
     """Refuse with ValidationError a plan that contradicts itself: team
     pairs or super-pairs that are no ``PairMatching`` of all the teams
     0..n-1 or pairs 0..n/2 - 1, or, when levels are stored, other than
-    n/2 - 1 levels labeled by ``_round_labels(n)``, each of n/4 blocks
-    naming every pair 0..n/2 - 1 once, or super-pairs not the last level's."""
+    n/2 - 1 levels labeled by ``_round_labels(n)``, each naming every pair
+    0..n/2 - 1 once (so n/4 blocks), or super-pairs not the last level's."""
     for key, pm, what, m in (("team_pairs", team_pairs, "teams", n),
                              ("super_pairs", super_pairs, "pairs", n // 2)):
         if pm is not None and not isinstance(pm, PairMatching):
@@ -200,9 +201,6 @@ def _check_plan(n: int, levels, team_pairs: Optional[PairMatching],
         if (lp.round, lp.level) != (r, l):
             raise ValidationError(f"stored levels: level {k + 1} is labeled round {shown(lp.round)}"
                                   f" level {shown(lp.level)}, expected round {r} level {l}")
-        if 4 * len(lp.super_matches) != n:
-            raise ValidationError(f"stored levels: level {k + 1} holds {len(lp.super_matches)} "
-                                  f"blocks, expected n/4 = {n / 4:g}")
         ends = map(attrgetter("a_pair", "b_pair"), lp.super_matches)
         named = sorted(itertools.chain.from_iterable(ends))
         if named != pairs:
@@ -331,18 +329,18 @@ def _template(m: int) -> tuple[LevelPlan, ...]:
     which pairs the slots as the template's super-pairing.  Even slots start
     as A, and each level's flips swap the roles of their two slots for the
     next level: a match is oriented A first, a flipped match is Type-2, the
-    last level is Type-3, and every other match is Type-1.  Raises
-    SchedulingError when the flips exceed ceil(F_n).  The plan is checked
-    once, here, as a stored one is (``_check_plan``, slots for pairs), so a
-    build checks only what it adds: its super-pairs.  A refusal here is a
-    fault of the planner, raised as an internal SchedulingError."""
+    last level is Type-3, and every other match is Type-1.  Flips past
+    ceil(F_n) raise InstanceError: the size is not served.  The plan is
+    checked once, here, as a stored one is (``_check_plan``, slots for
+    pairs), so a build checks only what it adds: its super-pairs.  Any other
+    refusal here is a fault of the planner, an ``internal:`` SchedulingError."""
     levels = _group_levels(list(range(0, m, 2)), list(range(1, m, 2)))
     n = 2 * m
     total = sum(len(flipped) for _, flipped in levels)
     budget = math.ceil(flip_budget(n))
     if total > budget:
-        raise SchedulingError(f"n={n}: the flip rule needs {total} flips, "
-                              f"over the budget ceil(F_n) = {budget}")
+        raise InstanceError(f"n={n}: the flip rule needs {total} flips, "
+                            f"over the budget ceil(F_n) = {budget}")
     is_a = [s % 2 == 0 for s in range(m)]
     last = len(levels) - 1
     plans = []
@@ -367,21 +365,19 @@ def _template(m: int) -> tuple[LevelPlan, ...]:
     return plans
 
 
-def check_team_count(n: int, error: type = SchedulingError) -> None:
-    """Refuse, with ``error``, team counts ``build_schedule`` does not
+def check_team_count(n: int) -> None:
+    """Refuse, with InstanceError, team counts ``build_schedule`` does not
     serve: n must be a multiple of 4 from 8 up to the team matching's
     vertex limit, and its flip plan must stay within ceil(F_n), which
-    ``_template``, the one flip count, decides."""
+    ``_template``, the one flip count, decides; a fault of the planner
+    passes through as SchedulingError."""
     if n % 4 != 0:
-        raise error(f"n must be divisible by 4, got {shown(n)}")
+        raise InstanceError(f"n must be divisible by 4, got {shown(n)}")
     if n < 8:
-        raise error(f"n must be at least 8, got {shown(n)}")
+        raise InstanceError(f"n must be at least 8, got {shown(n)}")
     if n > SIZE_MAX:
-        raise error(f"n must be at most {SIZE_MAX}, got {shown(n)}")
-    try:
-        _template(n // 2)
-    except SchedulingError as exc:
-        raise error(str(exc)) from None
+        raise InstanceError(f"n must be at most {SIZE_MAX}, got {shown(n)}")
+    _template(n // 2)
 
 
 def build_schedule(inst: Instance) -> Schedule:
@@ -461,7 +457,7 @@ _HOME = itemgetter("home")
 def _block_from_dict(b) -> SuperMatch:
     try:
         return SuperMatch(b["a_pair"], b["b_pair"], b["type"])
-    except (TypeError, SchedulingError) as exc:
+    except (TypeError, ValidationError) as exc:
         raise ValidationError(f"block {shown(b)}: {exc}") from None
 
 

@@ -2,7 +2,7 @@
 
 import numpy as np
 
-from ttp2 import Instance, SchedulingError
+from ttp2 import Instance, InstanceError
 from ttp2.scheduler import check_team_count
 
 
@@ -61,6 +61,6 @@ def refused_team_counts(ns):
     for n in ns:
         try:
             check_team_count(n)
-        except SchedulingError as exc:
+        except InstanceError as exc:
             refused[n] = str(exc)
     return refused

@@ -10,6 +10,7 @@ from ttp2 import (
     Schedule,
     SchedulingError,
     SuperMatch,
+    ValidationError,
     block_travel,
     build_schedule,
     expand_block,
@@ -190,11 +191,11 @@ def test_expand_a_pair_that_cannot_be_iterated_or_ordered_raises_type_error(pair
 
 
 def test_supermatch_validation():
-    with pytest.raises(SchedulingError, match="itself"):
+    with pytest.raises(ValidationError, match="itself"):
         SuperMatch(a_pair=2, b_pair=2, block_type=1)
-    with pytest.raises(SchedulingError, match="block type"):
+    with pytest.raises(ValidationError, match="block type"):
         SuperMatch(a_pair=0, b_pair=1, block_type=9)
-    with pytest.raises(SchedulingError, match="block type None"):
+    with pytest.raises(ValidationError, match="block type None"):
         SuperMatch(a_pair=0, b_pair=1, block_type=None)
     with pytest.raises(TypeError):
         SuperMatch(a_pair=0, b_pair=1)          # the type is required

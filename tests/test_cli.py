@@ -29,7 +29,7 @@ from ttp2 import (
     total_travel,
     validate_schedule,
 )
-from ttp2 import cli
+from ttp2 import cli, scheduler
 from ttp2.analysis import BOUND_SLACK
 from ttp2.cli import _build_parser, main
 from ttp2.matching import SIZE_MAX
@@ -161,14 +161,50 @@ def test_bench_refuses_a_size_over_its_flip_budget_before_generating(_no_generat
 
 
 def test_a_scheduling_error_in_the_build_exits_2_without_a_traceback(monkeypatch, capsys):
-    # check_team_count re-raises as InstanceError (exit 1), so only a fault
-    # inside the build itself reaches main as a SchedulingError
+    # an unserved n is an InstanceError (exit 1), so only a fault inside
+    # the build itself reaches main as a SchedulingError
     def build(inst):
         raise SchedulingError("super-pairs [[0, 1], [0, 1]] are not a perfect matching")
     monkeypatch.setattr(cli, "build_schedule", build)
     code, out, err = run(capsys, "schedule", "--n", "8", "--seed", "0")
     assert (code, out) == (2, "")
     assert err == "error: super-pairs [[0, 1], [0, 1]] are not a perfect matching\n"
+
+
+@pytest.mark.parametrize("argv", [("schedule", "--n", "8", "--seed", "0"),
+                                  ("bench", "--n-set", "8", "--trials", "1")],
+                         ids=["schedule", "bench"])
+def test_a_fault_of_the_planner_exits_2_through_the_team_count_check(monkeypatch, capsys,
+                                                                      argv):
+    # two levels for four slots: the template's own check refuses the plan,
+    # which is no fault of the input
+    monkeypatch.setattr(scheduler, "_group_levels", lambda X, Y: [([(0, 1), (2, 3)], [])] * 2)
+    scheduler._template.cache_clear()
+    try:
+        code, out, err = run(capsys, *argv)
+    finally:
+        scheduler._template.cache_clear()
+    assert (code, out) == (2, "")
+    assert err == "error: internal: stored levels: 2 level(s), expected n/2 - 1 = 3\n"
+
+
+@pytest.mark.parametrize("n,message", [
+    (10, "n must be divisible by 4, got 10"),
+    (56, "n=56: the flip rule needs 29 flips, over the budget ceil(F_n) = 28")])
+def test_schedule_refuses_an_instance_file_of_an_unserved_size(tmp_path, capsys, n, message):
+    path = tmp_path / f"inst{n}.json"
+    assert run(capsys, "gen", "--n", str(n), "-o", str(path))[0] == 0
+    code, out, err = run(capsys, "schedule", "-i", str(path))
+    assert (code, out) == (1, "")
+    assert err == f"error: {message}\n"
+
+
+def test_schedule_refuses_json_and_table_together(capsys):
+    code, out, err = run(capsys, "schedule", "--n", "8", "--json", "--table")
+    assert (code, out) == (1, "")
+    assert err.startswith("usage: ttp2 schedule ")
+    assert err.endswith("ttp2 schedule: error: argument --table: not allowed with "
+                        "argument --json\n")
 
 
 def test_schedule_missing_input_file(tmp_path, capsys):

@@ -544,4 +544,3 @@ def test_covers_predicate():
     assert not good.covers(6)
     dup = PairMatching(pairs=((0, 1), (1, 2)), weight=0.0)
     assert not dup.covers(4)
-    assert good.size == 4

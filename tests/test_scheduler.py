@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 from ttp2 import (
+    InstanceError,
     LevelPlan,
     MatchingError,
     PairMatching,
@@ -213,7 +214,7 @@ def test_template_refuses_plans_over_budget(m, flips, budget):
     # the rule overshoots ceil(F_n), and the DP finds no plan either
     _template.cache_clear()
     try:
-        with pytest.raises(SchedulingError,
+        with pytest.raises(InstanceError,
                            match=rf"n={2 * m}: the flip rule needs {flips} flips, "
                                  rf"over the budget ceil\(F_n\) = {budget}"):
             _template(m)
@@ -226,7 +227,7 @@ def _template_flips(n):
     or, where it refuses the plan, from its message."""
     try:
         return sum(sm.block_type == 2 for lp in _template(n // 2) for sm in lp.super_matches)
-    except SchedulingError as exc:
+    except InstanceError as exc:
         return int(re.search(r"needs (\d+) flips", str(exc)).group(1))
 
 
@@ -245,7 +246,7 @@ def test_check_team_count_refuses_exactly_the_plans_over_budget():
     refused = refused_team_counts(range(8, SIZE_MAX + 1, 4))
     assert sorted(refused) == [56, 112, 224]
     assert refused[224] == "n=224: the flip rule needs 172 flips, over the budget ceil(F_n) = 168"
-    with pytest.raises(SchedulingError,
+    with pytest.raises(InstanceError,
                        match=rf"^n must be at most {SIZE_MAX}, got {SIZE_MAX + 4}$"):
         check_team_count(SIZE_MAX + 4)
 
@@ -298,10 +299,13 @@ def test_day_layout():
 
 
 def test_rejects_bad_sizes():
-    with pytest.raises(SchedulingError, match="divisible by 4"):
-        build_schedule(generate_instance(10, kind="euclidean", seed=0))
-    with pytest.raises(SchedulingError, match="at least 8"):
-        build_schedule(generate_instance(4, kind="euclidean", seed=0))
+    # an unserved n is an input fault, whichever rule refuses it
+    for n, message in [
+            (10, "n must be divisible by 4, got 10"), (4, "n must be at least 8, got 4"),
+            (56, "n=56: the flip rule needs 29 flips, over the budget ceil(F_n) = 28"),
+            (260, "n must be at most 256, got 260")]:
+        with pytest.raises(InstanceError, match=f"^{re.escape(message)}$"):
+            build_schedule(generate_instance(n, kind="euclidean", seed=0))
 
 
 # --- a built schedule's plan: the cached template and sigma ----------------------
@@ -474,7 +478,8 @@ def _pair_a_team_with_itself(obj):
 
 @pytest.mark.parametrize("damage,message", [
     (_keep_last_level, r"stored levels: 1 level\(s\), expected n/2 - 1 = 5"),
-    (_drop_a_block, "stored levels: level 3 holds 2 blocks, expected n/4 = 3"),
+    (_drop_a_block, r"stored levels: level 3 names pairs \[1, 2, 4, 5\], expected each of "
+                    r"0\.\.5 once"),
     (_swap_super_pairs, r"stored super_pairs \[.*\] differ from the pairs \[.*\] of the last level"),
     (_name_a_pair_twice, r"stored levels: level 1 names pairs \[(\d, ){5}\d\], expected each "
                          r"of 0\.\.5 once"),
@@ -534,8 +539,8 @@ def _remade(s, num=int, levels=tuple, team_pairs=None):
     (lambda s: PairMatching(s.team_pairs.pairs, -3.0),
      (MatchingError, "^invalid literal for weight: -3.0 is not")),
     (lambda s: PairMatching(5, 0.0), (MatchingError, "'int' object is not iterable")),
-    (lambda s: SuperMatch("0", 1, 1), (SchedulingError, "invalid literal for a_pair: '0'")),
-    (lambda s: SuperMatch(0, 1, 1.5), (SchedulingError, "^unknown block type 1.5: ")),
+    (lambda s: SuperMatch("0", 1, 1), (ValidationError, "invalid literal for a_pair: '0'")),
+    (lambda s: SuperMatch(0, 1, 1.5), (ValidationError, "^unknown block type 1.5: ")),
     (lambda s: LevelPlan("1", 1, ()), (ValidationError, "invalid literal for round: '1'")),
     (lambda s: LevelPlan(1, 1, [(0, 1, 1)]),
      (ValidationError, r"^super_matches must be SuperMatch values, got \(\(0, 1, 1\),\)$")),
@@ -648,8 +653,8 @@ def test_format_level_table():
 
 
 def test_rejects_sizes_above_the_supported_range():
-    with pytest.raises(SchedulingError, match=f"at most {SIZE_MAX}") as ei:
+    with pytest.raises(InstanceError, match=f"at most {SIZE_MAX}") as ei:
         build_schedule(generate_instance(SIZE_MAX + 4, kind="euclidean", seed=0))
     assert str(SIZE_MAX + 4) in str(ei.value)
-    with pytest.raises(SchedulingError, match=r"n=56: the flip rule needs 29 flips"):
+    with pytest.raises(InstanceError, match=r"n=56: the flip rule needs 29 flips"):
         build_schedule(generate_instance(56, kind="euclidean", seed=0))
