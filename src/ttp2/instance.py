@@ -7,7 +7,8 @@ with a zero diagonal.  Three interchange formats are supported:
 * ``csv``: n rows of n comma-separated entries, optional name header row.
 * ``json``: object with keys ``n``, ``dist`` and optional ``names``,
   ``coords``, ``rounding``.  ``dist`` may be omitted when ``coords`` is
-  present, in which case pairwise Euclidean distances are used.
+  present, in which case pairwise Euclidean distances are used; the writer
+  omits it whenever the coords give the distances bit for bit.
 """
 
 from __future__ import annotations
@@ -264,7 +265,15 @@ def _guess_format(source, text: str) -> str:
 
 
 def emit_instance(inst: Instance, fmt: str = "json") -> str:
-    """Serialize an instance; ``load_instance`` on the result round-trips."""
+    """Serialize an instance; ``load_instance`` on the result gives an equal
+    instance, ``dist`` bit for bit.
+
+    json writes the smallest of three forms that reads back so: ``coords``
+    alone when they give ``dist`` bit for bit, ``coords`` and ``"rounding":
+    "nearest_int"`` when their rounded distances do, else ``dist``, with
+    ``coords`` (and their rounding) when they agree with it within
+    COORD_TOL; coords that do not are refused with InstanceError.  An
+    instance without coords writes ``dist``."""
     if fmt == "matrix":
         lines = [str(inst.n)]
         for row in inst.dist:
@@ -278,13 +287,39 @@ def emit_instance(inst: Instance, fmt: str = "json") -> str:
             lines.append(",".join(repr(float(x)) for x in row))
         return "\n".join(lines) + "\n"
     if fmt == "json":
-        obj: dict = {"n": inst.n, "dist": [[float(x) for x in row] for row in inst.dist]}
+        derived, rounding = (False, "exact") if inst.coords is None else _json_coords_form(inst)
+        obj: dict = {"n": inst.n}
+        if not derived:
+            obj["dist"] = [[float(x) for x in row] for row in inst.dist]
         if inst.names is not None:
             obj["names"] = list(inst.names)
         if inst.coords is not None:
             obj["coords"] = [[float(x), float(y)] for x, y in inst.coords]
+        if rounding != "exact":
+            obj["rounding"] = rounding
         return json.dumps(obj, indent=2) + "\n"
     raise InstanceError(f"unknown instance format {shown(fmt)}, expected one of {FORMATS}")
+
+
+def _json_coords_form(inst: Instance) -> tuple[bool, str]:
+    """How the json text stores an instance with coords: whether ``dist``
+    is left out, because the coords give it bit for bit, and the rounding
+    under which they give it, or else agree with it within COORD_TOL, as
+    ``_parse_json`` checks.  Bit for bit is tried before within COORD_TOL,
+    and ``exact`` before ``nearest_int``; coords that agree under neither
+    are refused, naming the entry the ``exact`` check names."""
+    dist, roundings = inst.dist.tobytes(), ("exact", "nearest_int")
+    for rounding in roundings:
+        if _euclidean_matrix(inst.coords, rounding).tobytes() == dist:
+            return True, rounding
+    refusals = []
+    for rounding in roundings:
+        try:
+            _check_coords_consistent(inst, rounding)
+            return False, rounding
+        except InstanceError as exc:
+            refusals.append(exc)
+    raise InstanceError(f"instance cannot be written to json: {refusals[0]}")
 
 
 def _csv_header(names: tuple[str, ...]) -> str:

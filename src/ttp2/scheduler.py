@@ -367,10 +367,11 @@ def _template(m: int) -> tuple[LevelPlan, ...]:
 
 def check_team_count(n: int) -> None:
     """Refuse, with InstanceError, team counts ``build_schedule`` does not
-    serve: n must be a multiple of 4 from 8 up to the team matching's
-    vertex limit, and its flip plan must stay within ceil(F_n), which
-    ``_template``, the one flip count, decides; a fault of the planner
-    passes through as SchedulingError."""
+    serve: n must be an integer (read by ``errors.integer``) and a multiple
+    of 4 from 8 up to the team matching's vertex limit, and its flip plan
+    must stay within ceil(F_n), which ``_template``, the one flip count,
+    decides; a fault of the planner passes through as SchedulingError."""
+    n = integer(n, "n", InstanceError, "n must be an integer, got {value}")
     if n % 4 != 0:
         raise InstanceError(f"n must be divisible by 4, got {shown(n)}")
     if n < 8:

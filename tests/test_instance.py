@@ -1,3 +1,4 @@
+import hashlib
 import io
 import json
 import re
@@ -12,7 +13,8 @@ from ttp2 import (Instance, InstanceError, build_schedule, check_metric, emit_in
                   generate_instance, load_instance, save_instance)
 from ttp2 import instance as instance_module
 from ttp2.errors import TEAMS_MAX
-from ttp2.instance import EXTENSION_FORMATS, FORMATS, TRIANGLE_TOL, MetricReport
+from ttp2.instance import (EXTENSION_FORMATS, FORMATS, GENERATOR_KINDS, TRIANGLE_TOL,
+                           MetricReport)
 
 
 def small_dist():
@@ -299,6 +301,93 @@ def test_json_rounding_nearest_int():
     for extra in ({}, {"dist": inst.dist.tolist()}):
         with pytest.raises(InstanceError, match="unknown rounding mode 'floor'"):
             load_instance(json.dumps({**obj, **extra}), fmt="json")
+
+
+# --- the json writer's form -----------------------------------------------------
+
+
+@pytest.mark.parametrize("named", [False, True], ids=["unnamed", "named"])
+@pytest.mark.parametrize("n", [8, 32, 256])
+@pytest.mark.parametrize("kind", GENERATOR_KINDS)
+def test_json_round_trips_every_generated_instance(kind, n, named):
+    inst = generate_instance(n, kind, 0)
+    if named:
+        inst = Instance(n=n, dist=inst.dist, names=[f"team {i}" for i in range(n)],
+                        coords=inst.coords)
+    text = emit_instance(inst)
+    back = load_instance(text)
+    assert back == inst and back.dist.tobytes() == inst.dist.tobytes()
+    # a Euclidean instance's coords give its distances, so the matrix is left out
+    assert ("dist" in json.loads(text)) == (kind != "euclidean")
+
+
+# sha256 of the json text of instances without coords as written when json
+# held the matrix of every instance: that text stays the same byte for byte
+_COORDLESS_JSON_SHA256 = {
+    ("random_metric", False): "e88e171a8d60bec0fb84cdcc5c462f3fae0e32541e310295d477cc82f615445a",
+    ("random_metric", True): "ca567a41dea41b045f6b7c1736e4f6e8d62c754379e20f8109795f774e08bfad",
+    ("unit", False): "d9e596068ce1b16fdaf21afeea42142b53716195d674367337bda0d26d8b579b",
+}
+
+
+@pytest.mark.parametrize("kind, named", sorted(_COORDLESS_JSON_SHA256))
+def test_json_of_an_instance_without_coords_is_unchanged(kind, named):
+    inst = generate_instance(8, kind, 0)
+    if named:
+        inst = Instance(n=8, dist=inst.dist, names=[f"t{i}" for i in range(8)])
+    text = emit_instance(inst)
+    assert hashlib.sha256(text.encode()).hexdigest() == _COORDLESS_JSON_SHA256[kind, named]
+
+
+def test_json_writes_back_an_instance_of_rounded_coords():
+    coords = [[0.0, 0.0], [1.0, 1.0], [5.0, 0.0], [0.0, 5.0]]
+    inst = load_instance(json.dumps({"n": 4, "coords": coords, "rounding": "nearest_int"}))
+    text = emit_instance(inst)
+    assert json.loads(text) == {"n": 4, "coords": coords, "rounding": "nearest_int"}
+    back = load_instance(text)
+    assert back == inst and back.dist.tobytes() == inst.dist.tobytes()
+    # distances within COORD_TOL of the rounded ones, not equal: the matrix
+    # is written, with the rounding under which the reader checks it
+    near = inst.dist + 1e-8 * (1 - np.eye(4))
+    inst = load_instance(json.dumps({"n": 4, "dist": near.tolist(), "coords": coords,
+                                     "rounding": "nearest_int"}))
+    obj = json.loads(emit_instance(inst))
+    assert obj["dist"] == near.tolist() and obj["rounding"] == "nearest_int"
+    back = load_instance(emit_instance(inst))
+    assert back == inst and back.dist.tobytes() == inst.dist.tobytes()
+
+
+def test_json_refuses_coords_that_disagree_with_dist():
+    # small_dist() is the distances of these coords, bit for bit
+    coords = np.array([[0.0, 0.0], [3.0, 0.0], [0.0, 4.0], [3.0, 4.0]])
+    assert sorted(json.loads(emit_instance(Instance(n=4, dist=small_dist(), coords=coords)))) \
+        == ["coords", "n"]
+    near, far = coords.copy(), coords.copy()
+    near[3, 1] += 1e-9
+    far[3, 1] += 1.0
+    # moved within COORD_TOL, so the distances are the rounded ones: the
+    # coords are written with their rounding
+    inst = Instance(n=4, dist=small_dist(), coords=near)
+    text = emit_instance(inst)
+    assert sorted(json.loads(text)) == ["coords", "n", "rounding"]
+    assert load_instance(text) == inst
+    # distances that are no rounded ones: the matrix is written beside the coords
+    generated = generate_instance(4, "euclidean", 0)
+    moved = generated.coords.copy()
+    moved[3, 1] += 1e-9
+    inst = Instance(n=4, dist=generated.dist, coords=moved)
+    text = emit_instance(inst)
+    assert sorted(json.loads(text)) == ["coords", "dist", "n"]
+    back = load_instance(text)
+    assert back == inst and back.dist.tobytes() == inst.dist.tobytes()
+    # moved past it: refused, naming the entry load_instance would refuse
+    with pytest.raises(InstanceError, match=re.escape(
+            "instance cannot be written to json: dist[1][3]=4.0 disagrees with coords "
+            "(expected 5.0, rounding=exact)")):
+        emit_instance(Instance(n=4, dist=small_dist(), coords=far))
+    for fmt in ("matrix", "csv"):   # they hold no coords
+        assert load_instance(emit_instance(Instance(n=4, dist=small_dist(), coords=far), fmt),
+                             fmt) == Instance(n=4, dist=small_dist())
 
 
 def test_matrix_format_rejects_token_shortage():

@@ -251,6 +251,15 @@ def test_check_team_count_refuses_exactly_the_plans_over_budget():
         check_team_count(SIZE_MAX + 4)
 
 
+@pytest.mark.parametrize("n", [8.0, np.int64(8), "8", None, True, 8.5, float("nan")], ids=repr)
+def test_check_team_count_reads_n_by_the_one_integer_rule(n):
+    if type(n) in (float, np.int64) and n == 8:   # an integral number is an integer
+        assert check_team_count(n) is None
+        return
+    with pytest.raises(InstanceError, match=r"^n must be an integer, got "):
+        check_team_count(n)
+
+
 # --- full construction ---------------------------------------------------------
 
 
