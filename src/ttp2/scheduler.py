@@ -30,6 +30,8 @@ from functools import cached_property, lru_cache
 from operator import attrgetter, itemgetter
 from typing import Optional
 
+import numpy as np
+
 from .analysis import flip_budget
 from .blocks import Fixture, SuperMatch, expand_block
 from .errors import (InstanceError, SchedulingError, ValidationError, integer, load_json,
@@ -141,7 +143,7 @@ class Schedule:
         if name == "days" and "_array" in vars(self):
             value = _fixture_days(self._array)
         elif name == "levels" and "_blocks" in vars(self):
-            value = _pair_levels(self.n, self._blocks, self._sigma)
+            value = _pair_levels(self)
         else:
             raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
         object.__setattr__(self, name, value)
@@ -168,13 +170,11 @@ def _flip_count(levels) -> int:
     return sum(sm.block_type == 2 for blocks in levels for sm in blocks)
 
 
-def _pair_levels(n: int, blocks, sigma) -> tuple[LevelPlan, ...]:
-    """A schedule's plan in pairs: level k's slot blocks ``blocks[k]``,
-    each renamed through ``sigma``, in the order they are given."""
-    return tuple(
-        LevelPlan(round=r, level=l, super_matches=tuple(
-            SuperMatch(sigma[sm.a_pair], sigma[sm.b_pair], sm.block_type) for sm in level))
-        for (r, l), level in zip(_round_labels(n), blocks))
+def _pair_levels(sched: Schedule) -> tuple[LevelPlan, ...]:
+    """A schedule's plan in pairs, as ``_stored_levels`` reads it."""
+    return tuple(LevelPlan(round=r, level=l,
+                           super_matches=tuple(itertools.starmap(SuperMatch, blocks)))
+                 for r, l, blocks in _stored_levels(sched))
 
 
 def _check_plan(n: int, levels, team_pairs: Optional[PairMatching],
@@ -430,25 +430,95 @@ def build_schedule(inst: Instance) -> Schedule:
 
 
 # --- serialization ----------------------------------------------------------
+#
+# A game, a block and a level's head in the stored form, indented as
+# ``json.dumps(..., indent=2)`` indents them there: a game in a day in
+# ``"days"``, a block in a level in ``"levels"``.
 
-def schedule_to_dict(sched: Schedule) -> dict:
-    obj: dict = {
-        "n": sched.n,
-        "days": [[{"away": f.away, "home": f.home} for f in day] for day in sched.days],
-        "levels": [{"round": lp.round, "level": lp.level,
-                    "blocks": [{"a_pair": sm.a_pair, "b_pair": sm.b_pair,
-                                "type": sm.block_type} for sm in lp.super_matches]}
-                   for lp in sched.levels],
-        "flips": sched.flips,
-    }
+_GAME = '{\n        "away": %d,\n        "home": %d\n      }'
+_BLOCK = '{\n          "a_pair": %d,\n          "b_pair": %d,\n          "type": %d\n        }'
+_LEVEL_HEAD = '{\n      "round": %d,\n      "level": %d,\n      "blocks": '
+
+
+def _json_list(items: list[str], depth: int) -> str:
+    """A JSON list of ``items``, texts indented by ``depth`` spaces, as
+    ``json.dumps(..., indent=2)`` lays it out: ``[]`` when empty, else one
+    item per line and the closing bracket two spaces less indented."""
+    if not items:
+        return "[]"
+    pad = "\n" + " " * depth
+    return "[" + pad + ("," + pad).join(items) + pad[:-2] + "]"
+
+
+def _stored_games(sched: Schedule) -> tuple[list[int], list[int]]:
+    """The teams of every game, away first, flattened in day order, and
+    each day's game count, read from the normal form."""
+    g = sched._array
+    return (np.column_stack((g.away, g.home)).ravel().tolist(),
+            np.bincount(g.day, minlength=len(g.games)).tolist())
+
+
+def _stored_levels(sched: Schedule) -> list[tuple[int, int, list[tuple[int, int, int]]]]:
+    """Each level of the plan as its round, its level and its blocks, each
+    (a_pair, b_pair, type) in pairs: the slot blocks renamed through sigma,
+    in the order they are held."""
+    if not sched._blocks:
+        return []
+    sigma = sched._sigma
+    return [(r, l, [(sigma[sm.a_pair], sigma[sm.b_pair], sm.block_type) for sm in blocks])
+            for (r, l), blocks in zip(_round_labels(sched.n), sched._blocks)]
+
+
+def _stored_rest(sched: Schedule) -> dict:
+    """The stored form's last keys: the flip count and both matchings."""
+    obj: dict = {"flips": sched.flips}
     for key, pm in (("team_pairs", sched.team_pairs), ("super_pairs", sched.super_pairs)):
         obj[key] = None if pm is None else {
             "pairs": [list(p) for p in pm.pairs], "weight": pm.weight}
     return obj
 
 
+def schedule_to_dict(sched: Schedule) -> dict:
+    """The stored form of ``sched`` as JSON values, keys in this order:
+    ``"n"``; ``"days"``, a list per day of ``{"away": a, "home": h}``
+    games, empty days kept; ``"levels"``, one ``{"round", "level",
+    "blocks"}`` per level of the plan, each block ``{"a_pair", "b_pair",
+    "type"}`` in pairs (none for a schedule without a plan); ``"flips"``,
+    the Type-2 count; and ``"team_pairs"`` and ``"super_pairs"``, each
+    ``{"pairs": [[a, b], ...], "weight": w}`` or None.  Every number is a
+    plain int but the weights, floats.  It reads the normal form and the
+    plan, so a built schedule's ``days`` and ``levels`` stay unmade."""
+    teams, counts = _stored_games(sched)
+    ends = iter(teams)
+    games = iter([{"away": a, "home": h} for a, h in zip(ends, ends)])
+    return {
+        "n": sched.n,
+        "days": [list(itertools.islice(games, count)) for count in counts],
+        "levels": [{"round": r, "level": l,
+                    "blocks": [{"a_pair": a, "b_pair": b, "type": t} for a, b, t in blocks]}
+                   for r, l, blocks in _stored_levels(sched)],
+        **_stored_rest(sched),
+    }
+
+
 def schedule_to_json(sched: Schedule) -> str:
-    return json.dumps(schedule_to_dict(sched), indent=2) + "\n"
+    """``json.dumps(schedule_to_dict(sched), indent=2)`` and a newline, byte
+    for byte: the stored form, two spaces per level of nesting, with every
+    game, block and matching pair over several lines.  The days are written
+    by one format string, ``_GAME`` once per game, and the levels by
+    another, ``_BLOCK`` once per block, from the integers that
+    ``schedule_to_dict`` reads; only the flip count and the matchings go
+    through ``json.dumps``.  A built schedule's ``days`` and ``levels`` stay
+    unmade."""
+    teams, counts = _stored_games(sched)
+    days = _json_list([_json_list([_GAME] * count, 6) for count in counts], 4)
+    levels = _stored_levels(sched)
+    plan = _json_list([_LEVEL_HEAD + _json_list([_BLOCK] * len(blocks), 8) + "\n    }"
+                       for _, _, blocks in levels], 4)
+    numbers = [x for r, l, blocks in levels for x in (r, l, *itertools.chain(*blocks))]
+    rest = json.dumps(_stored_rest(sched), indent=2)   # "{\n" then the last keys
+    return ('{\n  "n": %d,\n  "days": %s,\n  "levels": %s,\n' % (
+        sched.n, days % tuple(teams), plan % tuple(numbers)) + rest[2:] + "\n")
 
 
 _AWAY = itemgetter("away")

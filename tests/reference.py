@@ -16,12 +16,16 @@ against it, and its flip count against the closed form
 do what ``blocks.expand_block`` and ``matching._exact_integers`` do, by
 sorting a copy of each pair and by decomposing every weight with
 ``np.frexp``, with no shortcut for integer weights; the first shares the
-block layouts.
+block layouts.  ``schedule_to_json_dumps`` writes a schedule's stored form
+with the standard library's encoder, from the public ``days``, ``levels``,
+``flips`` and matchings alone; ``schedule_to_json`` must match it byte for
+byte.
 """
 
 from __future__ import annotations
 
 import itertools
+import json
 import math
 import random
 import re
@@ -244,6 +248,25 @@ def parse_day_list_per_line(text: str, n: Optional[int] = None) -> Schedule:
             raise ValidationError("cannot infer team count from an empty schedule")
         n = max(teams) + 1
     return Schedule(n=n, days=tuple(days))
+
+
+def schedule_to_json_dumps(sched: Schedule) -> str:
+    """The stored form of ``sched`` as ``json.dumps(..., indent=2)`` writes
+    it, with a closing newline, from one dict per game and per block made
+    from the schedule's public fields."""
+    obj = {
+        "n": sched.n,
+        "days": [[{"away": f.away, "home": f.home} for f in day] for day in sched.days],
+        "levels": [{"round": lp.round, "level": lp.level,
+                    "blocks": [{"a_pair": sm.a_pair, "b_pair": sm.b_pair,
+                                "type": sm.block_type} for sm in lp.super_matches]}
+                   for lp in sched.levels],
+        "flips": sched.flips,
+    }
+    for key, pm in (("team_pairs", sched.team_pairs), ("super_pairs", sched.super_pairs)):
+        obj[key] = None if pm is None else {
+            "pairs": [list(p) for p in pm.pairs], "weight": pm.weight}
+    return json.dumps(obj, indent=2) + "\n"
 
 
 def first_seen(days, n: int) -> tuple[list[list[int]], list[list[bool]], list[list[int]]]:

@@ -5,9 +5,12 @@ swapped days, duplicated game) are fed to the validator and to travel
 evaluation as a ``Schedule`` made from each input form: Fixture tuples and
 lists, (away, home) pairs, a stored dict and day-list text.  The verdicts
 must agree with each other and with the plain-loop reference below, which
-walks the fixtures one by one the way the checks are specified.
+walks the fixtures one by one the way the checks are specified.  Schedules
+made by hand from random games are written as the standard encoder writes
+their stored dict, and read back equal.
 """
 
+import json
 import math
 from functools import lru_cache
 
@@ -16,6 +19,7 @@ from hypothesis import strategies as st
 
 from ttp2 import (
     Fixture,
+    PairMatching,
     Schedule,
     build_schedule,
     generate_instance,
@@ -150,3 +154,26 @@ def test_every_form_reads_the_same(case):
 def test_schedule_json_round_trips(n, seed):
     sched = _built(n, seed)[1]
     assert schedule_from_json(schedule_to_json(sched)) == sched
+
+
+@st.composite
+def hand_made_schedules(draw):
+    """A ``Schedule(n, days)`` of random games, empty days allowed, without
+    a plan; at an even n, sometimes with random team pairs."""
+    n = draw(st.integers(2, 12))
+    game = st.builds(lambda a, k: (a, (a + k) % n), st.integers(0, n - 1), st.integers(1, n - 1))
+    days = draw(st.lists(st.lists(game, max_size=n), max_size=8))
+    team_pairs = None
+    if n % 2 == 0 and draw(st.booleans()):
+        teams = draw(st.permutations(range(n)))
+        team_pairs = PairMatching(list(zip(teams[::2], teams[1::2])),
+                                  draw(st.floats(0, 1e12)))
+    return Schedule(n, days, team_pairs=team_pairs)
+
+
+@PROPERTY_SETTINGS
+@given(hand_made_schedules())
+def test_schedule_json_is_its_dict_through_the_standard_encoder(sched):
+    text = schedule_to_json(sched)
+    assert text == json.dumps(schedule_to_dict(sched), indent=2) + "\n"
+    assert schedule_from_json(text) == sched

@@ -25,18 +25,21 @@ from ttp2 import (
     flip_budget,
     format_level_table,
     generate_instance,
+    parse_day_list,
     schedule_from_json,
+    schedule_to_dict,
     schedule_to_json,
     total_travel,
     validate_schedule,
 )
 from ttp2 import scheduler
+from ttp2.instance import GENERATOR_KINDS
 from ttp2.matching import SIZE_MAX
 from ttp2.scheduler import (_block_type_violations, _round_labels, _template,
                             check_team_count)
 
 from helpers import pair_cluster_instance, refused_team_counts
-from reference import min_flip_plan, rule_flip_count
+from reference import min_flip_plan, rule_flip_count, schedule_to_json_dumps
 
 
 # --- worked examples, matched exactly ---------------------------------------
@@ -327,8 +330,9 @@ def test_readers_of_a_built_schedule_do_not_make_its_levels():
     total, ev = total_travel(s, inst), evaluation_report(s, inst)
     assert "levels" not in vars(s)
     assert report.ok and (ev.valid, ev.flips, ev.total_travel) == (True, flips, total)
-    text = schedule_to_json(s)
-    assert "levels" in vars(s)
+    text, obj = schedule_to_json(s), schedule_to_dict(s)
+    assert "days" not in vars(s) and "levels" not in vars(s)   # both writers read the plan
+    assert json.dumps(obj, indent=2) + "\n" == text
     assert s.levels == _eager_levels(s)
     assert flips == sum(sm.block_type == 2 for lp in s.levels for sm in lp.super_matches) == 4
     assert text == schedule_to_json(schedule_from_json(text))
@@ -439,6 +443,44 @@ def test_schedule_json_round_trip():
     assert s2.flips == s.flips
     assert s2.team_pairs == s.team_pairs
     assert s2.super_pairs == s.super_pairs
+
+
+def _remade_from_int64(sched):
+    """``sched`` made by hand from its stored form, every plan number an
+    ``np.int64``, as the CI's README step remakes the n=128 plan."""
+    obj, i64 = schedule_to_dict(sched), np.int64
+    levels = [LevelPlan(i64(lv["round"]), i64(lv["level"]),
+                        [SuperMatch(i64(b["a_pair"]), i64(b["b_pair"]), i64(b["type"]))
+                         for b in lv["blocks"]]) for lv in obj["levels"]]
+    team_pairs, super_pairs = (
+        PairMatching([(i64(a), i64(b)) for a, b in obj[key]["pairs"]], obj[key]["weight"])
+        for key in ("team_pairs", "super_pairs"))
+    days = [[(g["away"], g["home"]) for g in day] for day in obj["days"]]
+    return Schedule(obj["n"], days, levels, team_pairs, super_pairs)
+
+
+def _written_schedules():
+    """(name, schedule) for every form the writer is checked on."""
+    yield "golden n=12", build_schedule(pair_cluster_instance(12, [(1, 2), (0, 4), (3, 5)]))
+    yield "golden n=16", build_schedule(
+        pair_cluster_instance(16, [(0, 4), (1, 5), (2, 6), (3, 7)]))
+    for n in (8, 32, 128, 256):
+        for kind in GENERATOR_KINDS:
+            yield f"{kind} n={n}", build_schedule(generate_instance(n, kind, seed=n))
+    built = build_schedule(generate_instance(12, "euclidean", seed=0))
+    yield "days alone", Schedule(12, built.days)
+    yield "no days", Schedule(n=4, days=())
+    yield "an empty day", Schedule(4, [[(0, 1), (2, 3)], [], [(3, 0)]])
+    yield "day-list text", parse_day_list("day 1: 0@1 2@3\nday 2:\nday 3: 3@0\n")
+    yield "np.int64 plan", _remade_from_int64(build_schedule(generate_instance(128, "euclidean", 0)))
+
+
+def test_schedule_json_is_the_standard_encoders_text_byte_for_byte():
+    # each schedule and its reload write the text the reference writes
+    for name, sched in _written_schedules():
+        text = schedule_to_json(sched)
+        assert text == schedule_to_json_dumps(sched), name
+        assert schedule_to_json(schedule_from_json(text)) == text, name
 
 
 def test_schedule_json_malformed():
