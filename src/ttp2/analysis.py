@@ -240,7 +240,7 @@ def evaluation_report(sched, inst: Instance) -> EvaluationReport:
     w_t = pairwise_sum(inst)
     lb = _bound(w_t, n, teams.weight)   # lower_bound's, without summing W_t again
     ratio = (total / lb) if lb > 0 else None
-    flips = sched.flips if sched._blocks else None
+    flips = sched.flips if len(sched._plan) else None
     budget, ours_f, xk_f = _size_figures(n)
     bound_ok = reason = None
     if ours_f is None:

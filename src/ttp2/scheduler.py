@@ -16,8 +16,9 @@ Construction outline for n teams (4 | n, n >= 8), m = n/2 pairs:
    are 4-day blocks, the final level is the 6-day block with the intra-pair
    games.  Day count is 4(m-2) + 6 = 2n-2.  The blocks are expanded as the
    per-size template holds them, on slots, each slot standing for its pair;
-   a built schedule keeps that plan, and every schedule names its levels
-   in pairs only when they are first read.
+   a built schedule keeps that plan renamed to pairs, and every schedule
+   holds its plan as one read-only int array, making its levels only when
+   they are first read.
 """
 
 from __future__ import annotations
@@ -27,15 +28,15 @@ import json
 import math
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
-from operator import attrgetter, itemgetter
-from typing import Optional
+from operator import itemgetter
+from typing import NamedTuple, Optional
 
 import numpy as np
 
 from .analysis import flip_budget
-from .blocks import Fixture, SuperMatch, expand_block
-from .errors import (InstanceError, SchedulingError, ValidationError, integer, load_json,
-                     shown, team_count)
+from .blocks import BLOCK_TYPES, Fixture, SuperMatch, expand_block
+from .errors import (TEAMS_MAX, InstanceError, SchedulingError, ValidationError, integer,
+                     load_json, shown, team_count)
 from .instance import Instance
 from .matching import (SIZE_MAX, PairMatching, build_super_graph,
                        min_weight_perfect_matching, super_pair_matching)
@@ -88,13 +89,14 @@ class Schedule:
     that read their own numbers.  It checks the plan (``_check_plan``),
     then reads its games once, into their normal form
     (``validator._normal_form``); each step can raise ValidationError.
-    Every schedule holds its plan only as ``_blocks``, level k's blocks on
-    slots (a build's template blocks, in the order of their lower pair),
-    and ``_sigma``, the slot → pair map (for a schedule not built, slot s
-    is pair s), and its days only as the normal form; it makes ``levels``
-    and ``days`` from them the first time they are read.  The readers work
-    from the normal form alone.  Once judged, a schedule keeps its report
-    too."""
+    Every schedule holds its plan only as ``_plan``, one read-only int64
+    array of (n/2 - 1) x n/4 blocks, each (a_pair, b_pair, type), in the
+    order of ``levels`` (a build's levels hold their blocks in the order of
+    their lower pair; a schedule without a plan holds no block), and its
+    days only as the normal form; it makes ``levels`` and ``days`` from
+    them the first time they are read.  The readers work from the normal
+    form and the plan array alone.  Once judged, a schedule keeps its
+    report too; a copy or an unpickled schedule keeps its plan read-only."""
 
     n: int
     days: tuple[tuple[Fixture, ...], ...]
@@ -105,49 +107,58 @@ class Schedule:
     super_pairs: Optional[PairMatching] = None
 
     def __post_init__(self) -> None:
-        n = self._read_plan(vars(self).pop("levels"))
+        n = self._read_count()
+        levels = _tuple_of(LevelPlan, vars(self).pop("levels"), "levels")
+        self._read_plan(n, _plan_parts(levels))
         teams, counts = _fixture_teams(vars(self).pop("days"))
         object.__setattr__(self, "_array", _normal_form(teams, counts, n))
 
     @classmethod
-    def _from_teams(cls, n, teams: list[int], counts: list[int], levels=(),
+    def _from_teams(cls, n, teams, counts: list[int], plan=((), (), ()),
                     team_pairs: Optional[PairMatching] = None,
                     super_pairs: Optional[PairMatching] = None) -> Schedule:
         """The schedule of the games whose teams ``teams`` lists, away
-        first, flattened, with ``counts[d]`` games on day d: plain ints, as
-        a stored form's reader makes them.  It refuses what
-        ``Schedule(n, days)`` of the same games refuses, in the same
-        order."""
+        first, flattened, with ``counts[d]`` games on day d: plain ints or
+        an int64 array, as a stored form's reader makes them; ``plan`` is
+        the plan's (labels, rows, sizes), as ``_check_plan`` takes them.  It
+        refuses what ``Schedule(n, days)`` of the same games refuses, in the
+        same order."""
         sched = cls.__new__(cls)
         vars(sched).update(n=n, team_pairs=team_pairs, super_pairs=super_pairs)
-        n = sched._read_plan(levels)
+        n = sched._read_count()
+        sched._read_plan(n, plan)
         object.__setattr__(sched, "_array", _normal_form(teams, counts, n))
         return sched
 
-    def _read_plan(self, levels) -> int:
-        """Read the team count and the plan, check the plan against the
-        count, keep the count as read and ``levels`` as blocks on slots
-        that are their pairs, and return the count."""
+    def _read_count(self) -> int:
+        """Read the team count and keep it as read."""
         if self.n is None:
             raise ValidationError("a Schedule needs its team count n, got None")
         n = team_count(self.n, ValidationError)
-        levels = _tuple_of(LevelPlan, levels, "levels")
-        _check_plan(n, levels, self.team_pairs, self.super_pairs)
         object.__setattr__(self, "n", n)
-        object.__setattr__(self, "_blocks", tuple(lp.super_matches for lp in levels))
-        object.__setattr__(self, "_sigma", range(n // 2))
         return n
+
+    def _read_plan(self, n: int, plan) -> None:
+        """Check the plan's (labels, rows, sizes) against the count and the
+        matchings, and keep it as the plan array."""
+        object.__setattr__(self, "_plan",
+                           _check_plan(n, *plan, self.team_pairs, self.super_pairs))
 
     def __getattr__(self, name: str):
         # only ``days`` and ``levels`` are looked up here, until first read
         if name == "days" and "_array" in vars(self):
             value = _fixture_days(self._array)
-        elif name == "levels" and "_blocks" in vars(self):
+        elif name == "levels" and "_plan" in vars(self):
             value = _pair_levels(self)
         else:
             raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
         object.__setattr__(self, name, value)
         return value
+
+    def __setstate__(self, state: dict) -> None:
+        # a deep copy or an unpickled schedule holds a new, writable plan array
+        vars(self).update(state)
+        self._plan.flags.writeable = False
 
     @cached_property
     def _report(self) -> ViolationReport:
@@ -162,28 +173,49 @@ class Schedule:
     @property
     def flips(self) -> int:
         """The number of Type-2 blocks in ``levels``."""
-        return _flip_count(self._blocks)
+        return _flip_count(self._plan[..., 2])
 
 
-def _flip_count(levels) -> int:
-    """The Type-2 count of ``levels``, each an iterable of blocks."""
-    return sum(sm.block_type == 2 for blocks in levels for sm in blocks)
+def _flip_count(types) -> int:
+    """The Type-2 count of ``types``, block types."""
+    return int(np.count_nonzero(np.asarray(types) == 2))
 
 
 def _pair_levels(sched: Schedule) -> tuple[LevelPlan, ...]:
-    """A schedule's plan in pairs, as ``_stored_levels`` reads it."""
+    """A schedule's plan as ``LevelPlan`` values, as ``_stored_levels`` reads it."""
     return tuple(LevelPlan(round=r, level=l,
                            super_matches=tuple(itertools.starmap(SuperMatch, blocks)))
                  for r, l, blocks in _stored_levels(sched))
 
 
-def _check_plan(n: int, levels, team_pairs: Optional[PairMatching],
-                super_pairs: Optional[PairMatching]) -> None:
-    """Refuse with ValidationError a plan that contradicts itself: team
-    pairs or super-pairs that are no ``PairMatching`` of all the teams
-    0..n-1 or pairs 0..n/2 - 1, or, when levels are stored, other than
-    n/2 - 1 levels labeled by ``_round_labels(n)``, each naming every pair
-    0..n/2 - 1 once (so n/4 blocks), or super-pairs not the last level's."""
+def _plan_parts(levels: tuple[LevelPlan, ...]) -> tuple[list, list[int], list[int]]:
+    """The (labels, rows, sizes) of ``levels``, as ``_check_plan`` takes them."""
+    return ([(lp.round, lp.level) for lp in levels],
+            [v for lp in levels for sm in lp.super_matches
+             for v in (sm.a_pair, sm.b_pair, sm.block_type)],
+            [len(lp.super_matches) for lp in levels])
+
+
+# the plan of a schedule that stores none
+_NO_PLAN = np.zeros((0, 0, 3), np.int64)
+_NO_PLAN.flags.writeable = False
+
+
+def _check_plan(n: int, labels, rows, sizes, team_pairs: Optional[PairMatching],
+                super_pairs: Optional[PairMatching]) -> np.ndarray:
+    """The plan on ``n`` teams as one read-only int64 array of (n/2 - 1) x
+    n/4 blocks, each (a_pair, b_pair, type), from each level's (round,
+    level) label in ``labels``, every block's three numbers flattened in
+    level order in ``rows`` (ints, or an int64 array) and each level's block
+    count in ``sizes``; the empty ``_NO_PLAN`` when no level is stored.
+
+    Refuse with ValidationError a plan that contradicts itself: team pairs
+    or super-pairs that are no ``PairMatching`` of all the teams 0..n-1 or
+    pairs 0..n/2 - 1, or, when levels are stored, other than n/2 - 1
+    levels labeled by ``_round_labels(n)``, each naming every pair 0..n/2 -
+    1 once (so n/4 blocks), or super-pairs not the last level's.  The levels
+    are checked in bulk, with numpy; a plan that check refuses is gone
+    through level by level (``_plan_fault``) only to name its first fault."""
     for key, pm, what, m in (("team_pairs", team_pairs, "teams", n),
                              ("super_pairs", super_pairs, "pairs", n // 2)):
         if pm is not None and not isinstance(pm, PairMatching):
@@ -191,25 +223,52 @@ def _check_plan(n: int, levels, team_pairs: Optional[PairMatching],
         if pm is not None and not pm.covers(m):
             raise ValidationError(f"stored {key} {shown([list(p) for p in pm.pairs])} are "
                                   f"not a perfect matching of the {what} 0..{m - 1}")
-    if not levels:
-        return
-    if 2 * (len(levels) + 1) != n:
-        raise ValidationError(f"stored levels: {len(levels)} level(s), "
+    if not labels:
+        return _NO_PLAN
+    m, count = n // 2, len(labels)
+    if 2 * (count + 1) != n:
+        raise ValidationError(f"stored levels: {count} level(s), "
                               f"expected n/2 - 1 = {n / 2 - 1:g}")
-    pairs = list(range(n // 2))
-    for k, (lp, (r, l)) in enumerate(zip(levels, _round_labels(n))):
-        if (lp.round, lp.level) != (r, l):
-            raise ValidationError(f"stored levels: level {k + 1} is labeled round {shown(lp.round)}"
-                                  f" level {shown(lp.level)}, expected round {r} level {l}")
-        ends = map(attrgetter("a_pair", "b_pair"), lp.super_matches)
-        named = sorted(itertools.chain.from_iterable(ends))
+    plan = None
+    if m % 2 == 0 and sizes.count(m // 2) == count and tuple(labels) == _round_labels(n):
+        try:
+            plan = np.asarray(rows, np.int64).reshape(count, m // 2, 3)
+        except OverflowError:   # a pair past int64
+            pass
+        else:
+            if not (np.sort(plan[..., :2].reshape(count, m), axis=1) == np.arange(m)).all():
+                plan = None
+    if plan is None:
+        raise ValidationError(_plan_fault(n, labels, rows, sizes))
+    if super_pairs is not None:
+        last = sorted(map(tuple, np.sort(plan[-1, :, :2], axis=1).tolist()))
+        if sorted(tuple(sorted(p)) for p in super_pairs.pairs) != last:
+            raise ValidationError(f"stored super_pairs {shown(list(super_pairs.pairs))} differ "
+                                  f"from the pairs {shown(last)} of the last level")
+    plan.flags.writeable = False
+    return plan
+
+
+def _plan_fault(n: int, labels, rows, sizes) -> str:
+    """The first fault of ``_check_plan``'s levels, in level order: a
+    level labeled other than ``_round_labels(n)`` says, or one that does not
+    name every pair 0..n/2 - 1 once.  The bulk check refuses no other plan."""
+    values = rows.tolist() if isinstance(rows, np.ndarray) else rows
+    pairs, start = list(range(n // 2)), 0
+    for k, ((r, l), expected, size) in enumerate(zip(labels, _round_labels(n), sizes)):
+        if (r, l) != expected:
+            return (f"stored levels: level {k + 1} is labeled round {shown(r)} level "
+                    f"{shown(l)}, expected round {expected[0]} level {expected[1]}")
+        level = values[3 * start:3 * (start + size)]
+        start += size
+        named = sorted(level[0::3] + level[1::3])
         if named != pairs:
-            raise ValidationError(f"stored levels: level {k + 1} names pairs {shown(named)}, "
-                                  f"expected each of 0..{len(pairs) - 1} once")
-    last = sorted(sm.key for sm in levels[-1].super_matches)
-    if super_pairs is not None and sorted(tuple(sorted(p)) for p in super_pairs.pairs) != last:
-        raise ValidationError(f"stored super_pairs {shown(list(super_pairs.pairs))} differ "
-                              f"from the pairs {shown(last)} of the last level")
+            return (f"stored levels: level {k + 1} names pairs {shown(named)}, "
+                    f"expected each of 0..{len(pairs) - 1} once")
+
+
+# each level's second day, 4k + 1, for every level a schedule may hold
+_SECOND_DAYS = np.arange(1, 2 * TEAMS_MAX, 4)[:, None]
 
 
 def _block_type_violations(sched: Schedule) -> tuple[tuple[Violation, ...], int]:
@@ -221,46 +280,48 @@ def _block_type_violations(sched: Schedule) -> tuple[tuple[Violation, ...], int]
     starts on day 4k, and on its second day, 4k+1, the A pair's lower team
     plays away in a Type-1 block and at home in a Type-2 block
     (``blocks._LAYOUT``).  Levels past the last day are not checked against
-    days; the day count check reports those schedules.  The check runs on
-    the slots of the plan, each named by its pair, so a built schedule's
-    ``levels`` are not made.
+    days; the day count check reports those schedules.  The check reads the
+    plan array in bulk, so a built schedule's ``levels`` are not made.
     """
-    out, count, g = [], 0, sched._array
-    levels, pair = sched._blocks, sched._sigma
-    lower = (None if sched.team_pairs is None
-             else [min(sched.team_pairs.pairs[p]) for p in pair])
-    last = len(levels) - 1
-    for k, blocks in enumerate(levels):
-        allowed = (3,) if k == last else (1, 2)
-        d = 4 * k + 1
-        # who is at home on the level's second day, for non-final levels
-        home = (g.at_home[d].tolist()
-                if lower is not None and k < last and d < len(g.at_home) else None)
-        for sm in blocks:
-            a, b, btype = sm.a_pair, sm.b_pair, sm.block_type
-            if btype in allowed and (home is None or home[lower[a]] == (btype == 2)):
-                continue
-            count += 1
-            if len(out) == REPORT_LIMIT:
-                continue
-            if btype not in allowed:
-                out.append(Violation(
-                    constraint=S_BLOCK_TYPE, day=None, teams=(),
-                    detail=f"level {k + 1} block of pairs {pair[a]} and {pair[b]} has type "
-                           f"{btype}, expected {' or '.join(map(str, allowed))}"))
-            else:
-                t = lower[a]
-                out.append(Violation(
-                    constraint=S_BLOCK_TYPE, day=d, teams=(t,),
-                    detail=f"team {t} of A pair {pair[a]} plays {'at home' if home[t] else 'away'} "
-                           f"on day {d}, but its level-{k + 1} block is stored as Type-{btype}"))
-    return tuple(out), count
+    plan, g = sched._plan, sched._array
+    last = len(plan) - 1
+    if last < 0:
+        return (), 0
+    t = plan[..., 2]
+    # block types are 1, 2 or 3: a 3 before the last level, anything else on it
+    bad = t == 3
+    bad[last] = ~bad[last]
+    if sched.team_pairs is not None:
+        # the A pair's lower team on the second day of each non-final level played
+        played = min(last, (len(g.at_home) + 2) // 4)
+        lower = np.array([min(p) for p in sched.team_pairs.pairs])[plan[:played, :, 0]]
+        home = g.at_home[_SECOND_DAYS[:played], lower]
+        bad[:played] |= home != (t[:played] == 2)
+    if not bad.any():
+        return (), 0
+    found = np.argwhere(bad)
+    out = []
+    for k, i in found[:REPORT_LIMIT].tolist():
+        a, b, btype = plan[k, i].tolist()
+        if (btype == 3) != (k == last):
+            out.append(Violation(
+                constraint=S_BLOCK_TYPE, day=None, teams=(),
+                detail=f"level {k + 1} block of pairs {a} and {b} has type {btype}, "
+                       f"expected {'3' if k == last else '1 or 2'}"))
+        else:
+            team, d = int(lower[k, i]), 4 * k + 1
+            out.append(Violation(
+                constraint=S_BLOCK_TYPE, day=d, teams=(team,),
+                detail=f"team {team} of A pair {a} plays "
+                       f"{'at home' if g.at_home[d, team] else 'away'} "
+                       f"on day {d}, but its level-{k + 1} block is stored as Type-{btype}"))
+    return tuple(out), len(found)
 
 
 # --- level template on "slots" ---------------------------------------------
 #
 # Levels are planned on abstract slots 0..m-1; a build maps each slot to a
-# pair (sigma) and names its levels in pairs only when they are read.  The
+# pair (sigma) and keeps its plan renamed to pairs, one int array.  The
 # generator recursively schedules a group (X, Y) of two ordered slot lists
 # of equal size q:
 #
@@ -322,10 +383,23 @@ def _canon_level(level) -> tuple[tuple[int, int], ...]:
     return tuple(sorted((min(i, j), max(i, j)) for i, j in level))
 
 
+class _Template(NamedTuple):
+    """A size's checked plan on slots, and what a build reads of it: the
+    same blocks as ``SuperMatch`` values, which it expands; ``codes``, the
+    plan with each type t as m + t - 1, so that one index into sigma
+    followed by the types renames a whole plan to pairs; and ``last``, the
+    last level's slots as ascending (lo, hi) pairs."""
+
+    plan: np.ndarray
+    blocks: tuple[tuple[SuperMatch, ...], ...]
+    codes: np.ndarray
+    last: np.ndarray
+
+
 @lru_cache(maxsize=None)
-def _template(m: int) -> tuple[LevelPlan, ...]:
+def _template(m: int) -> _Template:
     """Instance-independent per-size plan on slots 0..m-1: m-1 labeled
-    levels of typed, oriented SuperMatch(a_slot, b_slot, type), the last of
+    levels of typed, oriented blocks (a_slot, b_slot, type), the last of
     which pairs the slots as the template's super-pairing.  Even slots start
     as A, and each level's flips swap the roles of their two slots for the
     next level: a match is oriented A first, a flipped match is Type-2, the
@@ -343,26 +417,28 @@ def _template(m: int) -> tuple[LevelPlan, ...]:
                             f"over the budget ceil(F_n) = {budget}")
     is_a = [s % 2 == 0 for s in range(m)]
     last = len(levels) - 1
-    plans = []
-    for k, ((r, l), (level, flipped)) in enumerate(zip(_round_labels(n), levels)):
+    labels, rows, sizes = [], [], []
+    for k, (label, (level, flipped)) in enumerate(zip(_round_labels(n), levels)):
         flipped = _canon_level(flipped)
-        matches = []
         for i, j in _canon_level(level):
             if is_a[i] == is_a[j]:
                 raise SchedulingError(
                     f"internal: level {k + 1} pairs slots {i} and {j} on the same side")
             a, b = (i, j) if is_a[i] else (j, i)
-            btype = 3 if k == last else (2 if (i, j) in flipped else 1)
-            matches.append(SuperMatch(a_pair=a, b_pair=b, block_type=btype))
+            rows += (a, b, 3 if k == last else (2 if (i, j) in flipped else 1))
         for i, j in flipped:
             is_a[i], is_a[j] = is_a[j], is_a[i]
-        plans.append(LevelPlan(round=r, level=l, super_matches=tuple(matches)))
-    plans = tuple(plans)
+        labels.append(label)
+        sizes.append(len(level))
     try:
-        _check_plan(n, plans, None, None)
+        plan = _check_plan(n, labels, rows, sizes, None, None)
     except ValidationError as exc:
         raise SchedulingError(f"internal: {exc}") from None
-    return plans
+    codes = plan + (0, 0, m - 1)
+    codes.flags.writeable = False
+    return _Template(plan, tuple(tuple(itertools.starmap(SuperMatch, level))
+                                 for level in plan.tolist()),
+                     codes, np.sort(plan[-1, :, :2], axis=1))
 
 
 def check_team_count(n: int) -> None:
@@ -391,8 +467,9 @@ def build_schedule(inst: Instance) -> Schedule:
     its slots, and each level's blocks in the order of their lower pair
     (each pair plays once per level); the teams of the expanded days go,
     day by day, straight into the schedule's normal form.  The schedule
-    keeps the slot blocks in that order and sigma as its plan, and names
-    its levels in pairs only when they are read.  Typing happens in slot
+    keeps the blocks, renamed to pairs through sigma and in that order, as
+    its plan array (one ``argsort`` per build orders every level), and
+    makes its levels only when they are read.  Typing happens in slot
     space, where the flip plan lives: re-deriving roles from pair numbering
     after relabeling can cost extra flips.  The template was checked once
     for its size, and ``build_super_graph`` refuses team pairs that do not
@@ -406,25 +483,26 @@ def build_schedule(inst: Instance) -> Schedule:
     if not super_pairs.covers(m):
         raise SchedulingError(f"super-pairs {shown([list(p) for p in super_pairs.pairs])} "
                               f"are not a perfect matching of the pairs 0..{m - 1}")
-    plans = _template(m)
-    sigma = [0] * m
-    last = map(attrgetter("key"), plans[-1].super_matches)
-    for (s_lo, s_hi), pair in zip(last, super_pairs.pairs):
-        sigma[s_lo], sigma[s_hi] = pair
-    slot_pairs = [team_pairs.pairs[p] for p in sigma]
+    template = _template(m)
+    # sigma, then the block types: ``codes`` indexes both at once
+    sigma = np.empty(m + 3, np.int64)
+    sigma[m:] = BLOCK_TYPES
+    sigma[template.last] = super_pairs.pairs
+    plan = sigma[template.codes]
+    # each level's blocks in the order of their lower pair
+    order = np.minimum(plan[..., 0], plan[..., 1]).argsort(axis=1)
+    plan = plan[np.arange(len(plan))[:, None], order]
+    plan.flags.writeable = False
+    slot_pairs = [team_pairs.pairs[p] for p in sigma[:m].tolist()]
     flat = itertools.chain.from_iterable
-    blocks, teams = [], []
-    for lp in plans:
-        level = tuple(sorted(lp.super_matches,
-                             key=lambda sm: min(sigma[sm.a_pair], sigma[sm.b_pair])))
-        blocks.append(level)
+    teams = []
+    for level, blocks in zip(order.tolist(), template.blocks):
         # day by day, block by block, fixture by fixture, away first
-        days = zip(*(expand_block(sm, slot_pairs) for sm in level))
+        days = zip(*(expand_block(blocks[i], slot_pairs) for i in level))
         teams += flat(flat(flat(days)))
     sched = Schedule.__new__(Schedule)
     # every day holds n/2 games, n teams
-    vars(sched).update(n=n, team_pairs=team_pairs, super_pairs=super_pairs,
-                       _sigma=tuple(sigma), _blocks=tuple(blocks),
+    vars(sched).update(n=n, team_pairs=team_pairs, super_pairs=super_pairs, _plan=plan,
                        _array=_normal_form(teams, [n // 2] * (len(teams) // n), n))
     return sched
 
@@ -458,15 +536,10 @@ def _stored_games(sched: Schedule) -> tuple[list[int], list[int]]:
             np.bincount(g.day, minlength=len(g.games)).tolist())
 
 
-def _stored_levels(sched: Schedule) -> list[tuple[int, int, list[tuple[int, int, int]]]]:
+def _stored_levels(sched: Schedule) -> list[tuple[int, int, list[list[int]]]]:
     """Each level of the plan as its round, its level and its blocks, each
-    (a_pair, b_pair, type) in pairs: the slot blocks renamed through sigma,
-    in the order they are held."""
-    if not sched._blocks:
-        return []
-    sigma = sched._sigma
-    return [(r, l, [(sigma[sm.a_pair], sigma[sm.b_pair], sm.block_type) for sm in blocks])
-            for (r, l), blocks in zip(_round_labels(sched.n), sched._blocks)]
+    [a_pair, b_pair, type], in the order they are held."""
+    return [(r, l, blocks) for (r, l), blocks in zip(_round_labels(sched.n), sched._plan.tolist())]
 
 
 def _stored_rest(sched: Schedule) -> dict:
@@ -512,10 +585,10 @@ def schedule_to_json(sched: Schedule) -> str:
     unmade."""
     teams, counts = _stored_games(sched)
     days = _json_list([_json_list([_GAME] * count, 6) for count in counts], 4)
-    levels = _stored_levels(sched)
-    plan = _json_list([_LEVEL_HEAD + _json_list([_BLOCK] * len(blocks), 8) + "\n    }"
-                       for _, _, blocks in levels], 4)
-    numbers = [x for r, l, blocks in levels for x in (r, l, *itertools.chain(*blocks))]
+    levels, blocks = sched._plan.shape[:2]
+    plan = _json_list([_LEVEL_HEAD + _json_list([_BLOCK] * blocks, 8) + "\n    }"] * levels, 4)
+    labels = np.array(_round_labels(sched.n)[:levels], np.int64).reshape(levels, 2)
+    numbers = np.hstack((labels, sched._plan.reshape(levels, 3 * blocks))).ravel().tolist()
     rest = json.dumps(_stored_rest(sched), indent=2)   # "{\n" then the last keys
     return ('{\n  "n": %d,\n  "days": %s,\n  "levels": %s,\n' % (
         sched.n, days % tuple(teams), plan % tuple(numbers)) + rest[2:] + "\n")
@@ -523,6 +596,9 @@ def schedule_to_json(sched: Schedule) -> str:
 
 _AWAY = itemgetter("away")
 _HOME = itemgetter("home")
+_LABEL = itemgetter("round", "level")
+_BLOCKS = itemgetter("blocks")
+_BLOCK_ENDS = itemgetter("a_pair", "b_pair", "type")
 
 
 def _block_from_dict(b) -> SuperMatch:
@@ -532,24 +608,51 @@ def _block_from_dict(b) -> SuperMatch:
         raise ValidationError(f"block {shown(b)}: {exc}") from None
 
 
+def _read_levels(levels: list) -> tuple[list, np.ndarray | list[int], list[int]]:
+    """The (labels, rows, sizes) of stored ``levels``, as ``_check_plan``
+    takes them.  Every label and block number is read in one flat pass, the
+    blocks' into one int64 array checked in bulk: plain ints, two pairs per
+    block, a type of 1, 2 or 3.  Anything else, from a missing field to a
+    float, is read level by level, block by block, through ``LevelPlan``
+    and ``SuperMatch``, which name the first fault or read what plain ints
+    do not hold."""
+    try:
+        labels = list(map(_LABEL, levels))
+        blocks = list(map(_BLOCKS, levels))
+        sizes = list(map(len, blocks))
+        rows = list(itertools.chain.from_iterable(
+            map(_BLOCK_ENDS, itertools.chain.from_iterable(blocks))))
+        if set(map(type, itertools.chain(rows, *labels))) <= {int}:
+            flat = np.array(rows, np.int64)
+            a, b, t = flat.reshape(-1, 3).T
+            if not ((a == b).any() or ((t < 1) | (t > 3)).any()):
+                return labels, flat, sizes
+    except (KeyError, TypeError, OverflowError):
+        pass
+    return _plan_parts(tuple(LevelPlan(round=lv["round"], level=lv["level"],
+                                       super_matches=map(_block_from_dict, lv["blocks"]))
+                             for lv in levels))
+
+
 def schedule_from_dict(obj: dict) -> Schedule:
     """Schedule from its ``schedule_to_dict`` form, the one reader of that
-    form.  It hands the stored plan's fields to ``LevelPlan``,
-    ``SuperMatch`` and ``PairMatching``, which read their own numbers, and
+    form.  It reads the stored plan's fields (``_read_levels``) and hands
+    the matchings to ``PairMatching``, which reads its own numbers, and
     raises ValidationError, with the prefix ``malformed schedule JSON:``,
     when a field is missing or a value is refused, by ``errors.integer``
     or by those types; and when a stored ``"flips"`` differs from the
     levels' Type-2 count.  The ``Schedule`` it makes refuses the rest in
-    the same way: a stored plan that contradicts itself (``_check_plan``),
-    then a team that plays itself or lies outside 0..n-1.
+    the same way: a stored plan that contradicts itself (``_check_plan``,
+    in bulk), then a team that plays itself or lies outside 0..n-1.
 
     The stored games are read in one flat pass: every ``"away"``, then
     every ``"home"``, then, unless all are plain ints, each through
     ``integer`` in game order.  Those teams and each stored day's length
-    go straight into the normal form: the schedule makes its ``Fixture``
-    days from that form when they are first read.  Of two faults in the
-    games, a missing field is named before a team it refuses, and a
-    missing ``"away"`` before a missing ``"home"``."""
+    go straight into the normal form, and the blocks into the plan array:
+    the schedule makes its ``Fixture`` days and its ``LevelPlan`` and
+    ``SuperMatch`` levels from those when they are first read.  Of two
+    faults in the games, a missing field is named before a team it refuses,
+    and a missing ``"away"`` before a missing ``"home"``."""
     try:
         n = integer(obj["n"], "n")
         stored = list(map(list, obj["days"]))
@@ -559,9 +662,7 @@ def schedule_from_dict(obj: dict) -> Schedule:
         teams = list(itertools.chain.from_iterable(zip(away, home)))
         if not set(map(type, teams)) <= {int}:
             teams = list(map(integer, teams, itertools.cycle(("away", "home"))))
-        levels = tuple(LevelPlan(round=lv["round"], level=lv["level"],
-                                 super_matches=map(_block_from_dict, lv["blocks"]))
-                       for lv in obj.get("levels", []))
+        labels, rows, sizes = _read_levels(list(obj.get("levels", [])))
         stored_flips = integer(obj["flips"], "flips") if "flips" in obj else None
         team_pairs, super_pairs = (
             None if (pm := obj.get(key)) is None else PairMatching(pm["pairs"], pm["weight"])
@@ -570,12 +671,12 @@ def schedule_from_dict(obj: dict) -> Schedule:
         if isinstance(exc, KeyError):
             raise ValidationError(f"malformed schedule JSON: missing field {exc}") from None
         raise ValidationError(f"malformed schedule JSON: {exc}") from None
-    flips = _flip_count(lp.super_matches for lp in levels)
+    flips = _flip_count(rows[2::3])
     if stored_flips is not None and stored_flips != flips:
         raise ValidationError(f"stored flips {shown(stored_flips)} differ from the "
                               f"{flips} Type-2 blocks in the levels")
-    return Schedule._from_teams(n, teams, list(map(len, stored)), levels, team_pairs,
-                                super_pairs)
+    return Schedule._from_teams(n, teams, list(map(len, stored)), (labels, rows, sizes),
+                                team_pairs, super_pairs)
 
 
 def schedule_from_json(text: str) -> Schedule:

@@ -11,10 +11,12 @@ which nothing but ``Schedule`` calls, and keeps the verdict once judged;
 every verdict is re-derived from the fixtures alone.  ``Schedule(n,
 days)`` reads its days through ``_fixture_teams`` first; a build and the
 two stored forms hand their team integers to ``_normal_form`` directly.
-Every schedule holds only its normal form, and makes its ``Fixture`` days
-from it (``_fixture_days``) when they are first read.  What a ``Schedule``
-stores besides its days, the plan they were expanded from, held once as
-blocks on slots and the slot → pair map, is ``scheduler``'s to check.  Every violation is counted, exactly, but a
+Day-list text reaches it as one int64 array, its teams converted by one
+numpy call.  Every schedule holds only its normal form, and makes its
+``Fixture`` days from it (``_fixture_days``) when they are first read.
+What a ``Schedule`` stores besides its days, the plan they were expanded
+from, held once as one read-only int array of blocks, is ``scheduler``'s
+to check.  Every violation is counted, exactly, but a
 report keeps only the first ``REPORT_LIMIT`` of each constraint, in order,
 so that its size does not grow as n squared.  Travel evaluation in
 ``analysis`` reads the same normal form.
@@ -24,15 +26,17 @@ Every integer a schedule carries, in memory or stored, is read by
 day-list text, is at most ``TEAMS_MAX``, as instances are.  A fixture
 is an ordered ``(away, home)`` pair (a set, a dict or a string is
 refused), and day-list text writes teams in ASCII digits only, of no more
-digits than ``int`` reads.  This module sets no attribute on anything it
-is given.
+digits than ``int`` reads.  A team past int64, in any form, is refused as
+any team outside 0..n-1 is, named with its day.  This module sets no
+attribute on anything it is given.
 """
 
 from __future__ import annotations
 
 import re
+from bisect import bisect_right
 from dataclasses import dataclass, fields
-from itertools import chain, islice
+from itertools import accumulate, chain, islice
 from typing import TYPE_CHECKING, Optional
 
 import numpy as np
@@ -48,6 +52,8 @@ C2 = "C2_repeater"
 C4 = "C4_max_run"
 S_DAY_COUNT = "structural_day_count"
 S_ONE_GAME = "structural_one_game_per_day"
+
+_INT64_MIN, _INT64_MAX = int(np.iinfo(np.int64).min), int(np.iinfo(np.int64).max)
 
 
 @dataclass(frozen=True)
@@ -143,16 +149,23 @@ def _fixture_teams(days) -> tuple[list[int], list[int]]:
     return teams, counts
 
 
-def _normal_form(teams: list[int], counts: list[int], n: int) -> ScheduleArray:
+def _normal_form(teams, counts: list[int], n: int) -> ScheduleArray:
     """The normal form on ``n`` teams, a count ``errors.team_count`` has
     read, of the games whose teams ``teams`` lists, away first, flattened
     in input order, with ``counts[d]`` games on day d; every ``Schedule``
-    is read through here once, when it is made.  Raises ValidationError
-    for n < 2, or a team that plays itself or lies outside 0..n-1."""
-    try:
-        flat = np.fromiter(teams, np.int64, len(teams)).reshape(-1, 2)
-    except OverflowError:
-        raise ValidationError("team index out of range") from None
+    is read through here once, when it is made.  ``teams`` is a list of
+    ints or, as the day-list reader makes it, an int64 array, taken as it
+    is.  Raises ValidationError for a team past int64, then for n < 2, then
+    for a team that plays itself or lies outside 0..n-1, in game order."""
+    if isinstance(teams, np.ndarray):
+        flat = teams.reshape(-1, 2)
+    else:
+        try:
+            flat = np.fromiter(teams, np.int64, len(teams)).reshape(-1, 2)
+        except OverflowError:
+            g = next(g for g, t in enumerate(teams) if not _INT64_MIN <= t <= _INT64_MAX)
+            d = bisect_right(list(accumulate(counts)), g // 2)
+            raise ValidationError(f"team {shown(teams[g])} out of range on day {d} (n={n})") from None
     num_days = len(counts)
     day = np.repeat(np.arange(num_days), counts)
     if n < 2:
@@ -201,13 +214,15 @@ def parse_day_list(text: str, n: Optional[int] = None) -> Schedule:
     Lines read 'day k: a@h a@h ...' (the 'day k:' prefix is optional; teams
     are 0-based integers in ASCII digits); blank lines and lines starting
     with '#' are skipped.  Every line is checked first, in order; then the
-    teams of the whole text are read in one pass, converting each distinct
-    token once, and go, with each line's game count, straight into the
-    normal form: the schedule makes its ``Fixture`` days from that form
-    when they are first read.  ValidationError for a line it cannot read,
-    for a team of more digits than ``int`` reads, for text naming no team
-    without ``n``, and for what ``Schedule(n, days)`` of the same games
-    refuses, in the same order.
+    teams of the whole text are read in one numpy conversion, into an int64
+    array (``_day_list_teams``; text numpy may misread, a team past int64
+    or a separator it does not know, is read token by token instead), and
+    go, with each line's game count, straight into the normal form: the
+    schedule makes its ``Fixture`` days from that form when they are first
+    read.  ValidationError for a line it cannot read, for a team of more
+    digits than ``int`` reads, for text naming no team without ``n``, and
+    for what ``Schedule(n, days)`` of the same games refuses, in the same
+    order.
     """
     from .scheduler import Schedule   # scheduler imports this module
     lines = []
@@ -225,18 +240,38 @@ def parse_day_list(text: str, n: Optional[int] = None) -> Schedule:
                                   f"malformed game token {shown(bad)} (expected away@home)")
         lines.append(line)
     games = " ".join(lines)
-    tokens = games.replace("@", " ").split()
+    counts = [line.count("@") for line in lines]
+    teams = _day_list_teams(games, 2 * sum(counts))
+    if n is None:
+        if not len(teams):
+            raise ValidationError("cannot infer team count from an empty schedule")
+        # numpy would read a list's team past int64 as a float
+        n = (max(teams) if isinstance(teams, list) else int(teams.max())) + 1
+    return Schedule._from_teams(n, teams, counts)
+
+
+def _day_list_teams(games: str, count: int):
+    """The ``count`` teams of ``games``, checked away@home tokens joined by
+    whitespace, in order: an int64 array from one numpy conversion, or,
+    where that may misread them, a list of ints read token by token.
+    numpy saturates a team past int64 and stops at a separator C's
+    ``isspace`` does not know but ``\\s`` does (``\\x1c``-``\\x1f``, Unicode
+    spaces), and reads whitespace alone as one 0; a saturated maximum or
+    another count than ``count`` sends the text to the token reader."""
+    spaced = games.replace("@", " ")
+    try:
+        teams = np.fromstring(spaced, np.int64, sep=" ")
+        if len(teams) == count and not (count and teams.max() == _INT64_MAX):
+            return teams
+    except ValueError:   # a separator numpy does not read
+        pass
+    tokens = spaced.split()
     try:
         # a day list names each team many times: convert each distinct token once
         value = {token: int(token) for token in set(tokens)}
     except ValueError:   # only a team past int's digit limit gets here
         raise ValidationError(f"team {overlong_integer(games)}") from None
-    teams = list(map(value.__getitem__, tokens))
-    if n is None:
-        if not value:
-            raise ValidationError("cannot infer team count from an empty schedule")
-        n = max(value.values()) + 1
-    return Schedule._from_teams(n, teams, [line.count("@") for line in lines])
+    return list(map(value.__getitem__, tokens))
 
 
 def _schedule(sched, n: Optional[int] = None) -> Schedule:

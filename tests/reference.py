@@ -19,7 +19,12 @@ sorting a copy of each pair and by decomposing every weight with
 block layouts.  ``schedule_to_json_dumps`` writes a schedule's stored form
 with the standard library's encoder, from the public ``days``, ``levels``,
 ``flips`` and matchings alone; ``schedule_to_json`` must match it byte for
-byte.
+byte.  ``day_list_teams_per_token`` converts day-list teams token by token,
+each distinct token once through ``int``, where the package reads them in
+one numpy conversion; ``schedule_from_dict_per_block`` reads a stored plan
+as one ``LevelPlan`` per level and one ``SuperMatch`` per block and checks
+it level by level (``check_plan_per_level``), where the package reads and
+checks one int array in bulk.
 """
 
 from __future__ import annotations
@@ -35,10 +40,12 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from ttp2 import (Fixture, Instance, MatchingError, PairMatching, Schedule,
+from ttp2 import (Fixture, Instance, LevelPlan, MatchingError, PairMatching, Schedule,
                   SchedulingError, SuperMatch, TTP2Error, ValidationError, total_travel)
 from ttp2.blocks import _ROLES, _fixtures
+from ttp2.errors import integer, overlong_integer, shown, team_count
 from ttp2.matching import _validated_weights
+from ttp2.scheduler import _round_labels
 
 BRUTE_FORCE_MATCHING_MAX = 12
 DP_MATCHING_MAX = 22   # subset DP states grow as about 1.62^m
@@ -248,6 +255,107 @@ def parse_day_list_per_line(text: str, n: Optional[int] = None) -> Schedule:
             raise ValidationError("cannot infer team count from an empty schedule")
         n = max(teams) + 1
     return Schedule(n=n, days=tuple(days))
+
+
+def day_list_teams_per_token(games: str) -> list[int]:
+    """The teams of checked away@home tokens joined by whitespace, split on
+    any whitespace ``str.split`` knows and converted token by token, each
+    distinct token once; a team past ``int``'s digit limit is refused as
+    ``parse_day_list`` refuses it."""
+    tokens = games.replace("@", " ").split()
+    try:
+        value = {token: int(token) for token in set(tokens)}
+    except ValueError:
+        raise ValidationError(f"team {overlong_integer(games)}") from None
+    return list(map(value.__getitem__, tokens))
+
+
+def check_plan_per_level(n: int, levels, team_pairs, super_pairs) -> None:
+    """Refuse with ValidationError, level by level, a plan of ``LevelPlan``
+    values on ``n`` teams that contradicts itself, as ``Schedule`` refuses
+    it: matchings that are no ``PairMatching`` of the teams or the pairs,
+    other than n/2 - 1 levels, a level labeled other than the construction
+    labels it or naming other than every pair once, or super-pairs that are
+    not the last level's pairs."""
+    for key, pm, what, m in (("team_pairs", team_pairs, "teams", n),
+                             ("super_pairs", super_pairs, "pairs", n // 2)):
+        if pm is not None and not isinstance(pm, PairMatching):
+            raise ValidationError(f"{key} must be a PairMatching or None, got {shown(pm)}")
+        if pm is not None and not pm.covers(m):
+            raise ValidationError(f"stored {key} {shown([list(p) for p in pm.pairs])} are "
+                                  f"not a perfect matching of the {what} 0..{m - 1}")
+    if not levels:
+        return
+    if 2 * (len(levels) + 1) != n:
+        raise ValidationError(f"stored levels: {len(levels)} level(s), "
+                              f"expected n/2 - 1 = {n / 2 - 1:g}")
+    pairs = list(range(n // 2))
+    for k, (lp, (r, l)) in enumerate(zip(levels, _round_labels(n))):
+        if (lp.round, lp.level) != (r, l):
+            raise ValidationError(f"stored levels: level {k + 1} is labeled round {shown(lp.round)}"
+                                  f" level {shown(lp.level)}, expected round {r} level {l}")
+        named = sorted(p for sm in lp.super_matches for p in (sm.a_pair, sm.b_pair))
+        if named != pairs:
+            raise ValidationError(f"stored levels: level {k + 1} names pairs {shown(named)}, "
+                                  f"expected each of 0..{len(pairs) - 1} once")
+    last = sorted(sm.key for sm in levels[-1].super_matches)
+    if super_pairs is not None and sorted(tuple(sorted(p)) for p in super_pairs.pairs) != last:
+        raise ValidationError(f"stored super_pairs {shown(list(super_pairs.pairs))} differ "
+                              f"from the pairs {shown(last)} of the last level")
+
+
+def _block_per_item(b) -> SuperMatch:
+    try:
+        return SuperMatch(b["a_pair"], b["b_pair"], b["type"])
+    except (TypeError, ValidationError) as exc:
+        raise ValidationError(f"block {shown(b)}: {exc}") from None
+
+
+def read_stored_per_block(obj: dict) -> tuple:
+    """A stored schedule's (n, days, levels, team_pairs, super_pairs), read
+    field by field: its games one by one, its plan as one ``LevelPlan`` per
+    level holding one ``SuperMatch`` per block.  Refused where
+    ``schedule_from_dict`` refuses it, with the same message: a missing or
+    unreadable field, then a stored flip count that differs from the
+    levels'."""
+    try:
+        n = integer(obj["n"], "n")
+        stored = [list(day) for day in obj["days"]]
+        # every away team, then every home team, then each read in game order
+        away = [[g["away"] for g in day] for day in stored]
+        home = [[g["home"] for g in day] for day in stored]
+        days = [[(integer(a, "away"), integer(h, "home")) for a, h in zip(*day)]
+                for day in zip(away, home)]
+        levels = tuple(LevelPlan(round=lv["round"], level=lv["level"],
+                                 super_matches=map(_block_per_item, lv["blocks"]))
+                       for lv in obj.get("levels", []))
+        stored_flips = integer(obj["flips"], "flips") if "flips" in obj else None
+        team_pairs, super_pairs = (
+            None if (pm := obj.get(key)) is None else PairMatching(pm["pairs"], pm["weight"])
+            for key in ("team_pairs", "super_pairs"))
+    except (KeyError, TypeError, ValueError) as exc:
+        if isinstance(exc, KeyError):
+            raise ValidationError(f"malformed schedule JSON: missing field {exc}") from None
+        raise ValidationError(f"malformed schedule JSON: {exc}") from None
+    flips = sum(sm.block_type == 2 for lp in levels for sm in lp.super_matches)
+    if stored_flips is not None and stored_flips != flips:
+        raise ValidationError(f"stored flips {shown(stored_flips)} differ from the "
+                              f"{flips} Type-2 blocks in the levels")
+    return n, days, levels, team_pairs, super_pairs
+
+
+def schedule_from_dict_per_block(obj: dict) -> Schedule:
+    """``read_stored_per_block``, then the team count, the plan
+    (``check_plan_per_level``) and the games (``Schedule(n, days)``) checked
+    in that order; the schedule of the whole stored form, whose own checks
+    must then pass."""
+    n, days, levels, team_pairs, super_pairs = read_stored_per_block(obj)
+    check_plan_per_level(team_count(n, ValidationError), levels, team_pairs, super_pairs)
+    Schedule(n, days)
+    try:
+        return Schedule(n, days, levels, team_pairs, super_pairs)
+    except ValidationError as exc:
+        raise AssertionError(f"a plan the per-level check accepts is refused: {exc}") from None
 
 
 def schedule_to_json_dumps(sched: Schedule) -> str:

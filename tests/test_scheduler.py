@@ -76,16 +76,16 @@ def _eager_levels(s):
     """The plan of a build renamed to pairs all at once: each template
     block through sigma, each level's blocks in ``key`` order.  Sigma pairs
     the template's last level with the super-pairs, k-th to k-th, lo to lo."""
-    plans = _template(s.n // 2)
+    plans = _template(s.n // 2).blocks
     sigma = {}
-    last = sorted(sm.key for sm in plans[-1].super_matches)
+    last = sorted(sm.key for sm in plans[-1])
     for (lo, hi), pair in zip(last, s.super_pairs.pairs):
         sigma[lo], sigma[hi] = pair
     return tuple(
-        LevelPlan(lp.round, lp.level, tuple(sorted(
+        LevelPlan(r, l, tuple(sorted(
             (SuperMatch(sigma[sm.a_pair], sigma[sm.b_pair], sm.block_type)
-             for sm in lp.super_matches), key=lambda sm: sm.key)))
-        for lp in plans)
+             for sm in level), key=lambda sm: sm.key)))
+        for (r, l), level in zip(_round_labels(s.n), plans))
 
 
 @pytest.mark.parametrize("n,couples,golden,flips", [
@@ -197,18 +197,17 @@ def test_template_flips_match_the_dp(m):
     # the per-group flip rule makes the DP's choice: the same flip set per
     # level from "even slots are A" (and so the same orientation), except
     # at m=32, where the DP's tie-break picks other edges of equal count
-    plans = _template(m)
-    levels = [tuple(sorted(sm.key for sm in lp.super_matches)) for lp in plans]
+    plans = _template(m).blocks
+    levels = [tuple(sorted(sm.key for sm in level)) for level in plans]
     c0 = sum(1 << s for s in range(0, m, 2))
     dp_flips, colorings = min_flip_plan(levels, c0, math.ceil(flip_budget(2 * m)))
-    rule_flips = [{sm.key for sm in lp.super_matches if sm.block_type == 2}
-                  for lp in plans[:-1]]
+    rule_flips = [{sm.key for sm in level if sm.block_type == 2} for level in plans[:-1]]
     if m == 32:
         assert sum(map(len, rule_flips)) == sum(map(len, dp_flips)) == 32
         return
     assert rule_flips == [set(f) for f in dp_flips]
-    for lp, coloring in zip(plans, colorings):
-        assert all((coloring >> sm.a_pair) & 1 for sm in lp.super_matches)
+    for level, coloring in zip(plans, colorings):
+        assert all((coloring >> sm.a_pair) & 1 for sm in level)
 
 
 @pytest.mark.parametrize("m,flips,budget", [(28, 29, 28), (56, 72, 70), (112, 172, 168)])
@@ -229,7 +228,7 @@ def _template_flips(n):
     """The Type-2 count of the flip plan for n teams, read from ``_template``
     or, where it refuses the plan, from its message."""
     try:
-        return sum(sm.block_type == 2 for lp in _template(n // 2) for sm in lp.super_matches)
+        return int((_template(n // 2).plan[..., 2] == 2).sum())
     except InstanceError as exc:
         return int(re.search(r"needs (\d+) flips", str(exc)).group(1))
 
@@ -338,9 +337,9 @@ def test_readers_of_a_built_schedule_do_not_make_its_levels():
     assert text == schedule_to_json(schedule_from_json(text))
 
 
-def test_a_build_makes_no_block_or_level_until_its_levels_are_read(monkeypatch):
-    inst = generate_instance(16, "euclidean", 0)
-    build_schedule(inst)   # the size's template is cached
+def _count_makes(monkeypatch) -> collections.Counter:
+    """The ``SuperMatch`` and ``LevelPlan`` values made, and the
+    ``expand_block`` calls, from now on."""
     made = collections.Counter()
 
     def counted(name, make):
@@ -354,6 +353,13 @@ def test_a_build_makes_no_block_or_level_until_its_levels_are_read(monkeypatch):
     for cls in (SuperMatch, LevelPlan):
         monkeypatch.setattr(cls, "__post_init__", counted(cls.__name__, cls.__post_init__))
     monkeypatch.setattr(scheduler, "expand_block", counted("expand_block", scheduler.expand_block))
+    return made
+
+
+def test_a_build_makes_no_block_or_level_until_its_levels_are_read(monkeypatch):
+    inst = generate_instance(16, "euclidean", 0)
+    build_schedule(inst)   # the size's template is cached
+    made = _count_makes(monkeypatch)
     s = build_schedule(inst)
     validate_schedule(s)
     evaluation_report(s, inst)
@@ -361,6 +367,50 @@ def test_a_build_makes_no_block_or_level_until_its_levels_are_read(monkeypatch):
     levels = s.levels
     assert made == {"expand_block": 28, "SuperMatch": 28, "LevelPlan": 7}
     assert s.levels is levels and made["LevelPlan"] == 7   # made once
+
+
+def test_a_stored_schedule_makes_no_block_or_level_until_its_levels_are_read(monkeypatch):
+    inst = generate_instance(16, "euclidean", 0)
+    text = schedule_to_json(build_schedule(inst))
+    made = _count_makes(monkeypatch)
+    s = schedule_from_json(text)
+    validate_schedule(s)
+    evaluation_report(s, inst)
+    assert s.flips == 4 and schedule_to_json(s) == text and schedule_to_dict(s)["flips"] == 4
+    assert made == {} and "levels" not in vars(s)
+    levels = s.levels
+    assert made == {"SuperMatch": 28, "LevelPlan": 7}
+    assert s.levels is levels and levels == build_schedule(inst).levels
+
+
+def _plans():
+    """(name, schedule) for a built, a hand-made and a stored plan, and two
+    schedules without one."""
+    s = build_schedule(generate_instance(12, "euclidean", 0))
+    yield "built", s
+    yield "hand-made", Schedule(12, s.days, s.levels, s.team_pairs, s.super_pairs)
+    yield "stored", schedule_from_json(schedule_to_json(s))
+    yield "days alone", Schedule(12, s.days)
+    yield "day-list text", parse_day_list("day 1: 0@1 2@3\nday 2: 1@0 3@2\n")
+
+
+@pytest.mark.parametrize("copy_of", [lambda s: s, lambda s: pickle.loads(pickle.dumps(s)),
+                                     copy.deepcopy, copy.copy],
+                         ids=["as made", "pickle", "deepcopy", "copy"])
+def test_a_schedule_holds_its_plan_as_one_read_only_int_array(copy_of):
+    for name, sched in _plans():
+        t = copy_of(sched)
+        plan = t._plan
+        assert plan.dtype == np.int64 and not plan.flags.writeable, name
+        shape = (t.n // 2 - 1, t.n // 4, 3) if sched.levels else (0, 0, 3)
+        assert plan.shape == shape, name
+        if plan.size:
+            with pytest.raises(ValueError, match="read-only"):
+                plan[0, 0, 0] = plan[0, 0, 0]
+            assert plan.tolist() == [[[sm.a_pair, sm.b_pair, sm.block_type]
+                                      for sm in lp.super_matches] for lp in sched.levels]
+        text = schedule_to_json(t)
+        assert text == schedule_to_json(sched) == schedule_to_json(schedule_from_json(text)), name
 
 
 @pytest.mark.parametrize("how", ["pickle", "deepcopy", "replace", "==", "repr"])
@@ -618,11 +668,11 @@ def test_a_hand_made_plan_is_read_by_the_rules_a_stored_one_is(make, refusal):
     t, plan = make(s)
     assert "levels" not in vars(t)
     labels = [v for lp in plan for v in (lp.round, lp.level)]
-    blocks = [v for level in t._blocks for sm in level
-              for v in (sm.a_pair, sm.b_pair, sm.block_type)]
     pairs = [v for pm in (t.team_pairs, t.super_pairs) for p in pm.pairs for v in p]
-    assert {type(v) for v in labels + blocks + pairs} == {int}
-    assert [lp.super_matches for lp in plan] == list(t._blocks)
+    assert {type(v) for v in labels + pairs} == {int}
+    assert t._plan.dtype == np.int64 and not t._plan.flags.writeable
+    assert t._plan.tolist() == [[[sm.a_pair, sm.b_pair, sm.block_type] for sm in lp.super_matches]
+                                for lp in plan]
     assert type(t.team_pairs.weight) is type(t.super_pairs.weight) is float
     assert validate_schedule(t).ok and t == s
     assert schedule_to_json(t) == schedule_to_json(s)

@@ -225,6 +225,52 @@ def test_parse_day_list_bad_token():
         parse_day_list("row 1: 0@1")
 
 
+# separators ``\s`` and ``str.split`` know, of which numpy's text reader
+# knows only those C's ``isspace`` does: not \x1c-\x1f or U+2003.  Of
+# these, \x0b, \x0c and \x1c-\x1e end a line, as ``str.splitlines`` reads
+# text; the others separate games
+@pytest.mark.parametrize("sep", [" ", "\t", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x1f",
+                                 "\u2003"], ids=repr)
+@pytest.mark.parametrize("pad", ["", "0", "0" * 25], ids=len)
+def test_a_day_list_reads_any_separator_and_zero_padded_teams(clean8, sep, pad):
+    games = [[f"{pad}{a}@{pad}{h}" for a, h in day] for day in clean8]
+    breaks = len(f"a{sep}b".splitlines()) == 2
+    end, between = (sep, " ") if breaks else ("\n", sep)
+    text = "".join(f"# day {d}{end}{between}{end}day {d + 1}:{between}"
+                   + between.join(day) + between + end for d, day in enumerate(games))
+    for n in (None, 8):
+        assert _read(parse_day_list(text, n)) == _read(clean8)
+    g = parse_day_list(text)._array
+    assert g.away.dtype == np.int64 and not g.away.flags.writeable
+    # the joined games, whichever separator numpy meets, are read token for token
+    joined = sep.join(itertools.chain.from_iterable(games))
+    teams = validator._day_list_teams(joined, 2 * joined.count("@"))
+    assert list(map(int, teams)) == [t for day in clean8 for game in day for t in game]
+
+
+@pytest.mark.parametrize("team, n, match", [
+    ("9" * 19, 8, "team 9999999999999999999 out of range on day 2 (n=8)"),
+    ("9223372036854775807", 8, "team 9223372036854775807 out of range on day 2 (n=8)"),
+    ("{a:019d}", None, None),   # the team it stands for, zero-padded to 19 digits
+    ("1" * 20, 8, f"team {'1' * 20} out of range on day 2 (n=8)"),
+    ("1" * 20, None, f"team count {shown(int('1' * 20) + 1)} exceeds the supported maximum"),
+    ("1" * 4301, 8, "team 111111111111... has 4301 digits, past the 4300-digit limit"),
+])
+def test_a_day_list_team_past_int64_is_read_and_refused_with_its_day(clean8, team, n, match):
+    # numpy saturates a team of 19 or more digits: such text is read token
+    # by token, and the team refused as out of range on its day, like any other
+    days = [list(day) for day in clean8]
+    a, h = days[2][1]
+    lines = [" ".join(f"{x}@{y}" for x, y in day) for day in days]
+    lines[2] = lines[2].replace(f"{a}@{h}", team.format(a=a) + f"@{h}", 1)
+    text = "\n".join(lines)
+    if match is None:
+        assert _read(parse_day_list(text, n)) == _read(clean8)
+        return
+    with pytest.raises(ValidationError, match=f"^{re.escape(match)}"):
+        parse_day_list(text, n)
+
+
 _GAME = st.builds("{2}{0}@{1}".format, st.integers(0, 12), st.integers(0, 12),
                   st.sampled_from(["", "", "", "0", "00"]))
 _BAD_TOKEN = st.sampled_from(["0-1", "a@b", "1_0@2", "+1@2", "\u0663@1", "0@1@2", "@1", "x"])
@@ -545,19 +591,20 @@ def test_every_form_reads_alike(clean8, mutation, n):
     days = _mutated(clean8, mutation)
     reads = {name: _read(form, n) for name, form in _forms(days).items()}
     assert len(set(map(repr, reads.values()))) == 1, reads
-    if mutation == "huge":
-        assert reads["fixture tuples"] == "team index out of range"
+    if mutation == "huge":   # a team past int64 is out of range like any other
+        assert reads["fixture tuples"] == f"team {2 ** 70} out of range on day 1 (n={n})"
 
 
 # team entries other than plain ints, and the team each is read as: a
 # numpy integer or an integral float is read; text, a bool, or a number
-# with a fractional part is refused, not read as int() reads it
+# with a fractional part is refused, not read as int() reads it; a team
+# past int64 is read, and refused as out of range, named with its day
 ODD_TEAMS = [("3", "malformed"), (" 3", "malformed"), (2.0, 2), (True, "malformed"),
              (np.int64(3), 3), (np.int32(1), 1),
              (np.float64(5.0), 5), ("1.5", "malformed"), (1.7, "malformed"),
              (np.float32(2.5), "malformed"), (float("nan"), "malformed"),
              (float("inf"), "malformed"),
-             (1e20, "team index out of range"), (2 ** 70, "team index out of range")]
+             (1e20, "past int64"), (2 ** 70, "past int64")]
 
 
 def _stored_fixture(away, home):
@@ -575,7 +622,8 @@ def test_odd_team_entries_read_as_int_reads_them(clean8, entry, read_as, make):
         expected = _read(clean8)
     else:
         d, f = 0, 0
-        expected = read_as
+        expected = (f"team {int(entry)} out of range on day 0 (n=8)" if read_as == "past int64"
+                    else read_as)
     days[d][f] = make(entry, clean8[d][f][1])
     if make is _stored_fixture:
         # the stored form's one reader reads the same schedule, or refuses it too
@@ -825,7 +873,7 @@ def test_a_stored_schedule_with_two_faults_is_refused_for_the_first(fault):
 @pytest.mark.parametrize("text, n, match", [
     ("day 1: 0@0\n", TEAMS_MAX + 1, "exceeds the supported maximum"),
     ("day 1: 0@0\n", 1, "team count must be at least 2"),
-    (f"day 1: {2 ** 70}@0 0@0\n", 1, "team index out of range"),
+    (f"day 1: {2 ** 70}@0 0@0\n", 1, f"team {2 ** 70} out of range on day 0 \\(n=1\\)"),
     ("day 1: 0@9 1@1\n", 8, "team 9 out of range on day 0"),
 ])
 def test_a_day_list_with_two_faults_is_refused_as_its_days_are(text, n, match):
@@ -834,6 +882,23 @@ def test_a_day_list_with_two_faults_is_refused_as_its_days_are(text, n, match):
     days = [[tuple(map(int, game.split("@"))) for game in text.split(":")[1].split()]]
     with pytest.raises(ValidationError, match=match):
         Schedule(n=n, days=days)
+
+
+@pytest.mark.parametrize("team", [2 ** 70, 1e20, -2 ** 64, 2 ** 63], ids=repr)
+def test_a_team_past_int64_is_refused_with_its_day_in_every_form(clean8, team):
+    # named like any team out of range, and before a fault of an earlier game
+    days = [list(day) for day in clean8]
+    days[1][0] = (days[1][0][0],) * 2
+    days[3][1] = (team, days[3][1][1])
+    expected = f"^team {int(team)} out of range on day 3 \\(n=8\\)$"
+    obj = {"n": 8, "days": [[{"away": a, "home": h} for a, h in day] for day in days]}
+    readers = [lambda: Schedule(n=8, days=days), lambda: schedule_from_dict(obj),
+               lambda: schedule_from_json(json.dumps(obj))]
+    if team > 0:
+        readers.append(lambda: parse_day_list(day_list_text(days), 8))
+    for read in readers:
+        with pytest.raises(ValidationError, match=expected):
+            read()
 
 
 @pytest.mark.parametrize("copy_of", [lambda s: pickle.loads(pickle.dumps(s)), copy.deepcopy],
