@@ -7,7 +7,7 @@ from .analysis import (EvaluationReport, Itinerary, evaluation_report,
                        flip_budget, format_report, lower_bound, pairwise_sum,
                        report_to_dict, report_to_json, team_itinerary,
                        total_travel)
-from .blocks import Fixture, SuperMatch, block_travel, expand_block
+from .blocks import Fixture, SuperMatch, expand_block
 from .errors import (InstanceError, MatchingError, SchedulingError, TTP2Error,
                      ValidationError)
 from .instance import (Instance, check_metric, emit_instance, generate_instance,
@@ -26,7 +26,7 @@ __all__ = [
     "EvaluationReport", "Fixture", "Instance", "InstanceError", "Itinerary",
     "LevelPlan", "MatchingError", "PairMatching", "Schedule",
     "SchedulingError", "SuperMatch", "TTP2Error", "ValidationError",
-    "Violation", "ViolationReport", "block_travel", "build_schedule",
+    "Violation", "ViolationReport", "build_schedule",
     "build_super_graph", "check_metric", "emit_instance",
     "evaluation_report", "expand_block", "factor_ours", "factor_xiao_kou",
     "factors_exact", "flip_budget", "format_level_table", "format_report",

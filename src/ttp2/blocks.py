@@ -16,7 +16,6 @@ Type-3, 6 days, terminal (adds the intra-pair games):
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from itertools import repeat
 from operator import itemgetter
@@ -131,26 +130,3 @@ def expand_block(sm: SuperMatch, pairs: Mapping[int, Sequence[int]] | Sequence[S
     fixtures = _fixtures(zip(aways(teams), homes(teams)))
     return tuple(zip(fixtures, fixtures))   # consecutive fixtures pair up into days
 
-
-def block_travel(block_type: int, dists) -> float:
-    """Total travel of all four teams through the block in isolation
-    (each starts and ends at home).
-
-    ``dists`` is a 4x4 symmetric matrix over slots (A1, A2, B1, B2), or any
-    nested sequence indexable as dists[i][j].  Closed forms, verified against
-    the itinerary trace:
-
-    Type-3: 5 d(A1,B1) + 3 d(A2,B1) + 2 d(A1,A2) + 3 d(A1,B2) + 5 d(A2,B2) + 2 d(B1,B2)
-    Type-2: 3 d(A1,B1) + 3 d(A2,B1) + 2 d(A1,A2) + 3 d(A1,B2) + 3 d(A2,B2)
-    Type-1: twice the sum of all six pairwise distances
-    """
-    d = dists
-    d01 = float(d[0][1]); d02 = float(d[0][2]); d03 = float(d[0][3])
-    d12 = float(d[1][2]); d13 = float(d[1][3]); d23 = float(d[2][3])
-    if block_type == 3:
-        return math.fsum((5 * d02, 3 * d12, 2 * d01, 3 * d03, 5 * d13, 2 * d23))
-    if block_type == 2:
-        return math.fsum((3 * d02, 3 * d12, 2 * d01, 3 * d03, 3 * d13))
-    if block_type == 1:
-        return math.fsum((2 * d01, 2 * d02, 2 * d03, 2 * d12, 2 * d13, 2 * d23))
-    raise SchedulingError(f"unknown block type {shown(block_type)}")

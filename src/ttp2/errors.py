@@ -25,8 +25,8 @@ class MatchingError(TTP2Error, ValueError):
 
 class SchedulingError(TTP2Error, RuntimeError):
     """Schedule construction failed an internal consistency check, never an
-    input fault; only ``blocks.expand_block`` and ``block_travel`` also
-    raise it, for bad arguments."""
+    input fault; only ``blocks.expand_block`` also raises it, for bad
+    arguments."""
 
 
 class ValidationError(TTP2Error, ValueError):

@@ -34,7 +34,7 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 from .analysis import flip_budget
-from .blocks import BLOCK_TYPES, Fixture, SuperMatch, expand_block
+from .blocks import Fixture, SuperMatch, expand_block
 from .errors import (TEAMS_MAX, InstanceError, SchedulingError, ValidationError, integer,
                      load_json, shown, team_count)
 from .instance import Instance
@@ -182,10 +182,10 @@ def _flip_count(types) -> int:
 
 
 def _pair_levels(sched: Schedule) -> tuple[LevelPlan, ...]:
-    """A schedule's plan as ``LevelPlan`` values, as ``_stored_levels`` reads it."""
+    """A schedule's plan as ``LevelPlan`` values, labeled by ``_round_labels``."""
     return tuple(LevelPlan(round=r, level=l,
                            super_matches=tuple(itertools.starmap(SuperMatch, blocks)))
-                 for r, l, blocks in _stored_levels(sched))
+                 for (r, l), blocks in zip(_round_labels(sched.n), sched._plan.tolist()))
 
 
 def _plan_parts(levels: tuple[LevelPlan, ...]) -> tuple[list, list[int], list[int]]:
@@ -385,14 +385,11 @@ def _canon_level(level) -> tuple[tuple[int, int], ...]:
 
 class _Template(NamedTuple):
     """A size's checked plan on slots, and what a build reads of it: the
-    same blocks as ``SuperMatch`` values, which it expands; ``codes``, the
-    plan with each type t as m + t - 1, so that one index into sigma
-    followed by the types renames a whole plan to pairs; and ``last``, the
-    last level's slots as ascending (lo, hi) pairs."""
+    same blocks as ``SuperMatch`` values, which it expands, and ``last``,
+    the last level's slots as ascending (lo, hi) pairs."""
 
     plan: np.ndarray
     blocks: tuple[tuple[SuperMatch, ...], ...]
-    codes: np.ndarray
     last: np.ndarray
 
 
@@ -434,11 +431,9 @@ def _template(m: int) -> _Template:
         plan = _check_plan(n, labels, rows, sizes, None, None)
     except ValidationError as exc:
         raise SchedulingError(f"internal: {exc}") from None
-    codes = plan + (0, 0, m - 1)
-    codes.flags.writeable = False
     return _Template(plan, tuple(tuple(itertools.starmap(SuperMatch, level))
                                  for level in plan.tolist()),
-                     codes, np.sort(plan[-1, :, :2], axis=1))
+                     np.sort(plan[-1, :, :2], axis=1))
 
 
 def check_team_count(n: int) -> None:
@@ -484,16 +479,15 @@ def build_schedule(inst: Instance) -> Schedule:
         raise SchedulingError(f"super-pairs {shown([list(p) for p in super_pairs.pairs])} "
                               f"are not a perfect matching of the pairs 0..{m - 1}")
     template = _template(m)
-    # sigma, then the block types: ``codes`` indexes both at once
-    sigma = np.empty(m + 3, np.int64)
-    sigma[m:] = BLOCK_TYPES
+    sigma = np.empty(m, np.int64)
     sigma[template.last] = super_pairs.pairs
-    plan = sigma[template.codes]
+    plan = template.plan.copy()
+    plan[..., :2] = sigma[plan[..., :2]]
     # each level's blocks in the order of their lower pair
     order = np.minimum(plan[..., 0], plan[..., 1]).argsort(axis=1)
     plan = plan[np.arange(len(plan))[:, None], order]
     plan.flags.writeable = False
-    slot_pairs = [team_pairs.pairs[p] for p in sigma[:m].tolist()]
+    slot_pairs = [team_pairs.pairs[p] for p in sigma.tolist()]
     flat = itertools.chain.from_iterable
     teams = []
     for level, blocks in zip(order.tolist(), template.blocks):
@@ -528,70 +522,43 @@ def _json_list(items: list[str], depth: int) -> str:
     return "[" + pad + ("," + pad).join(items) + pad[:-2] + "]"
 
 
-def _stored_games(sched: Schedule) -> tuple[list[int], list[int]]:
-    """The teams of every game, away first, flattened in day order, and
-    each day's game count, read from the normal form."""
-    g = sched._array
-    return (np.column_stack((g.away, g.home)).ravel().tolist(),
-            np.bincount(g.day, minlength=len(g.games)).tolist())
-
-
-def _stored_levels(sched: Schedule) -> list[tuple[int, int, list[list[int]]]]:
-    """Each level of the plan as its round, its level and its blocks, each
-    [a_pair, b_pair, type], in the order they are held."""
-    return [(r, l, blocks) for (r, l), blocks in zip(_round_labels(sched.n), sched._plan.tolist())]
-
-
-def _stored_rest(sched: Schedule) -> dict:
-    """The stored form's last keys: the flip count and both matchings."""
-    obj: dict = {"flips": sched.flips}
-    for key, pm in (("team_pairs", sched.team_pairs), ("super_pairs", sched.super_pairs)):
-        obj[key] = None if pm is None else {
-            "pairs": [list(p) for p in pm.pairs], "weight": pm.weight}
-    return obj
-
-
-def schedule_to_dict(sched: Schedule) -> dict:
-    """The stored form of ``sched`` as JSON values, keys in this order:
-    ``"n"``; ``"days"``, a list per day of ``{"away": a, "home": h}``
-    games, empty days kept; ``"levels"``, one ``{"round", "level",
-    "blocks"}`` per level of the plan, each block ``{"a_pair", "b_pair",
-    "type"}`` in pairs (none for a schedule without a plan); ``"flips"``,
-    the Type-2 count; and ``"team_pairs"`` and ``"super_pairs"``, each
-    ``{"pairs": [[a, b], ...], "weight": w}`` or None.  Every number is a
-    plain int but the weights, floats.  It reads the normal form and the
-    plan, so a built schedule's ``days`` and ``levels`` stay unmade."""
-    teams, counts = _stored_games(sched)
-    ends = iter(teams)
-    games = iter([{"away": a, "home": h} for a, h in zip(ends, ends)])
-    return {
-        "n": sched.n,
-        "days": [list(itertools.islice(games, count)) for count in counts],
-        "levels": [{"round": r, "level": l,
-                    "blocks": [{"a_pair": a, "b_pair": b, "type": t} for a, b, t in blocks]}
-                   for r, l, blocks in _stored_levels(sched)],
-        **_stored_rest(sched),
-    }
-
-
 def schedule_to_json(sched: Schedule) -> str:
-    """``json.dumps(schedule_to_dict(sched), indent=2)`` and a newline, byte
-    for byte: the stored form, two spaces per level of nesting, with every
-    game, block and matching pair over several lines.  The days are written
-    by one format string, ``_GAME`` once per game, and the levels by
-    another, ``_BLOCK`` once per block, from the integers that
-    ``schedule_to_dict`` reads; only the flip count and the matchings go
-    through ``json.dumps``.  A built schedule's ``days`` and ``levels`` stay
-    unmade."""
-    teams, counts = _stored_games(sched)
+    """The stored form of ``sched``, its one writer: a JSON object whose
+    keys are, in this order, ``"n"``; ``"days"``, a list per day of
+    ``{"away": a, "home": h}`` games, empty days kept; ``"levels"``, one
+    ``{"round", "level", "blocks"}`` per level of the plan, each block
+    ``{"a_pair", "b_pair", "type"}`` in pairs (none for a schedule without
+    a plan); ``"flips"``, the Type-2 count; and ``"team_pairs"`` and
+    ``"super_pairs"``, each ``{"pairs": [[a, b], ...], "weight": w}`` or
+    null.  It is laid out as ``json.dumps(..., indent=2)`` lays it out,
+    two spaces per level of nesting, every game, block and matching pair
+    over several lines, and ends in a newline.  The days are written by
+    one format string, ``_GAME`` once per game, read from the normal form,
+    and the levels by another, ``_BLOCK`` once per block, read from the
+    plan, so a built schedule's ``days`` and ``levels`` stay unmade; only
+    the flip count and the matchings go through ``json.dumps``."""
+    g = sched._array
+    teams = np.column_stack((g.away, g.home)).ravel().tolist()
+    counts = np.bincount(g.day, minlength=len(g.games)).tolist()
     days = _json_list([_json_list([_GAME] * count, 6) for count in counts], 4)
     levels, blocks = sched._plan.shape[:2]
     plan = _json_list([_LEVEL_HEAD + _json_list([_BLOCK] * blocks, 8) + "\n    }"] * levels, 4)
     labels = np.array(_round_labels(sched.n)[:levels], np.int64).reshape(levels, 2)
     numbers = np.hstack((labels, sched._plan.reshape(levels, 3 * blocks))).ravel().tolist()
-    rest = json.dumps(_stored_rest(sched), indent=2)   # "{\n" then the last keys
+    rest: dict = {"flips": sched.flips}
+    for key, pm in (("team_pairs", sched.team_pairs), ("super_pairs", sched.super_pairs)):
+        rest[key] = None if pm is None else {
+            "pairs": [list(p) for p in pm.pairs], "weight": pm.weight}
     return ('{\n  "n": %d,\n  "days": %s,\n  "levels": %s,\n' % (
-        sched.n, days % tuple(teams), plan % tuple(numbers)) + rest[2:] + "\n")
+        sched.n, days % tuple(teams), plan % tuple(numbers))
+        + json.dumps(rest, indent=2)[2:] + "\n")   # past its "{\n", the last keys
+
+
+def schedule_to_dict(sched: Schedule) -> dict:
+    """The stored form of ``sched`` as JSON values: the text
+    ``schedule_to_json`` writes, read back by ``json.loads``.  Every number
+    is a plain int but the weights, floats."""
+    return json.loads(schedule_to_json(sched))
 
 
 _AWAY = itemgetter("away")

@@ -16,15 +16,19 @@ against it, and its flip count against the closed form
 do what ``blocks.expand_block`` and ``matching._exact_integers`` do, by
 sorting a copy of each pair and by decomposing every weight with
 ``np.frexp``, with no shortcut for integer weights; the first shares the
-block layouts.  ``schedule_to_json_dumps`` writes a schedule's stored form
-with the standard library's encoder, from the public ``days``, ``levels``,
-``flips`` and matchings alone; ``schedule_to_json`` must match it byte for
-byte.  ``day_list_teams_per_token`` converts day-list teams token by token,
-each distinct token once through ``int``, where the package reads them in
-one numpy conversion; ``schedule_from_dict_per_block`` reads a stored plan
-as one ``LevelPlan`` per level and one ``SuperMatch`` per block and checks
-it level by level (``check_plan_per_level``), where the package reads and
-checks one int array in bulk.
+block layouts.  ``stored_dict`` builds a schedule's stored form as dicts
+from the public ``days``, ``levels``, ``flips`` and matchings alone, and
+``schedule_to_json_dumps`` writes that dict with the standard library's
+encoder; ``schedule_to_dict`` must equal the first and
+``schedule_to_json`` the second byte for byte.  ``block_travel`` holds
+the closed forms of one block's travel, each team starting and ending at
+home, and ``far_pair`` the metric on which the default build's travel
+ratio is worst.  ``day_list_teams_per_token`` converts day-list teams
+token by token, each distinct token once through ``int``, where the
+package reads them in one numpy conversion; ``schedule_from_dict_per_block``
+reads a stored plan as one ``LevelPlan`` per level and one ``SuperMatch``
+per block and checks it level by level (``check_plan_per_level``), where
+the package reads and checks one int array in bulk.
 """
 
 from __future__ import annotations
@@ -358,10 +362,9 @@ def schedule_from_dict_per_block(obj: dict) -> Schedule:
         raise AssertionError(f"a plan the per-level check accepts is refused: {exc}") from None
 
 
-def schedule_to_json_dumps(sched: Schedule) -> str:
-    """The stored form of ``sched`` as ``json.dumps(..., indent=2)`` writes
-    it, with a closing newline, from one dict per game and per block made
-    from the schedule's public fields."""
+def stored_dict(sched: Schedule) -> dict:
+    """The stored form of ``sched`` as JSON values, one dict per game and
+    per block, made from the schedule's public fields."""
     obj = {
         "n": sched.n,
         "days": [[{"away": f.away, "home": f.home} for f in day] for day in sched.days],
@@ -374,7 +377,49 @@ def schedule_to_json_dumps(sched: Schedule) -> str:
     for key, pm in (("team_pairs", sched.team_pairs), ("super_pairs", sched.super_pairs)):
         obj[key] = None if pm is None else {
             "pairs": [list(p) for p in pm.pairs], "weight": pm.weight}
-    return json.dumps(obj, indent=2) + "\n"
+    return obj
+
+
+def schedule_to_json_dumps(sched: Schedule) -> str:
+    """``stored_dict(sched)`` as ``json.dumps(..., indent=2)`` writes it,
+    with a closing newline."""
+    return json.dumps(stored_dict(sched), indent=2) + "\n"
+
+
+# per block type, the trips over each slot edge of a block in isolation, in
+# the order of ``itertools.combinations(range(4), 2)``: A1-A2, A1-B1,
+# A1-B2, A2-B1, A2-B2, B1-B2
+_BLOCK_TRIPS = {1: (2, 2, 2, 2, 2, 2), 2: (2, 3, 3, 3, 3, 0), 3: (2, 5, 3, 3, 5, 2)}
+
+
+def block_travel(block_type: int, dists) -> float:
+    """Total travel of all four teams through a block of ``block_type`` in
+    isolation (each starts and ends at home), by its closed form.
+
+    ``dists`` is a 4x4 symmetric matrix over slots (A1, A2, B1, B2), or any
+    nested sequence indexable as dists[i][j]:
+
+    Type-3: 5 d(A1,B1) + 3 d(A2,B1) + 2 d(A1,A2) + 3 d(A1,B2) + 5 d(A2,B2) + 2 d(B1,B2)
+    Type-2: 3 d(A1,B1) + 3 d(A2,B1) + 2 d(A1,A2) + 3 d(A1,B2) + 3 d(A2,B2)
+    Type-1: twice the sum of all six pairwise distances
+    """
+    return math.fsum(trips * float(dists[i][j]) for trips, (i, j)
+                     in zip(_BLOCK_TRIPS[block_type], itertools.combinations(range(4), 2)))
+
+
+def far_pair(n: int, p: int) -> Instance:
+    """The 0/1 metric on n teams with teams 2p and 2p + 1 at distance 1
+    from every other team, and every other distance 0.  Its team pairs are
+    (2k, 2k + 1); on the pair that the default build puts on its busiest
+    slot, one with phi Type-2 blocks, its travel is 1 + (2 + phi)/(n - 2)
+    times the lower bound: the worst ratio of that build over metric
+    instances, as a linear program found at every n it was run on (ROADMAP
+    items 22 and 25)."""
+    dist = np.zeros((n, n))
+    far = [2 * p, 2 * p + 1]
+    dist[far, :] = dist[:, far] = 1.0
+    dist[np.ix_(far, far)] = 0.0
+    return Instance(n=n, dist=dist)
 
 
 def first_seen(days, n: int) -> tuple[list[list[int]], list[list[bool]], list[list[int]]]:

@@ -15,7 +15,6 @@ import pytest
 from ttp2 import (
     Instance,
     Schedule,
-    block_travel,
     build_schedule,
     evaluation_report,
     expand_block,
@@ -31,7 +30,7 @@ from ttp2.analysis import factor_ours
 from ttp2.blocks import SuperMatch
 
 from helpers import euclid_weights, pair_cluster_instance
-from reference import brute_force_matching, brute_force_optimal, dp_matching
+from reference import block_travel, brute_force_matching, brute_force_optimal, dp_matching
 from test_scheduler import GOLDEN_12, GOLDEN_16, _eager_levels, _level_sets
 
 SWEEP_SIZES = (8, 12, 16, 20, 24, 28, 32)

@@ -40,8 +40,9 @@ from ttp2 import (
 )
 from ttp2 import analysis
 from ttp2.analysis import NO_FACTOR, NOT_METRIC, ZERO_BOUND
+from ttp2.scheduler import _template
 from helpers import day_list_text, lattice_weights
-from reference import sample_valid_schedules
+from reference import far_pair, sample_valid_schedules
 
 
 UNIT4 = Instance(n=4, dist=np.ones((4, 4)) - np.eye(4))
@@ -324,6 +325,22 @@ def test_evaluation_report_constructed_schedule():
     assert rep.bound_reason is None
     assert rep.flip_budget == 4.0
     assert len(rep.per_team) == 16
+
+
+@pytest.mark.parametrize("n", range(8, 33, 4))
+def test_the_default_build_breaches_factor_ours_on_a_far_pair(n):
+    # The default build is one fixed schedule up to relabelling, and its worst
+    # ratio over metrics is 1 + (2 + phi_max)/(n - 2), where phi_max is the
+    # Type-2 count of the template's busiest slot: above factor_ours at every
+    # n here (ROADMAP item 22, whose mend replaces this test).
+    plan = _template(n // 2).plan
+    phi_max = np.bincount(plan[..., :2][plan[..., 2] == 2].ravel()).max()
+    reports = [evaluation_report(build_schedule(far_pair(n, p)), far_pair(n, p))
+               for p in range(n // 2)]
+    ratios = [Fraction(r.total_travel) / Fraction(r.lower_bound) for r in reports]
+    worst = max(ratios)
+    assert worst == 1 + Fraction(2 + int(phi_max), n - 2)
+    assert reports[ratios.index(worst)].bound_satisfied is False
 
 
 def test_evaluation_report_zero_matrix():

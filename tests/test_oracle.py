@@ -10,7 +10,6 @@ from ttp2 import (
     Instance,
     MatchingError,
     TTP2Error,
-    block_travel,
     generate_instance,
     lower_bound,
     min_weight_perfect_matching,
@@ -19,6 +18,7 @@ from ttp2 import (
 
 from reference import (
     OracleResult,
+    block_travel,
     brute_force_matching,
     brute_force_optimal,
     dp_matching,

@@ -7,7 +7,8 @@ lists, (away, home) pairs, a stored dict and day-list text.  The verdicts
 must agree with each other and with the plain-loop reference below, which
 walks the fixtures one by one the way the checks are specified.  Schedules
 made by hand from random games are written as the standard encoder writes
-their stored dict, and read back equal.  Stored forms with up to two faults
+the stored dict built from their public fields, give that dict back, and
+read back equal.  Stored forms with up to two faults
 and day-list text with odd separators, zero-padded and overlong teams are
 read as the per-block and per-token references in ``reference.py`` read
 them: the same schedule, plan and JSON, or the same refusal.
@@ -15,7 +16,6 @@ them: the same schedule, plan and JSON, or the same refusal.
 
 import copy
 import itertools
-import json
 import math
 import random
 import re
@@ -44,7 +44,8 @@ from ttp2.validator import C1, C2, C4, S_DAY_COUNT, S_ONE_GAME, Violation
 
 from helpers import day_list_text
 from reference import (day_list_teams_per_token, parse_day_list_per_line,
-                       read_stored_per_block, schedule_from_dict_per_block)
+                       read_stored_per_block, schedule_from_dict_per_block,
+                       schedule_to_json_dumps, stored_dict)
 
 PROPERTY_SETTINGS = settings(derandomize=True, deadline=None, database=None,
                              max_examples=60)
@@ -185,8 +186,10 @@ def hand_made_schedules(draw):
 @PROPERTY_SETTINGS
 @given(hand_made_schedules())
 def test_schedule_json_is_its_dict_through_the_standard_encoder(sched):
+    # the dict and the text, each against the reference's from the public fields
     text = schedule_to_json(sched)
-    assert text == json.dumps(schedule_to_dict(sched), indent=2) + "\n"
+    assert schedule_to_dict(sched) == stored_dict(sched)
+    assert text == schedule_to_json_dumps(sched)
     assert schedule_from_json(text) == sched
 
 

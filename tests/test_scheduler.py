@@ -39,7 +39,7 @@ from ttp2.scheduler import (_block_type_violations, _round_labels, _template,
                             check_team_count)
 
 from helpers import pair_cluster_instance, refused_team_counts
-from reference import min_flip_plan, rule_flip_count, schedule_to_json_dumps
+from reference import min_flip_plan, rule_flip_count, schedule_to_json_dumps, stored_dict
 
 
 # --- worked examples, matched exactly ---------------------------------------
@@ -526,10 +526,12 @@ def _written_schedules():
 
 
 def test_schedule_json_is_the_standard_encoders_text_byte_for_byte():
-    # each schedule and its reload write the text the reference writes
+    # each schedule and its reload write the text the reference writes, and
+    # read back as the dict the reference builds from the public fields
     for name, sched in _written_schedules():
         text = schedule_to_json(sched)
         assert text == schedule_to_json_dumps(sched), name
+        assert schedule_to_dict(sched) == stored_dict(sched), name
         assert schedule_to_json(schedule_from_json(text)) == text, name
 
 
