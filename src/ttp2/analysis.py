@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from fractions import Fraction
 from functools import lru_cache
 from typing import Optional
@@ -203,9 +203,10 @@ def _size_figures(n: int) -> tuple[Optional[float], Optional[float], Optional[fl
         budget: Optional[float] = flip_budget(n)
     except TTP2Error:
         budget = None
-    if n % 4 != 0 or n < 8:
+    try:
+        ours, xk = factors_exact(n)
+    except TTP2Error:
         return budget, None, None
-    ours, xk = factors_exact(n)
     return budget, float(ours), float(xk)
 
 
@@ -259,22 +260,10 @@ def evaluation_report(sched, inst: Instance) -> EvaluationReport:
 
 
 def report_to_dict(report: EvaluationReport) -> dict:
-    return {
-        "n": report.n,
-        "total_travel": report.total_travel,
-        "lower_bound": report.lower_bound,
-        "ratio": report.ratio,
-        "flips": report.flips,
-        "flip_budget": report.flip_budget,
-        "factor_ours": report.factor_ours,
-        "factor_xiao_kou": report.factor_xiao_kou,
-        "W_t": report.W_t,
-        "W_m": report.W_m,
-        "valid": report.valid,
-        "bound_satisfied": report.bound_satisfied,
-        "bound_reason": report.bound_reason,
-        "per_team": [{"team": it.team, "travel": it.travel} for it in report.per_team],
-    }
+    """The report's fields in order, each itinerary as its team and travel."""
+    out = {f.name: getattr(report, f.name) for f in fields(report)}
+    out["per_team"] = [{"team": it.team, "travel": it.travel} for it in report.per_team]
+    return out
 
 
 def report_to_json(report: EvaluationReport) -> str:

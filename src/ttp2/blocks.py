@@ -21,7 +21,7 @@ from itertools import repeat
 from operator import itemgetter
 from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
-from .errors import SchedulingError, ValidationError, integer, shown
+from .errors import ValidationError, integer, shown
 
 BLOCK_TYPES = (1, 2, 3)
 
@@ -112,19 +112,19 @@ def expand_block(sm: SuperMatch, pairs: Mapping[int, Sequence[int]] | Sequence[S
     A pair is A1, the lower team of the B pair is B1.  Each pair is unpacked
     into its two teams and put in order with one comparison, as ``sorted``
     would; a pair of other than two teams, or two pairs that share a team,
-    raise SchedulingError.
+    raise ValidationError, as ``SuperMatch`` refuses a bad block.
     """
     try:
         a1, a2 = pairs[sm.a_pair]
         b1, b2 = pairs[sm.b_pair]
     except ValueError:   # too many or too few teams to unpack
-        raise SchedulingError("each pair must hold exactly two teams") from None
+        raise ValidationError("each pair must hold exactly two teams") from None
     if a2 < a1:
         a1, a2 = a2, a1
     if b2 < b1:
         b1, b2 = b2, b1
     if a1 == a2 or b1 == b2 or a1 == b1 or a1 == b2 or a2 == b1 or a2 == b2:
-        raise SchedulingError(f"super-match pairs overlap: {[a1, a2]} vs {[b1, b2]}")
+        raise ValidationError(f"super-match pairs overlap: {[a1, a2]} vs {[b1, b2]}")
     teams = (a1, a2, b1, b2)
     aways, homes = _ROLES[sm.block_type]
     fixtures = _fixtures(zip(aways(teams), homes(teams)))

@@ -16,9 +16,8 @@ import os
 import sys
 import time
 
-from .analysis import (BOUND_SLACK, evaluation_report, factors_exact,
-                       flip_budget, format_report, lower_bound, report_to_json,
-                       total_travel)
+from .analysis import (evaluation_report, factors_exact, format_report, lower_bound,
+                       report_to_json, total_travel)
 from .errors import (InstanceError, SchedulingError, TTP2Error, ValidationError, decimal,
                      read_text, shown)
 from .instance import (FORMATS, GENERATOR_KINDS, emit_instance, generate_instance,
@@ -163,7 +162,6 @@ def cmd_bench(args) -> int:
     any_invalid = False
     any_over = False
     for n in args.n_set:
-        budget = math.ceil(flip_budget(n))
         max_ratio = None
         all_valid = True
         for trial in range(args.trials):
@@ -173,6 +171,7 @@ def cmd_bench(args) -> int:
             sched = build_schedule(inst)
             millis = (time.perf_counter() - t0) * 1000.0
             rep = evaluation_report(sched, inst)
+            budget = math.ceil(rep.flip_budget)
             ratio = rep.ratio if rep.ratio is not None else float("nan")
             writer.writerow([n, seed, f"{rep.lower_bound:.6f}",
                              f"{rep.total_travel:.6f}", f"{ratio:.9f}",
@@ -183,11 +182,11 @@ def cmd_bench(args) -> int:
             all_valid = all_valid and rep.valid
             if max_ratio is None or ratio > max_ratio:
                 max_ratio = ratio
-            if rep.flips > budget or ratio > rep.factor_ours + BOUND_SLACK:
+            if rep.flips > budget or rep.bound_satisfied is False:
                 any_over = True
         any_invalid = any_invalid or not all_valid
         writer.writerow([n, "max", "", "", f"{max_ratio:.9f}", "", "",
-                         f"{float(factors_exact(n)[0]):.9f}", "",
+                         f"{rep.factor_ours:.9f}", "",
                          "true" if all_valid else "false", ""])
     text = buf.getvalue()
     if args.output:

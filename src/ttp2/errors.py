@@ -25,8 +25,7 @@ class MatchingError(TTP2Error, ValueError):
 
 class SchedulingError(TTP2Error, RuntimeError):
     """Schedule construction failed an internal consistency check, never an
-    input fault; only ``blocks.expand_block`` also raises it, for bad
-    arguments."""
+    input fault."""
 
 
 class ValidationError(TTP2Error, ValueError):

@@ -103,6 +103,9 @@ class Instance:
     def __hash__(self) -> int:
         return hash((self.n, self.names, self.dist.tobytes()))
 
+    def __reduce__(self):   # copies and unpickled forms are made, and checked, by the constructor
+        return Instance, (self.n, self.dist, self.names, self.coords)
+
 
 @dataclass(frozen=True)
 class MetricReport:

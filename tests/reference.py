@@ -445,10 +445,10 @@ def expand_block_sorted(sm: SuperMatch, pairs) -> tuple[tuple[Fixture, ...], ...
     a = sorted(pairs[sm.a_pair])
     b = sorted(pairs[sm.b_pair])
     if len(a) != 2 or len(b) != 2:
-        raise SchedulingError("each pair must hold exactly two teams")
+        raise ValidationError("each pair must hold exactly two teams")
     teams = (a[0], a[1], b[0], b[1])
     if len(set(teams)) != 4:
-        raise SchedulingError(f"super-match pairs overlap: {a} vs {b}")
+        raise ValidationError(f"super-match pairs overlap: {a} vs {b}")
     aways, homes = _ROLES[sm.block_type]
     fixtures = _fixtures(zip(aways(teams), homes(teams)))
     return tuple(zip(fixtures, fixtures))

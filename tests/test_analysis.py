@@ -343,6 +343,37 @@ def test_the_default_build_breaches_factor_ours_on_a_far_pair(n):
     assert reports[ratios.index(worst)].bound_satisfied is False
 
 
+# every served n past 32: 56, 112 and 224 are refused (their flip plans pass ceil(F_n))
+_FAR_PAIR_SIZES = [n for n in range(36, 257, 4) if n not in (56, 112, 224)]
+
+
+@pytest.mark.parametrize("n", _FAR_PAIR_SIZES)
+def test_one_far_pair_build_per_n_reaches_the_default_builds_worst_ratio(n):
+    # One build per n, on the pair the build puts on its busiest slot: a far
+    # pair's super-pairs are always (2k, 2k + 1), so slot s holds pair
+    # sigma[s].  Its ratio is 1 + (2 + phi_max)/(n - 2), where phi_max is 3
+    # at n = 4 (mod 8): above factor_ours except from 132 to 252 at those n,
+    # where ceil(log2(n/4)) = 6 makes the two equal (ROADMAP item 25).
+    m = n // 2
+    template = _template(m)
+    sigma = np.empty(m, np.int64)
+    sigma[template.last] = np.arange(m).reshape(-1, 2)
+    plan = template.plan
+    phi = np.bincount(plan[..., :2][plan[..., 2] == 2].ravel(), minlength=m)
+    s = int(phi.argmax())
+    inst = far_pair(n, int(sigma[s]))
+    sched = build_schedule(inst)
+    assert [tuple(p) for p in sched.super_pairs.pairs] == [(k, k + 1) for k in range(0, m, 2)]
+    rep = evaluation_report(sched, inst)
+    ratio = Fraction(rep.total_travel) / Fraction(rep.lower_bound)
+    assert ratio == 1 + Fraction(2 + int(phi[s]), n - 2)
+    assert (int(phi[s]) == 3) == (n % 8 == 4)
+    meets = n % 8 == 4 and 132 <= n <= 252
+    ours = factors_exact(n)[0]
+    assert (ratio == ours, ratio > ours) == (meets, not meets)
+    assert rep.bound_satisfied is meets
+
+
 def test_evaluation_report_zero_matrix():
     inst = Instance(n=8, dist=np.zeros((8, 8)))
     s = build_schedule(inst)

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from ttp2 import (
     Instance,
     Schedule,
-    SchedulingError,
     SuperMatch,
     ValidationError,
     build_schedule,
@@ -134,13 +133,13 @@ def test_expand_respects_slot_order_within_pair():
 
 def test_expand_overlapping_pairs_raises():
     sm = SuperMatch(a_pair=0, b_pair=1, block_type=1)
-    with pytest.raises(SchedulingError, match="overlap"):
+    with pytest.raises(ValidationError, match="overlap"):
         expand_block(sm, [(0, 1), (1, 2)])
 
 
 def test_expand_bad_pair_size_raises():
     sm = SuperMatch(a_pair=0, b_pair=1, block_type=1)
-    with pytest.raises(SchedulingError, match="exactly two"):
+    with pytest.raises(ValidationError, match="exactly two"):
         expand_block(sm, [(0, 1, 2), (3, 4)])
 
 
@@ -167,7 +166,7 @@ def _blocks(draw):
 def _outcome(expand, sm, pairs):
     try:
         return repr(expand(sm, pairs))   # the teams' types as well as their values
-    except SchedulingError as exc:
+    except ValidationError as exc:
         return type(exc), str(exc)
 
 

@@ -31,7 +31,7 @@ from ttp2 import (
     validate_schedule,
 )
 from ttp2 import cli, scheduler
-from ttp2.analysis import BOUND_SLACK
+from ttp2.analysis import BOUND_SLACK, NOT_METRIC
 from ttp2.cli import _build_parser, main
 from ttp2.matching import SIZE_MAX
 
@@ -837,14 +837,24 @@ def test_bench_csv_shape(capsys):
 
 
 BUDGET_8 = math.ceil(flip_budget(8))
+
+
+def _over(rep, satisfied=False, **changes):
+    """``rep`` with a ratio over factor_ours, and the ``bound_satisfied`` that
+    ``evaluation_report`` gives with it: False, or None (with its reason)
+    where the bound need not hold."""
+    return replace(rep, ratio=rep.factor_ours + 1e-6, bound_satisfied=satisfied, **changes)
+
+
 # what makes the second of three n=8 trials break a promise ``bench`` checks,
-# and the exit code it then gives: 3 for an invalid trial, else 2
+# and the exit code it then gives: 3 for an invalid trial, else 2; a ratio
+# over factor_ours whose bound need not hold breaks none
 _BROKEN_TRIAL = {
     "flips": (lambda rep: replace(rep, flips=BUDGET_8 + 1), 2),
-    "factor": (lambda rep: replace(rep, ratio=rep.factor_ours + 1e-6), 2),
+    "factor": (_over, 2),
     "invalid": (lambda rep: replace(rep, valid=False), 3),
-    "invalid-and-factor": (lambda rep: replace(rep, valid=False,
-                                               ratio=rep.factor_ours + 1e-6), 3),
+    "invalid-and-factor": (lambda rep: _over(rep, valid=False), 3),
+    "factor-not-metric": (lambda rep: _over(rep, None, bound_reason=NOT_METRIC), 0),
 }
 
 

@@ -1,6 +1,8 @@
+import copy
 import hashlib
 import io
 import json
+import pickle
 import re
 import tracemalloc
 
@@ -29,6 +31,22 @@ def test_instance_basic_fields():
     assert inst.n == 4
     assert inst.dist[0, 1] == 3.0
     assert not inst.dist.flags.writeable
+
+
+@pytest.mark.parametrize("copy_of", [lambda x: pickle.loads(pickle.dumps(x)), copy.deepcopy],
+                         ids=["pickle", "deepcopy"])
+def test_a_copied_instance_keeps_its_arrays_read_only(copy_of):
+    inst = generate_instance(8, kind="euclidean", seed=0)
+    named = Instance(n=4, dist=small_dist(), names=("a", "b", "c", "d"))
+    for original in (inst, named):
+        c = copy_of(original)
+        assert c == original and c.names == original.names
+        assert c.dist is not original.dist and c.dist.tobytes() == original.dist.tobytes()
+        for arr in (c.dist, c.coords):
+            if arr is not None:
+                assert not arr.flags.writeable
+                with pytest.raises(ValueError):
+                    arr[0, 1] = -5.0
 
 
 def test_instance_rejects_odd_n():
