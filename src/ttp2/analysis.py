@@ -63,7 +63,7 @@ class EvaluationReport:
     valid: bool
     bound_satisfied: Optional[bool]
     bound_reason: Optional[str]     # why bound_satisfied is None; else None
-    per_team: tuple[Itinerary, ...]
+    per_team: tuple[float, ...]     # team t's travel at index t
 
 
 def _fsum(values) -> float:
@@ -92,11 +92,9 @@ def _legs(g: ScheduleArray, dist: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return venues, dist[venues, np.vstack([venues[1:], teams])]   # ... then home
 
 
-def _itineraries(g: ScheduleArray, inst: Instance) -> list[Itinerary]:
-    """Every team's itinerary, from the schedule's normal form."""
-    venues, legs = _legs(g, inst.dist)
-    return [Itinerary(team=t, venues=tuple(v), travel=_fsum(leg))
-            for t, (v, leg) in enumerate(zip(venues.T.tolist(), legs.T.tolist()))]
+def _travels(g: ScheduleArray, dist: np.ndarray) -> list[float]:
+    """Every team's travel in team order, each the exact sum of its legs."""
+    return [_fsum(leg) for leg in _legs(g, dist)[1].T.tolist()]
 
 
 def team_itinerary(sched, inst: Instance, team: int) -> Itinerary:
@@ -106,15 +104,16 @@ def team_itinerary(sched, inst: Instance, team: int) -> Itinerary:
     team = integer(team, "team", ValidationError, "team must be an integer, got {value}")
     if not 0 <= team < inst.n:
         raise ValidationError(f"team {shown(team)} out of range for n={inst.n}")
-    return _itineraries(_schedule(sched, inst.n)._array, inst)[team]
+    venues, legs = _legs(_schedule(sched, inst.n)._array, inst.dist)
+    return Itinerary(team=team, venues=tuple(venues[:, team].tolist()),
+                     travel=_fsum(legs[:, team].tolist()))
 
 
 def total_travel(sched, inst: Instance) -> float:
     """Sum of all team travels of ``sched``, a ``Schedule`` of ``inst.n``
     teams; each team's travel is summed first, then the teams in team
     order, for determinism."""
-    _, legs = _legs(_schedule(sched, inst.n)._array, inst.dist)
-    return _fsum(map(math.fsum, legs.T.tolist()))
+    return _fsum(_travels(_schedule(sched, inst.n)._array, inst.dist))
 
 
 @lru_cache(maxsize=SIZES_KEPT)
@@ -214,7 +213,7 @@ def evaluation_report(sched, inst: Instance) -> EvaluationReport:
     """All headline quantities for one schedule on one instance.
 
     ``sched`` is a ``Schedule`` of ``inst.n`` teams; both the validity
-    check and the itineraries use the read and the verdict it keeps.
+    check and the travels use the read and the verdict it keeps.
     The schedule may be invalid; the report then carries valid=False and the
     ratio loses its guarantee (it is still computed when the bound is > 0).
     ``bound_satisfied`` is None in three cases, and ``bound_reason`` then
@@ -236,8 +235,8 @@ def evaluation_report(sched, inst: Instance) -> EvaluationReport:
     sched = _schedule(sched, n)
     g, verdict = sched._array, sched._report
     teams = min_weight_perfect_matching(inst.dist)
-    per_team = tuple(_itineraries(g, inst))
-    total = _fsum(it.travel for it in per_team)
+    per_team = tuple(_travels(g, inst.dist))
+    total = _fsum(per_team)
     w_t = pairwise_sum(inst)
     lb = _bound(w_t, n, teams.weight)   # lower_bound's, without summing W_t again
     ratio = (total / lb) if lb > 0 else None
@@ -260,9 +259,9 @@ def evaluation_report(sched, inst: Instance) -> EvaluationReport:
 
 
 def report_to_dict(report: EvaluationReport) -> dict:
-    """The report's fields in order, each itinerary as its team and travel."""
+    """The report's fields in order, each team's travel with its team."""
     out = {f.name: getattr(report, f.name) for f in fields(report)}
-    out["per_team"] = [{"team": it.team, "travel": it.travel} for it in report.per_team]
+    out["per_team"] = [{"team": t, "travel": x} for t, x in enumerate(report.per_team)]
     return out
 
 

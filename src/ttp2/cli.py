@@ -19,7 +19,7 @@ import time
 from .analysis import (evaluation_report, factors_exact, format_report, lower_bound,
                        report_to_json, total_travel)
 from .errors import (InstanceError, SchedulingError, TTP2Error, ValidationError, decimal,
-                     read_text, shown)
+                     read_text, shown, team_count)
 from .instance import (FORMATS, GENERATOR_KINDS, emit_instance, generate_instance,
                        load_instance, save_instance)
 from .scheduler import (build_schedule, check_team_count, format_level_table,
@@ -226,6 +226,11 @@ def _int_arg(text: str) -> int:
                    "expected an integer in ASCII digits, got {value}")
 
 
+def _team_count_arg(text: str) -> int:
+    """A team count option's value: ASCII digits, at most TEAMS_MAX."""
+    return team_count(_int_arg(text), argparse.ArgumentTypeError)
+
+
 def _team_counts(text: str) -> list[int]:
     try:
         counts = [decimal(tok.strip()) for tok in text.split(",") if tok.strip()]
@@ -305,7 +310,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_bench)
 
     p = subs.add_parser("factors", help="approximation factor table")
-    p.add_argument("--n-max", type=_int_arg, default=40)
+    p.add_argument("--n-max", type=_team_count_arg, default=40)
     p.add_argument("--csv", action="store_true")
     p.set_defaults(func=cmd_factors)
 

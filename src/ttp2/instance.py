@@ -83,7 +83,7 @@ class Instance:
                 raise InstanceError(f"expected {self.n} names, got {len(names)}")
             object.__setattr__(self, "names", names)
         if self.coords is not None:
-            coords = _number_array(self.coords, "coords")
+            coords = _number_array(self.coords, "coords").copy()   # not the caller's array
             if coords.shape != (self.n, 2):
                 raise InstanceError(f"coords must have shape ({self.n}, 2), got {coords.shape}")
             coords.flags.writeable = False
@@ -208,7 +208,7 @@ def _parse_json(text: str) -> Instance:
     names = obj.get("names")
     if names is not None and not isinstance(names, list):
         raise InstanceError(f"'names' must be a list of {n} names, got {shown(names)}")
-    inst = Instance(n=n, dist=dist, names=tuple(names) if names else None, coords=coords)
+    inst = Instance(n=n, dist=dist, names=None if names is None else tuple(names), coords=coords)
     if coords is not None and "dist" in obj:
         _check_coords_consistent(inst, rounding)
     return inst

@@ -40,9 +40,10 @@ from ttp2 import (
 )
 from ttp2 import analysis
 from ttp2.analysis import NO_FACTOR, NOT_METRIC, ZERO_BOUND
+from ttp2.instance import GENERATOR_KINDS
 from ttp2.scheduler import _template
-from helpers import day_list_text, lattice_weights
-from reference import far_pair, sample_valid_schedules
+from helpers import day_list_text, lattice_weights, pair_cluster_instance
+from reference import far_pair, first_seen, sample_valid_schedules
 
 
 UNIT4 = Instance(n=4, dist=np.ones((4, 4)) - np.eye(4))
@@ -518,7 +519,32 @@ def test_total_travel_sums_each_team_first():
             inst = generate_instance(n, kind="random_metric", seed=seed)
             s = build_schedule(inst)
             per_team = evaluation_report(s, inst).per_team
-            assert total_travel(s, inst) == math.fsum(it.travel for it in per_team)
+            assert len(per_team) == n and all(type(x) is float for x in per_team)
+            assert total_travel(s, inst) == math.fsum(per_team)
+
+
+def _itinerary_builds():
+    yield pair_cluster_instance(12, [(1, 2), (0, 4), (3, 5)])
+    yield pair_cluster_instance(16, [(0, 4), (1, 5), (2, 6), (3, 7)])
+    for n in (8, 20, 32):
+        for kind in GENERATOR_KINDS:
+            yield generate_instance(n, kind, seed=0)
+
+
+def test_a_reports_travels_are_its_teams_itineraries():
+    # each team's venues are home, then per day the team itself on a home
+    # day and its opponent otherwise; its travel is the sum of those legs
+    for inst in _itinerary_builds():
+        s = build_schedule(inst)
+        report = evaluation_report(s, inst)
+        opponent, at_home, _ = first_seen(s.days, inst.n)
+        for t in range(inst.n):
+            it = team_itinerary(s, inst, t)
+            days = [t if home[t] else opp[t] for opp, home in zip(opponent, at_home)]
+            assert it.team == t and it.venues == (t, *days)
+            legs = zip(it.venues, it.venues[1:] + (t,))
+            assert it.travel == math.fsum(float(inst.dist[a, b]) for a, b in legs)
+            assert report.per_team[t] == it.travel
 
 
 def test_evaluation_report_rejects_mismatched_n():

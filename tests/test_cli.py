@@ -33,6 +33,7 @@ from ttp2 import (
 from ttp2 import cli, scheduler
 from ttp2.analysis import BOUND_SLACK, NOT_METRIC
 from ttp2.cli import _build_parser, main
+from ttp2.errors import TEAMS_MAX
 from ttp2.matching import SIZE_MAX
 
 from helpers import day_list_text, refused_team_counts
@@ -950,8 +951,10 @@ def test_negative_seed_exits_1(monkeypatch, capsys, argv):
     (["gen", "--n", "8", "--seed", "\u0663"], "argument --seed: "),
     (["validate", "-i", "unused.json", "-n", "1_2"], "argument -n: "),
     (["factors", "--n-max", "3_6"], "argument --n-max: "),
+    (["factors", "--n-max", "100000000"],
+     "argument --n-max: team count 100000000 exceeds the supported maximum 2048"),
 ], ids=["schedule-n", "schedule-n-arabic-indic", "gen-n-plus", "schedule-seed", "gen-seed",
-        "validate-n", "factors-n-max"])
+        "validate-n", "factors-n-max", "factors-n-max-past-teams-max"])
 def test_integer_arguments_are_ascii_digits(capsys, argv, names):
     code, out, err = run(capsys, *argv)
     assert code == 1
@@ -996,6 +999,12 @@ def test_factors_table(capsys):
     verdict = {int(line.split()[0]): line.split()[3] for line in lines[1:]}
     assert all(verdict[n] == "yes" for n in range(8, 33, 4))
     assert verdict[36] == "no" and verdict[40] == "no"
+
+
+def test_factors_reads_up_to_the_most_teams(capsys):
+    code, out, _ = run(capsys, "factors", "--n-max", str(TEAMS_MAX), "--csv")
+    assert code == 0
+    assert out.splitlines()[-1].split(",")[0] == str(TEAMS_MAX)
 
 
 def test_factors_csv(capsys):

@@ -49,6 +49,18 @@ def test_a_copied_instance_keeps_its_arrays_read_only(copy_of):
                     arr[0, 1] = -5.0
 
 
+def test_an_instance_copies_the_callers_coords():
+    inst = generate_instance(8, kind="euclidean", seed=0)
+    for make in (lambda c: c, lambda c: c[:]):   # the array itself, and a view of it
+        base = inst.coords.copy()
+        given = make(base)
+        built = Instance(n=8, dist=inst.dist, coords=given)
+        assert given.flags.writeable and base.flags.writeable
+        base[0, 0] += 1000.0
+        assert np.array_equal(built.coords, inst.coords)
+        assert load_instance(emit_instance(built, "json")) == built
+
+
 def test_instance_rejects_odd_n():
     d = np.zeros((3, 3))
     with pytest.raises(InstanceError):
@@ -307,6 +319,17 @@ def test_json_coords_dist_consistency_check():
                          ("names", 5)):
         with pytest.raises(InstanceError, match=f"'?{field}'? must"):
             load_instance(json.dumps({**good, field: value}), fmt="json")
+
+
+def test_json_names_are_read_by_the_constructors_rule():
+    # an empty list is a list of no names, not an absent key
+    good = {"n": 2, "dist": [[0, 1], [1, 0]]}
+    for absent in ({}, {"names": None}):
+        assert load_instance(json.dumps({**good, **absent}), fmt="json").names is None
+    with pytest.raises(InstanceError, match="expected 2 names, got 0"):
+        load_instance(json.dumps({**good, "names": []}), fmt="json")
+    with pytest.raises(InstanceError, match="expected 2 names, got 0"):
+        Instance(n=2, dist=good["dist"], names=())
 
 
 def test_json_rounding_nearest_int():
