@@ -16,6 +16,7 @@ from __future__ import annotations
 import json
 import math
 import os
+from collections.abc import Iterable, Mapping, Set as AbstractSet
 from dataclasses import dataclass
 from typing import Optional
 
@@ -36,6 +37,23 @@ FORMATS = ("matrix", "csv", "json")
 EXTENSION_FORMATS = {".txt": "matrix", ".mat": "matrix", ".dist": "matrix",
                      ".csv": "csv", ".json": "json"}
 GENERATOR_KINDS = ("euclidean", "unit", "random_metric")
+
+
+def _read_names(values, n: int) -> tuple[str, ...]:
+    """``values`` as a tuple of n names, each a plain ``str``.  Text (a
+    ``str`` or ``bytes``, which would be read as its characters), a mapping
+    or set (no order), anything not iterable, a name that is no ``str`` or
+    a count other than n raises InstanceError naming the field."""
+    if isinstance(values, (str, bytes, bytearray, Mapping, AbstractSet)) or not isinstance(
+            values, Iterable):
+        raise InstanceError(f"names must be a sequence of {n} names, got {shown(values)}")
+    names = tuple(values)
+    for i, name in enumerate(names):
+        if not isinstance(name, str):
+            raise InstanceError(f"names must be str values, got {shown(name)} at index {i}")
+    if len(names) != n:
+        raise InstanceError(f"expected {n} names, got {len(names)}")
+    return tuple(map(str, names))   # a str subclass as plain str
 
 
 @dataclass(frozen=True)
@@ -78,10 +96,7 @@ class Instance:
         dist.flags.writeable = False
         object.__setattr__(self, "dist", dist)
         if self.names is not None:
-            names = tuple(str(x) for x in self.names)
-            if len(names) != self.n:
-                raise InstanceError(f"expected {self.n} names, got {len(names)}")
-            object.__setattr__(self, "names", names)
+            object.__setattr__(self, "names", _read_names(self.names, self.n))
         if self.coords is not None:
             coords = _number_array(self.coords, "coords").copy()   # not the caller's array
             if coords.shape != (self.n, 2):
@@ -205,10 +220,7 @@ def _parse_json(text: str) -> Instance:
         dist = _euclidean_matrix(coords, rounding)
     else:
         raise InstanceError("json instance needs 'dist' or 'coords'")
-    names = obj.get("names")
-    if names is not None and not isinstance(names, list):
-        raise InstanceError(f"'names' must be a list of {n} names, got {shown(names)}")
-    inst = Instance(n=n, dist=dist, names=None if names is None else tuple(names), coords=coords)
+    inst = Instance(n=n, dist=dist, names=obj.get("names"), coords=coords)
     if coords is not None and "dist" in obj:
         _check_coords_consistent(inst, rounding)
     return inst

@@ -12,13 +12,13 @@ Construction outline for n teams (4 | n, n >= 8), m = n/2 pairs:
    An explicit per-group rule, applied as the levels are planned, picks the
    flip set of each level.  A size whose plan needs more than ceil(F_n)
    flips is not served (``check_team_count``).
-4. Expand levels to fixtures: level k starts on day 4k; non-final levels
+4. Expand levels to games: level k starts on day 4k; non-final levels
    are 4-day blocks, the final level is the 6-day block with the intra-pair
-   games.  Day count is 4(m-2) + 6 = 2n-2.  The blocks are expanded as the
-   per-size template holds them, on slots, each slot standing for its pair;
-   a built schedule keeps that plan renamed to pairs, and every schedule
-   holds its plan as one read-only int array, making its levels only when
-   they are first read.
+   games.  Day count is 4(m-2) + 6 = 2n-2.  A build renames the per-size
+   template's plan from slots to pairs and expands that plan on the team
+   pairs, all its 4-day blocks in one ``expand_block`` call and its 6-day
+   blocks in another; every schedule holds its plan as one read-only int
+   array, making its levels only when they are first read.
 """
 
 from __future__ import annotations
@@ -384,12 +384,10 @@ def _canon_level(level) -> tuple[tuple[int, int], ...]:
 
 
 class _Template(NamedTuple):
-    """A size's checked plan on slots, and what a build reads of it: the
-    same blocks as ``SuperMatch`` values, which it expands, and ``last``,
-    the last level's slots as ascending (lo, hi) pairs."""
+    """A size's checked plan on slots, and ``last``, the last level's slots
+    as ascending (lo, hi) pairs, which a build meets with its super-pairs."""
 
     plan: np.ndarray
-    blocks: tuple[tuple[SuperMatch, ...], ...]
     last: np.ndarray
 
 
@@ -431,9 +429,7 @@ def _template(m: int) -> _Template:
         plan = _check_plan(n, labels, rows, sizes, None, None)
     except ValidationError as exc:
         raise SchedulingError(f"internal: {exc}") from None
-    return _Template(plan, tuple(tuple(itertools.starmap(SuperMatch, level))
-                                 for level in plan.tolist()),
-                     np.sort(plan[-1, :, :2], axis=1))
+    return _Template(plan, np.sort(plan[-1, :, :2], axis=1))
 
 
 def check_team_count(n: int) -> None:
@@ -455,21 +451,23 @@ def check_team_count(n: int) -> None:
 def build_schedule(inst: Instance) -> Schedule:
     """Full construction; deterministic for a given instance.
 
-    Stages: match teams and pairs, then walk the per-size typed template
-    once.  Slot s is pair ``sigma[s]``: the template's last level and the
-    super-pairs, both ascending (lo, hi) pairs, meet k-th to k-th and lo to
-    lo.  Each template block is expanded as it stands, on the team pairs of
-    its slots, and each level's blocks in the order of their lower pair
-    (each pair plays once per level); the teams of the expanded days go,
-    day by day, straight into the schedule's normal form.  The schedule
-    keeps the blocks, renamed to pairs through sigma and in that order, as
-    its plan array (one ``argsort`` per build orders every level), and
-    makes its levels only when they are read.  Typing happens in slot
-    space, where the flip plan lives: re-deriving roles from pair numbering
-    after relabeling can cost extra flips.  The template was checked once
-    for its size, and ``build_super_graph`` refuses team pairs that do not
-    cover the teams; the super-pairs are checked here, a perfect matching of
-    the pairs, so that sigma is a bijection onto them.
+    Stages: match teams and pairs, then rename the per-size typed template
+    to pairs.  Slot s is pair ``sigma[s]``: the template's last level and
+    the super-pairs, both ascending (lo, hi) pairs, meet k-th to k-th and
+    lo to lo.  The renamed plan, each level's blocks in the order of their
+    lower pair (each pair plays once per level; one ``argsort`` per build
+    orders every level), is the schedule's plan array, and it is expanded
+    on the team pairs in two ``expand_block`` calls, the non-final levels'
+    4-day blocks and then the final level's 6-day blocks; the teams of the
+    expanded days go, day by day, block by block, as one int64 array
+    straight into the schedule's normal form.  The schedule makes its
+    ``Fixture`` days and its levels only when they are read.  Typing
+    happens in slot space, where the flip plan lives: re-deriving roles
+    from pair numbering after relabeling can cost extra flips.  The
+    template was checked once for its size, and ``build_super_graph``
+    refuses team pairs that do not cover the teams; the super-pairs are
+    checked here, a perfect matching of the pairs, so that sigma is a
+    bijection onto them.
     """
     check_team_count(inst.n)
     n, m = inst.n, inst.n // 2
@@ -487,13 +485,12 @@ def build_schedule(inst: Instance) -> Schedule:
     order = np.minimum(plan[..., 0], plan[..., 1]).argsort(axis=1)
     plan = plan[np.arange(len(plan))[:, None], order]
     plan.flags.writeable = False
-    slot_pairs = [team_pairs.pairs[p] for p in sigma.tolist()]
-    flat = itertools.chain.from_iterable
-    teams = []
-    for level, blocks in zip(order.tolist(), template.blocks):
-        # day by day, block by block, fixture by fixture, away first
-        days = zip(*(expand_block(blocks[i], slot_pairs) for i in level))
-        teams += flat(flat(flat(days)))
+    # the non-final levels' 4-day blocks, then the final level's 6-day
+    # blocks, each level's games put day by day, block by block, away first
+    pairs = np.array(team_pairs.pairs, np.int64)
+    games = (expand_block(plan[:-1], pairs).transpose(0, 2, 1, 3, 4),
+             expand_block(plan[-1], pairs).transpose(1, 0, 2, 3))
+    teams = np.concatenate([g.ravel() for g in games])
     sched = Schedule.__new__(Schedule)
     # every day holds n/2 games, n teams
     vars(sched).update(n=n, team_pairs=team_pairs, super_pairs=super_pairs, _plan=plan,

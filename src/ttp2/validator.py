@@ -154,9 +154,10 @@ def _normal_form(teams, counts: list[int], n: int) -> ScheduleArray:
     read, of the games whose teams ``teams`` lists, away first, flattened
     in input order, with ``counts[d]`` games on day d; every ``Schedule``
     is read through here once, when it is made.  ``teams`` is a list of
-    ints or, as the day-list reader makes it, an int64 array, taken as it
-    is.  Raises ValidationError for a team past int64, then for n < 2, then
-    for a team that plays itself or lies outside 0..n-1, in game order."""
+    ints or, as the day-list reader and a build make it, an int64 array,
+    taken as it is.  Raises ValidationError for a team past int64, then
+    for n < 2, then for a team that plays itself or lies outside 0..n-1,
+    in game order."""
     if isinstance(teams, np.ndarray):
         flat = teams.reshape(-1, 2)
     else:

@@ -13,10 +13,12 @@ loop; the package reads both in flat passes.  The flip DP
 fewest flips; the scheduler's explicit per-group flip rule is compared
 against it, and its flip count against the closed form
 ``rule_flip_count``.  ``expand_block_sorted`` and ``exact_integers_frexp``
-do what ``blocks.expand_block`` and ``matching._exact_integers`` do, by
-sorting a copy of each pair and by decomposing every weight with
-``np.frexp``, with no shortcut for integer weights; the first shares the
-block layouts.  ``stored_dict`` builds a schedule's stored form as dicts
+do what ``blocks.expand_block`` and ``matching._exact_integers`` do, one
+block at a time by sorting a copy of each pair and reading its games off
+the block layouts into ``Fixture`` days, and by decomposing every weight
+with ``np.frexp``, with no shortcut for integer weights; the first shares
+only the layouts, where the package gathers every block through one index
+table.  ``stored_dict`` builds a schedule's stored form as dicts
 from the public ``days``, ``levels``, ``flips`` and matchings alone, and
 ``schedule_to_json_dumps`` writes that dict with the standard library's
 encoder; ``schedule_to_dict`` must equal the first and
@@ -46,7 +48,7 @@ import numpy as np
 
 from ttp2 import (Fixture, Instance, LevelPlan, MatchingError, PairMatching, Schedule,
                   SchedulingError, SuperMatch, TTP2Error, ValidationError, total_travel)
-from ttp2.blocks import _ROLES, _fixtures
+from ttp2.blocks import _LAYOUT
 from ttp2.errors import integer, overlong_integer, shown, team_count
 from ttp2.matching import _validated_weights
 from ttp2.scheduler import _round_labels
@@ -440,8 +442,10 @@ def first_seen(days, n: int) -> tuple[list[list[int]], list[list[bool]], list[li
 
 
 def expand_block_sorted(sm: SuperMatch, pairs) -> tuple[tuple[Fixture, ...], ...]:
-    """Block expansion by sorting: both pairs sorted into lists, their sizes
-    checked, then the four teams checked distinct with a set."""
+    """One block's days, each a tuple of ``Fixture`` values in layout
+    order, on ``pairs``, a sequence of team pairs: both pairs sorted into
+    lists, their sizes checked, then the four teams checked distinct with a
+    set, and each day's games read off ``blocks._LAYOUT`` one by one."""
     a = sorted(pairs[sm.a_pair])
     b = sorted(pairs[sm.b_pair])
     if len(a) != 2 or len(b) != 2:
@@ -449,9 +453,8 @@ def expand_block_sorted(sm: SuperMatch, pairs) -> tuple[tuple[Fixture, ...], ...
     teams = (a[0], a[1], b[0], b[1])
     if len(set(teams)) != 4:
         raise ValidationError(f"super-match pairs overlap: {a} vs {b}")
-    aways, homes = _ROLES[sm.block_type]
-    fixtures = _fixtures(zip(aways(teams), homes(teams)))
-    return tuple(zip(fixtures, fixtures))
+    return tuple(tuple(Fixture(teams[away], teams[home]) for away, home in day)
+                 for day in _LAYOUT[sm.block_type])
 
 
 def exact_integers_frexp(x: np.ndarray) -> np.ndarray:

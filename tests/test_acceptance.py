@@ -27,7 +27,6 @@ from ttp2 import (
     validate_schedule,
 )
 from ttp2.analysis import factor_ours
-from ttp2.blocks import SuperMatch
 
 from helpers import euclid_weights, pair_cluster_instance
 from reference import block_travel, brute_force_matching, brute_force_optimal, dp_matching
@@ -112,8 +111,7 @@ def test_criterion_4_block_travel_closed_forms():
     rng = np.random.default_rng(11)
     checked = 0
     for block_type in (1, 2, 3):
-        sm = SuperMatch(a_pair=0, b_pair=1, block_type=block_type)
-        days = expand_block(sm, [(0, 1), (2, 3)])
+        days = expand_block([0, 1, block_type], [(0, 1), (2, 3)]).tolist()
         for _ in range(50):
             pts = rng.uniform(0, 1000, (4, 2))
             d = np.sqrt(((pts[:, None, :] - pts[None, :, :]) ** 2).sum(-1))

@@ -13,7 +13,6 @@ from ttp2 import (
     MatchingError,
     PairMatching,
     Schedule,
-    SuperMatch,
     TTP2Error,
     ValidationError,
     build_schedule,
@@ -51,8 +50,7 @@ UNIT4 = Instance(n=4, dist=np.ones((4, 4)) - np.eye(4))
 
 def _t3_block():
     """A Type-3 block on the four teams of UNIT4, as a Schedule."""
-    sm = SuperMatch(a_pair=0, b_pair=1, block_type=3)
-    return Schedule(n=4, days=expand_block(sm, [(0, 1), (2, 3)]))
+    return Schedule(n=4, days=expand_block([0, 1, 3], [(0, 1), (2, 3)]).tolist())
 
 
 # --- itineraries -------------------------------------------------------------

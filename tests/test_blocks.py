@@ -1,5 +1,7 @@
 """Block layouts: home/away strings, expansion, travel closed forms."""
 
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -12,24 +14,26 @@ from ttp2 import (
     ValidationError,
     build_schedule,
     expand_block,
+    generate_instance,
 )
 from ttp2.blocks import BLOCK_TYPES
 from ttp2.analysis import total_travel
 
 from helpers import euclid_weights
 from reference import block_travel, expand_block_sorted
+from test_acceptance import LARGE_BUILDS
 
 
 PAIRS = [(0, 1), (2, 3)]  # slot teams: A1=0, A2=1, B1=2, B2=3
 
 
-def _days(block_type):
-    sm = SuperMatch(a_pair=0, b_pair=1, block_type=block_type)
-    return expand_block(sm, PAIRS)
+def _days(block_type, pairs=PAIRS):
+    """One block of pairs 0 and 1, its days as lists of [away, home] games."""
+    return expand_block([0, 1, block_type], pairs).tolist()
 
 
 def _fixtures(block_type):
-    return [f for day in _days(block_type) for f in day]
+    return [tuple(game) for day in _days(block_type) for game in day]
 
 
 # --- home/away profiles ----------------------------------------------------
@@ -40,14 +44,13 @@ SLOTS = ("A1", "A2", "B1", "B2")
 
 def _profiles(block_type, pairs=PAIRS):
     """Each slot's home/away string, one "a" or "h" per day, read off the
-    expanded fixtures; A1/A2 and B1/B2 are the lower/higher team of each pair."""
+    expanded games; A1/A2 and B1/B2 are the lower/higher team of each pair."""
     slot_of = dict(zip((*sorted(pairs[0]), *sorted(pairs[1])), SLOTS))
     seqs = dict.fromkeys(SLOTS, "")
-    sm = SuperMatch(a_pair=0, b_pair=1, block_type=block_type)
-    for day in expand_block(sm, pairs):
-        for f in day:
-            seqs[slot_of[f.away]] += "a"
-            seqs[slot_of[f.home]] += "h"
+    for day in _days(block_type, pairs):
+        for away, home in day:
+            seqs[slot_of[away]] += "a"
+            seqs[slot_of[home]] += "h"
     return seqs
 
 
@@ -90,21 +93,30 @@ CROSS = {(0, 2), (0, 3), (1, 2), (1, 3),
 def test_four_day_blocks_cover_cross_games_once(block_type):
     fx = _fixtures(block_type)
     assert len(fx) == 8
-    assert {(f.away, f.home) for f in fx} == CROSS
+    assert set(fx) == CROSS
 
 
 def test_type3_adds_intra_pair_games():
     fx = _fixtures(3)
     assert len(fx) == 12
-    got = {(f.away, f.home) for f in fx}
-    assert got == CROSS | {(0, 1), (1, 0), (2, 3), (3, 2)}
+    assert set(fx) == CROSS | {(0, 1), (1, 0), (2, 3), (3, 2)}
 
 
 @pytest.mark.parametrize("block_type", BLOCK_TYPES)
 def test_each_team_plays_once_per_day(block_type):
     for day in _days(block_type):
-        seen = [t for f in day for t in (f.away, f.home)]
-        assert sorted(seen) == [0, 1, 2, 3]
+        assert sorted(itertools.chain.from_iterable(day)) == [0, 1, 2, 3]
+
+
+def _reference_days(sched):
+    """The days of ``sched``'s stored plan expanded block by block with the
+    reference, on its team pairs: level by level, and each day the games
+    of the level's blocks in stored block order."""
+    days = []
+    for lp in sched.levels:
+        blocks = [expand_block_sorted(sm, sched.team_pairs.pairs) for sm in lp.super_matches]
+        days += (tuple(itertools.chain.from_iterable(day)) for day in zip(*blocks))
+    return tuple(days)
 
 
 @pytest.mark.parametrize("block_type", BLOCK_TYPES)
@@ -114,78 +126,115 @@ def test_day_numbering_from_start_day(block_type):
     start, placed = 0, 0
     for lp in sched.levels:
         for sm in lp.super_matches:
-            block = expand_block(sm, sched.team_pairs.pairs)
+            block = expand_block_sorted(sm, sched.team_pairs.pairs)
             if sm.block_type == block_type:
                 placed += 1
                 for k, day in enumerate(block):
                     assert set(day) <= set(sched.days[start + k])
         start += len(block)
     assert placed > 0 and start == len(sched.days)
+    assert sched.days == _reference_days(sched)
+
+
+@pytest.mark.parametrize("n", [n for n, kind in LARGE_BUILDS if kind == "euclidean"])
+def test_a_builds_days_are_its_plan_expanded_block_by_block(n):
+    # past the sizes tests/digests.json pins: every day, game by game
+    sched = build_schedule(generate_instance(n, "euclidean", 0))
+    assert sched.days == _reference_days(sched)
 
 
 def test_expand_respects_slot_order_within_pair():
     # lower team of each pair takes the 1 slot, higher takes the 2 slot
-    sm = SuperMatch(a_pair=0, b_pair=1, block_type=1)
-    days = expand_block(sm, [(5, 4), (7, 6)])
+    days = _days(1, [(5, 4), (7, 6)])
     # Type-1 day 1: A1@B1 and A2@B2
-    assert {(f.away, f.home) for f in days[0]} == {(4, 6), (5, 7)}
+    assert days[0] == [[4, 6], [5, 7]]
 
 
 def test_expand_overlapping_pairs_raises():
-    sm = SuperMatch(a_pair=0, b_pair=1, block_type=1)
-    with pytest.raises(ValidationError, match="overlap"):
-        expand_block(sm, [(0, 1), (1, 2)])
+    with pytest.raises(ValidationError, match=r"^super-match pairs overlap: \[0, 1\] vs \[1, 2\]$"):
+        expand_block([0, 1, 1], [(0, 1), (1, 2)])
 
 
 def test_expand_bad_pair_size_raises():
-    sm = SuperMatch(a_pair=0, b_pair=1, block_type=1)
-    with pytest.raises(ValidationError, match="exactly two"):
-        expand_block(sm, [(0, 1, 2), (3, 4)])
+    for pairs in ([(0, 1, 2), (3, 4)], [(0, 1, 2), (3, 4, 5)], [(0,), (3,)]):
+        with pytest.raises(ValidationError, match="^each pair must hold exactly two teams$"):
+            expand_block([0, 1, 1], pairs)
 
 
-# one pair of teams as a caller may hold it: in order or reversed, as a
-# tuple, list, set or numpy array, of Python or numpy integers
-_PAIR_FORMS = (tuple, list, set, lambda p: tuple(reversed(p)), np.array,
-               lambda p: tuple(map(np.int64, p)), lambda p: [np.int32(t) for t in p])
+@pytest.mark.parametrize("blocks, message", [
+    ([0, 2, 1], r"block \[0, 2, 1\] names a pair outside 0\.\.1"),
+    ([[0, 1, 1], [-1, 0, 1]], r"block \[-1, 0, 1\] names a pair outside 0\.\.1"),
+    ([0, 1, 4], "unknown block type 4"),
+    ([[0, 1, 2], [1, 0, 0]], "unknown block type 0"),
+    ([[0, 1, 1], [1, 0, 3]], "blocks of 4 and 6 days cannot be expanded together"),
+    ([[1, 0, 3], [0, 1, 2]], "blocks of 4 and 6 days cannot be expanded together"),
+    ([0, 1], r"each block must be three numbers, \(a_pair, b_pair, type\)"),
+    ([[0, 1, 1], [0, 1]], r"each block must be three numbers, \(a_pair, b_pair, type\)"),
+    ([0, 1, 1.0], r"blocks must be integers, got \[0, 1, 1\.0\]"),
+], ids=["pair-past-m", "negative-pair", "type-4", "type-0", "4-then-6-days", "6-then-4-days",
+        "two-numbers", "ragged", "float"])
+def test_expand_refuses_a_block_it_cannot_lay_out(blocks, message):
+    with pytest.raises(ValidationError, match=f"^{message}$"):
+        expand_block(blocks, PAIRS)
+
+
+def test_expand_keeps_the_shape_of_its_blocks():
+    # any leading shape: each block's (days, 2, 2) games in its place
+    rows = [[0, 1, 1], [1, 2, 2], [2, 0, 1], [0, 2, 2]]
+    pairs = [(0, 1), (2, 3), (4, 5)]
+    flat = expand_block(rows, pairs)
+    assert flat.dtype == np.int64 and flat.shape == (4, 4, 2, 2)
+    assert expand_block(np.array(rows).reshape(2, 2, 3), pairs).tolist() == (
+        flat.reshape(2, 2, 4, 2, 2).tolist())
+    assert expand_block(rows[1], pairs).tolist() == flat[1].tolist()
+    assert expand_block(np.zeros((0, 3), np.int64), pairs).shape == (0, 0, 2, 2)
+
+
+# pairs as a caller may hold them: in order or reversed, as tuples, lists
+# or a numpy array, of Python or numpy integers
+_PAIR_FORMS = (tuple, lambda ps: [list(p) for p in ps], lambda ps: [p[::-1] for p in ps],
+               np.array, lambda ps: [tuple(map(np.int64, p)) for p in ps],
+               lambda ps: [[np.int32(t) for t in p] for p in ps])
+# blocks as a caller may hold them: a list of rows or an int array
+_BLOCK_FORMS = (list, np.array, lambda rows: np.array(rows, np.int32))
 
 
 @st.composite
 def _blocks(draw):
-    # few teams, so pairs often overlap or repeat a team; some hold 1 or 3
-    count = draw(st.integers(2, 4))
-    sizes = st.sampled_from((2,) * 6 + (1, 3))
-    pairs = [draw(st.sampled_from(_PAIR_FORMS))(draw(st.lists(st.integers(0, 15), min_size=k,
-                                                                max_size=k)))
-             for k in draw(st.lists(sizes, min_size=count, max_size=count))]
-    if draw(st.booleans()):
-        pairs = dict(enumerate(pairs))
-    a, b = draw(st.lists(st.integers(0, count - 1), min_size=2, max_size=2, unique=True))
-    return SuperMatch(a_pair=a, b_pair=b, block_type=draw(st.sampled_from(BLOCK_TYPES))), pairs
-
-
-def _outcome(expand, sm, pairs):
-    try:
-        return repr(expand(sm, pairs))   # the teams' types as well as their values
-    except ValidationError as exc:
-        return type(exc), str(exc)
+    # few teams, so pairs often share a team or name one team twice
+    count = draw(st.integers(2, 5))
+    pairs = [tuple(draw(st.lists(st.integers(0, 15), min_size=2, max_size=2)))
+             for _ in range(count)]
+    types = draw(st.sampled_from(((1, 2), (3,))))
+    row = st.tuples(st.integers(0, count - 1), st.integers(0, count - 1), st.sampled_from(types))
+    rows = draw(st.lists(row.filter(lambda r: r[0] != r[1]), min_size=1, max_size=6))
+    return rows, pairs, draw(st.sampled_from(_BLOCK_FORMS)), draw(st.sampled_from(_PAIR_FORMS))
 
 
 @settings(derandomize=True, deadline=None, database=None, max_examples=400)
 @given(_blocks())
-def test_expand_block_matches_the_sorting_reference(block):
-    # the same days, or the same refusal and message, as sorting copies of
-    # both pairs and checking the four teams with a set
-    sm, pairs = block
-    assert _outcome(expand_block, sm, pairs) == _outcome(expand_block_sorted, sm, pairs)
+def test_expand_block_matches_the_sorting_reference(case):
+    # the reference's days for each block, as one int64 array, or the
+    # reference's refusal and message for the first block it refuses
+    rows, pairs, block_form, pair_form = case
+    try:
+        want = [expand_block_sorted(SuperMatch(*row), pairs) for row in rows]
+    except ValidationError as exc:
+        with pytest.raises(ValidationError) as got:
+            expand_block(block_form(rows), pair_form(pairs))
+        assert str(got.value) == str(exc)
+        return
+    got = expand_block(block_form(rows), pair_form(pairs))
+    assert got.dtype == np.int64
+    assert got.tolist() == [[[list(game) for game in day] for day in block] for block in want]
 
 
 @pytest.mark.parametrize("pairs", [[5, (2, 3)], [(2, 3), None], [(0, "1"), (2, 3)]],
                          ids=["int", "none", "int-and-text"])
-def test_expand_a_pair_that_cannot_be_iterated_or_ordered_raises_type_error(pairs):
-    sm = SuperMatch(a_pair=0, b_pair=1, block_type=1)
-    for expand in (expand_block, expand_block_sorted):
-        with pytest.raises(TypeError):
-            expand(sm, pairs)
+def test_expand_refuses_a_pair_that_is_not_two_integers(pairs):
+    with pytest.raises(ValidationError, match="^(each pair must hold exactly two teams"
+                                              "|pairs must be integers, got .*)$"):
+        expand_block([0, 1, 1], pairs)
 
 
 def test_supermatch_validation():

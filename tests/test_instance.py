@@ -332,6 +332,53 @@ def test_json_names_are_read_by_the_constructors_rule():
         Instance(n=2, dist=good["dist"], names=())
 
 
+@pytest.mark.parametrize("names, message", [
+    ("abcd", "names must be a sequence of 4 names, got 'abcd'"),
+    (b"abcd", "names must be a sequence of 4 names, got b'abcd'"),
+    (bytearray(b"abcd"), "names must be a sequence of 4 names, got bytearray(b'abcd')"),
+    ({"a": 0, "b": 1, "c": 2, "d": 3}, "names must be a sequence of 4 names, got {"),
+    (frozenset("abcd"), "names must be a sequence of 4 names, got frozenset("),
+    (4, "names must be a sequence of 4 names, got 4"),
+    ([1, 2, 3, 4], "names must be str values, got 1 at index 0"),
+    (("a", "b", None, "d"), "names must be str values, got None at index 2"),
+    (("a", "b", b"c", "d"), "names must be str values, got b'c' at index 2"),
+], ids=["str", "bytes", "bytearray", "dict", "set", "int", "ints", "none", "bytes-name"])
+def test_instance_refuses_names_that_are_text_or_not_str(names, message):
+    # a string is one name, not its characters, and a name is never made text
+    with pytest.raises(InstanceError, match="^" + re.escape(message)):
+        Instance(n=4, dist=small_dist(), names=names)
+
+
+def test_instance_keeps_str_names_as_plain_str():
+    inst = Instance(n=4, dist=small_dist(), names=np.array(["a", "b", "c", "d"]))
+    assert inst.names == ("a", "b", "c", "d")
+    assert {type(name) for name in inst.names} == {str}
+
+
+@pytest.mark.parametrize("names, message", [
+    ("ab", "names must be a sequence of 2 names, got 'ab'"),
+    ([1, 2], "names must be str values, got 1 at index 0"),
+    (["a", 2], "names must be str values, got 2 at index 1"),
+    ({"a": 1, "b": 2}, "names must be a sequence of 2 names, got {"),
+])
+def test_json_names_that_are_not_text_are_refused(names, message):
+    text = json.dumps({"n": 2, "dist": [[0, 1], [1, 0]], "names": names})
+    with pytest.raises(InstanceError, match="^" + re.escape(message)):
+        load_instance(text, fmt="json")
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_named_instances_read_back_as_written(fmt):
+    named = [Instance(n=4, dist=small_dist(), names=("a", "b", "c", "d")),
+             Instance(n=4, dist=small_dist(), names=["x y", "é", "", "d"])]
+    if fmt == "json":   # the one format that keeps coords
+        inst = generate_instance(8, kind="euclidean", seed=0)
+        named.append(Instance(n=8, dist=inst.dist, names=[f"t{i}" for i in range(8)],
+                              coords=inst.coords))
+    for inst in named:
+        assert load_instance(emit_instance(inst, fmt=fmt), fmt=fmt) == inst
+
+
 def test_json_rounding_nearest_int():
     obj = {"n": 4, "coords": [[0, 0], [1, 1], [5, 0], [0, 5]],
            "rounding": "nearest_int"}
